@@ -346,12 +346,20 @@ impl Collector {
                 provenance: summary.provenance,
             },
         );
+        self.store_window(slot, tree);
+        Ok(kind)
+    }
+
+    /// Stores `tree` as the slot's window, frozen: stored windows are
+    /// read (merged from, encoded, walked) far more than they are
+    /// probed.
+    fn store_window(&mut self, slot: (u64, u16), mut tree: FlowTree) {
+        tree.shrink_to_fit();
         if self.windows.insert(slot, tree).is_some() {
             // A stored window was replaced: cached views that merged
             // the old tree are stale beyond repair — invalidate all.
             self.invalidate_views();
         }
-        Ok(kind)
     }
 
     /// The version-3 half of [`Collector::apply`]: epoch-gated full
@@ -370,9 +378,7 @@ impl Collector {
                         got: eh.epoch,
                     });
                 }
-                if self.windows.insert(slot, summary.tree).is_some() {
-                    self.invalidate_views();
-                }
+                self.store_window(slot, summary.tree);
             }
             SummaryKind::Delta => {
                 let base = eh
@@ -400,6 +406,8 @@ impl Collector {
                     .merge(&summary.tree)
                     .map_err(|_| DistError::SchemaMismatch)?;
                 stored.prune_zeros();
+                // The merge thawed the slot; put it back to rest.
+                stored.shrink_to_fit();
                 self.extend_views_with_delta(slot, &summary.tree);
             }
         }
@@ -569,8 +577,15 @@ impl Collector {
             .scoped(wanted.as_deref(), from_ms, to_ms)
             .map(|(_, t)| t)
             .collect();
+        self.merge_of(&trees)
+    }
+
+    /// A fresh tree holding the k-way merge of `trees`, reserved for
+    /// the largest of them (what the result is known to hold at least).
+    fn merge_of(&self, trees: &[&FlowTree]) -> FlowTree {
         let mut out = FlowTree::new(self.schema, self.tree_cfg);
-        out.merge_many(&trees).expect("uniform schema in collector");
+        out.reserve(trees.iter().map(|t| t.len()).max().unwrap_or(0));
+        out.merge_many(trees).expect("uniform schema in collector");
         out
     }
 
@@ -623,14 +638,11 @@ impl Collector {
             }
             cache.entries.remove(&key);
         }
-        let mut tree = FlowTree::new(self.schema, self.tree_cfg);
         let trees: Vec<&FlowTree> = in_scope
             .iter()
             .map(|p| self.windows.get(p).expect("scoped pair is stored"))
             .collect();
-        tree.merge_many(&trees)
-            .expect("uniform schema in collector");
-        let arc = Arc::new(tree);
+        let arc = Arc::new(self.merge_of(&trees));
         cache.rebuilds += 1;
         cache.entries.insert(
             key.clone(),

@@ -102,6 +102,9 @@ pub struct SiteDaemon {
     open: BTreeMap<u64, ShardedTree>,
     /// Last *emitted* window tree, base for delta encoding.
     last_emitted: Option<(u64, FlowTree)>,
+    /// Node count of the last closed window: what the next window
+    /// opened reserves, so steady ingest does not regrow its arena.
+    last_nodes: usize,
     watermark_ms: u64,
     seq: u64,
     stats: DaemonStats,
@@ -115,6 +118,7 @@ impl SiteDaemon {
             cfg,
             open: BTreeMap::new(),
             last_emitted: None,
+            last_nodes: 0,
             watermark_ms: 0,
             seq: 0,
             stats: DaemonStats::default(),
@@ -144,13 +148,17 @@ impl SiteDaemon {
         self.cfg.pin_cores = pin;
     }
 
-    /// A fresh sharded tree for one window, honoring the pinning knob.
-    /// Associated (not `&self`) so `open.entry(..).or_insert_with` can
-    /// call it while `self.open` is borrowed.
-    fn window_tree(cfg: &DaemonConfig) -> ShardedTree {
-        let mut t = ShardedTree::new(cfg.schema, cfg.tree, cfg.shards);
-        t.set_pin_workers(cfg.pin_cores);
-        t
+    /// The open window starting at `start_ms`, opened on first use:
+    /// a fresh sharded tree honoring the pinning knob and reserved for
+    /// the previous window's final node count.
+    fn window_tree(&mut self, start_ms: u64) -> &mut ShardedTree {
+        self.open.entry(start_ms).or_insert_with(|| {
+            let cfg = &self.cfg;
+            let mut t = ShardedTree::new(cfg.schema, cfg.tree, cfg.shards);
+            t.set_pin_workers(cfg.pin_cores);
+            t.reserve(self.last_nodes);
+            t
+        })
     }
 
     /// Currently open windows (oldest first).
@@ -189,10 +197,7 @@ impl SiteDaemon {
             self.stats.late_drops += 1;
             return out;
         }
-        let tree = self
-            .open
-            .entry(window.start_ms)
-            .or_insert_with(|| Self::window_tree(&self.cfg));
+        let tree = self.window_tree(window.start_ms);
         tree.insert(key, pop);
         out
     }
@@ -220,10 +225,7 @@ impl SiteDaemon {
             self.stats.late_drops += batch.len() as u64;
             return out;
         }
-        let tree = self
-            .open
-            .entry(window.start_ms)
-            .or_insert_with(|| Self::window_tree(&self.cfg));
+        let tree = self.window_tree(window.start_ms);
         tree.par_insert_batch(batch);
         out
     }
@@ -267,10 +269,7 @@ impl SiteDaemon {
             if w_max < oldest_open {
                 self.stats.late_drops += items.len() as u64;
             } else {
-                let tree = self
-                    .open
-                    .entry(w_max)
-                    .or_insert_with(|| Self::window_tree(&self.cfg));
+                let tree = self.window_tree(w_max);
                 tree.par_insert_iter(items.iter().map(|(_, k, p)| (k, *p)), items.len());
             }
             return self.advance_watermark(max_ts);
@@ -288,10 +287,7 @@ impl SiteDaemon {
             }
         }
         for (start_ms, batch) in per_window {
-            let tree = self
-                .open
-                .entry(start_ms)
-                .or_insert_with(|| Self::window_tree(&self.cfg));
+            let tree = self.window_tree(start_ms);
             tree.par_insert_batch(&batch);
         }
         self.advance_watermark(max_ts)
@@ -330,10 +326,7 @@ impl SiteDaemon {
             if w_max < oldest_open {
                 self.stats.late_drops += items.len() as u64;
             } else {
-                let tree = self
-                    .open
-                    .entry(w_max)
-                    .or_insert_with(|| Self::window_tree(&self.cfg));
+                let tree = self.window_tree(w_max);
                 tree.par_insert_prehashed_iter(
                     items.iter().map(|(_, h, k, p)| (*h, *k, *p)),
                     items.len(),
@@ -356,10 +349,7 @@ impl SiteDaemon {
         }
         for (start_ms, batch) in per_window {
             let len = batch.len();
-            let tree = self
-                .open
-                .entry(start_ms)
-                .or_insert_with(|| Self::window_tree(&self.cfg));
+            let tree = self.window_tree(start_ms);
             tree.par_insert_prehashed_iter(batch.into_iter(), len);
         }
         self.advance_watermark(max_ts)
@@ -403,11 +393,15 @@ impl SiteDaemon {
     fn close_window(&mut self, start_ms: u64) -> Summary {
         // Fold the window's ingest shards into one tree via the
         // paper's `merge`; with `shards == 1` this is a move.
-        let tree = self
+        let mut tree = self
             .open
             .remove(&start_ms)
             .expect("window open")
             .into_tree();
+        self.last_nodes = tree.len();
+        // Closed: from here the tree is only diffed against, queued
+        // and encoded.
+        tree.shrink_to_fit();
         let window = WindowId {
             start_ms,
             span_ms: self.cfg.window_ms,

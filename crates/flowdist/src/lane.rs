@@ -334,9 +334,6 @@ struct MergerDone {
 }
 
 /// Lane → merger traffic.
-// Clone only because the channel shim's `Sender: Clone` derive
-// demands it of the payload; events are never actually cloned.
-#[derive(Clone)]
 enum LaneEvent {
     /// Lane `lane`'s daemon closed window `start_ms` with this tree.
     /// Boxed: a `FlowTree` dwarfs the watermark variant and events sit

@@ -94,6 +94,15 @@ impl ShardedTree {
         self.pin_workers = pin;
     }
 
+    /// Reserves room for `nodes` more nodes, split evenly across the
+    /// shards (the router spreads keys uniformly by hash).
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        let per_shard = nodes.div_ceil(self.shards.len());
+        for i in 0..self.shards.len() {
+            self.lock_shard(i).reserve(per_shard);
+        }
+    }
+
     /// Number of shards.
     #[inline]
     pub fn num_shards(&self) -> usize {

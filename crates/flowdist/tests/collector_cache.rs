@@ -299,6 +299,46 @@ mod v3_increments {
         assert_eq!(c.window_epoch(0, 0), 2);
     }
 
+    /// Stored slots rest frozen (exact arena, no key index). An
+    /// in-place delta has to thaw the slot, merge, prune and put it
+    /// back — across a chain that grows the slot, cancels part of it
+    /// (dead arena slots, so the freeze renumbers) and is probed
+    /// through `&self` between increments.
+    #[test]
+    fn deltas_onto_frozen_slots_equal_a_full_resend() {
+        let mut c = Collector::new(Schema::five_feature(), Config::with_budget(100_000));
+        let mut want = tree_of(0, 0, 10, 1);
+        c.apply(v3(0, 0, 1, None, want.clone())).unwrap();
+
+        let empty = FlowTree::new(Schema::five_feature(), Config::with_budget(4_096));
+        let cancel = FlowTree::diffed(&empty, &tree_of(0, 0, 5, 1)).unwrap();
+        let deltas = [tree_of(0, 10, 30, 3), cancel, tree_of(0, 30, 40, 2)];
+        for (i, delta) in deltas.iter().enumerate() {
+            let probe = delta.iter().last().expect("deltas are not empty").key;
+            let before = c.window_tree(0, 0).unwrap();
+            assert_eq!(
+                before.popularity(probe),
+                want.popularity(probe),
+                "probe before delta {i}"
+            );
+            let len_before = before.len();
+
+            let epoch = i as u64 + 2;
+            c.apply(v3(0, 0, epoch, Some(epoch - 1), delta.clone()))
+                .unwrap();
+            want.merge(delta).unwrap();
+            want.prune_zeros();
+            let stored = c.window_tree(0, 0).unwrap();
+            assert_eq!(stored.encode(), want.encode(), "after delta {i}");
+            stored.validate();
+            assert_eq!(
+                stored.len() < len_before,
+                i == 1,
+                "only the cancel delta prunes"
+            );
+        }
+    }
+
     #[test]
     fn epoch_ledger_rejects_out_of_order_and_orphaned_increments() {
         let mut c = Collector::new(Schema::five_feature(), Config::with_budget(100_000));

@@ -301,6 +301,12 @@ fn knob_reload_takes_effect_without_restart() {
     }
     let throttled = gauges.snapshot();
     assert!(throttled.quota_packet_drops > 0, "phase 1 throttled");
+    // Let the loop finish the burst before touching the knobs: a
+    // datagram it judged under the old quota while the reload landed
+    // would be one drop more than `drops_before` saw.
+    while gauges.snapshot().datagrams < burst.len() as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // Reload: lift the quota entirely (0 = unlimited).
     knobs.store(AdmissionConfig::default());

@@ -790,7 +790,7 @@ impl Relay {
     /// base's presence, monotone content, and the encoded size all
     /// agree — a full (rebasing) frame otherwise.
     fn export_window(&mut self, start: u64, span: u64) -> Summary {
-        let current = self.collector.merged(None, start, start + span);
+        let mut current = self.collector.merged(None, start, start + span);
         let provenance: Vec<u16> = self.collector.window_coverage(start).into_iter().collect();
         debug_assert!(!provenance.is_empty(), "exportable windows have content");
         let delta_mode = self.cfg.export.mode == ExportMode::Delta;
@@ -823,7 +823,10 @@ impl Relay {
         // Pin the new base without paying an avoidable full-tree copy
         // on the steady-state delta path: when the delta ships,
         // `current` moves into the pin; only a full frame (which ships
-        // `current` itself) needs the clone.
+        // `current` itself) needs the clone. Either way `current` is
+        // only read from here on — diffed against as a base, encoded
+        // as a frame — so it is frozen first (and its clone with it).
+        current.shrink_to_fit();
         let (kind, tree, base) = match delta_frame {
             Some((delta, base_epoch)) => {
                 if delta_mode {

@@ -97,7 +97,10 @@ fn serving_loop_survives_hostile_control_frames() {
     ));
 
     // Hostile battery: truncated control, unknown type, zero-span ack,
-    // an ack (wrong direction), and a malformed summary.
+    // an ack (wrong direction), a malformed summary, and a well-formed
+    // summary header around a ten-byte tree that claims the largest
+    // admissible node count (the decoder must refuse it on the bytes
+    // it has, not reserve for the rows it was promised).
     let mut bad_type = ControlFrame::Hello { features: 0 }.encode();
     bad_type[5] = 0x7F;
     let mut zero_span = ControlFrame::Ack(SlotPos {
@@ -116,12 +119,22 @@ fn serving_loop_survives_hostile_control_frames() {
         epoch: 1,
     })
     .encode();
+    let header = site_summary(0, 0, 0..1, 1).encode();
+    let tree_at = header
+        .windows(4)
+        .position(|w| w == flowtree_core::MAGIC)
+        .expect("summary frames embed a tree frame");
+    let mut count_bomb = header[..tree_at].to_vec();
+    count_bomb.extend_from_slice(&flowtree_core::MAGIC);
+    count_bomb.extend_from_slice(&[flowtree_core::VERSION, 3]);
+    flowkey::pack::write_varint(&mut count_bomb, flowtree_core::MAX_WIRE_NODES as u64);
     for hostile in [
         &CONTROL_MAGIC[..3].to_vec(),
         &bad_type,
         &zero_span,
         &wrong_direction,
         &b"FSUMgarbage".to_vec(),
+        &count_bomb,
     ] {
         write_frame(&mut stream, hostile).unwrap();
     }
@@ -145,8 +158,8 @@ fn serving_loop_survives_hostile_control_frames() {
     let guard = relay.lock().unwrap();
     assert_eq!(guard.ledger().replayed, 1);
     // Hostile *control* frames are tallied by the serving loop and never
-    // reach the relay; the two non-control garbage blobs do, as rejects.
-    assert_eq!(guard.ledger().rejected, 2, "garbage summaries were counted");
+    // reach the relay; the three non-control garbage blobs do, as rejects.
+    assert_eq!(guard.ledger().rejected, 3, "garbage summaries were counted");
     assert_eq!(guard.collector().window_seq(0, 0), 1);
 }
 

@@ -46,6 +46,10 @@ pub const VERSION: u8 = 1;
 /// decoder from resource-exhaustion frames.
 pub const MAX_WIRE_NODES: usize = 4_000_000;
 
+/// The fewest bytes one node row can occupy: a parent varint, the
+/// packed key's presence byte, and three mass varints.
+const MIN_ROW_BYTES: usize = 5;
+
 /// Errors produced while decoding a Flowtree frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -202,10 +206,17 @@ impl FlowTree {
             return Err(CodecError::BadCount(count));
         }
         let count = count as usize;
+        // The count sizes four allocations below; a ten-byte frame
+        // must not get to claim four million rows. Hold it to what the
+        // remaining bytes could possibly carry first.
+        if count > (bytes.len() - pos) / MIN_ROW_BYTES {
+            return Err(CodecError::Truncated);
+        }
 
         let mut cfg = cfg;
         cfg.node_budget = cfg.node_budget.max(count);
         let mut tree = FlowTree::new(schema, cfg);
+        tree.reserve(count - 1);
         // Keys / depths / node ids in stream order, so parent
         // references resolve to already-built nodes.
         let mut keys: Vec<FlowKey> = Vec::with_capacity(count);
@@ -401,6 +412,35 @@ mod tests {
             FlowTree::decode(&bytes, Config::paper()).unwrap_err(),
             CodecError::BadCount(_)
         ));
+    }
+
+    #[test]
+    fn count_beyond_the_frame_is_rejected_before_any_reservation() {
+        // A ten-byte frame claiming the largest admissible count: the
+        // decoder used to reserve ~0.5 GB of side tables for it.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        bytes.push(3);
+        flowkey::pack::write_varint(&mut bytes, MAX_WIRE_NODES as u64);
+        assert_eq!(bytes.len(), 10);
+        assert_eq!(
+            FlowTree::decode(&bytes, Config::paper()).unwrap_err(),
+            CodecError::Truncated
+        );
+        // The bound is on rows the bytes can hold, not on the count:
+        // a real frame whose count is inflated by one fails the same
+        // way, and an honest one still decodes.
+        let tree = sample_tree();
+        let good = tree.encode();
+        assert!(FlowTree::decode(&good, Config::paper()).is_ok());
+        let mut padded = good[..6].to_vec();
+        flowkey::pack::write_varint(&mut padded, good.len() as u64);
+        padded.extend_from_slice(&good[6 + varint_len(tree.len() as u64)..]);
+        assert_eq!(
+            FlowTree::decode(&padded, Config::paper()).unwrap_err(),
+            CodecError::Truncated
+        );
     }
 
     #[test]

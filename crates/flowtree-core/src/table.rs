@@ -13,6 +13,12 @@
 //! Linear probing with tombstones; power-of-two capacity; resizes at
 //! 7/8 occupancy (live + tombstones). All operations are O(1) expected
 //! with the mixed hashes [`flowkey::key_hash`] produces.
+//!
+//! The table starts at 16 slots and doubles on demand, so it costs
+//! 16 B × 1.14–2.3 per entry (8/7 just before a doubling, twice that
+//! just after). Every slot of a new table is written, which is why a
+//! tree never sizes one from its node *budget* — only from a count it
+//! actually holds or has been told to expect ([`KeyIndex::reserve`]).
 
 /// Slot id marking an empty slot.
 const EMPTY: u32 = u32::MAX;
@@ -38,14 +44,27 @@ pub(crate) struct KeyIndex {
 }
 
 impl KeyIndex {
-    /// An index pre-sized for roughly `n` live entries.
+    /// Slots needed to hold `n` entries under the 7/8 load bound.
+    fn slots_for(n: usize) -> usize {
+        (n.saturating_mul(8) / 7 + 1).next_power_of_two().max(16)
+    }
+
+    /// An index that holds `n` entries without growing.
     pub(crate) fn with_capacity(n: usize) -> KeyIndex {
-        let cap = (n.saturating_mul(8) / 7 + 1).next_power_of_two().max(16);
+        let cap = Self::slots_for(n);
         KeyIndex {
             slots: vec![VACANT; cap],
             mask: cap - 1,
             live: 0,
             tombs: 0,
+        }
+    }
+
+    /// Makes room for `additional` more entries without further
+    /// growth (tombstones are flushed if the table is rebuilt).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        if (self.live + self.tombs + additional) * 8 > self.slots.len() * 7 {
+            self.rebuild(Self::slots_for(self.live + additional).max(self.slots.len()));
         }
     }
 
@@ -127,6 +146,12 @@ impl KeyIndex {
         } else {
             self.slots.len()
         };
+        self.rebuild(new_cap);
+    }
+
+    /// Re-inserts every live entry into a fresh table of `new_cap`
+    /// slots (a power of two with room for them), dropping tombstones.
+    fn rebuild(&mut self, new_cap: usize) {
         let old = std::mem::replace(&mut self.slots, vec![VACANT; new_cap]);
         self.mask = new_cap - 1;
         self.tombs = 0;
@@ -168,6 +193,26 @@ mod tests {
             let want = if id % 2 == 0 { Some(id as u32) } else { None };
             assert_eq!(t.get(h, |got| got == id as u32), want);
         }
+    }
+
+    #[test]
+    fn reserve_then_fill_never_regrows() {
+        let mut t = KeyIndex::with_capacity(0);
+        assert_eq!(t.slots.len(), 16, "the smallest table");
+        t.insert(7, 0);
+        t.reserve(1_000);
+        let cap = t.slots.len();
+        for i in 1..=1_000u64 {
+            t.insert(i.wrapping_mul(0x9e3779b97f4a7c15), i as u32);
+        }
+        assert_eq!(t.slots.len(), cap, "reserved room was enough");
+        assert_eq!(t.len(), 1_001);
+        assert_eq!(t.get(7, |id| id == 0), Some(0));
+        // Already roomy: a smaller request is a no-op.
+        let mut r = KeyIndex::with_capacity(1_000);
+        let cap = r.slots.len();
+        r.reserve(10);
+        assert_eq!(r.slots.len(), cap);
     }
 
     #[test]

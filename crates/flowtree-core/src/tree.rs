@@ -60,6 +60,34 @@
 //! this (`flowdist::ShardedTree`) reuses the same key hash to route
 //! shards.
 //!
+//! ## What a tree costs
+//!
+//! A tree pays for the nodes it holds, not for its budget:
+//!
+//! * [`FlowTree::new`] allocates the root and the smallest index —
+//!   well under 4 KB whatever `node_budget` says. The node arena and
+//!   the key index then grow geometrically, like a `Vec`.
+//! * The arena costs ≈ 208 B per node (a seven-feature key, two
+//!   hashes, five links, three counters, touch and generation), plus
+//!   up to 2× doubling slack while the tree is growing.
+//! * The index costs 16 B × 1.14–2.3 per node (see [`crate::table`]),
+//!   and only while the tree is **thawed**.
+//! * Whoever knows a size says so through [`FlowTree::reserve`]: the
+//!   decoder reserves from the validated frame count, `clone`
+//!   allocates exactly what it copies, and a site daemon reserves a
+//!   new window from its predecessor's final node count, so steady
+//!   ingest does not reallocate.
+//! * [`FlowTree::shrink_to_fit`] **freezes** a tree that is about to
+//!   be stored and mostly read — a collector's stored window, a
+//!   relay's pinned delta base, a closed window queued for the
+//!   encoder: the arena is squeezed to exactly the live nodes and the
+//!   free list, the index and the insert-path scratch are dropped.
+//!   Merge/diff *sources*, `encode`, `hhh`, `top_k` and every other
+//!   whole-tree walk read a frozen tree as it is. The first operation
+//!   that needs the index — a point lookup, an insert, being a
+//!   merge/diff *destination* — rebuilds it in one arena sweep (the
+//!   tree is then thawed again, arena still exact until it grows).
+//!
 //! ## Structural merge
 //!
 //! Whole summaries combine without the insert path:
@@ -80,6 +108,7 @@ use crate::table::KeyIndex;
 use flowkey::{key_hash, FlowKey, Schema};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 pub(crate) const NIL: u32 = u32::MAX;
 
@@ -422,7 +451,11 @@ pub struct FlowTree {
     pub(crate) cfg: Config,
     pub(crate) nodes: Vec<Node>,
     pub(crate) free: Vec<u32>,
-    pub(crate) index: KeyIndex,
+    /// Key → node id. Unset while the tree is frozen (see the module
+    /// docs); a `OnceLock` because lookups take `&self` and stored
+    /// trees are shared across threads as `Arc<FlowTree>`, so the lazy
+    /// rebuild must stay `Sync`.
+    index: OnceLock<KeyIndex>,
     pub(crate) root: u32,
     pub(crate) live: usize,
     pub(crate) clock: u64,
@@ -464,22 +497,18 @@ impl FlowTree {
             generation: 0,
             alive: true,
         };
-        // Pre-size both the index and the node arena for the budget,
-        // but cap so huge budgets (used by tests and oracles) do not
-        // pay an up-front allocation. Pre-reserving the arena matters:
-        // steady-state ingest under a 40 K budget would otherwise pay
-        // repeated reallocation + copy of every node.
-        let cap = cfg.node_budget.saturating_add(16).min(65_536);
-        let mut index = KeyIndex::with_capacity(cap);
+        // O(1) whatever the budget: the root and the smallest index.
+        // Arena and index grow on demand; a caller that knows how many
+        // nodes are coming says so with `reserve` (module docs, "What
+        // a tree costs").
+        let mut index = KeyIndex::with_capacity(0);
         index.insert(root_hash, 0);
-        let mut nodes = Vec::with_capacity(cap);
-        nodes.push(root);
         FlowTree {
             schema,
             cfg,
-            nodes,
+            nodes: vec![root],
             free: Vec::new(),
-            index,
+            index: OnceLock::from(index),
             root: 0,
             live: 1,
             clock: 0,
@@ -520,6 +549,71 @@ impl FlowTree {
     /// (40 K nodes).
     pub fn with_schema(schema: Schema) -> FlowTree {
         FlowTree::new(schema, Config::paper())
+    }
+
+    /// Reserves room for at least `additional` more nodes, in the
+    /// arena and in the key index, so that many inserts (or merged-in
+    /// nodes) allocate nothing further. Like `Vec::reserve`, a hint:
+    /// the tree grows on demand without it. The decoder and the site
+    /// daemon's window open are the in-tree callers.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.index_mut().reserve(additional);
+    }
+
+    /// Freezes the tree for storage: squeezes the arena to exactly
+    /// the live nodes (ids are renumbered, arena order kept) and
+    /// drops the free list, the key index and the insert-path scratch.
+    /// Nothing observable changes — encodings, query answers and the
+    /// tree's behaviour as a merge/diff source or destination are
+    /// those of the unfrozen tree; the first operation that needs the
+    /// index rebuilds it (module docs, "What a tree costs").
+    pub fn shrink_to_fit(&mut self) {
+        if !self.free.is_empty() {
+            let mut remap = vec![NIL; self.nodes.len()];
+            let mut next = 0u32;
+            for (old, n) in self.nodes.iter().enumerate() {
+                if n.alive {
+                    remap[old] = next;
+                    next += 1;
+                }
+            }
+            let moved = |id: u32| if id == NIL { NIL } else { remap[id as usize] };
+            self.nodes.retain(|n| n.alive);
+            for n in &mut self.nodes {
+                n.parent = moved(n.parent);
+                n.first_child = moved(n.first_child);
+                n.next_sibling = moved(n.next_sibling);
+                n.prev_sibling = moved(n.prev_sibling);
+            }
+            self.root = moved(self.root);
+        }
+        self.nodes.shrink_to_fit();
+        self.free = Vec::new();
+        self.index = OnceLock::new();
+        self.chain_a = Vec::new();
+        self.seq_lru = Vec::new();
+    }
+
+    /// The key index, rebuilt from the arena if the tree is frozen.
+    #[inline]
+    fn index(&self) -> &KeyIndex {
+        self.index.get_or_init(|| {
+            let mut index = KeyIndex::with_capacity(self.live);
+            for (id, n) in self.nodes.iter().enumerate() {
+                if n.alive {
+                    index.insert(n.key_hash, id as u32);
+                }
+            }
+            index
+        })
+    }
+
+    /// [`FlowTree::index`] for the paths that add or remove entries.
+    #[inline]
+    fn index_mut(&mut self) -> &mut KeyIndex {
+        self.index();
+        self.index.get_mut().expect("initialised on the line above")
     }
 
     /// The flow schema of this tree.
@@ -571,7 +665,7 @@ impl FlowTree {
     #[inline]
     fn lookup(&self, key: &FlowKey, hash: u64) -> Option<u32> {
         let nodes = &self.nodes;
-        self.index.get(hash, |id| nodes[id as usize].key == *key)
+        self.index().get(hash, |id| nodes[id as usize].key == *key)
     }
 
     /// Whether `key` is currently retained as a node.
@@ -755,7 +849,7 @@ impl FlowTree {
         let key_depth = view.base_depth;
         debug_assert_eq!(key_depth, self.schema.depth(&key));
         let nid = self.alloc(key, hash, key_depth, pop);
-        self.index.insert(hash, nid);
+        self.index_mut().insert(hash, nid);
 
         'outer: loop {
             self.stats.descent_hops += 1;
@@ -903,7 +997,7 @@ impl FlowTree {
         // O(1)-ish (prefix read or one profile build).
         let (join, join_hash) = view.at(jdepth);
         let jid = self.alloc(join, join_hash, jdepth, Popularity::ZERO);
-        self.index.insert(join_hash, jid);
+        self.index_mut().insert(join_hash, jid);
         self.stats.joins_created += 1;
         self.detach(cid);
         self.attach(jid, anchor, step_hash_under_anchor);
@@ -1288,7 +1382,7 @@ impl FlowTree {
                             // it: splice between anchor and child.
                             self.clock += 1;
                             let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-                            self.index.insert(b_hash, nid);
+                            self.index_mut().insert(b_hash, nid);
                             self.stats.grafted_nodes += 1;
                             self.detach(cur);
                             self.attach(nid, a_id, step);
@@ -1313,14 +1407,14 @@ impl FlowTree {
                             // their lowest common chain ancestor.
                             self.clock += 1;
                             let jid = self.alloc(join, join_hash, join_depth, Popularity::ZERO);
-                            self.index.insert(join_hash, jid);
+                            self.index_mut().insert(join_hash, jid);
                             self.stats.joins_created += 1;
                             self.detach(cur);
                             self.attach(jid, a_id, step);
                             self.attach(cur, jid, step_c);
                             self.clock += 1;
                             let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-                            self.index.insert(b_hash, nid);
+                            self.index_mut().insert(b_hash, nid);
                             self.stats.grafted_nodes += 1;
                             self.attach(nid, jid, step_b);
                             return nid;
@@ -1332,7 +1426,7 @@ impl FlowTree {
             // The step is free: attach directly — zero probes.
             self.clock += 1;
             let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-            self.index.insert(b_hash, nid);
+            self.index_mut().insert(b_hash, nid);
             self.stats.grafted_nodes += 1;
             self.attach(nid, a_id, step);
             return nid;
@@ -1632,7 +1726,7 @@ impl FlowTree {
         debug_assert_eq!(self.nodes[id as usize].first_child, NIL);
         self.detach(id);
         let hash = self.nodes[id as usize].key_hash;
-        let removed = self.index.remove(hash, |cand| cand == id);
+        let removed = self.index_mut().remove(hash, |cand| cand == id);
         debug_assert_eq!(removed, Some(id));
         self.nodes[id as usize].alive = false;
         self.free.push(id);
@@ -1665,7 +1759,7 @@ impl FlowTree {
         self.detach(only_child);
         self.detach(id);
         let hash = self.nodes[id as usize].key_hash;
-        self.index.remove(hash, |cand| cand == id);
+        self.index_mut().remove(hash, |cand| cand == id);
         self.nodes[id as usize].alive = false;
         self.free.push(id);
         self.live -= 1;
@@ -1827,7 +1921,7 @@ impl FlowTree {
         }
         assert_eq!(seen, self.live, "live count drift");
         assert_eq!(
-            self.index.len(),
+            self.index().len(),
             self.live,
             "index size must equal live nodes"
         );
@@ -1876,7 +1970,7 @@ impl FlowTree {
         self.stats.misses += 1;
         self.total += comp;
         let nid = self.alloc(key, hash, depth, comp);
-        self.index.insert(hash, nid);
+        self.index_mut().insert(hash, nid);
         self.attach(nid, parent, step_hash);
         Some(nid)
     }

@@ -1,7 +1,8 @@
 //! Offline shim of the `crossbeam` API surface used by this workspace:
-//! bounded MPSC channels. Implemented over `std::sync::mpsc`, which has
-//! the same semantics for the single-consumer topology the simulator
-//! uses (crossbeam's channels are MPMC; nothing in-tree needs that).
+//! bounded and unbounded MPSC channels. Implemented over
+//! `std::sync::mpsc`, which has the same semantics for the
+//! single-consumer topology the simulator uses (crossbeam's channels
+//! are MPMC; nothing in-tree needs that).
 
 #![forbid(unsafe_code)]
 
@@ -9,11 +10,29 @@
 pub mod channel {
     use std::sync::mpsc;
 
-    /// Sending half of a bounded channel. Cloneable.
-    #[derive(Debug, Clone)]
-    pub struct Sender<T>(mpsc::SyncSender<T>);
+    /// Sending half of a channel. Cloneable. One type for both
+    /// flavours, as in crossbeam; std splits them.
+    #[derive(Debug)]
+    pub struct Sender<T>(Flavor<T>);
 
-    /// Receiving half of a bounded channel.
+    #[derive(Debug)]
+    enum Flavor<T> {
+        Bounded(mpsc::SyncSender<T>),
+        Unbounded(mpsc::Sender<T>),
+    }
+
+    // Hand-written: the derive would demand `T: Clone`, which neither
+    // std sender needs.
+    impl<T> Clone for Sender<T> {
+        fn clone(&self) -> Self {
+            Sender(match &self.0 {
+                Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
+                Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
+            })
+        }
+    }
+
+    /// Receiving half of a channel.
     #[derive(Debug)]
     pub struct Receiver<T>(mpsc::Receiver<T>);
 
@@ -59,17 +78,27 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Blocks until there is room, then sends.
+        /// Blocks until there is room (always, when unbounded), then
+        /// sends.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value).map_err(|e| SendError(e.0))
+            match &self.0 {
+                Flavor::Bounded(tx) => tx.send(value),
+                Flavor::Unbounded(tx) => tx.send(value),
+            }
+            .map_err(|e| SendError(e.0))
         }
 
-        /// Non-blocking send.
+        /// Non-blocking send. An unbounded channel is never `Full`.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            self.0.try_send(value).map_err(|e| match e {
-                mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-            })
+            match &self.0 {
+                Flavor::Bounded(tx) => tx.try_send(value).map_err(|e| match e {
+                    mpsc::TrySendError::Full(v) => TrySendError::Full(v),
+                    mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
+                }),
+                Flavor::Unbounded(tx) => {
+                    tx.send(value).map_err(|e| TrySendError::Disconnected(e.0))
+                }
+            }
         }
     }
 
@@ -125,14 +154,14 @@ pub mod channel {
     /// A channel holding at most `cap` in-flight values.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(tx), Receiver(rx))
+        (Sender(Flavor::Bounded(tx)), Receiver(rx))
     }
 
-    /// An unbounded channel (provided for API parity).
+    /// A channel that queues without limit: sends never block, and the
+    /// queue costs memory only for what is in flight.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        // mpsc's unbounded Sender is a different type; emulate with a
-        // very large bound to keep one Sender type in the shim.
-        bounded(1 << 20)
+        let (tx, rx) = mpsc::channel();
+        (Sender(Flavor::Unbounded(tx)), Receiver(rx))
     }
 }
 
@@ -175,6 +204,45 @@ mod tests {
         assert_eq!(tx.try_send(2), Err(channel::TrySendError::Full(2)));
         drop(rx);
         assert_eq!(tx.try_send(3), Err(channel::TrySendError::Disconnected(3)));
+    }
+
+    #[test]
+    fn unbounded_never_fills_and_costs_nothing_up_front() {
+        // Payloads are not `Clone`: the sender must not demand it.
+        struct Opaque(u32);
+        // A pre-allocated queue (the old stand-in was a bounded channel
+        // of 2^20 slots, 32 MB initialised per call) would make this
+        // loop take minutes; a real unbounded channel is a few pointers.
+        let t0 = std::time::Instant::now();
+        for _ in 0..10_000 {
+            let _ = channel::unbounded::<[u64; 4]>();
+        }
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(2),
+            "unbounded() pre-allocates: 10k constructions took {:?}",
+            t0.elapsed()
+        );
+
+        let (tx, rx) = channel::unbounded::<Opaque>();
+        let tx2 = tx.clone();
+        // More than the old stand-in's bound of 2^20, with nobody
+        // receiving: neither flavour of send may block or report `Full`.
+        const N: u32 = 1_100_000;
+        for i in 0..N {
+            if i % 2 == 0 {
+                tx2.send(Opaque(i))
+                    .unwrap_or_else(|_| panic!("receiver alive"));
+            } else {
+                assert!(tx.try_send(Opaque(i)).is_ok(), "unbounded is never Full");
+            }
+        }
+        drop((tx, tx2));
+        assert!(rx.iter().map(|o| o.0).eq(0..N), "FIFO, nothing lost");
+
+        let (tx, rx) = channel::unbounded::<u8>();
+        drop(rx);
+        assert_eq!(tx.try_send(1), Err(channel::TrySendError::Disconnected(1)));
+        assert_eq!(tx.send(2), Err(channel::SendError(2)));
     }
 
     #[test]
