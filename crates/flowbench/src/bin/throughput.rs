@@ -12,10 +12,10 @@
 //!   upward parent search, re-hashing the full 7-feature key on every
 //!   probe (the original `HashMap`-indexed hot path).
 //! * `insert` — the zero-rehash path: linear-prefix probes with
-//!   rolling hashes, then root descent over the memoized profile
-//!   schedule.
-//! * `insert_batch` — batched: one canonicalize+hash per key, hash-
-//!   sorted for index locality, one budget check per batch.
+//!   rolling hashes, then root descent with a closed-form LCCA.
+//! * `insert_batch` — batched: one canonicalize+hash per key, hits
+//!   first, misses in chain order from a descent finger, one budget
+//!   check per batch.
 //! * `sharded/N` — `ShardedTree::par_insert_batch` across N shards
 //!   (persistent worker pool, one long-lived thread per shard; scaling
 //!   requires ≥ N cores).

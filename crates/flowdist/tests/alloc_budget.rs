@@ -199,9 +199,10 @@ fn a_window_reserved_from_its_predecessor_fills_without_allocating() {
     let mut predecessor = FlowTree::new(Schema::five_feature(), cfg);
     predecessor.insert_batch(&batch);
 
+    // The batch path's scratch (miss list, finger, chain-order tables)
+    // belongs to the thread, and the predecessor's batch above has
+    // sized it: a window does not pay for it again.
     let mut next = FlowTree::new(Schema::five_feature(), cfg);
-    // First record of the window: the insert path's own scratch (the
-    // profile-schedule memo, the probe prefix) is allocated here, once.
     next.insert(&batch[0].0, batch[0].1);
     next.reserve(predecessor.len());
     let (_, cost) = measure(|| next.insert_batch(&batch[1..]));

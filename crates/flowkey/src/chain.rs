@@ -69,6 +69,35 @@ pub const GENERALIZE_PRIORITY: [Dim; NUM_DIMS] = [
     Dim::DstIp,
 ];
 
+/// Tie component of a schedule rank, by dimension index: dimensions
+/// earlier in [`GENERALIZE_PRIORITY`] rank higher, so they are shed
+/// first among equally (relatively) deep ones.
+pub(crate) const TIE_RANK: [u32; NUM_DIMS] = {
+    let mut tie = [0u32; NUM_DIMS];
+    let mut pos = 0;
+    while pos < NUM_DIMS {
+        tie[GENERALIZE_PRIORITY[pos].index()] = (NUM_DIMS - 1 - pos) as u32;
+        pos += 1;
+    }
+    tie
+};
+
+/// Ranks are `normalized depth × RANK_STRIDE + tie`; the stride only has
+/// to exceed the largest tie.
+pub(crate) const RANK_STRIDE: u32 = 8;
+
+/// Rank of the schedule step that sheds level `depth ≥ 1` of dimension
+/// `i`. [`next_dim`] always picks the pair of largest rank, so a chain
+/// sheds the `(dimension, level)` pairs of its key in strictly
+/// decreasing rank — which turns "does this profile lie on that chain"
+/// and "where do two chains meet" into comparisons of ranks (see
+/// [`Schema::lcca_profile`](crate::Schema::lcca_profile)).
+#[inline]
+pub(crate) fn step_rank(i: usize, depth: u16, weight: &[u32; NUM_DIMS]) -> u32 {
+    debug_assert!(depth > 0, "level 0 is the wildcard; no step sheds it");
+    depth as u32 * weight[i] * RANK_STRIDE + TIE_RANK[i]
+}
+
 /// Picks the dimension to generalize next, or `None` if every active
 /// dimension is already at its wildcard.
 ///

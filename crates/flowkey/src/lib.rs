@@ -73,7 +73,7 @@ pub use ipnet::{IpNet, Ipv4Net, Ipv6Net};
 pub use key::FlowKey;
 pub use port::PortRange;
 pub use proto::Proto;
-pub use schema::{Schema, SchemaKind};
+pub use schema::{ChainOrder, Schema, SchemaKind};
 pub use site::Site;
 pub use time::TimeBucket;
 

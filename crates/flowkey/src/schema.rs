@@ -7,7 +7,7 @@
 //! chain schedule needs, and provides every chain operation
 //! (`parent`, `chain_ancestor`, `lcca`, …) used by `flowtree-core`.
 
-use crate::chain::{next_dim, DepthProfile};
+use crate::chain::{next_dim, step_rank, DepthProfile, RANK_STRIDE, TIE_RANK};
 use crate::{Dim, FlowKey, IpNet, PortRange, Proto, Site, TimeBucket, NUM_DIMS};
 
 /// The flow types used in the paper plus the distributed-system extension.
@@ -281,6 +281,87 @@ impl Schema {
         next_dim(profile, &self.active, &SCHEDULE_WEIGHT)
     }
 
+    /// Rank of the schedule step that sheds level `depth ≥ 1` of `dim`.
+    /// The schedule always sheds the `(dimension, level)` pair of
+    /// largest rank, so a key's chain sheds its pairs in strictly
+    /// decreasing rank: a profile `q` dimension-wise below a key's
+    /// profile `p` lies on that key's chain iff every level inside `q`
+    /// ranks below every level of `p` outside it.
+    #[inline]
+    pub fn schedule_rank(&self, dim: Dim, depth: u16) -> u32 {
+        step_rank(dim.index(), depth, &SCHEDULE_WEIGHT)
+    }
+
+    /// The step from a chain profile `q` down towards a key of profile
+    /// `p` whose chain passes through `q`: the lowest-ranked level of
+    /// `p` outside `q`, as `(dimension, feature depth it lands on)`.
+    /// `None` if `q` already is `p`. `O(dims)`; replaces replaying the
+    /// schedule from `p` upward.
+    #[inline]
+    pub fn chain_step_below(&self, q: &DepthProfile, p: &DepthProfile) -> Option<(Dim, u16)> {
+        let mut best: Option<(u32, usize)> = None;
+        for i in 0..NUM_DIMS {
+            if self.active[i] && q.0[i] < p.0[i] {
+                let r = step_rank(i, q.0[i] + 1, &SCHEDULE_WEIGHT);
+                if best.is_none_or(|(b, _)| r < b) {
+                    best = Some((r, i));
+                }
+            }
+        }
+        best.map(|(_, i)| (Dim::from_index(i), q.0[i] + 1))
+    }
+
+    /// Depth profile of [`Schema::lcca`]`(a, b)` in closed form, for
+    /// keys conforming to this schema: `a.at_profile(&q)` is the LCCA.
+    pub fn lcca_profile(&self, a: &FlowKey, b: &FlowKey) -> DepthProfile {
+        self.lcca_of_profiles(
+            &a.agreement_profile(b),
+            &DepthProfile::of(a),
+            &DepthProfile::of(b),
+        )
+    }
+
+    /// [`Schema::lcca_profile`] from the three profiles it needs: the
+    /// keys' own (`pa`, `pb`) and their [`FlowKey::agreement_profile`].
+    ///
+    /// Feature hierarchies are laminar, so the two chains share exactly
+    /// the levels inside `agree`, and each chain sheds levels in
+    /// decreasing [`Schema::schedule_rank`]. The chains therefore
+    /// coincide from the root down to the first level either of them
+    /// holds that the other does not: the LCCA keeps, in every
+    /// dimension, the shared levels ranking below the lowest-ranked
+    /// unshared one. `O(dims)` arithmetic — no schedule is replayed.
+    pub fn lcca_of_profiles(
+        &self,
+        agree: &DepthProfile,
+        pa: &DepthProfile,
+        pb: &DepthProfile,
+    ) -> DepthProfile {
+        let mut cut = u32::MAX;
+        for i in 0..NUM_DIMS {
+            if self.active[i] && agree.0[i] < pa.0[i].max(pb.0[i]) {
+                cut = cut.min(step_rank(i, agree.0[i] + 1, &SCHEDULE_WEIGHT));
+            }
+        }
+        let mut q = *agree;
+        if cut == u32::MAX {
+            return q; // equal keys
+        }
+        let (norm, tie) = (cut / RANK_STRIDE, cut % RANK_STRIDE);
+        for i in 0..NUM_DIMS {
+            if !self.active[i] {
+                continue;
+            }
+            // Deepest level of dimension `i` ranking below the cut.
+            let below = if TIE_RANK[i] < tie { norm } else { norm - 1 };
+            let deepest = below / SCHEDULE_WEIGHT[i];
+            if q.0[i] as u32 > deepest {
+                q.0[i] = deepest as u16;
+            }
+        }
+        q
+    }
+
     /// Whether `anc` lies on the canonical chain of `desc`
     /// (equal keys count as ancestors).
     pub fn is_chain_ancestor(&self, anc: &FlowKey, desc: &FlowKey) -> bool {
@@ -290,7 +371,8 @@ impl Schema {
     }
 
     /// Lowest common chain ancestor: the deepest key lying on the
-    /// canonical chains of both `a` and `b`.
+    /// canonical chains of both `a` and `b`. This is the chain-walking
+    /// definition, kept as the oracle for [`Schema::lcca_profile`].
     pub fn lcca(&self, a: &FlowKey, b: &FlowKey) -> FlowKey {
         let (da, db) = (self.depth(a), self.depth(b));
         let common = da.min(db);
@@ -361,6 +443,116 @@ impl Iterator for ChainUp<'_> {
             }
         }
     }
+}
+
+/// Sort keys that put chain relatives next to each other, for one key
+/// shape (depth profile) under one schema.
+///
+/// Walking a chain from the root down, every step specializes one
+/// dimension by one level, i.e. picks one branch of that feature's
+/// hierarchy. [`ChainOrder::key`] concatenates those branch choices,
+/// root first, into a left-aligned `u128`: keys below a common chain
+/// ancestor share the ancestor's bits as a prefix, so sorting a batch
+/// by it visits the tree in depth-first order. It is a **locality
+/// hint**, not an order anything may rely on: chains longer than 128
+/// bits are truncated, and keys of different shapes interleave
+/// wherever their schedules differ.
+///
+/// The key is a fixed permutation of the features' bits, so it is
+/// evaluated four bits at a time: every nibble of every feature has a
+/// 16-entry table of where its bits land.
+#[derive(Debug, Clone, Default)]
+pub struct ChainOrder {
+    /// `(word of branch_words, right shift, key bits by nibble value)`.
+    nibbles: Vec<(u8, u8, [u128; 16])>,
+}
+
+impl ChainOrder {
+    /// The order for keys of shape `profile` under `schema`.
+    pub fn new(schema: &Schema, profile: DepthProfile) -> ChainOrder {
+        // The schedule replays leaf-first; the sort key reads root-first.
+        let mut levels = Vec::with_capacity(profile.total(&schema.active) as usize);
+        let mut p = profile;
+        while let Some(dim) = schema.next_chain_dim(&p) {
+            let i = dim.index();
+            levels.push((i, p.0[i] as usize));
+            p.0[i] -= 1;
+        }
+        // Level `d` of a dimension owns the `d`-th group of
+        // `LOG2_FANOUT` bits of its branch path; `lands[i][b]` is the
+        // key bit (0 = most significant) that path bit `b` moves to.
+        let mut lands: [Vec<u8>; NUM_DIMS] = Default::default();
+        let mut used = 0usize;
+        for (i, level) in levels.into_iter().rev() {
+            let width = LOG2_FANOUT[i] as usize;
+            if level * width > 128 || used + width > 128 {
+                break;
+            }
+            debug_assert_eq!(lands[i].len(), (level - 1) * width);
+            lands[i].extend((used..used + width).map(|bit| bit as u8));
+            used += width;
+        }
+        let mut nibbles = Vec::with_capacity(used.div_ceil(4) + NUM_DIMS);
+        for (i, lands) in lands.iter().enumerate() {
+            for (n, group) in lands.chunks(4).enumerate() {
+                let mut table = [0u128; 16];
+                for (value, out) in table.iter_mut().enumerate() {
+                    for (b, land) in group.iter().enumerate() {
+                        if value & (8 >> b) != 0 {
+                            *out |= 1 << (127 - land);
+                        }
+                    }
+                }
+                let word = 2 * i + n / 16;
+                nibbles.push((word as u8, (60 - 4 * (n % 16)) as u8, table));
+            }
+        }
+        ChainOrder { nibbles }
+    }
+
+    /// The sort key of `key`, which must have the shape this order
+    /// was built for.
+    pub fn key(&self, key: &FlowKey) -> u128 {
+        let words = branch_words(key);
+        self.nibbles.iter().fold(0, |out, (word, shift, table)| {
+            out | table[(words[*word as usize] >> shift) as usize & 15]
+        })
+    }
+}
+
+/// Each dimension's feature as the branches taken from its hierarchy's
+/// root, left-aligned in 128 bits (two words per dimension, high word
+/// first): level `d` occupies the `d`-th group of `LOG2_FANOUT` bits
+/// from the top.
+fn branch_words(key: &FlowKey) -> [u64; 2 * NUM_DIMS] {
+    let ip = |net: &IpNet| match net {
+        IpNet::Any => 0,
+        // Level 1 picks the family, level `d ≥ 2` address bit `d − 2`.
+        IpNet::V4(p) => (p.bits() as u128) << 95,
+        IpNet::V6(p) => (1u128 << 127) | (p.bits() >> 1),
+    };
+    let paths: [u128; NUM_DIMS] = [
+        ip(&key.src),
+        ip(&key.dst),
+        (key.sport.lo() as u128) << 112,
+        (key.dport.lo() as u128) << 112,
+        match key.proto {
+            Proto::Any => 0,
+            Proto::Is(p) => (p as u128) << 120,
+        },
+        (key.time.start() as u128) << (128 - TimeBucket::MAX_LEVEL as u32),
+        match key.site {
+            Site::Any => 0,
+            Site::Region(r) => (r as u128) << 120,
+            Site::Is(s) => (s as u128) << 112,
+        },
+    ];
+    let mut words = [0u64; 2 * NUM_DIMS];
+    for (i, path) in paths.iter().enumerate() {
+        words[2 * i] = (path >> 64) as u64;
+        words[2 * i + 1] = *path as u64;
+    }
+    words
 }
 
 #[cfg(test)]

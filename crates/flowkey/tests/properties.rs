@@ -1,7 +1,10 @@
 //! Property-based tests for the feature lattice and the canonical chain.
 
 use flowkey::pack::{pack_key, unpack_key};
-use flowkey::{Dim, FlowKey, IpNet, Ipv4Net, Ipv6Net, PortRange, Proto, Schema, Site, TimeBucket};
+use flowkey::{
+    ChainOrder, DepthProfile, Dim, FlowKey, IpNet, Ipv4Net, Ipv6Net, PortRange, Proto, Schema,
+    Site, TimeBucket,
+};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -48,6 +51,35 @@ prop_compose! {
     ) -> FlowKey {
         FlowKey { src, dst, sport, dport, proto, time, site }
     }
+}
+
+/// A key related to `a`: per dimension (two bits of `pick` each) it
+/// keeps `a`'s feature, takes one of its ancestors, or takes `other`'s
+/// — so chains share long prefixes and then fork, run through one
+/// another, or never meet, in every mix of shapes.
+fn relative_of(a: &FlowKey, other: &FlowKey, pick: u16, up: u16) -> FlowKey {
+    let mut out = *a;
+    for dim in Dim::ALL {
+        match (pick >> (2 * dim.index())) & 3 {
+            0 | 1 => {}
+            2 => {
+                let d = a.dim_depth(dim);
+                out = out
+                    .dim_ancestor_at(dim, d.saturating_sub(up % (d + 1)))
+                    .unwrap();
+            }
+            _ => match dim {
+                Dim::SrcIp => out.src = other.src,
+                Dim::DstIp => out.dst = other.dst,
+                Dim::SrcPort => out.sport = other.sport,
+                Dim::DstPort => out.dport = other.dport,
+                Dim::Proto => out.proto = other.proto,
+                Dim::Time => out.time = other.time,
+                Dim::Site => out.site = other.site,
+            },
+        }
+    }
+    out
 }
 
 fn schemas() -> Vec<Schema> {
@@ -154,6 +186,100 @@ proptest! {
                 prop_assert!(!schema.is_chain_ancestor(&deeper, &b));
             }
         }
+    }
+
+    /// A chain sheds its `(dimension, level)` pairs in strictly
+    /// decreasing schedule rank, and `chain_step_below` names each
+    /// step from the profile above it.
+    #[test]
+    fn schedule_rank_orders_every_chain(key in arb_key()) {
+        for schema in schemas() {
+            let key = schema.canonicalize(&key);
+            let full = DepthProfile::of(&key);
+            let mut p = full;
+            let mut last = u32::MAX;
+            while let Some(dim) = schema.next_chain_dim(&p) {
+                let level = p.get(dim);
+                let rank = schema.schedule_rank(dim, level);
+                prop_assert!(rank < last, "ranks must strictly decrease");
+                last = rank;
+                p.0[dim.index()] -= 1;
+                prop_assert_eq!(schema.chain_step_below(&p, &full), Some((dim, level)));
+            }
+            prop_assert_eq!(schema.chain_step_below(&full, &full), None);
+        }
+    }
+
+    /// The closed-form LCCA profile is the chain-walking LCCA, on
+    /// unrelated and on related keys of mixed shapes.
+    #[test]
+    fn lcca_profile_matches_the_chain_walk(
+        a in arb_key(),
+        b in arb_key(),
+        pick in any::<u16>(),
+        up in 0u16..40,
+    ) {
+        for schema in schemas() {
+            let a = schema.canonicalize(&a);
+            let b = schema.canonicalize(&b);
+            for other in [b, relative_of(&a, &b, pick, up)] {
+                let q = schema.lcca_profile(&a, &other);
+                prop_assert_eq!(a.at_profile(&q), schema.lcca(&a, &other));
+                prop_assert_eq!(other.at_profile(&q), schema.lcca(&a, &other));
+                prop_assert_eq!(schema.lcca_profile(&other, &a), q);
+            }
+        }
+    }
+
+    /// A chain ancestor's sort key is a prefix of its descendants', so
+    /// it never sorts after them.
+    #[test]
+    fn chain_order_keeps_ancestors_first(key in arb_key(), up in 0u32..300) {
+        for schema in schemas() {
+            let key = schema.canonicalize(&key);
+            let depth = schema.depth(&key);
+            let anc = schema.chain_ancestor(&key, depth - up % (depth + 1));
+            let k = ChainOrder::new(&schema, DepthProfile::of(&key)).key(&key);
+            let a = ChainOrder::new(&schema, DepthProfile::of(&anc)).key(&anc);
+            prop_assert!(a <= k);
+            // Everything the ancestor fixes, the descendant repeats:
+            // they differ only below the ancestor's lowest set bit.
+            if a != 0 {
+                prop_assert_eq!((a ^ k) >> a.trailing_zeros(), 0);
+            }
+        }
+    }
+
+    /// Sorting by chain order is a depth-first walk of the chain trie:
+    /// of three keys in sorted order, the outer two meet no deeper than
+    /// either adjacent pair does (keys of one shape whose chain fits
+    /// the 128 bits, where the hint is exact).
+    #[test]
+    fn chain_order_is_depth_first(
+        a in (any::<u32>(), any::<u32>(), any::<u32>()),
+        b in (any::<u32>(), any::<u32>(), any::<u32>()),
+        c in (any::<u32>(), any::<u32>(), any::<u32>()),
+        bits in any::<[u8; 3]>(),
+    ) {
+        let schema = Schema::five_feature();
+        // Differ only in a few chosen low bits, so the keys are close
+        // relatives rather than strangers meeting at the root.
+        let mask = |i: usize| ((1u64 << (bits[i] % 33)) - 1) as u32;
+        let make = |v: (u32, u32, u32)| FlowKey::five_tuple(
+            IpNet::v4_host(Ipv4Addr::from(0x0a00_0000 ^ (v.0 & mask(0)))),
+            IpNet::v4_host(Ipv4Addr::from(0xc000_0200 ^ (v.1 & mask(1)))),
+            (v.2 & mask(2)) as u16,
+            443,
+            6 + (v.2 >> 31) as u8,
+        );
+        let order = ChainOrder::new(&schema, DepthProfile::of(&make(a)));
+        let mut keys = [make(a), make(b), make(c)];
+        keys.sort_by_key(|k| order.key(k));
+        let meet = |x: &FlowKey, y: &FlowKey| schema.depth(&schema.lcca(x, y));
+        prop_assert_eq!(
+            meet(&keys[0], &keys[2]),
+            meet(&keys[0], &keys[1]).min(meet(&keys[1], &keys[2]))
+        );
     }
 
     /// Canonical packing roundtrips and consumes exactly its bytes.

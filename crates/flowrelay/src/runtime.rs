@@ -189,7 +189,7 @@ impl std::error::Error for RuntimeError {}
 #[derive(Debug)]
 pub struct DrainReport {
     /// Summaries flushed out of the relay at drain time (windows that
-    /// still had unshipped content).
+    /// still had unshipped content; 0 if the node has no upstream).
     pub flushed: usize,
     /// Export frames still unacknowledged when the deadline passed
     /// (0 = everything pending reached the upstream and was acked, or
@@ -741,12 +741,12 @@ impl NodeRuntime {
         self.stop_scheduler();
         // 3. Flush every window with unshipped content through the
         //    normal shipper path (spill-before-send, ack-to-release) —
-        //    the same journaled code a crash recovers through.
-        let due = self.relay.lock().expect("relay lock").flush_exports();
-        let flushed = due.len();
+        //    the same journaled code a crash recovers through. A root
+        //    has nobody to flush to and builds no frames.
         let mut sched = self.sched.lock().expect("sched lock");
-        let pending_at_exit = match sched.shipper.as_mut() {
+        let (flushed, pending_at_exit) = match sched.shipper.as_mut() {
             Some(shipper) => {
+                let due = self.relay.lock().expect("relay lock").flush_exports();
                 let before = shipper.spill_stats();
                 for e in &due {
                     let shed = shipper.enqueue(e);
@@ -766,17 +766,9 @@ impl NodeRuntime {
                     }
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                shipper.pending_len()
+                (due.len(), shipper.pending_len())
             }
-            None => {
-                if flushed > 0 {
-                    log(format_args!(
-                        "{}: drained {flushed} final exports — no upstream, dropped",
-                        self.tag
-                    ));
-                }
-                0
-            }
+            None => (0, 0),
         };
         drop(sched);
         let ledger = *self.relay.lock().expect("relay lock").ledger();
@@ -875,8 +867,9 @@ where
         })
 }
 
-/// One scheduler pass: drain due windows, ship (or log-and-drop at a
-/// root), apply retention, surface a degraded journal once.
+/// One scheduler pass: drain due windows and ship them (a root has no
+/// upstream and drains nothing), apply retention, surface a degraded
+/// journal once.
 fn scheduler_pass(
     relay: &Arc<Mutex<Relay>>,
     sched: &mut SchedState,
@@ -885,38 +878,27 @@ fn scheduler_pass(
     tag: &str,
 ) {
     let now = clock.now_ms();
-    let due = relay.lock().expect("relay lock").drain_exports_at(now);
-    match sched.shipper.as_mut() {
-        Some(shipper) => {
-            let before = shipper.spill_stats();
-            for e in &due {
-                let shed = shipper.enqueue(e);
-                if !shed.is_empty() {
-                    let mut guard = relay.lock().expect("relay lock");
-                    for w in &shed {
-                        guard.mark_unshipped(*w);
-                    }
-                    drop(guard);
-                    log(format_args!(
-                        "{tag}: spill bound shed {} old exports; their windows will rebase",
-                        shed.len()
-                    ));
+    // A root exports to nobody: no merge, no diff, no encode and no
+    // pinned delta base per window.
+    if let Some(shipper) = sched.shipper.as_mut() {
+        let due = relay.lock().expect("relay lock").drain_exports_at(now);
+        let before = shipper.spill_stats();
+        for e in &due {
+            let shed = shipper.enqueue(e);
+            if !shed.is_empty() {
+                let mut guard = relay.lock().expect("relay lock");
+                for w in &shed {
+                    guard.mark_unshipped(*w);
                 }
-            }
-            note_sheds(relay, &before, &shipper.spill_stats());
-            shipper.pump(relay, now);
-        }
-        None => {
-            for e in &due {
+                drop(guard);
                 log(format_args!(
-                    "{tag}: export window {} epoch {} ({:?}, {} bytes) — no upstream, dropped",
-                    e.window,
-                    e.epoch.map(|h| h.epoch).unwrap_or(0),
-                    e.kind,
-                    e.encoded_size()
+                    "{tag}: spill bound shed {} old exports; their windows will rebase",
+                    shed.len()
                 ));
             }
         }
+        note_sheds(relay, &before, &shipper.spill_stats());
+        shipper.pump(relay, now);
     }
     if params.retention_ms > 0 {
         let cutoff = now.saturating_sub(params.retention_ms);
@@ -1035,7 +1017,8 @@ fn observe(
         journal_degraded,
         ledger,
         stored_windows,
-        lag_ms,
+        // A root never exports, so nothing it stores is "unexported".
+        lag_ms: if shipper.is_some() { lag_ms } else { 0 },
         pending,
         pending_bytes,
         connected,

@@ -232,6 +232,11 @@ fn live_fleet_serves_conformant_metrics_and_matching_views() {
             n.node
         );
     }
+    // A root exports to nobody: it has received aggregates by now, and
+    // has built no frame out of them and has no export backlog.
+    let root_node = nodes.iter().find(|n| n.role == "root").expect("the root");
+    assert_eq!(root_node.get("flowtree_relay_exported_total"), 0.0);
+    assert_eq!(root_node.get("flowtree_export_watermark_lag_seconds"), 0.0);
     let site_node = nodes.iter().find(|n| n.role == "site").expect("a site");
     assert!(
         site_node.get("flowtree_ingest_records_total") > 0.0,

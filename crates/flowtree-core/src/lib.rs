@@ -27,7 +27,9 @@
 //!   per-dimension hashes, root descent with an analytic LCCA — see
 //!   the [`tree` hot-path notes](FlowTree)).
 //! * [`FlowTree::insert_batch`] — bulk: canonicalize + hash each key
-//!   once, hash-sort for index locality, one budget check per batch.
+//!   once, settle the hits, place the misses in chain order from a
+//!   descent finger (no upward probes, a few hops each), one budget
+//!   check per batch.
 //! * [`FlowTree::insert_prehashed`] / [`FlowTree::insert_batch_prehashed`]
 //!   — for callers that already hold [`flowkey::key_hash`]es, like
 //!   `flowdist`'s sharded parallel ingest, which routes keys to

@@ -114,20 +114,35 @@ impl FlowTree {
     /// The `k` most popular retained flows by subtree popularity
     /// (root excluded), deepest-first on ties.
     pub fn top_k(&self, k: usize, metric: Metric) -> Vec<(FlowKey, Popularity)> {
+        if k == 0 {
+            return Vec::new();
+        }
         let sums = self.all_subtree_sums();
-        let mut items: Vec<(FlowKey, Popularity, u32)> = sums
-            .into_iter()
-            .filter(|(id, _)| *id != self.root)
-            .map(|(id, pop)| (self.node(id).key, pop, self.node(id).depth))
+        // `(mass, depth, index into sums)`: selection moves 16-byte
+        // rows and reads a node only to break a full tie by key.
+        type Row = (i64, u32, u32);
+        let mut rows: Vec<Row> = sums
+            .iter()
+            .enumerate()
+            .filter(|(_, (id, _))| *id != self.root)
+            .map(|(i, (id, pop))| (pop.get(metric), self.node(*id).depth, i as u32))
             .collect();
-        items.sort_by(|a, b| {
-            b.1.get(metric)
-                .cmp(&a.1.get(metric))
-                .then(b.2.cmp(&a.2))
-                .then(a.0.cmp(&b.0))
-        });
-        items.truncate(k);
-        items.into_iter().map(|(k, p, _)| (k, p)).collect()
+        let key_of = |row: &Row| &self.node(sums[row.2 as usize].0).key;
+        // A total order (keys are unique), so the `k` selected rows,
+        // sorted, are the head of the full sort.
+        let by_rank = |a: &Row, b: &Row| {
+            (b.0, b.1)
+                .cmp(&(a.0, a.1))
+                .then_with(|| key_of(a).cmp(key_of(b)))
+        };
+        if k < rows.len() {
+            rows.select_nth_unstable_by(k - 1, by_rank);
+            rows.truncate(k);
+        }
+        rows.sort_unstable_by(by_rank);
+        rows.iter()
+            .map(|row| (*key_of(row), sums[row.2 as usize].1))
+            .collect()
     }
 
     /// Hierarchical heavy hitters with threshold `phi` (fraction of the

@@ -27,38 +27,60 @@
 //!
 //! ## The update hot path
 //!
-//! The miss path never re-hashes a whole key and never walks a whole
-//! chain:
+//! The miss path never re-hashes a whole key, never walks a whole
+//! chain and never replays a schedule:
 //!
 //! * The key's hash is computed once. The node index stores
 //!   precomputed 64-bit hashes, so a probe is one masked load plus a
 //!   word compare (see [`crate::table`]), and removals and merges
 //!   reuse the hash cached on each node.
-//! * The parent search probes a short **linear prefix** of the chain
-//!   with an incrementally-maintained rolling hash (one single-feature
-//!   hash per step, see [`flowkey::hash`]) — the common case, since
-//!   popular ancestors are retained within a few steps.
-//! * A cold miss then anchors at the root and **descends** through the
+//! * A miss **descends** from a retained chain ancestor through the
 //!   retained children on the key's chain, costing `O(retained chain
 //!   ancestors)` instead of `O(depth)`. A descent hop is hash-rolling
-//!   arithmetic: the chain's next specialized dimension is read off a
-//!   **memoized profile schedule** (the schedule is a pure function of
-//!   the key's depth profile, shared by every key of the same shape),
-//!   and the hop's step hash rolls from the anchor's stored key hash
-//!   with two single-feature hashes.
-//! * Splices compute the lowest common chain ancestor **analytically**:
-//!   feature hierarchies are laminar, so two chains meet exactly where
-//!   their schedule profiles coincide and every per-dimension feature
-//!   join is deep enough — pure `u16` arithmetic, with only the one or
-//!   two keys actually spliced ever being materialized.
+//!   arithmetic: the chain's next specialized dimension comes from a
+//!   rank comparison ([`flowkey::Schema::chain_step_below`]), and the
+//!   hop's step hash rolls from the anchor's stored key hash with two
+//!   single-feature hashes.
+//! * A child under the same step is classified — ancestor of the key,
+//!   descendant, fork, or a 64-bit collision — by the lowest common
+//!   chain ancestor in **closed form**
+//!   ([`flowkey::Schema::lcca_of_profiles`]): feature hierarchies are
+//!   laminar and a chain sheds its levels in decreasing schedule rank,
+//!   so two chains coincide exactly down to the lowest-ranked level
+//!   they do not share — `O(dims)` arithmetic whatever the depths,
+//!   with only the one join key a fork needs ever being materialized.
 //!
-//! Bulk ingestion should prefer [`FlowTree::insert_batch`]: it
-//! canonicalizes and hashes each key once, sorts the batch by key hash
-//! for index locality, and defers the budget check to the end of the
-//! batch (the tree may transiently exceed its budget by the batch
-//! length, exactly as `merge` does). Sharded parallel ingest on top of
-//! this (`flowdist::ShardedTree`) reuses the same key hash to route
-//! shards.
+//! ## What an insert costs
+//!
+//! * A **hit** is one index probe and one node update.
+//! * A **miss** through [`FlowTree::insert_batch`] (every live ingest
+//!   path) costs no index probe beyond the one that missed. The batch
+//!   settles its hits first, then sorts its misses into chain order
+//!   ([`flowkey::ChainOrder`], a table lookup per key nibble) and
+//!   places each from a **finger**: the stack of retained chain
+//!   ancestors the previous miss descended through, cut back — by one
+//!   closed-form LCCA of the two keys — to their common part. So a
+//!   miss pays one finger cut, the hops from there to its longest
+//!   matching parent (≈ 6 against ≈ 16 from the root on a 64 K-node
+//!   tree of 5-tuples; each hop is a child-node load and one LCCA),
+//!   and the splice. The scratch this needs belongs to the ingesting
+//!   thread, not to the tree.
+//! * A miss through the single-key [`FlowTree::insert`] has no
+//!   predecessor to start from: it first probes `LINEAR_PROBES` chain
+//!   steps **upward** with an incrementally-maintained hash, and
+//!   descends from the root if none hits. In a dense tree a retained
+//!   ancestor sits within a few steps (150 k random hosts of one /16
+//!   under the 1-feature schema: 3.0 probes and 2.9 hops per miss,
+//!   against 14.6 hops without the probes). On full 5-tuples the
+//!   probes never hit — the nearest retained ancestor is a join ~80
+//!   levels up — which is why the batch path has none.
+//! * Neither aggregates counts up the tree. The budget check runs
+//!   per insert, or once per batch (the tree may transiently exceed
+//!   its budget by the batch length, exactly as `merge` does); each
+//!   compaction sweeps the arena and builds a heap over every leaf.
+//!
+//! Sharded parallel ingest (`flowdist::ShardedTree`) routes shards by
+//! the same key hash and feeds each shard through the batch path.
 //!
 //! ## What a tree costs
 //!
@@ -81,7 +103,7 @@
 //!   be stored and mostly read — a collector's stored window, a
 //!   relay's pinned delta base, a closed window queued for the
 //!   encoder: the arena is squeezed to exactly the live nodes and the
-//!   free list, the index and the insert-path scratch are dropped.
+//!   free list and the index are dropped.
 //!   Merge/diff *sources*, `encode`, `hhh`, `top_k` and every other
 //!   whole-tree walk read a frozen tree as it is. The first operation
 //!   that needs the index — a point lookup, an insert, being a
@@ -105,22 +127,67 @@
 use crate::config::{Config, EvictionPolicy};
 use crate::pop::Popularity;
 use crate::table::KeyIndex;
-use flowkey::{key_hash, FlowKey, Schema};
+use flowkey::{key_hash, ChainOrder, DepthProfile, FlowKey, Schema};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// Chain probes made linearly (one step at a time) before the parent
-/// search gives up on probing and descends from the root instead.
-/// Covers the common case of a retained ancestor within a few steps.
+/// Chain probes the single-key insert makes upward (one step at a
+/// time) before it gives up and descends from the root instead. Covers
+/// a retained ancestor within a few steps; the batch path has a finger
+/// instead and never probes (module docs, "What an insert costs").
 const LINEAR_PROBES: usize = 4;
+
+/// Key shapes whose [`ChainOrder`] a thread keeps. Real traffic rotates
+/// through a handful (v4/v6 × full/partial tuples); eight covers the
+/// mixes seen in the traces while keeping the linear probe trivial.
+const ORDER_MEMO_CAP: usize = 8;
 
 thread_local! {
     /// Reusable DFS stack for subtree sums and pre-order walks, so
     /// point queries and codec traversals do not allocate per call.
     static DFS_STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+
+    /// Working memory of [`FlowTree::insert_batch_prehashed`]'s second
+    /// pass. It belongs to the ingesting thread, not to a tree: a site
+    /// opens a tree per window, and none of them should pay for it.
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::default();
+}
+
+/// See [`BATCH_SCRATCH`].
+#[derive(Default)]
+struct BatchScratch {
+    /// `(chain-order key, position in the batch)` per miss.
+    misses: Vec<(u128, usize)>,
+    /// The finger: `(node, depth)` of retained chain ancestors of the
+    /// miss placed last, root first, ending at that miss's own node.
+    finger: Vec<(u32, u32)>,
+    /// Chain orders by key shape, most recently used first.
+    orders: Vec<(Schema, DepthProfile, ChainOrder)>,
+}
+
+/// The memoized [`ChainOrder`] of a key shape, built (and counted in
+/// `builds`) the first time a thread sees the shape.
+fn order_for<'a>(
+    orders: &'a mut Vec<(Schema, DepthProfile, ChainOrder)>,
+    schema: &Schema,
+    profile: DepthProfile,
+    builds: &mut u64,
+) -> &'a ChainOrder {
+    match orders
+        .iter()
+        .position(|(s, p, _)| *p == profile && s == schema)
+    {
+        Some(i) => orders[..=i].rotate_right(1),
+        None => {
+            orders.truncate(ORDER_MEMO_CAP - 1);
+            orders.insert(0, (*schema, profile, ChainOrder::new(schema, profile)));
+            *builds += 1;
+        }
+    }
+    &orders[0].2
 }
 
 /// Errors from Flowtree operations.
@@ -172,8 +239,9 @@ pub struct Stats {
     /// Updates that created a node.
     pub misses: u64,
     /// Index probes performed while searching longest matching parents
-    /// (the linear-prefix phase; each probe is one hash-table lookup).
-    /// Probes alone undercount a cold miss's search work — see
+    /// (the single-key insert's linear-prefix phase; each probe is one
+    /// hash-table lookup; the batch path makes none). Probes alone
+    /// undercount a cold miss's search work — see
     /// [`Stats::descent_hops`] for the other half.
     pub chain_steps: u64,
     /// Retained-child descent hops taken while splicing misses: one
@@ -194,9 +262,11 @@ pub struct Stats {
     /// path — allocated and attached from another tree's stored key
     /// hashes with **zero** index probes (see [`FlowTree::merge_many`]).
     pub grafted_nodes: u64,
-    /// Profile-schedule rebuilds: misses of the schedule memo on the
-    /// insert miss path. Stays at the number of distinct key shapes as
-    /// long as the working set fits the memo's LRU.
+    /// Chain-order builds: misses of the ingesting thread's per-shape
+    /// [`flowkey::ChainOrder`] memo on the batch miss path. At most the
+    /// number of distinct key shapes as long as the working set fits
+    /// the memo, and zero for a tree whose thread has seen its shapes
+    /// before.
     pub profile_builds: u64,
 }
 
@@ -239,84 +309,42 @@ pub struct NodeView<'a> {
     pub is_leaf: bool,
 }
 
-/// Random access into a key's canonical chain without materializing
-/// it: the first few steps come from the probed prefix (already walked
-/// with rolling hashes), everything shallower is built on demand from
-/// the memoized profile schedule — seven per-feature `ancestor_at`
-/// masks plus one key hash, instead of walking the chain step-by-step.
-struct ChainCtx<'a> {
-    base_key: FlowKey,
-    base_hash: u64,
-    base_depth: u32,
-    /// `(ancestor, hash)` for steps `1..=prefix.len()` above the key.
-    prefix: &'a [(FlowKey, u64)],
-    /// `seq[s]` = depth profile after `s` schedule steps (`seq[0]` is
-    /// the key's own profile, last entry the root's).
-    seq: &'a [flowkey::DepthProfile],
-}
-
-impl ChainCtx<'_> {
-    /// The `(ancestor, hash)` at chain depth `depth ≤ base_depth`.
-    #[inline]
-    fn at(&self, depth: u32) -> (FlowKey, u64) {
-        if depth == self.base_depth {
-            return (self.base_key, self.base_hash);
-        }
-        let steps_up = (self.base_depth - depth) as usize;
-        if steps_up <= self.prefix.len() {
-            return self.prefix[steps_up - 1];
-        }
-        let k = self.base_key.at_profile(&self.seq[steps_up]);
-        (k, key_hash(&k))
-    }
-}
-
-/// Replays the canonical schedule from `profile` down to the root,
-/// recording every intermediate profile. The sequence is a pure
-/// function of the starting profile, so trees memoize it: every key of
-/// the same shape (e.g. all full IPv4 5-tuples) shares one replay.
-fn build_profile_seq(
-    schema: &Schema,
-    mut profile: flowkey::DepthProfile,
-    out: &mut Vec<flowkey::DepthProfile>,
-) {
-    out.clear();
-    out.push(profile);
-    while let Some(dim) = schema.next_chain_dim(&profile) {
-        profile.0[dim.index()] -= 1;
-        out.push(profile);
-    }
-}
-
-/// The single dimension two adjacent schedule profiles differ in, and
-/// the deeper profile's feature depth there (`shallow` is one chain
-/// step above `deep`).
+/// Chain depth of a key (conforming to the tree's schema) from its
+/// profile.
 #[inline]
-fn diff_dim(shallow: &flowkey::DepthProfile, deep: &flowkey::DepthProfile) -> (flowkey::Dim, u16) {
-    for i in 0..flowkey::NUM_DIMS {
-        if shallow.0[i] != deep.0[i] {
-            debug_assert_eq!(shallow.0[i] + 1, deep.0[i]);
-            return (flowkey::Dim::from_index(i), deep.0[i]);
-        }
-    }
-    unreachable!("adjacent schedule profiles differ in exactly one dimension")
+fn profile_depth(p: &DepthProfile) -> u32 {
+    p.0.iter().map(|d| *d as u32).sum()
 }
 
-/// Whether `p` is dimension-wise at or below `bound`.
+/// Hash of `to`'s chain step directly below `from`, a chain ancestor of
+/// `to` with hash `from_hash`: the step specializes exactly one
+/// dimension to `level`, so it rolls from `from_hash` with two
+/// single-feature hashes and no key is built.
 #[inline]
-fn profile_fits(p: &flowkey::DepthProfile, bound: &flowkey::DepthProfile) -> bool {
-    p.0.iter().zip(bound.0.iter()).all(|(d, b)| d <= b)
+fn roll_step(from: &FlowKey, from_hash: u64, to: &FlowKey, dim: flowkey::Dim, level: u16) -> u64 {
+    let step = from_hash
+        .wrapping_sub(flowkey::dim_hash(from, dim))
+        .wrapping_add(flowkey::dim_hash_at(to, dim, level));
+    debug_assert_eq!(
+        step,
+        {
+            let mut at = DepthProfile::of(from);
+            at.0[dim.index()] = level;
+            key_hash(&to.at_profile(&at))
+        },
+        "rolled step hash is exact"
+    );
+    step
 }
 
-/// Analytic relationship of a merge member's key `b` against a
-/// destination child `c` that shares its chain step under the anchor —
-/// the merge analogue of `splice_against_child`'s case analysis, and
-/// like it computed with pure profile arithmetic plus rolling hashes:
-/// no chain is ever walked key-by-key.
+/// Relationship of a key `b` that is being placed against a retained
+/// child `c` that shares its chain step under the anchor.
 enum StepRel {
     /// The step-hash match was a 64-bit collision (the true join sits
     /// at or above the anchor): keep scanning siblings.
     Collision,
+    /// `c` holds `b`'s key.
+    Same,
     /// `b` lies on `c`'s chain above it; carries the hash of `c`'s
     /// step under `b`.
     SpliceAbove(u64),
@@ -324,27 +352,28 @@ enum StepRel {
     /// under `c`.
     Descend(u64),
     /// The keys fork strictly below the anchor.
-    Fork {
-        /// The lowest common chain ancestor (the join key).
-        join: FlowKey,
-        join_hash: u64,
-        join_depth: u32,
-        /// Hash of `c`'s step under the join.
-        step_c: u64,
-        /// Hash of `b`'s step under the join.
-        step_b: u64,
-    },
+    Fork(Fork),
 }
 
-/// Classifies `b` against `c` (see [`StepRel`]). Feature hierarchies
-/// are laminar, so the chains meet exactly where the schedule-evolved
-/// depth profiles coincide and every per-dimension feature join is deep
-/// enough — `u16` arithmetic; the one or two keys a restructure needs
-/// are materialized from the recorded profiles, and step hashes under
-/// retained nodes roll from stored hashes with two single-feature
-/// hashes. `b`'s schedule comes pre-replayed from the memo
-/// (`seq_b[s]` = `b`'s profile after `s` schedule steps), so only `c`'s
-/// side is replayed here.
+/// Two keys forking below an anchor: `b`, which is being placed, and
+/// the retained child `c` it shares a chain step with.
+struct Fork {
+    /// The lowest common chain ancestor (the join key).
+    join: FlowKey,
+    join_hash: u64,
+    join_depth: u32,
+    /// Hash of `c`'s step under the join.
+    step_c: u64,
+    /// Hash of `b`'s step under the join.
+    step_b: u64,
+}
+
+/// Classifies `b` against `c` (see [`StepRel`]) with the closed-form
+/// LCCA of [`Schema::lcca_of_profiles`]: `O(dims)` arithmetic on the
+/// two depth profiles and their agreement, whatever the depths. No
+/// schedule is replayed and no chain is walked; the join key is built
+/// only when a fork needs it, and every step hash rolls from a hash
+/// already at hand.
 #[allow(clippy::too_many_arguments)]
 fn classify_step(
     schema: &Schema,
@@ -353,81 +382,60 @@ fn classify_step(
     c_hash: u64,
     c_depth: u32,
     b_key: &FlowKey,
+    b_hash: u64,
     b_depth: u32,
-    seq_b: &[flowkey::DepthProfile],
+    b_profile: &DepthProfile,
 ) -> StepRel {
-    #[inline]
-    fn step_down(schema: &Schema, p: &mut flowkey::DepthProfile) {
-        let dim = schema.next_chain_dim(p).expect("profile has depth left");
-        p.0[dim.index()] -= 1;
-    }
-
-    let agree = b_key.agreement_profile(c_key);
-    let mut pc = flowkey::DepthProfile::of(c_key);
-    // `c`'s profile one schedule step below the current position — the
-    // chain profile at `join_depth + 1`, where a re-attached `c` step
-    // key lives.
-    let mut pc_prev = pc;
-    let mut dc = c_depth;
-    while dc > b_depth {
-        pc_prev = pc;
-        step_down(schema, &mut pc);
-        dc -= 1;
-    }
-    // Common depth from here on; `b`'s side reads off the memo.
-    let mut d = dc.min(b_depth);
-    loop {
-        let pb = &seq_b[(b_depth - d) as usize];
-        if *pb == pc && profile_fits(pb, &agree) {
-            break;
-        }
-        debug_assert!(d > 0, "chains must meet at the root");
-        pc_prev = pc;
-        step_down(schema, &mut pc);
-        d -= 1;
-    }
-    let join_depth = d;
+    let c_profile = DepthProfile::of(c_key);
+    let meet = schema.lcca_of_profiles(&b_key.agreement_profile(c_key), b_profile, &c_profile);
+    let join_depth = profile_depth(&meet);
     if join_depth <= a_depth {
         return StepRel::Collision;
     }
-    let pb = &seq_b[(b_depth - join_depth) as usize];
-    debug_assert_eq!(
-        schema.lcca(b_key, c_key),
-        b_key.at_profile(pb),
-        "analytic join must match the chain-walking LCCA"
+    // The chain-walking oracle, where a restructure rests on the
+    // answer (a descent hop is re-examined one level down anyway, and
+    // walking two chains per hop is what makes debug builds crawl).
+    debug_assert!(
+        join_depth == c_depth && join_depth < b_depth
+            || schema.lcca(b_key, c_key) == b_key.at_profile(&meet),
+        "analytic LCCA must match the chain-walking definition"
     );
+    let below = |p: &DepthProfile| {
+        schema
+            .chain_step_below(&meet, p)
+            .expect("the key is deeper than the join")
+    };
     if join_depth == b_depth {
-        // `b` is `c`'s chain ancestor: `c`'s step under `b` comes from
-        // the recorded profile (one key build + one hash).
-        return StepRel::SpliceAbove(key_hash(&c_key.at_profile(&pc_prev)));
+        if join_depth == c_depth {
+            return StepRel::Same;
+        }
+        // `b` is `c`'s chain ancestor (and the join itself).
+        let (dim, level) = below(&c_profile);
+        return StepRel::SpliceAbove(roll_step(b_key, b_hash, c_key, dim, level));
     }
-    let pb_prev = &seq_b[(b_depth - join_depth - 1) as usize];
-    let (dim, feat_depth) = diff_dim(pb, pb_prev);
+    let (dim_b, level_b) = below(b_profile);
     if join_depth == c_depth {
-        // `c` is `b`'s chain ancestor: roll `b`'s step hash from `c`'s
-        // stored key hash (the step specializes exactly one dimension).
-        let step_b = c_hash
-            .wrapping_sub(flowkey::dim_hash(c_key, dim))
-            .wrapping_add(flowkey::dim_hash_at(b_key, dim, feat_depth));
-        debug_assert_eq!(
-            step_b,
-            key_hash(&schema.chain_ancestor(b_key, c_depth + 1)),
-            "rolled step hash is exact"
-        );
-        return StepRel::Descend(step_b);
+        return StepRel::Descend(roll_step(c_key, c_hash, b_key, dim_b, level_b));
     }
-    let join = b_key.at_profile(pb);
+    let join = b_key.at_profile(&meet);
     let join_hash = key_hash(&join);
-    let step_b = join_hash
-        .wrapping_sub(flowkey::dim_hash(&join, dim))
-        .wrapping_add(flowkey::dim_hash_at(b_key, dim, feat_depth));
-    StepRel::Fork {
+    let (dim_c, level_c) = below(&c_profile);
+    StepRel::Fork(Fork {
         join,
         join_hash,
         join_depth,
-        step_c: key_hash(&c_key.at_profile(&pc_prev)),
-        step_b,
-    }
+        step_c: roll_step(&join, join_hash, c_key, dim_c, level_c),
+        step_b: roll_step(&join, join_hash, b_key, dim_b, level_b),
+    })
+}
+
+/// Where [`FlowTree::locate`] found a key to belong: under `anchor`
+/// at chain step `step`, which is either free or `taken` by a child
+/// the key is ([`StepRel::Same`]), splices above or forks from.
+struct Spot {
+    anchor: u32,
+    step: u64,
+    taken: Option<(u32, StepRel)>,
 }
 
 /// The self-adjusting flow summary of Saidi et al. (SIGCOMM 2018).
@@ -461,22 +469,7 @@ pub struct FlowTree {
     pub(crate) clock: u64,
     pub(crate) total: Popularity,
     pub(crate) stats: Stats,
-    /// Scratch prefix chain of the key being inserted (reused across
-    /// misses).
-    chain_a: Vec<(FlowKey, u64)>,
-    /// Memoized profile schedules, most-recently-used first: each
-    /// entry maps a starting depth profile to every intermediate
-    /// profile down to the root. A small LRU rather than a single
-    /// entry, so merge-heavy workloads with mixed key shapes (v4 and
-    /// v6, full and partial tuples) do not rebuild the schedule on
-    /// every alternation.
-    seq_lru: Vec<(flowkey::DepthProfile, Vec<flowkey::DepthProfile>)>,
 }
-
-/// Capacity of the profile-schedule memo. Real traffic rotates through
-/// a handful of key shapes (v4/v6 × full/partial tuples); eight covers
-/// the mixes seen in the traces while keeping the linear probe trivial.
-const SEQ_LRU_CAP: usize = 8;
 
 impl FlowTree {
     /// Creates an empty Flowtree (just the all-wildcard root).
@@ -514,35 +507,7 @@ impl FlowTree {
             clock: 0,
             total: Popularity::ZERO,
             stats: Stats::default(),
-            chain_a: Vec::new(),
-            seq_lru: Vec::new(),
         }
-    }
-
-    /// Takes the memoized profile schedule for `profile` out of the
-    /// LRU, building it (and counting a [`Stats::profile_builds`]) on a
-    /// miss. The caller returns the buffer via [`FlowTree::put_seq`] so
-    /// it can be reused while `self` stays mutably borrowable.
-    fn take_seq(&mut self, profile: flowkey::DepthProfile) -> Vec<flowkey::DepthProfile> {
-        if let Some(i) = self.seq_lru.iter().position(|(p, _)| *p == profile) {
-            return self.seq_lru.remove(i).1;
-        }
-        // Miss: evict the least-recently-used entry and reuse its
-        // buffer when the memo is full.
-        let mut seq = if self.seq_lru.len() >= SEQ_LRU_CAP {
-            self.seq_lru.pop().expect("memo is full").1
-        } else {
-            Vec::new()
-        };
-        self.stats.profile_builds += 1;
-        build_profile_seq(&self.schema, profile, &mut seq);
-        seq
-    }
-
-    /// Returns a schedule taken by [`FlowTree::take_seq`], marking it
-    /// most recently used.
-    fn put_seq(&mut self, profile: flowkey::DepthProfile, seq: Vec<flowkey::DepthProfile>) {
-        self.seq_lru.insert(0, (profile, seq));
     }
 
     /// Creates a Flowtree with the paper's evaluation configuration
@@ -563,7 +528,7 @@ impl FlowTree {
 
     /// Freezes the tree for storage: squeezes the arena to exactly
     /// the live nodes (ids are renumbered, arena order kept) and
-    /// drops the free list, the key index and the insert-path scratch.
+    /// drops the free list and the key index.
     /// Nothing observable changes — encodings, query answers and the
     /// tree's behaviour as a merge/diff source or destination are
     /// those of the unfrozen tree; the first operation that needs the
@@ -591,8 +556,6 @@ impl FlowTree {
         self.nodes.shrink_to_fit();
         self.free = Vec::new();
         self.index = OnceLock::new();
-        self.chain_a = Vec::new();
-        self.seq_lru = Vec::new();
     }
 
     /// The key index, rebuilt from the arena if the tree is frozen.
@@ -699,11 +662,11 @@ impl FlowTree {
     }
 
     /// Records a batch of masses, amortizing per-update overhead:
-    /// each key is canonicalized and hashed exactly once, the batch is
-    /// sorted by key hash so consecutive index probes touch nearby
-    /// slots, and the budget check runs once at the end (the tree may
-    /// transiently exceed its budget by the batch length, exactly as
-    /// [`FlowTree::merge`] does).
+    /// each key is canonicalized and hashed exactly once, hits are
+    /// settled first and the misses then placed in chain order (see
+    /// [`FlowTree::insert_batch_prehashed`]), and the budget check runs
+    /// once at the end (the tree may transiently exceed its budget by
+    /// the batch length, exactly as [`FlowTree::merge`] does).
     ///
     /// With compaction out of play (budget not exceeded), the resulting
     /// tree is identical to repeated [`FlowTree::insert`]: the retained
@@ -734,15 +697,83 @@ impl FlowTree {
     }
 
     /// [`FlowTree::insert_batch`] over pre-canonicalized, pre-hashed
-    /// items: sorts in place by key hash for index locality, inserts,
-    /// and defers the budget check to the end of the batch.
+    /// items, in two passes:
+    ///
+    /// 1. in arrival order, every item whose key is retained adds its
+    ///    mass there — one index probe each; the others are set aside;
+    /// 2. the misses are sorted into **chain order**
+    ///    ([`flowkey::ChainOrder`]: depth-first over the trie, as far
+    ///    as a 128-bit hint can tell) and each is placed starting from
+    ///    the **finger** — the retained chain ancestors its
+    ///    predecessor descended through, cut back to where the two
+    ///    chains part — instead of from the root. Nothing is removed
+    ///    before the closing budget check, so finger entries stay
+    ///    valid for the whole pass.
+    ///
+    /// The update clock follows that processing order: within a batch
+    /// the hits are stamped in arrival order, then the new nodes in
+    /// chain order (a join shares the stamp of the miss that created
+    /// it). `touch` only breaks ties among equal-weight eviction
+    /// candidates, so which of them a compaction folds can differ from
+    /// what repeated [`FlowTree::insert`] would have folded; node masses,
+    /// and with compaction out of play the whole tree, do not.
+    ///
+    /// `items` is not modified.
     pub fn insert_batch_prehashed(&mut self, items: &mut [(u64, FlowKey, Popularity)]) {
-        items.sort_unstable_by_key(|(h, _, _)| *h);
-        for &(hash, key, pop) in items.iter() {
-            self.add_mass_hashed(key, hash, pop);
-        }
+        BATCH_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.misses.clear();
+            for (at, (hash, key, pop)) in items.iter().enumerate() {
+                if self.hit(key, *hash, *pop).is_none() {
+                    scratch.misses.push((0, at));
+                }
+            }
+            self.place_misses(items, scratch);
+        });
         if self.live > self.cfg.node_budget {
             self.compact();
+        }
+    }
+
+    /// Pass 2 of [`FlowTree::insert_batch_prehashed`].
+    fn place_misses(&mut self, items: &[(u64, FlowKey, Popularity)], scratch: &mut BatchScratch) {
+        let schema = self.schema;
+        let BatchScratch {
+            misses,
+            finger,
+            orders,
+        } = scratch;
+        if misses.len() > 1 {
+            for (order_key, at) in misses.iter_mut() {
+                let key = &items[*at].1;
+                let builds = &mut self.stats.profile_builds;
+                *order_key = order_for(orders, &schema, DepthProfile::of(key), builds).key(key);
+            }
+            // Ties (duplicates, truncated keys) keep arrival order.
+            misses.sort_unstable();
+        }
+        finger.clear();
+        finger.push((self.root, 0));
+        let mut prev: Option<(FlowKey, DepthProfile)> = None;
+        for &(_, at) in misses.iter() {
+            let (hash, key, pop) = items[at];
+            let profile = DepthProfile::of(&key);
+            if let Some((prev_key, prev_profile)) = &prev {
+                // Every finger entry lies on the previous miss's chain;
+                // the two chains coincide down to their LCCA and
+                // nowhere below it.
+                let meet = schema.lcca_of_profiles(
+                    &key.agreement_profile(prev_key),
+                    &profile,
+                    prev_profile,
+                );
+                let shared = profile_depth(&meet);
+                while finger.last().is_some_and(|&(_, depth)| depth > shared) {
+                    finger.pop();
+                }
+            }
+            let anchor = finger.last().expect("the root is never popped").0;
+            self.insert_below(anchor, key, hash, &profile, pop, Some(finger));
+            prev = Some((key, profile));
         }
     }
 
@@ -769,242 +800,257 @@ impl FlowTree {
     pub(crate) fn add_mass_hashed(&mut self, key: FlowKey, hash: u64, pop: Popularity) -> u32 {
         debug_assert!(self.schema.conforms(&key));
         debug_assert_eq!(hash, key_hash(&key), "stale key hash");
-        self.clock += 1;
-        self.stats.inserts += 1;
-        self.total += pop;
-
-        if let Some(id) = self.lookup(&key, hash) {
-            self.stats.hits += 1;
-            let node = &mut self.nodes[id as usize];
-            node.comp += pop;
-            node.touch = self.clock;
+        if let Some(id) = self.hit(&key, hash, pop) {
             return id;
         }
-        self.stats.misses += 1;
-
-        let schema = self.schema;
-        let profile = flowkey::DepthProfile::of(&key);
-        let seq = self.take_seq(profile);
-        let mut prefix = std::mem::take(&mut self.chain_a);
-        prefix.clear();
-
         // Longest-matching-parent search, phase 1: probe a short linear
-        // prefix of the chain with incrementally-maintained hashes —
-        // the common case, since popular ancestors are retained near
-        // the key. Phase 2 (no hit): anchor at the root and let the
-        // splice descend through retained children on the key's chain;
-        // descent visits only *retained* ancestors, so a cold miss
-        // costs O(retained chain ancestors) instead of O(depth).
-        let total_steps = (seq.len() - 1) as u32;
-        debug_assert!(total_steps > 0, "the root never reaches the miss path");
-        let mut anchor = None;
-        let mut walker = schema.chain_up_hashed(&key, hash);
-        for _ in 0..total_steps.min(LINEAR_PROBES as u32) {
-            let e = walker.next().expect("depth not exhausted");
-            prefix.push(e);
+        // prefix of the chain with incrementally-maintained hashes — a
+        // dense tree retains an ancestor within a few steps. Phase 2
+        // (no hit): anchor at the root and descend through the retained
+        // children on the key's chain; descent visits only *retained*
+        // ancestors, so a cold miss costs O(retained chain ancestors)
+        // instead of O(depth).
+        let schema = self.schema;
+        let mut anchor = self.root;
+        for (anc, anc_hash) in schema.chain_up_hashed(&key, hash).take(LINEAR_PROBES) {
             self.stats.chain_steps += 1;
-            if let Some(id) = self.lookup(&e.0, e.1) {
-                anchor = Some(id);
+            if let Some(id) = self.lookup(&anc, anc_hash) {
+                anchor = id;
                 break;
             }
         }
-        let anchor = anchor.unwrap_or(self.root);
+        self.insert_below(anchor, key, hash, &DepthProfile::of(&key), pop, None)
+    }
 
-        let ctx = ChainCtx {
-            base_key: key,
-            base_hash: hash,
-            base_depth: total_steps,
-            prefix: &prefix,
-            seq: &seq,
+    /// Counts one update and, if `key` is retained, adds `pop` to its
+    /// node.
+    #[inline]
+    fn hit(&mut self, key: &FlowKey, hash: u64, pop: Popularity) -> Option<u32> {
+        let id = self.lookup(key, hash)?;
+        self.count_hit(id, pop);
+        Some(id)
+    }
+
+    #[inline]
+    fn count_hit(&mut self, id: u32, pop: Popularity) {
+        self.clock += 1;
+        self.stats.inserts += 1;
+        self.stats.hits += 1;
+        self.total += pop;
+        let node = &mut self.nodes[id as usize];
+        node.comp += pop;
+        node.touch = self.clock;
+    }
+
+    /// Records an update of a key the index did not hold when it was
+    /// asked, searching down from `anchor`: any retained chain ancestor
+    /// of the key, or the key's own node (a batch can miss one key
+    /// twice). `trail`, which must end at `anchor`, is extended by
+    /// `(node, depth)` of every node on the key's chain the search
+    /// descends into or creates, the key's own node last.
+    fn insert_below(
+        &mut self,
+        anchor: u32,
+        key: FlowKey,
+        hash: u64,
+        profile: &DepthProfile,
+        pop: Popularity,
+        mut trail: Option<&mut Vec<(u32, u32)>>,
+    ) -> u32 {
+        let depth = profile_depth(profile);
+        debug_assert_eq!(depth, self.schema.depth(&key));
+        let a = &self.nodes[anchor as usize];
+        if a.depth == depth {
+            debug_assert_eq!(a.key, key, "a chain has one key per depth");
+            self.count_hit(anchor, pop);
+            return anchor;
+        }
+        let (dim, level) = self
+            .schema
+            .chain_step_below(&DepthProfile::of(&a.key), profile)
+            .expect("the anchor is a strict chain ancestor");
+        let step = roll_step(&a.key, a.key_hash, &key, dim, level);
+        let (spot, hops) = self.locate(
+            anchor,
+            step,
+            &key,
+            hash,
+            depth,
+            profile,
+            trail.as_deref_mut(),
+        );
+        self.stats.descent_hops += hops;
+        let (nid, join_depth) = match spot.taken {
+            Some((id, StepRel::Same)) => {
+                self.count_hit(id, pop);
+                (id, None)
+            }
+            _ => {
+                self.clock += 1;
+                self.stats.inserts += 1;
+                self.stats.misses += 1;
+                self.total += pop;
+                let join_depth = match &spot.taken {
+                    Some((_, StepRel::Fork(fork))) => Some(fork.join_depth),
+                    _ => None,
+                };
+                // One tick for the whole update: a join shares the
+                // stamp of the node it was made for.
+                (self.create(spot, key, hash, depth, pop, 0), join_depth)
+            }
         };
-        let nid = self.splice_with_ctx(key, hash, pop, anchor, &ctx);
-        self.chain_a = prefix;
-        self.put_seq(profile, seq);
+        if let Some(trail) = trail {
+            if let Some(join_depth) = join_depth {
+                trail.push((self.nodes[nid as usize].parent, join_depth));
+            }
+            trail.push((nid, depth));
+        }
         nid
     }
 
-    /// Allocates the node for `key` and splices it under `anchor` (any
-    /// retained chain ancestor of `key`), descending through retained
-    /// children on the key's chain until the true insertion point is
-    /// found.
+    /// Finds where `key` belongs below `anchor` (a retained strict
+    /// chain ancestor; `step` is the hash of the key's chain step
+    /// directly under it), descending through retained children on the
+    /// key's chain until the true longest matching parent is reached.
+    /// Changes nothing; also returns the levels it visited.
     ///
-    /// A descent hop never materializes a chain key: the hop's step
-    /// hash rolls from the anchor's stored key hash with two
-    /// single-feature hashes (the step specializes exactly one
-    /// dimension, read off the memoized profile schedule), and the
-    /// "child lies on the key's chain" test is pure profile arithmetic
-    /// — profiles equal at the child's depth and every dimension's
-    /// feature-join deep enough. Hash matches are confirmed
-    /// analytically by the splice (a false 64-bit match computes an
-    /// LCCA at or above the anchor and resumes the sibling scan), so
-    /// collisions degrade to extra work, never to a wrong tree.
-    fn splice_with_ctx(
-        &mut self,
-        key: FlowKey,
-        hash: u64,
-        pop: Popularity,
+    /// A hop never materializes a chain key: the step hash rolls from
+    /// the anchor's stored key hash with two single-feature hashes, and
+    /// a child under the same step is classified by
+    /// [`classify_step`]'s closed-form LCCA. A false 64-bit step match
+    /// computes an LCCA at or above the anchor and resumes the sibling
+    /// scan, so collisions degrade to extra work, never to a wrong
+    /// tree.
+    #[allow(clippy::too_many_arguments)]
+    fn locate(
+        &self,
         mut anchor: u32,
-        view: &ChainCtx<'_>,
-    ) -> u32 {
-        let key_depth = view.base_depth;
-        debug_assert_eq!(key_depth, self.schema.depth(&key));
-        let nid = self.alloc(key, hash, key_depth, pop);
-        self.index_mut().insert(hash, nid);
-
-        'outer: loop {
-            self.stats.descent_hops += 1;
-            let (a_depth, a_key, a_hash) = {
-                let a = &self.nodes[anchor as usize];
-                (a.depth, a.key, a.key_hash)
-            };
-            // The dimension the chain specializes from `a_depth` to
-            // `a_depth + 1`, and the feature depth it lands on.
-            let su = (key_depth - a_depth) as usize;
-            let (step_dim, step_feat_depth) = diff_dim(&view.seq[su], &view.seq[su - 1]);
-            let step_h = a_hash
-                .wrapping_sub(flowkey::dim_hash(&a_key, step_dim))
-                .wrapping_add(flowkey::dim_hash_at(&key, step_dim, step_feat_depth));
-            debug_assert_eq!(step_h, view.at(a_depth + 1).1, "rolled step hash is exact");
-
-            let mut cur = self.nodes[anchor as usize].first_child;
+        mut step: u64,
+        key: &FlowKey,
+        hash: u64,
+        depth: u32,
+        profile: &DepthProfile,
+        mut trail: Option<&mut Vec<(u32, u32)>>,
+    ) -> (Spot, u64) {
+        let mut hops = 0;
+        'descend: loop {
+            hops += 1;
+            let a = &self.nodes[anchor as usize];
+            let mut cur = a.first_child;
             while cur != NIL {
-                let (ckey, cdepth, next) = {
-                    let c = &self.nodes[cur as usize];
-                    (c.key, c.depth, c.next_sibling)
-                };
-                if self.nodes[cur as usize].step_hash == step_h {
-                    if cdepth < key_depth {
-                        // On-chain test without materialization: the
-                        // chain ancestor of `key` at `cdepth` equals
-                        // `ckey` iff the schedule profiles coincide and
-                        // every feature pair agrees at least that deep.
-                        let cprof = flowkey::DepthProfile::of(&ckey);
-                        if cprof == view.seq[(key_depth - cdepth) as usize]
-                            && profile_fits(&cprof, &key.agreement_profile(&ckey))
-                        {
+                let c = &self.nodes[cur as usize];
+                // Siblings are sorted by step hash (see `attach`).
+                if c.step_hash > step {
+                    break;
+                }
+                if c.step_hash == step {
+                    match classify_step(
+                        &self.schema,
+                        a.depth,
+                        &c.key,
+                        c.key_hash,
+                        c.depth,
+                        key,
+                        hash,
+                        depth,
+                        profile,
+                    ) {
+                        // Analytically-refuted hash match (astronomically
+                        // rare): keep scanning the remaining siblings.
+                        StepRel::Collision => {}
+                        StepRel::Descend(step_b) => {
+                            if let Some(trail) = trail.as_deref_mut() {
+                                trail.push((cur, c.depth));
+                            }
                             anchor = cur;
-                            continue 'outer;
+                            step = step_b;
+                            continue 'descend;
+                        }
+                        rel => {
+                            let taken = Some((cur, rel));
+                            return (
+                                Spot {
+                                    anchor,
+                                    step,
+                                    taken,
+                                },
+                                hops,
+                            );
                         }
                     }
-                    if self.splice_against_child(nid, anchor, cur, view, step_h) {
-                        return nid;
-                    }
-                    // Analytically-refuted hash match (astronomically
-                    // rare): keep scanning the remaining siblings.
                 }
-                cur = next;
+                cur = c.next_sibling;
             }
-            // No child shares the step: attach directly under the anchor.
-            self.attach(nid, anchor, step_h);
-            return nid;
+            let taken = None;
+            return (
+                Spot {
+                    anchor,
+                    step,
+                    taken,
+                },
+                hops,
+            );
         }
     }
 
-    /// Handles the two divergence cases of an insert whose chain step
-    /// under `anchor` is occupied by `cid`: the new key lies on the
-    /// child's chain (splice between), or the two keys fork below the
-    /// anchor (branch at their lowest common chain ancestor).
-    ///
-    /// The LCCA is computed *analytically*: feature hierarchies are
-    /// laminar, so two chains meet at depth `d` iff their
-    /// schedule-evolved depth profiles coincide at `d` and every
-    /// dimension's profile depth is at or above the features' join
-    /// depth. That turns LCCA into pure `u16` profile arithmetic — no
-    /// chain keys are materialized and nothing is hashed until the one
-    /// or two splice keys are actually needed (the child's chain used
-    /// to be walked step-by-step here, which dominated the miss path
-    /// for deep children under shallow anchors).
-    fn splice_against_child(
+    /// Allocates the node for an absent key (and the join a fork needs)
+    /// and links it in where [`FlowTree::locate`] said. The update
+    /// clock advances by `ticks` before each allocation: an insert has
+    /// ticked once for the whole update already (0), a merge gives
+    /// every node it creates a tick of its own (1).
+    fn create(
         &mut self,
-        nid: u32,
-        anchor: u32,
-        cid: u32,
-        view: &ChainCtx<'_>,
-        step_hash_under_anchor: u64,
-    ) -> bool {
-        let schema = self.schema;
-        let key = view.base_key;
-        let key_depth = view.base_depth;
-        let a_depth = self.nodes[anchor as usize].depth;
-        let (ckey, cdepth) = {
-            let c = &self.nodes[cid as usize];
-            (c.key, c.depth)
+        spot: Spot,
+        key: FlowKey,
+        hash: u64,
+        depth: u32,
+        comp: Popularity,
+        ticks: u64,
+    ) -> u32 {
+        let alloc = |tree: &mut FlowTree, key, hash, depth, comp| {
+            tree.clock += ticks;
+            let id = tree.alloc(key, hash, depth, comp);
+            tree.index_mut().insert(hash, id);
+            id
         };
-
-        #[inline]
-        fn step_down(schema: &Schema, p: &mut flowkey::DepthProfile) {
-            let dim = schema.next_chain_dim(p).expect("profile has depth left");
-            p.0[dim.index()] -= 1;
+        let Spot {
+            anchor,
+            step,
+            taken,
+        } = spot;
+        match taken {
+            None => {
+                let nid = alloc(self, key, hash, depth, comp);
+                self.attach(nid, anchor, step);
+                nid
+            }
+            Some((child, StepRel::SpliceAbove(step_c))) => {
+                let nid = alloc(self, key, hash, depth, comp);
+                self.detach(child);
+                self.attach(nid, anchor, step);
+                self.attach(child, nid, step_c);
+                nid
+            }
+            Some((child, StepRel::Fork(fork))) => {
+                let jid = alloc(
+                    self,
+                    fork.join,
+                    fork.join_hash,
+                    fork.join_depth,
+                    Popularity::ZERO,
+                );
+                self.stats.joins_created += 1;
+                let nid = alloc(self, key, hash, depth, comp);
+                self.detach(child);
+                self.attach(jid, anchor, step);
+                self.attach(child, jid, fork.step_c);
+                self.attach(nid, jid, fork.step_b);
+                nid
+            }
+            Some((_, StepRel::Same | StepRel::Collision | StepRel::Descend(_))) => {
+                unreachable!("locate settles these itself, or the key is retained")
+            }
         }
-
-        let agree = key.agreement_profile(&ckey);
-        let mut pk = flowkey::DepthProfile::of(&key);
-        let mut pc = flowkey::DepthProfile::of(&ckey);
-        let mut dk = key_depth;
-        let mut dc = cdepth;
-        // `pc` one schedule step before its current position — the
-        // profile of the child's chain at depth `jdepth + 1`, which is
-        // exactly where the re-attached child's step key lives.
-        let mut pc_prev = pc;
-        while dc > dk {
-            pc_prev = pc;
-            step_down(&schema, &mut pc);
-            dc -= 1;
-        }
-        while dk > dc {
-            step_down(&schema, &mut pk);
-            dk -= 1;
-        }
-        while !(pk == pc && profile_fits(&pk, &agree)) {
-            debug_assert!(dk > 0, "chains must meet at the root");
-            step_down(&schema, &mut pk);
-            pc_prev = pc;
-            step_down(&schema, &mut pc);
-            dk -= 1;
-        }
-        let jdepth = dk;
-        if jdepth <= a_depth {
-            // The matched step hash was a 64-bit collision: the child
-            // does not actually share the key's chain step. Tell the
-            // caller to keep scanning.
-            return false;
-        }
-        debug_assert_eq!(
-            schema.lcca(&key, &ckey),
-            view.at(jdepth).0,
-            "analytic LCCA must match the chain-walking definition"
-        );
-        debug_assert!(
-            jdepth < cdepth,
-            "a child on the key's chain is handled by descent"
-        );
-
-        // The child's step key under its new parent, materialized from
-        // the recorded profile: one key build + one hash, instead of a
-        // whole-chain walk.
-        let step_c = key_hash(&ckey.at_profile(&pc_prev));
-
-        if jdepth == key_depth {
-            // The new key lies on the child's chain: splice between.
-            self.detach(cid);
-            self.attach(nid, anchor, step_hash_under_anchor);
-            self.attach(cid, nid, step_c);
-            return true;
-        }
-
-        // Keys diverge below the anchor: branch at the LCCA. The join
-        // lies on the key's chain, where the context materializes it in
-        // O(1)-ish (prefix read or one profile build).
-        let (join, join_hash) = view.at(jdepth);
-        let jid = self.alloc(join, join_hash, jdepth, Popularity::ZERO);
-        self.index_mut().insert(join_hash, jid);
-        self.stats.joins_created += 1;
-        self.detach(cid);
-        self.attach(jid, anchor, step_hash_under_anchor);
-        self.attach(cid, jid, step_c);
-        let (_, step_k) = view.at(jdepth + 1);
-        self.attach(nid, jid, step_k);
-        true
     }
 
     /// Reference implementation of the pre-optimization miss path:
@@ -1016,43 +1062,19 @@ impl FlowTree {
     pub fn insert_seed_path(&mut self, key: &FlowKey, pop: Popularity) {
         let key = self.schema.canonicalize(key);
         let hash = key_hash(&key);
-        self.clock += 1;
-        self.stats.inserts += 1;
-        self.total += pop;
-        if let Some(id) = self.lookup(&key, hash) {
-            self.stats.hits += 1;
-            let node = &mut self.nodes[id as usize];
-            node.comp += pop;
-            node.touch = self.clock;
-        } else {
-            self.stats.misses += 1;
+        if self.hit(&key, hash, pop).is_none() {
             let schema = self.schema;
-            let profile = flowkey::DepthProfile::of(&key);
-            let seq = self.take_seq(profile);
-            let mut chain = std::mem::take(&mut self.chain_a);
-            chain.clear();
-            let mut anchor = None;
+            let mut anchor = self.root;
             for p in schema.chain_up(&key) {
                 // Deliberately re-hash the whole key per probe.
                 let ph = key_hash(&p);
-                chain.push((p, ph));
                 self.stats.chain_steps += 1;
                 if let Some(id) = self.lookup(&p, ph) {
-                    anchor = Some(id);
+                    anchor = id;
                     break;
                 }
             }
-            let anchor = anchor.expect("the root is always retained");
-            let ctx = ChainCtx {
-                base_key: key,
-                base_hash: hash,
-                base_depth: (seq.len() - 1) as u32,
-                prefix: &chain,
-                seq: &seq,
-            };
-            self.splice_with_ctx(key, hash, pop, anchor, &ctx);
-            self.chain_a = chain;
-            self.put_seq(profile, seq);
+            self.insert_below(anchor, key, hash, &DepthProfile::of(&key), pop, None);
         }
         if self.live > self.cfg.node_budget {
             self.compact();
@@ -1314,9 +1336,8 @@ impl FlowTree {
     /// the step free (direct attach — the common case for new
     /// subtrees, whose parents were just placed), descends through a
     /// retained ancestor, splices above a deeper child, or branches at
-    /// the analytic LCCA. Step-hash matches are confirmed by the LCCA
-    /// depth, so 64-bit collisions degrade to extra sibling scanning,
-    /// never to a wrong tree. Returns the new node's id.
+    /// the analytic LCCA — [`FlowTree::locate`], the insert path's own
+    /// search. Returns the new node's id.
     fn place_single(
         &mut self,
         anchor: u32,
@@ -1326,111 +1347,15 @@ impl FlowTree {
         b_comp: Popularity,
         step: u64,
     ) -> u32 {
-        // The memoized schedule of `b`'s shape, pulled lazily on the
-        // first sibling conflict (direct attaches never need it) and
-        // returned to the LRU on exit.
-        let mut seq_b: Option<Vec<flowkey::DepthProfile>> = None;
-        let nid = self.place_single_inner(anchor, b_key, b_hash, b_depth, b_comp, step, &mut seq_b);
-        if let Some(seq) = seq_b {
-            self.put_seq(flowkey::DepthProfile::of(&b_key), seq);
-        }
-        nid
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn place_single_inner(
-        &mut self,
-        anchor: u32,
-        b_key: FlowKey,
-        b_hash: u64,
-        b_depth: u32,
-        b_comp: Popularity,
-        step: u64,
-        seq_b: &mut Option<Vec<flowkey::DepthProfile>>,
-    ) -> u32 {
-        let schema = self.schema;
-        // `(anchor, step)` evolve as the key descends through retained
-        // ancestors; each level re-enters the sibling scan.
-        let mut a_id = anchor;
-        let mut step = step;
-        'descend: loop {
-            let (a_depth, mut cur) = {
-                let a = &self.nodes[a_id as usize];
-                (a.depth, a.first_child)
-            };
-            while cur != NIL {
-                // Touch only the step hash and link on mismatching
-                // siblings; the key is copied out on a hash match.
-                let next = self.nodes[cur as usize].next_sibling;
-                if self.nodes[cur as usize].step_hash == step {
-                    let (c_key, c_hash, c_depth) = {
-                        let c = &self.nodes[cur as usize];
-                        (c.key, c.key_hash, c.depth)
-                    };
-                    // Key equality was settled by the hash-join probe.
-                    debug_assert_ne!(c_key, b_key, "matched keys never reach placement");
-                    let seq = seq_b
-                        .get_or_insert_with(|| self.take_seq(flowkey::DepthProfile::of(&b_key)));
-                    match classify_step(
-                        &schema, a_depth, &c_key, c_hash, c_depth, &b_key, b_depth, seq,
-                    ) {
-                        StepRel::Collision => {
-                            // Keep scanning the remaining siblings.
-                        }
-                        StepRel::SpliceAbove(step_c) => {
-                            // The key lies on the child's chain above
-                            // it: splice between anchor and child.
-                            self.clock += 1;
-                            let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-                            self.index_mut().insert(b_hash, nid);
-                            self.stats.grafted_nodes += 1;
-                            self.detach(cur);
-                            self.attach(nid, a_id, step);
-                            self.attach(cur, nid, step_c);
-                            return nid;
-                        }
-                        StepRel::Descend(step_b) => {
-                            // The child is a retained chain ancestor of
-                            // the key: descend into it.
-                            a_id = cur;
-                            step = step_b;
-                            continue 'descend;
-                        }
-                        StepRel::Fork {
-                            join,
-                            join_hash,
-                            join_depth,
-                            step_c,
-                            step_b,
-                        } => {
-                            // The keys fork below the anchor: branch at
-                            // their lowest common chain ancestor.
-                            self.clock += 1;
-                            let jid = self.alloc(join, join_hash, join_depth, Popularity::ZERO);
-                            self.index_mut().insert(join_hash, jid);
-                            self.stats.joins_created += 1;
-                            self.detach(cur);
-                            self.attach(jid, a_id, step);
-                            self.attach(cur, jid, step_c);
-                            self.clock += 1;
-                            let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-                            self.index_mut().insert(b_hash, nid);
-                            self.stats.grafted_nodes += 1;
-                            self.attach(nid, jid, step_b);
-                            return nid;
-                        }
-                    }
-                }
-                cur = next;
-            }
-            // The step is free: attach directly — zero probes.
-            self.clock += 1;
-            let nid = self.alloc(b_key, b_hash, b_depth, b_comp);
-            self.index_mut().insert(b_hash, nid);
-            self.stats.grafted_nodes += 1;
-            self.attach(nid, a_id, step);
-            return nid;
-        }
+        let profile = DepthProfile::of(&b_key);
+        let (spot, _) = self.locate(anchor, step, &b_key, b_hash, b_depth, &profile, None);
+        // Key equality was settled by the hash-join probe.
+        debug_assert!(
+            !matches!(spot.taken, Some((_, StepRel::Same))),
+            "matched keys never reach placement"
+        );
+        self.stats.grafted_nodes += 1;
+        self.create(spot, b_key, b_hash, b_depth, b_comp, 1)
     }
 
     /// Subtracts every node mass of `other` from `self` (the paper's
@@ -1962,6 +1887,9 @@ impl FlowTree {
             let n = &self.nodes[c as usize];
             if n.step_hash == step_hash {
                 return Some(self.add_mass_hashed(key, hash, comp));
+            }
+            if n.step_hash > step_hash {
+                break; // siblings are sorted by step hash
             }
             c = n.next_sibling;
         }

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 fn arb_key() -> impl Strategy<Value = FlowKey> {
     // Mixed shapes on purpose: full 5-tuples, bare prefixes of varying
-    // length, and v6 — so merges exercise splices, joins, descents, and
-    // the profile-schedule memo across shapes.
+    // length, and v6 — so merges exercise splices, joins and descents
+    // across shapes.
     prop_oneof![
         (0u8..4, 0u8..6, 0u8..32, 0u8..3, 1u16..5).prop_map(|(a, b, c, d, p)| format!(
             "src=10.{a}.{b}.{c}/32 dst=192.0.2.{d}/32 sport={} dport=443 proto=tcp",
