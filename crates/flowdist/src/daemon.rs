@@ -136,7 +136,8 @@ impl SiteDaemon {
     }
 
     /// Current event-time watermark (ms) — the newest record timestamp
-    /// this daemon has seen.
+    /// this daemon has seen, or the newest instant a caller vouched for
+    /// through [`Self::advance_watermark`].
     pub fn watermark(&self) -> u64 {
         self.watermark_ms
     }
@@ -362,7 +363,10 @@ impl SiteDaemon {
     }
 
     /// Advances event time, closing windows that fell behind the
-    /// allowed-open range.
+    /// allowed-open range. A caller that buffers records (the streaming
+    /// [`crate::pipeline`]) calls this once event time has reached
+    /// `ts_ms` and it has handed over every record that was on time
+    /// when it arrived.
     pub fn advance_watermark(&mut self, ts_ms: u64) -> Vec<Summary> {
         if ts_ms <= self.watermark_ms {
             return Vec::new();

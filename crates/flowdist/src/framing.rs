@@ -14,15 +14,46 @@
 //! read half (per-request readers would drop their read-ahead and
 //! desynchronize pipelined clients) and an unbuffered write half that
 //! flushes per frame.
+//!
+//! Latency contract: a frame leaves in **one** write, and every framed
+//! stream the system dials ([`connect`]) or accepts ([`FramedConn::new`],
+//! hence [`serve_framed`]) has `TCP_NODELAY` set. Either half alone is
+//! not enough: a length prefix written on its own is a small segment
+//! Nagle holds the body behind until the peer's delayed ACK (~40 ms)
+//! arrives, and even a one-write frame on a Nagle socket holds its
+//! last partial segment while earlier data is unacknowledged.
 
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// Upper bound on a frame accepted from the network (16 MiB).
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Writes one length-prefixed frame.
-pub fn write_frame<W: Write>(mut w: W, frame: &[u8]) -> std::io::Result<()> {
+/// Sets the socket options every framed stream runs with:
+/// `TCP_NODELAY`, so each frame is sent as soon as it is written.
+fn configure(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+/// Dials `addr` with `TCP_NODELAY` set — how every framed connection
+/// in the system is opened.
+pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    configure(&stream)?;
+    Ok(stream)
+}
+
+/// Writes `parts` back to back as **one** write (then flushes): a sink
+/// that accepts the whole buffer sees a single `write` call, so the
+/// parts leave in one segment rather than a small one the next part
+/// waits behind.
+pub(crate) fn write_parts<W: Write>(mut w: W, parts: &[&[u8]]) -> std::io::Result<()> {
+    w.write_all(&parts.concat())?;
+    w.flush()
+}
+
+/// Writes one length-prefixed frame, length and body in one write.
+pub fn write_frame<W: Write>(w: W, frame: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(frame.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
     if len > MAX_FRAME {
@@ -31,9 +62,7 @@ pub fn write_frame<W: Write>(mut w: W, frame: &[u8]) -> std::io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(frame)?;
-    w.flush()
+    write_parts(w, &[&len.to_be_bytes(), frame])
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
@@ -71,8 +100,11 @@ pub struct FramedConn {
 }
 
 impl FramedConn {
-    /// Wraps an established stream (clones the read half).
+    /// Wraps an established stream (clones the read half) and sets
+    /// `TCP_NODELAY` on it — so every connection [`serve_framed`]
+    /// accepts runs without Nagle.
     pub fn new(stream: TcpStream) -> std::io::Result<FramedConn> {
+        configure(&stream)?;
         let read_half = stream.try_clone()?;
         Ok(FramedConn {
             reader: BufReader::new(read_half),
@@ -145,6 +177,57 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A sink that accepts every buffer whole and counts the calls.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for body in [&b""[..], b"hello", &[7u8; 70_000]] {
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, body).unwrap();
+            assert_eq!(sink.writes, 1, "{}-byte frame", body.len());
+            assert_eq!(sink.flushes, 1);
+            assert_eq!(read_frame(&sink.bytes[..]).unwrap().unwrap(), body);
+        }
+        let mut sink = CountingSink::default();
+        write_parts(&mut sink, &[b"head\r\n\r\n", b"body"]).unwrap();
+        assert_eq!(
+            (sink.writes, sink.bytes.as_slice()),
+            (1, &b"head\r\n\r\nbody"[..])
+        );
+    }
+
+    #[test]
+    fn framed_streams_are_nodelay_on_both_sides() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dialled = connect(addr).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(dialled.nodelay().unwrap(), "framing::connect");
+        let conn = FramedConn::new(accepted).unwrap();
+        assert!(conn.stream().nodelay().unwrap(), "FramedConn::new");
+        let client = FramedConn::connect(&addr.to_string()).unwrap();
+        assert!(client.stream().nodelay().unwrap(), "FramedConn::connect");
     }
 
     #[test]

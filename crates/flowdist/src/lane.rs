@@ -1145,10 +1145,11 @@ mod tests {
     use flownet::FlowRecord;
     use flowtree_core::Config;
 
-    fn mk_pipeline(window_ms: u64) -> impl FnMut(usize) -> IngestPipeline {
+    fn mk_pipeline(open_windows: usize) -> impl FnMut(usize) -> IngestPipeline {
         move |_lane| {
             let mut cfg = DaemonConfig::new(7);
-            cfg.window_ms = window_ms;
+            cfg.window_ms = 1_000;
+            cfg.open_windows = open_windows;
             cfg.schema = Schema::five_feature();
             cfg.tree = Config::with_budget(4_096);
             cfg.transfer = TransferMode::Full;
@@ -1173,7 +1174,11 @@ mod tests {
 
     fn run_engine(opts: LaneOptions, senders: usize) -> (IngestReport, Vec<Vec<u8>>, usize) {
         let (tx, rx) = channel::bounded::<Vec<u8>>(256);
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        // Each sender replays windows 0–2 back to back, so a lane
+        // shared by two senders sees its second sender's window 0 two
+        // windows behind the first sender's window 2: on time only
+        // with three windows open.
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(3), tx, opts).unwrap();
         let to = handle.local_addr();
         let reuse = handle.is_reuseport() as usize;
         // `senders` exporters, each with its own socket (distinct
@@ -1275,7 +1280,7 @@ mod tests {
             idle_lane_ms: 100,
             ..LaneOptions::default()
         };
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let to = handle.local_addr();
         let view = handle.view();
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -1310,7 +1315,7 @@ mod tests {
             reuseport: false,
             ..LaneOptions::default()
         };
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let to = handle.local_addr();
         let view = handle.view();
         assert_eq!(view.lanes(), 2);
@@ -1343,7 +1348,7 @@ mod tests {
             lanes: 4,
             ..LaneOptions::default()
         };
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let report = handle.stop();
         assert!(report.error.is_none());
         assert_eq!(report.datagrams, 0);
@@ -1359,7 +1364,7 @@ mod tests {
             reuseport: false,
             ..LaneOptions::default()
         };
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let to = handle.local_addr();
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let records: Vec<FlowRecord> = (0..5).map(|w| record(w * 1_000 + 100, 1, 1)).collect();
@@ -1383,7 +1388,7 @@ mod tests {
             knobs: Arc::clone(&knobs),
             ..LaneOptions::default()
         };
-        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(1_000), tx, opts).unwrap();
+        let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let view = handle.view();
         knobs.set_pin_cores(true);
         let want = cfg!(target_os = "linux");

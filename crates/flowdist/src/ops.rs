@@ -270,9 +270,7 @@ fn write_response(stream: &mut TcpStream, resp: &OpsResponse) -> std::io::Result
         reason,
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    crate::framing::write_parts(stream, &[head.as_bytes(), body.as_bytes()])
 }
 
 /// A one-shot plaintext HTTP client for the ops protocol — what

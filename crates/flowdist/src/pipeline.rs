@@ -15,10 +15,22 @@
 //!
 //! Window correctness: buckets flush **oldest window first**, and a
 //! bucket reaching the batch threshold flushes every older bucket
-//! ahead of itself. The daemon's watermark therefore never advances
-//! past records still buffered in the pipeline, and a record near a
-//! window boundary lands in the window its own timestamp names — not
-//! the window of whichever packet it happened to share a batch with.
+//! ahead of itself. A record near a window boundary lands in the
+//! window its own timestamp names — not the window of whichever packet
+//! it happened to share a batch with.
+//!
+//! Flushing a bucket and closing a window are separate events. The
+//! batch size decides only when buffered records are *handed over*
+//! (throughput: fewer, larger daemon calls). **Event time alone decides
+//! when a window closes**: the first record of a new window flushes
+//! every older bucket and then advances the daemon's watermark to that
+//! window's start, so window `W` closes on the first record of
+//! `W + open_windows` whatever `batch` is. Lateness follows the same
+//! rule as a per-record [`SiteDaemon`]: a record is dropped iff its
+//! window is behind the `open_windows` horizon of the newest window
+//! seen so far — again independent of `batch`. The daemon's horizon
+//! never passes a buffered record that was on time when it arrived:
+//! such a record is flushed before the next crossing moves the horizon.
 //!
 //! Accounting: the pipeline sees the wire, so it reports **actual**
 //! export-packet bytes per format to the daemon
@@ -215,13 +227,20 @@ impl IngestPipeline {
     ///
     /// Three triggers hand buckets to the daemon: a bucket reaching
     /// the batch threshold; event time entering a **new** window (every
-    /// bucket older than the newest window then flushes even if
-    /// under-filled, so a low-rate stream still emits summaries on
-    /// window cadence); and total buffering hitting the
+    /// buffered bucket is then older and flushes at that record, even
+    /// if under-filled); and total buffering hitting the
     /// [`MAX_BUFFERED_BATCHES`] hard cap, which flushes everything —
     /// the daemon then applies its own late-drop policy — so buffered
     /// memory stays bounded even against timestamps scattered across
     /// arbitrarily many stale windows.
+    ///
+    /// Only the second trigger closes windows beyond what the flushed
+    /// records' own timestamps close: after its flush it advances the
+    /// daemon's watermark to the new window's start, so the summary of
+    /// every window behind the `open_windows` horizon is returned from
+    /// the call carrying the crossing record. The batch size changes
+    /// neither which summaries come back nor their bytes (absent
+    /// compaction), only how many daemon calls produced them.
     pub fn push_records(&mut self, records: &[FlowRecord]) -> Vec<Summary> {
         let mut out = Vec::new();
         let span = self.daemon.config().window_ms;
@@ -235,12 +254,14 @@ impl IngestPipeline {
             let ts = r.last_ms;
             let start_ms = WindowId::containing(ts, span).start_ms;
             if start_ms > self.newest_window {
-                // Event time crossed into a new window: everything
-                // older can only gather stragglers now — flush it.
-                if self.newest_window > 0 || !self.pending.is_empty() {
-                    raise(self.newest_window, &mut flush_up_to);
-                }
+                // Event time crossed into a new window. Every buffered
+                // bucket is older: hand them all over, oldest first,
+                // then move the daemon's event time to the new window
+                // so the windows its horizon leaves behind close now —
+                // not whenever the new window's bucket fills.
+                self.flush_through(u64::MAX, &mut out);
                 self.newest_window = start_ms;
+                out.extend(self.daemon.advance_watermark(start_ms));
             }
             // Canonicalize + hash once, here; the hash rides with the
             // record so the daemon's shard router and the tree index
@@ -424,6 +445,50 @@ mod tests {
         assert_eq!(daemon.stats().late_drops, 0);
         let total: i64 = closed.iter().map(|s| s.tree.total().packets).sum();
         assert_eq!(total, 15);
+    }
+
+    #[test]
+    fn windows_close_on_event_time_not_batch_fill() {
+        // The default batch exceeds everything this stream holds: no
+        // bucket ever fills. Window 0 must still close on the first
+        // record of window 2 (open_windows = 2), from that very call.
+        let mut p = pipeline(1_000, DEFAULT_BATCH, 1);
+        for w in 0..2u64 {
+            for i in 0..50u64 {
+                let out = p.push_records(&[record(w * 1_000 + 10 + i, i as u8, 1)]);
+                assert!(out.is_empty(), "nothing closes before window 2");
+            }
+        }
+        let pkt = flownet::netflow5::encode(&[record(2_000, 1, 1)], 2_000, 0);
+        let out = p.push_packet(&pkt);
+        assert_eq!(out.len(), 1, "window 0 closes on window 2's first packet");
+        assert_eq!(out[0].window.start_ms, 0);
+        assert_eq!(out[0].tree.total().packets, 50);
+        let out = p.push_records(&[record(2_001, 2, 1), record(3_500, 3, 1)]);
+        assert_eq!(
+            out.len(),
+            1,
+            "window 1 closes within the packet crossing into 3"
+        );
+        assert_eq!(out[0].window.start_ms, 1_000);
+        assert_eq!(p.buffered(), 1, "only window 3's record still buffers");
+    }
+
+    #[test]
+    fn stragglers_are_late_by_event_time_alone() {
+        // A straggler for window 0 after window 2 has begun is behind
+        // the horizon at every batch size; one for window 1 is not.
+        for batch in [1, 4_096] {
+            let mut p = pipeline(1_000, batch, 1);
+            let mut summaries =
+                p.push_records(&[record(100, 1, 1), record(1_100, 2, 1), record(2_100, 3, 1)]);
+            summaries.extend(p.push_records(&[record(900, 4, 1), record(1_900, 5, 1)]));
+            let (rest, daemon) = p.finish();
+            summaries.extend(rest);
+            assert_eq!(daemon.stats().late_drops, 1, "batch {batch}");
+            let total: i64 = summaries.iter().map(|s| s.tree.total().packets).sum();
+            assert_eq!(total, 4, "batch {batch}");
+        }
     }
 
     #[test]

@@ -683,11 +683,8 @@ fn forward_one(
         if conn.is_none() {
             attempts += 1;
             gauges.reconnects.fetch_add(1, Ordering::Relaxed);
-            match TcpStream::connect(upstream) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    *conn = Some(s);
-                }
+            match crate::framing::connect(upstream) {
+                Ok(s) => *conn = Some(s),
                 Err(_) => {
                     if attempts >= max_attempts {
                         return false;

@@ -26,9 +26,13 @@ const EXPORTERS: usize = 4;
 const RECORDS_PER_EXPORTER: usize = 30;
 const GARBAGE_PER_EXPORTER: usize = 3;
 
+/// Three open windows: every exporter replays windows 0–2 back to
+/// back, so a lane shared by several exporters sees the next one's
+/// window 0 two windows behind the last one's window 2.
 fn pipeline_for(_lane: usize) -> IngestPipeline {
     let mut cfg = DaemonConfig::new(9);
     cfg.window_ms = 1_000;
+    cfg.open_windows = 3;
     cfg.schema = Schema::five_feature();
     cfg.tree = Config::with_budget(4_096);
     cfg.transfer = TransferMode::Full;

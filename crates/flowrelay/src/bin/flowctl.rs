@@ -918,7 +918,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     };
 
     // The root must answer a query over the aggregated data.
-    let mut conn = std::net::TcpStream::connect(root_query)
+    let mut conn = flowdist::framing::connect(root_query)
         .unwrap_or_else(|e| fail(format_args!("root query connect: {e}")));
     let answer = flowrelay::server::query_remote(&mut conn, "pop")
         .unwrap_or_else(|e| fail(format_args!("root query: {e}")))

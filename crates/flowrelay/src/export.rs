@@ -382,7 +382,7 @@ impl ExportShipper {
     }
 
     fn connect(&mut self, now_ms: u64) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect(&self.cfg.upstream)?;
+        let stream = flowdist::framing::connect(&self.cfg.upstream)?;
         let reader_stream = stream.try_clone()?;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || reader_loop(reader_stream, tx));
