@@ -1,18 +1,18 @@
 //! # flowbench — the experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §4 and EXPERIMENTS.md):
+//! One binary per paper artifact:
 //!
 //! | binary | experiment |
 //! |---|---|
 //! | `fig3_heatmap` | Fig. 3a/3b accuracy heatmaps + diagonal/coverage stats (E3–E5) |
 //! | `storage_table` | the "> 95 % storage reduction" table (E6) |
-//! | `throughput` | amortized-constant update evidence (E7) |
 //! | `querycost` | query time ∝ tree nodes (E8) |
 //! | `mergediff` | merge exactness + full-vs-delta transfer sweep (E9) |
 //! | `baseline_compare` | Flowtree vs Space-Saving/Count-Min/HHH/RHHH (E11) |
 //! | `ablation` | eviction/estimator/budget design choices (E12) |
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Performance is measured by the repository's `bench/` workspace, not
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

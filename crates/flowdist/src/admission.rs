@@ -60,7 +60,7 @@ pub struct AdmissionKnobs {
     record_burst: AtomicU64,
     max_exporters: AtomicU64,
     max_open_windows: AtomicU64,
-    /// Core pinning for listen lanes and shard workers (0 = off).
+    /// Core pinning for listen lanes (0 = off).
     /// Lanes re-check per loop iteration, so `pin-cores=0` on the
     /// reload path unpins live threads.
     pin_cores: AtomicU64,
@@ -108,7 +108,7 @@ impl AdmissionKnobs {
         self.max_open_windows.store(windows, Ordering::Relaxed);
     }
 
-    /// Whether listen lanes and shard workers should pin to cores.
+    /// Whether listen lanes should pin to cores.
     pub fn pin_cores(&self) -> bool {
         self.pin_cores.load(Ordering::Relaxed) != 0
     }

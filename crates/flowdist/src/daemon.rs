@@ -7,7 +7,6 @@
 //! whenever the event-time watermark closes a window — in full or as a
 //! delta against the previous window to cut transfer volume.
 
-use crate::shard::ShardedTree;
 use crate::summary::{Summary, SummaryKind};
 use crate::window::WindowId;
 use flowkey::Schema;
@@ -41,21 +40,10 @@ pub struct DaemonConfig {
     /// Windows kept open to absorb event-time disorder before a window
     /// is considered closed (≥ 1).
     pub open_windows: usize,
-    /// Ingest shards per open window (≥ 1). Each window's tree is a
-    /// [`ShardedTree`] fanning updates across this many independent
-    /// per-core trees (budget split evenly); window close folds the
-    /// shards with the paper's `merge`, so emitted [`Summary`] bytes
-    /// have exactly the shape of an unsharded daemon's.
-    pub shards: usize,
-    /// Pin shard worker threads to cores (opt-in, best-effort, Linux
-    /// only). Applies to worker pools spawned after the flag is set —
-    /// i.e. from the next window on, when toggled live.
-    pub pin_cores: bool,
 }
 
 impl DaemonConfig {
-    /// A sensible default: 5-minute windows, paper-size trees,
-    /// unsharded ingest.
+    /// A sensible default: 5-minute windows, paper-size trees.
     pub fn new(site: u16) -> DaemonConfig {
         DaemonConfig {
             site,
@@ -64,15 +52,7 @@ impl DaemonConfig {
             tree: Config::paper(),
             transfer: TransferMode::Full,
             open_windows: 2,
-            shards: 1,
-            pin_cores: false,
         }
-    }
-
-    /// Builder-style setter for the shard count.
-    pub fn with_shards(mut self, shards: usize) -> DaemonConfig {
-        self.shards = shards.max(1);
-        self
     }
 }
 
@@ -99,7 +79,7 @@ pub struct DaemonStats {
 #[derive(Debug)]
 pub struct SiteDaemon {
     cfg: DaemonConfig,
-    open: BTreeMap<u64, ShardedTree>,
+    open: BTreeMap<u64, FlowTree>,
     /// Last *emitted* window tree, base for delta encoding.
     last_emitted: Option<(u64, FlowTree)>,
     /// Node count of the last closed window: what the next window
@@ -142,21 +122,12 @@ impl SiteDaemon {
         self.watermark_ms
     }
 
-    /// Toggles core pinning for shard worker pools spawned from now on
-    /// (live-reload path of the `pin-cores` knob; pools already running
-    /// keep their affinity until their window closes).
-    pub fn set_pin_workers(&mut self, pin: bool) {
-        self.cfg.pin_cores = pin;
-    }
-
     /// The open window starting at `start_ms`, opened on first use:
-    /// a fresh sharded tree honoring the pinning knob and reserved for
-    /// the previous window's final node count.
-    fn window_tree(&mut self, start_ms: u64) -> &mut ShardedTree {
+    /// a fresh tree reserved for the previous window's final node
+    /// count.
+    fn window_tree(&mut self, start_ms: u64) -> &mut FlowTree {
         self.open.entry(start_ms).or_insert_with(|| {
-            let cfg = &self.cfg;
-            let mut t = ShardedTree::new(cfg.schema, cfg.tree, cfg.shards);
-            t.set_pin_workers(cfg.pin_cores);
+            let mut t = FlowTree::new(self.cfg.schema, self.cfg.tree);
             t.reserve(self.last_nodes);
             t
         })
@@ -204,9 +175,8 @@ impl SiteDaemon {
     }
 
     /// Ingests a batch of pre-keyed masses that genuinely share one
-    /// event time, fanning the batch across the window's ingest shards
-    /// in parallel when `DaemonConfig::shards > 1`. Returns summaries
-    /// of any windows the advancing event time closed.
+    /// event time. Returns summaries of any windows the advancing event
+    /// time closed.
     ///
     /// Every item is attributed to the window containing `ts_ms` — for
     /// batches whose records carry their own timestamps (which may
@@ -226,15 +196,15 @@ impl SiteDaemon {
             self.stats.late_drops += batch.len() as u64;
             return out;
         }
-        let tree = self.window_tree(window.start_ms);
-        tree.par_insert_batch(batch);
+        self.window_tree(window.start_ms).insert_batch(batch);
         out
     }
 
     /// Ingests a batch of `(event_time_ms, key, mass)` items, routing
     /// **each item to the window containing its own timestamp** — the
     /// batch may span window boundaries freely (the streaming
-    /// [`crate::pipeline`] feeds the daemon through this). Items land
+    /// [`crate::pipeline`] feeds the daemon through the prehashed twin,
+    /// [`Self::ingest_prehashed_batch`]). Items land
     /// in their windows *before* the watermark advances to the batch's
     /// newest timestamp, so an item whose window was open on arrival is
     /// never closed out from under its own batch: it is included in the
@@ -249,59 +219,25 @@ impl SiteDaemon {
         &mut self,
         items: &[(u64, flowkey::FlowKey, Popularity)],
     ) -> Vec<Summary> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let span = self.cfg.window_ms;
-        let (mut max_ts, mut w_min, mut w_max) = (0u64, u64::MAX, 0u64);
-        for (ts, _, _) in items {
-            max_ts = max_ts.max(*ts);
-            let w = WindowId::containing(*ts, span).start_ms;
-            w_min = w_min.min(w);
-            w_max = w_max.max(w);
-        }
-        self.stats.records += items.len() as u64;
-        // Lateness is judged against the horizon as of arrival; the
-        // batch's own newest timestamp must not retro-drop its peers.
-        let oldest_open = self.oldest_allowed();
-        if w_min == w_max {
-            // The common shape — the pipeline sends window-bucketed
-            // batches — feeds the shards straight from the input slice.
-            if w_max < oldest_open {
-                self.stats.late_drops += items.len() as u64;
-            } else {
-                let tree = self.window_tree(w_max);
-                tree.par_insert_iter(items.iter().map(|(_, k, p)| (k, *p)), items.len());
-            }
-            return self.advance_watermark(max_ts);
-        }
-        let mut per_window: BTreeMap<u64, Vec<(flowkey::FlowKey, Popularity)>> = BTreeMap::new();
-        for (ts, key, pop) in items {
-            let window = WindowId::containing(*ts, span);
-            if window.start_ms < oldest_open {
-                self.stats.late_drops += 1;
-            } else {
-                per_window
-                    .entry(window.start_ms)
-                    .or_default()
-                    .push((*key, *pop));
-            }
-        }
-        for (start_ms, batch) in per_window {
-            let tree = self.window_tree(start_ms);
-            tree.par_insert_batch(&batch);
-        }
-        self.advance_watermark(max_ts)
+        let schema = self.cfg.schema;
+        let hashed: Vec<(u64, u64, flowkey::FlowKey, Popularity)> = items
+            .iter()
+            .map(|(ts, k, p)| {
+                let k = schema.canonicalize(k);
+                (*ts, flowkey::key_hash(&k), k, *p)
+            })
+            .collect();
+        self.ingest_prehashed_batch(&hashed)
     }
 
     /// [`Self::ingest_stamped_batch`] for items whose keys are
     /// **already canonicalized and hashed** — each item carries
     /// `(event_time_ms, key_hash, key, mass)`. The streaming pipeline
     /// hashes every record exactly once at decode time and this path
-    /// routes shards by that carried hash, so flush time does zero
+    /// indexes by that carried hash, so flush time does zero
     /// re-canonicalizing and re-hashing. Semantics (window routing,
-    /// lateness, watermark, counters) are identical to the stamped
-    /// path.
+    /// lateness, watermark, counters) are those of the stamped path,
+    /// which hashes its items and calls this.
     pub fn ingest_prehashed_batch(
         &mut self,
         items: &[(u64, u64, flowkey::FlowKey, Popularity)],
@@ -322,16 +258,14 @@ impl SiteDaemon {
         // batch's own newest timestamp must not retro-drop its peers.
         let oldest_open = self.oldest_allowed();
         if w_min == w_max {
-            // The common shape — the pipeline sends window-bucketed
-            // batches — feeds the shards straight from the input slice.
+            // The common shape: the pipeline sends window-bucketed
+            // batches.
             if w_max < oldest_open {
                 self.stats.late_drops += items.len() as u64;
             } else {
-                let tree = self.window_tree(w_max);
-                tree.par_insert_prehashed_iter(
-                    items.iter().map(|(_, h, k, p)| (*h, *k, *p)),
-                    items.len(),
-                );
+                let mut batch: Vec<(u64, flowkey::FlowKey, Popularity)> =
+                    items.iter().map(|(_, h, k, p)| (*h, *k, *p)).collect();
+                self.window_tree(w_max).insert_batch_prehashed(&mut batch);
             }
             return self.advance_watermark(max_ts);
         }
@@ -348,10 +282,9 @@ impl SiteDaemon {
                     .push((*hash, *key, *pop));
             }
         }
-        for (start_ms, batch) in per_window {
-            let len = batch.len();
-            let tree = self.window_tree(start_ms);
-            tree.par_insert_prehashed_iter(batch.into_iter(), len);
+        for (start_ms, mut batch) in per_window {
+            self.window_tree(start_ms)
+                .insert_batch_prehashed(&mut batch);
         }
         self.advance_watermark(max_ts)
     }
@@ -395,13 +328,7 @@ impl SiteDaemon {
     }
 
     fn close_window(&mut self, start_ms: u64) -> Summary {
-        // Fold the window's ingest shards into one tree via the
-        // paper's `merge`; with `shards == 1` this is a move.
-        let mut tree = self
-            .open
-            .remove(&start_ms)
-            .expect("window open")
-            .into_tree();
+        let mut tree = self.open.remove(&start_ms).expect("window open");
         self.last_nodes = tree.len();
         // Closed: from here the tree is only diffed against, queued
         // and encoded.

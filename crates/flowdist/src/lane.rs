@@ -827,8 +827,6 @@ impl Lane {
                 .pinned
                 .store(self.pinned as u64, Ordering::Relaxed);
         }
-        // Worker pools of future windows follow the same knob.
-        self.pipeline.set_pin_workers(want);
     }
 
     /// Publishes the lane's counters (store semantics — this thread is

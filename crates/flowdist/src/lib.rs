@@ -8,16 +8,8 @@
 //! queries across sites and time, and raises **alarms** on significant
 //! window-over-window differences.
 //!
-//! * [`SiteDaemon`] — windowed summarization at one site, with
-//!   optional sharded parallel ingest (`DaemonConfig::shards`).
-//! * [`ShardedTree`] — fans updates across N per-core Flowtrees keyed
-//!   by the flow-key hash and folds them with the paper's §2 `merge`
-//!   operator (complementary popularities are additive, so node-wise
-//!   merging of shard summaries reconstructs the unsharded summary);
-//!   the emitted wire bytes are shape-identical to an unsharded tree.
-//!   Parallel batches run on persistent per-shard worker threads with
-//!   bounded queues (no per-batch thread spawn); every read drains the
-//!   queues first, so folds are byte-identical to sequential ingest.
+//! * [`SiteDaemon`] — windowed summarization at one site: one
+//!   Flowtree per open window.
 //! * [`pipeline`] — the streaming ingest loop: raw NetFlow v5/v9/IPFIX
 //!   exporter payloads are decoded ([`flownet::ExportDecoder`]),
 //!   bucketed per open window by each record's own timestamp, and fed
@@ -87,14 +79,12 @@ pub mod ops;
 pub mod pipeline;
 pub mod ring;
 pub mod runtime;
-pub mod shard;
 pub mod sim;
 pub mod sockopt;
 pub mod spill;
 pub mod store;
 pub mod summary;
 pub mod window;
-mod worker;
 
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionKnobs, AdmissionStats};
 pub use alarm::{AlarmConfig, AlarmEvent, Direction};
@@ -110,7 +100,6 @@ pub use listen::{
 pub use mrecv::{BatchReceiver, MAX_RECV_BATCH};
 pub use pipeline::{IngestPipeline, PipelineStats};
 pub use runtime::{SiteDrainReport, SiteNodeConfig, SiteRuntime};
-pub use shard::ShardedTree;
 pub use sim::{SimConfig, SimReport, SiteRun};
 pub use spill::{FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
 pub use store::{LoadReport, SummaryStore};

@@ -9,7 +9,7 @@
 //! hashes each flow key exactly once, buckets records by open window,
 //! and feeds the daemon in batches through
 //! [`SiteDaemon::ingest_prehashed_batch`] instead of per-record calls —
-//! so the sharded worker pool sees real batches routed by the carried
+//! so the tree's batch path sees real batches indexed by the carried
 //! hash and neither per-record call overhead nor flush-time re-hashing
 //! survives on the hot path.
 //!
@@ -89,7 +89,7 @@ pub struct IngestPipeline {
     batch: usize,
     /// Per open window: records stamped with their own event time and
     /// carrying their canonicalized key's hash — computed exactly once
-    /// here at push time, so flush-time shard routing re-hashes
+    /// here at push time, so the flush-time tree insert re-hashes
     /// nothing.
     pending: BTreeMap<u64, Vec<(u64, u64, FlowKey, Popularity)>>,
     /// Start of the newest window any record has reached.
@@ -100,7 +100,7 @@ pub struct IngestPipeline {
     stats: PipelineStats,
     /// Per-packet decode latency, when the owner wired a registry.
     decode_hist: Option<Histogram>,
-    /// Per-batch flush latency (one `ingest_stamped_batch` call).
+    /// Per-batch flush latency (one `ingest_prehashed_batch` call).
     flush_hist: Option<Histogram>,
 }
 
@@ -151,13 +151,6 @@ impl IngestPipeline {
     /// records dropped for lack of a template).
     pub fn decoder_stats(&self) -> DecoderStats {
         self.decoder.stats()
-    }
-
-    /// Toggles core pinning for the daemon's shard worker pools (the
-    /// `pin-cores` knob's live-reload path; applies from the next
-    /// window's pool on).
-    pub fn set_pin_workers(&mut self, pin: bool) {
-        self.daemon.set_pin_workers(pin);
     }
 
     /// Sets the open-window budget: more than `windows` distinct
@@ -264,8 +257,7 @@ impl IngestPipeline {
                 out.extend(self.daemon.advance_watermark(start_ms));
             }
             // Canonicalize + hash once, here; the hash rides with the
-            // record so the daemon's shard router and the tree index
-            // both reuse it.
+            // record so the tree index reuses it.
             let key = schema.canonicalize(&r.flow_key());
             let hash = key_hash(&key);
             let bucket = self.pending.entry(start_ms).or_default();
@@ -344,12 +336,11 @@ mod tests {
     use crate::daemon::{DaemonConfig, TransferMode};
     use flowtree_core::Config;
 
-    fn pipeline(window_ms: u64, batch: usize, shards: usize) -> IngestPipeline {
+    fn pipeline(window_ms: u64, batch: usize) -> IngestPipeline {
         let mut cfg = DaemonConfig::new(3);
         cfg.window_ms = window_ms;
         cfg.transfer = TransferMode::Full;
         cfg.tree = Config::with_budget(512);
-        cfg.shards = shards;
         IngestPipeline::new(SiteDaemon::new(cfg), batch)
     }
 
@@ -370,7 +361,7 @@ mod tests {
 
     #[test]
     fn v5_packets_flow_end_to_end() {
-        let mut p = pipeline(1_000, 8, 2);
+        let mut p = pipeline(1_000, 8);
         let records: Vec<FlowRecord> = (0..20).map(|i| record(100 + i * 10, i as u8, 2)).collect();
         for chunk in records.chunks(5) {
             let pkt = flownet::netflow5::encode(chunk, 1_000, 0);
@@ -389,7 +380,7 @@ mod tests {
 
     #[test]
     fn records_near_a_boundary_land_in_their_own_windows() {
-        let mut p = pipeline(1_000, 64, 1);
+        let mut p = pipeline(1_000, 64);
         // One v5 packet whose records straddle the window boundary —
         // the single-stamp batch path misattributed exactly this case.
         let records = vec![record(950, 1, 3), record(1_050, 2, 5)];
@@ -406,7 +397,7 @@ mod tests {
 
     #[test]
     fn full_buckets_flush_older_stragglers_first() {
-        let mut p = pipeline(1_000, 4, 1);
+        let mut p = pipeline(1_000, 4);
         // A straggler in window 0, then enough window-1 records to trip
         // the batch threshold: the straggler must reach the daemon
         // before window 1's batch advances the watermark.
@@ -426,7 +417,7 @@ mod tests {
         // Batch threshold far above the rate: flushing must ride the
         // window cadence instead, keeping buffered memory bounded and
         // summaries coming.
-        let mut p = pipeline(1_000, 4_096, 1);
+        let mut p = pipeline(1_000, 4_096);
         let mut closed = Vec::new();
         for w in 0u64..5 {
             for i in 0..3u64 {
@@ -452,7 +443,7 @@ mod tests {
         // The default batch exceeds everything this stream holds: no
         // bucket ever fills. Window 0 must still close on the first
         // record of window 2 (open_windows = 2), from that very call.
-        let mut p = pipeline(1_000, DEFAULT_BATCH, 1);
+        let mut p = pipeline(1_000, DEFAULT_BATCH);
         for w in 0..2u64 {
             for i in 0..50u64 {
                 let out = p.push_records(&[record(w * 1_000 + 10 + i, i as u8, 1)]);
@@ -479,7 +470,7 @@ mod tests {
         // A straggler for window 0 after window 2 has begun is behind
         // the horizon at every batch size; one for window 1 is not.
         for batch in [1, 4_096] {
-            let mut p = pipeline(1_000, batch, 1);
+            let mut p = pipeline(1_000, batch);
             let mut summaries =
                 p.push_records(&[record(100, 1, 1), record(1_100, 2, 1), record(2_100, 3, 1)]);
             summaries.extend(p.push_records(&[record(900, 4, 1), record(1_900, 5, 1)]));
@@ -493,7 +484,7 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_survived_and_counted() {
-        let mut p = pipeline(1_000, 8, 1);
+        let mut p = pipeline(1_000, 8);
         assert!(p.push_packet(b"definitely not netflow").is_empty());
         assert!(p.push_packet(&[]).is_empty());
         assert_eq!(p.stats().decode_errors, 2);
@@ -506,7 +497,7 @@ mod tests {
 
     #[test]
     fn scattered_stale_timestamps_cannot_grow_the_buffer_unboundedly() {
-        let mut p = pipeline(1_000, 8, 1);
+        let mut p = pipeline(1_000, 8);
         // Anchor the newest window far ahead of the stale records.
         p.push_records(&[record(1_000_000, 1, 1)]);
         // A broken-clock exporter: every record in a distinct stale
@@ -533,7 +524,7 @@ mod tests {
 
     #[test]
     fn mixed_dialects_share_one_pipeline() {
-        let mut p = pipeline(1_000, 128, 2);
+        let mut p = pipeline(1_000, 128);
         let recs: Vec<FlowRecord> = (0..6).map(|i| record(200 + i, i as u8, 1)).collect();
         p.push_packet(&flownet::netflow5::encode(&recs[..2], 500, 0));
         p.push_packet(&flownet::netflow9::encode(&recs[2..4], 500, 1, 7));

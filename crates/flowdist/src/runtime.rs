@@ -44,8 +44,6 @@ pub struct SiteNodeConfig {
     pub stats: Option<String>,
     /// Window span (ms).
     pub window_ms: u64,
-    /// Parallel ingest shards (1 = unsharded).
-    pub shards: usize,
     /// Per-window tree node budget.
     pub budget: usize,
     /// Records per pipeline batch.
@@ -69,15 +67,14 @@ pub struct SiteNodeConfig {
     /// platform supports it (`false` forces the portable fanout-ring
     /// mode).
     pub reuseport: bool,
-    /// Pin lane threads and shard workers to cores (live-reloadable
-    /// via `pin-cores` on `POST /reload`).
+    /// Pin lane threads to cores (live-reloadable via `pin-cores` on
+    /// `POST /reload`).
     pub pin_cores: bool,
 }
 
 impl SiteNodeConfig {
     /// Defaults for one site shipping to `upstream`: 5-minute windows,
-    /// unsharded, the five-feature schema, default hardening limits,
-    /// quotas off.
+    /// the five-feature schema, default hardening limits, quotas off.
     pub fn new(site: u16, upstream: impl Into<String>) -> SiteNodeConfig {
         SiteNodeConfig {
             site,
@@ -85,7 +82,6 @@ impl SiteNodeConfig {
             upstream: upstream.into(),
             stats: None,
             window_ms: 300_000,
-            shards: 1,
             budget: 1 << 16,
             batch: crate::pipeline::DEFAULT_BATCH,
             receive_buffer_bytes: None,
@@ -156,8 +152,6 @@ impl SiteRuntime {
         dcfg.schema = Schema::five_feature();
         dcfg.tree = flowtree_core::Config::with_budget(cfg.budget);
         dcfg.transfer = TransferMode::Full;
-        dcfg.shards = cfg.shards.max(1);
-        dcfg.pin_cores = cfg.pin_cores;
         let telemetry = SiteTelemetry {
             registry: Registry::new(),
             events: EventRing::new(256),

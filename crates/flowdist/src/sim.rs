@@ -125,8 +125,6 @@ where
                 tree: cfg.tree,
                 transfer: cfg.transfer,
                 open_windows: 2,
-                shards: 1,
-                pin_cores: false,
             })
         })
         .collect();
@@ -224,8 +222,6 @@ where
                     tree: cfg.tree,
                     transfer: cfg.transfer,
                     open_windows: 2,
-                    shards: 1,
-                    pin_cores: false,
                 });
                 for meta in rx {
                     for record in cache.observe(&meta) {

@@ -18,7 +18,7 @@
 //!   to one port let the kernel fan incoming datagrams across N
 //!   independent readers — the multi-lane ingest path.
 //! * [`pin_current_thread`] / [`unpin_current_thread`] — opt-in CPU
-//!   affinity for listen lanes and shard workers.
+//!   affinity for listen lanes.
 //!
 //! Everything is best-effort by design: the kernel clamps `SO_RCVBUF`
 //! requests to `net.core.rmem_max` (and doubles them for bookkeeping),

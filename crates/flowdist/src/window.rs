@@ -7,7 +7,6 @@
 
 /// One time window `[start_ms, start_ms + span_ms)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowId {
     /// Window start, epoch milliseconds (multiple of `span_ms`).
     pub start_ms: u64,

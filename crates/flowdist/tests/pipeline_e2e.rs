@@ -1,7 +1,7 @@
 //! End-to-end: a NetFlow v5 export packet assembled **by hand, byte by
 //! byte** (independent of `flownet`'s own encoder) travels the whole
-//! streaming path — unified decode → per-window bucketing → sharded
-//! daemon ingest → emitted summary — and the summary answers queries
+//! streaming path — unified decode → per-window bucketing → daemon
+//! ingest → emitted summary — and the summary answers queries
 //! with the right masses and accounting.
 
 use flowdist::daemon::{DaemonConfig, SiteDaemon, TransferMode};
@@ -71,7 +71,6 @@ fn handmade_netflow5_packet_reaches_a_queryable_summary() {
     cfg.schema = Schema::five_feature();
     cfg.tree = Config::with_budget(2_048);
     cfg.transfer = TransferMode::Full;
-    cfg.shards = 2;
     let daemon = SiteDaemon::new(cfg);
     let mut pipeline = IngestPipeline::new(daemon, 1_024);
 
@@ -177,7 +176,6 @@ fn pipeline_batches_many_handmade_packets_across_windows() {
     cfg.window_ms = 1_000;
     cfg.schema = Schema::five_feature();
     cfg.tree = Config::with_budget(1_024);
-    cfg.shards = 4;
     let mut pipeline = IngestPipeline::new(SiteDaemon::new(cfg), 32);
 
     // 40 packets × 5 records, event time marching forward ~150 ms per

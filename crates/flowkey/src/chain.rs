@@ -27,7 +27,6 @@ use crate::{Dim, FlowKey, NUM_DIMS};
 
 /// Per-dimension hierarchy depths of a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DepthProfile(pub [u16; NUM_DIMS]);
 
 impl DepthProfile {

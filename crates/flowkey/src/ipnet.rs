@@ -14,7 +14,6 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// An IPv4 network prefix in canonical form (host bits zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ipv4Net {
     addr: u32,
     len: u8,
@@ -166,7 +165,6 @@ impl FromStr for Ipv4Net {
 
 /// An IPv6 network prefix in canonical form (host bits zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ipv6Net {
     addr: u128,
     len: u8,
@@ -317,7 +315,6 @@ impl FromStr for Ipv6Net {
 /// family → [`IpNet::Any`]. Depth is therefore `len + 1` for a concrete
 /// prefix and `0` for the wildcard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IpNet {
     /// Matches every address of both families (the hierarchy root).
     #[default]

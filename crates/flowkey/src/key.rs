@@ -15,7 +15,6 @@ use core::fmt;
 /// sorted deterministically (e.g. for canonical serialization), not
 /// because the order is semantically meaningful.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowKey {
     /// Source IP prefix.
     pub src: IpNet,

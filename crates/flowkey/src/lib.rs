@@ -47,13 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature is a placeholder: this workspace builds offline and serde is not \
-     vendored. Vendor serde, add it as an optional dependency of flowkey (and drop this \
-     compile_error!) to enable the gated derives. See ROADMAP.md \"Open items\"."
-);
-
 pub mod chain;
 pub mod hash;
 pub mod ipnet;

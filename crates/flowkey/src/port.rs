@@ -13,7 +13,6 @@ use core::str::FromStr;
 
 /// A dyadic port range: the `plen` leading bits of the port are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PortRange {
     base: u16,
     plen: u8,

@@ -22,7 +22,6 @@ pub const ESP: u8 = 50;
 
 /// An IP protocol, concrete or wildcard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Proto {
     /// Matches every protocol (the hierarchy root).
     #[default]

@@ -12,7 +12,6 @@ use crate::{Dim, FlowKey, IpNet, PortRange, Proto, Site, TimeBucket, NUM_DIMS};
 
 /// The flow types used in the paper plus the distributed-system extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchemaKind {
     /// 1-feature flows: source prefix only (paper Fig. 2a).
     Src1,
@@ -72,7 +71,6 @@ const LOG2_FANOUT: [u16; NUM_DIMS] = [
 
 /// A flow schema: active dimensions plus chain-schedule constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schema {
     kind: SchemaKind,
     active: [bool; NUM_DIMS],

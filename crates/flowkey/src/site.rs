@@ -15,7 +15,6 @@ pub const SITES_PER_REGION: u16 = 256;
 
 /// A monitor location: wildcard, a region of sites, or a concrete site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Site {
     /// All sites (the hierarchy root).
     #[default]

@@ -14,7 +14,6 @@ use core::str::FromStr;
 
 /// A dyadic bucket of Unix time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeBucket {
     /// Start of the bucket in Unix seconds (multiple of `1 << level`).
     start: u64,

@@ -16,8 +16,7 @@
 //!   export round-trip, query.
 //! * [`Stopwatch`] — the hot-path timer. With the `hot-timers` feature
 //!   (default on) it reads `Instant`; compiled out it is a zero-sized
-//!   no-op, which is what the instrumentation-overhead benchmark
-//!   toggles.
+//!   no-op.
 //!
 //! Exposition is text-based and allocation-at-scrape-time only:
 //! [`Registry::render_prometheus`] emits the Prometheus text format
@@ -498,6 +497,13 @@ mod tests {
         } else {
             assert_eq!(h.count(), 0);
         }
+    }
+
+    #[cfg(not(feature = "hot-timers"))]
+    #[test]
+    fn stopwatch_compiles_out_without_hot_timers() {
+        assert!(!Stopwatch::enabled());
+        assert_eq!(std::mem::size_of::<Stopwatch>(), 0);
     }
 
     #[test]

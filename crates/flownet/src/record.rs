@@ -6,7 +6,6 @@ use std::net::{IpAddr, Ipv4Addr};
 /// A flow record as produced by a router's export engine (NetFlow/IPFIX)
 /// or by our own [`FlowCache`](crate::exporter::FlowCache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRecord {
     /// Source address.
     pub src: IpAddr,

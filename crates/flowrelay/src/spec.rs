@@ -85,7 +85,7 @@ pub struct SiteSpec {
     /// Multi-socket `SO_REUSEPORT` mode for `lanes > 1` where
     /// supported.
     pub reuseport: bool,
-    /// Pin lane threads and shard workers to cores.
+    /// Pin lane threads to cores.
     pub pin_cores: bool,
 }
 

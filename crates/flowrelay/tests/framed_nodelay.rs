@@ -131,27 +131,33 @@ fn every_framed_connection_is_nodelay_on_both_ends() {
         ("export shipper -> parent ingest", root.ingest_addr()),
         ("query client -> relay query", leaf.query_addr()),
     ];
+    // A node sets the option on an accepted socket right after
+    // `accept` returns, on its own thread: a scan can land in between,
+    // so poll until every end reports it (or the deadline passes).
     let deadline = Instant::now() + Duration::from_secs(30);
-    let socks = loop {
+    loop {
         let socks = tcp_sockets();
         let live = links.iter().all(|(_, addr)| {
             let (dialled, accepted) = ends(&socks, *addr);
             !dialled.is_empty() && !accepted.is_empty()
         });
-        if live {
-            break socks;
+        let all_nodelay = links.iter().all(|(_, addr)| {
+            let (dialled, accepted) = ends(&socks, *addr);
+            dialled.iter().chain(&accepted).all(|s| s.nodelay)
+        });
+        if live && all_nodelay {
+            break;
         }
-        assert!(
-            Instant::now() < deadline,
-            "connections never came up: {socks:?}"
-        );
+        if Instant::now() >= deadline {
+            assert!(live, "connections never came up: {socks:?}");
+            for (what, addr) in links {
+                let (dialled, accepted) = ends(&socks, addr);
+                for s in dialled.iter().chain(&accepted) {
+                    assert!(s.nodelay, "{what}: TCP_NODELAY off on {s:?}");
+                }
+            }
+        }
         std::thread::sleep(Duration::from_millis(20));
-    };
-    for (what, addr) in links {
-        let (dialled, accepted) = ends(&socks, addr);
-        for s in dialled.iter().chain(&accepted) {
-            assert!(s.nodelay, "{what}: TCP_NODELAY off on {s:?}");
-        }
     }
 
     drop(query);

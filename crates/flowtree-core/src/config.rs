@@ -5,7 +5,6 @@ use crate::pop::Metric;
 /// How the self-adjustment step picks victims when the tree exceeds its
 /// node budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EvictionPolicy {
     /// Evict the leaf with the smallest complementary popularity
     /// (ties broken towards the least recently touched). This is the
@@ -21,7 +20,6 @@ pub enum EvictionPolicy {
 /// How queries for keys that are absent from the tree split the residual
 /// (complementary) mass of the nearest retained ancestors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Estimator {
     /// Split residual mass uniformly over the ancestor's uncovered
     /// space: each hierarchy level halves the share (protocol and site
@@ -39,7 +37,6 @@ pub enum Estimator {
 
 /// Flowtree tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Config {
     /// Maximum number of tree nodes, including the root and internal
     /// join nodes. The paper's evaluation uses 40 000.

@@ -30,13 +30,9 @@
 //!   once, settle the hits, place the misses in chain order from a
 //!   descent finger (no upward probes, a few hops each), one budget
 //!   check per batch.
-//! * [`FlowTree::insert_prehashed`] / [`FlowTree::insert_batch_prehashed`]
-//!   — for callers that already hold [`flowkey::key_hash`]es, like
-//!   `flowdist`'s sharded parallel ingest, which routes keys to
-//!   per-core trees by that same hash and folds the shards with the
-//!   paper's §2 `merge` (complementary popularities are additive, so
-//!   node-wise merging of shard summaries reconstructs the unsharded
-//!   summary).
+//! * [`FlowTree::insert_batch_prehashed`] — for callers that already
+//!   hold [`flowkey::key_hash`]es, like `flowdist`'s ingest pipeline,
+//!   which hashes each record once at decode time.
 //!
 //! ## Quick start
 //!
@@ -73,8 +69,6 @@ mod hasher;
 mod pop;
 mod query;
 mod render;
-#[cfg(feature = "serde")]
-mod serde_impl;
 mod table;
 mod tree;
 

@@ -11,7 +11,6 @@ use core::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 
 /// Which counter a policy (eviction, top-k, HHH) ranks by.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Metric {
     /// Rank by packet count (the paper's figures use packets).
     #[default]
@@ -24,7 +23,6 @@ pub enum Metric {
 
 /// Packet, byte, and flow counts of a (generalized) flow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Popularity {
     /// Number of packets.
     pub packets: i64,

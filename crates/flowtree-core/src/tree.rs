@@ -79,8 +79,8 @@
 //!   its budget by the batch length, exactly as `merge` does); each
 //!   compaction sweeps the arena and builds a heap over every leaf.
 //!
-//! Sharded parallel ingest (`flowdist::ShardedTree`) routes shards by
-//! the same key hash and feeds each shard through the batch path.
+//! `flowdist`'s site daemon hashes each record once at decode time and
+//! feeds every open window through the batch path with that hash.
 //!
 //! ## What a tree costs
 //!
@@ -168,13 +168,12 @@ struct BatchScratch {
     orders: Vec<(Schema, DepthProfile, ChainOrder)>,
 }
 
-/// The memoized [`ChainOrder`] of a key shape, built (and counted in
-/// `builds`) the first time a thread sees the shape.
+/// The memoized [`ChainOrder`] of a key shape, built the first time a
+/// thread sees the shape.
 fn order_for<'a>(
     orders: &'a mut Vec<(Schema, DepthProfile, ChainOrder)>,
     schema: &Schema,
     profile: DepthProfile,
-    builds: &mut u64,
 ) -> &'a ChainOrder {
     match orders
         .iter()
@@ -184,7 +183,6 @@ fn order_for<'a>(
         None => {
             orders.truncate(ORDER_MEMO_CAP - 1);
             orders.insert(0, (*schema, profile, ChainOrder::new(schema, profile)));
-            *builds += 1;
         }
     }
     &orders[0].2
@@ -262,12 +260,6 @@ pub struct Stats {
     /// path — allocated and attached from another tree's stored key
     /// hashes with **zero** index probes (see [`FlowTree::merge_many`]).
     pub grafted_nodes: u64,
-    /// Chain-order builds: misses of the ingesting thread's per-shape
-    /// [`flowkey::ChainOrder`] memo on the batch miss path. At most the
-    /// number of distinct key shapes as long as the working set fits
-    /// the memo, and zero for a tree whose thread has seen its shapes
-    /// before.
-    pub profile_builds: u64,
 }
 
 impl Stats {
@@ -683,19 +675,6 @@ impl FlowTree {
         self.insert_batch_prehashed(&mut items);
     }
 
-    /// Records mass for a key already canonicalized to this tree's
-    /// schema, with its precomputed [`flowkey::key_hash`] — the
-    /// zero-rehash entry point sharded ingest uses (the shard router
-    /// has necessarily hashed the key already). Compacts if the node
-    /// budget is exceeded.
-    pub fn insert_prehashed(&mut self, key: FlowKey, hash: u64, pop: Popularity) {
-        debug_assert!(self.schema.conforms(&key), "key not canonicalized");
-        self.add_mass_hashed(key, hash, pop);
-        if self.live > self.cfg.node_budget {
-            self.compact();
-        }
-    }
-
     /// [`FlowTree::insert_batch`] over pre-canonicalized, pre-hashed
     /// items, in two passes:
     ///
@@ -745,8 +724,7 @@ impl FlowTree {
         if misses.len() > 1 {
             for (order_key, at) in misses.iter_mut() {
                 let key = &items[*at].1;
-                let builds = &mut self.stats.profile_builds;
-                *order_key = order_for(orders, &schema, DepthProfile::of(key), builds).key(key);
+                *order_key = order_for(orders, &schema, DepthProfile::of(key)).key(key);
             }
             // Ties (duplicates, truncated keys) keep arrival order.
             misses.sort_unstable();
@@ -1596,7 +1574,7 @@ impl FlowTree {
     /// on the node set, never on arrival order, so any two trees
     /// holding the same nodes store — and therefore wire-encode — them
     /// identically. Structural merges co-walk these ordered lists, and
-    /// the byte-identity guarantees of `merge_many`/sharded folds rest
+    /// the byte-identity guarantees of `merge_many`/lane merges rest
     /// on this invariant (checked by [`FlowTree::validate`]).
     fn attach(&mut self, child: u32, parent: u32, step_hash: u64) {
         let child_key = self.nodes[child as usize].key;
@@ -1903,9 +1881,9 @@ impl FlowTree {
         Some(nid)
     }
 
-    /// Rebuilds a tree from `(key, comp)` masses (used by serde and the
-    /// trusted decode path). Keys are canonicalized; masses at identical
-    /// keys accumulate.
+    /// Rebuilds a tree from `(key, comp)` masses (the collector's
+    /// lifted time+site tree builds its parts this way). Keys are
+    /// canonicalized; masses at identical keys accumulate.
     pub fn from_masses<I>(schema: Schema, cfg: Config, masses: I) -> FlowTree
     where
         I: IntoIterator<Item = (FlowKey, Popularity)>,

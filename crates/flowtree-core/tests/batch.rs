@@ -129,14 +129,6 @@ fn prehashed_entry_points_agree_with_insert() {
         plain.insert(k, *p);
     }
 
-    let mut prehashed = FlowTree::new(schema, Config::with_budget(4096));
-    for (k, p) in &keys {
-        let ck = schema.canonicalize(k);
-        prehashed.insert_prehashed(ck, flowkey::key_hash(&ck), *p);
-    }
-    prehashed.validate();
-    assert_eq!(masses(&prehashed), masses(&plain));
-
     let mut items: Vec<(u64, FlowKey, Popularity)> = keys
         .iter()
         .map(|(k, p)| {
