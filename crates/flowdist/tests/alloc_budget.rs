@@ -140,6 +140,26 @@ fn a_hostile_count_reserves_nothing() {
 }
 
 #[test]
+fn decoding_a_frame_requests_its_arena_and_nothing_more() {
+    let tree = tree_of(1_000, Config::default());
+    let len = tree.len();
+    let frame = tree.encode();
+    drop(tree);
+    let (decoded, cost) = measure(|| FlowTree::decode(&frame, Config::default()));
+    let decoded = decoded.expect("a clean frame decodes");
+    assert_eq!(decoded.len(), len);
+    // The arena, sized once from the frame's count: no key index, no
+    // per-row side tables, no growth.
+    let budget = len * NODE_BYTES * 105 / 100 + 1_024;
+    assert!(
+        cost.requested as usize <= budget,
+        "decoding {len} nodes requested {} B in {} allocations, budget {budget} B",
+        cost.requested,
+        cost.events
+    );
+}
+
+#[test]
 fn a_stored_window_costs_its_nodes_and_no_index() {
     let summary = Summary {
         site: 3,

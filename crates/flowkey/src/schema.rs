@@ -156,9 +156,17 @@ impl Schema {
 
     /// Whether `key` keeps every inactive dimension at its wildcard.
     pub fn conforms(&self, key: &FlowKey) -> bool {
-        Dim::ALL
-            .into_iter()
-            .all(|d| self.is_active(d) || key.dim_depth(d) == 0)
+        self.conforms_profile(&DepthProfile::of(key))
+    }
+
+    /// [`Schema::conforms`] for a key whose depth profile is at hand.
+    #[inline]
+    pub fn conforms_profile(&self, profile: &DepthProfile) -> bool {
+        profile
+            .0
+            .iter()
+            .zip(&self.active)
+            .all(|(d, a)| *a || *d == 0)
     }
 
     /// Forces inactive dimensions to their wildcards.
@@ -221,33 +229,6 @@ impl Schema {
             depth -= 1;
         }
         cur
-    }
-
-    /// The canonical chain ancestor of `key` at `target_depth` together
-    /// with the one-step-deeper ancestor (the *step* at
-    /// `target_depth + 1`) from a single upward walk — callers that
-    /// need both (e.g. the codec's decode fast path, which validates a
-    /// claimed parent and attaches at its step in one pass) avoid
-    /// walking the chain twice.
-    ///
-    /// Requires `target_depth < depth(key)` (debug-asserted); the step
-    /// would not exist otherwise.
-    pub fn chain_ancestor_with_step(&self, key: &FlowKey, target_depth: u32) -> (FlowKey, FlowKey) {
-        debug_assert!(target_depth < self.depth(key));
-        let mut profile = DepthProfile::of(key);
-        let mut depth = profile.total(&self.active);
-        let mut cur = *key;
-        let mut step = *key;
-        while depth > target_depth {
-            let Some(dim) = next_dim(&profile, &self.active, &SCHEDULE_WEIGHT) else {
-                break;
-            };
-            step = cur;
-            cur = cur.generalize(dim).expect("next_dim only picks depth > 0");
-            profile.0[dim.index()] -= 1;
-            depth -= 1;
-        }
-        (cur, step)
     }
 
     /// Iterates the canonical chain upward: the parent of `key`, then
@@ -638,18 +619,6 @@ mod tests {
         // is no longer an ancestor of b.
         let deeper = schema.chain_ancestor(&a, schema.depth(&l) + 1);
         assert!(!schema.is_chain_ancestor(&deeper, &b));
-    }
-
-    #[test]
-    fn chain_ancestor_with_step_agrees_with_two_walks() {
-        let schema = Schema::five_feature();
-        let k = key("src=10.1.2.3/32 dst=192.0.2.9/32 sport=49152 dport=443 proto=udp");
-        let full = schema.depth(&k);
-        for d in 0..full {
-            let (anc, step) = schema.chain_ancestor_with_step(&k, d);
-            assert_eq!(anc, schema.chain_ancestor(&k, d));
-            assert_eq!(step, schema.chain_ancestor(&k, d + 1));
-        }
     }
 
     #[test]

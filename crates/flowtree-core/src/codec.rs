@@ -21,21 +21,48 @@
 //! ```
 //!
 //! The emitted pre-order is **canonical**: sibling lists are kept in
-//! step-hash order, so any two trees holding the same node set encode
-//! to identical bytes regardless of how the nodes arrived (insertion,
-//! batch, sharded fold, or structural merge). Decoders do not depend
-//! on the order — parent references alone carry the structure — so
-//! frames produced by older writers remain readable.
+//! step-hash order and emitted from a stack, so every node's children
+//! arrive in strictly descending step hash, and any two trees holding
+//! the same node set encode to identical bytes regardless of how the
+//! nodes arrived (insertion, batch, lane merge, or structural merge).
+//!
+//! ## Decoding is a bulk load
+//!
+//! The decoder verifies that order and uses it. Row `i` becomes arena
+//! node `i`, linked in front of its parent's children in O(1), once two
+//! checks pass: its parent is a strict chain ancestor (the closed-form
+//! LCCA of the two keys is the parent itself — `O(dims)`, no chain
+//! walk), and its chain step under the parent hashes strictly below
+//! that of the parent's previous child. No index is probed or built and
+//! no side table is kept; the tree comes back **frozen** (exact arena,
+//! no index, see [`crate::tree`]) and builds its index on the first
+//! point lookup, like any stored window.
+//!
+//! The two checks are all validity needs. Distinct sibling steps make
+//! any two nodes of which one is a chain ancestor of the other (or
+//! which hold the same key) tree relatives: below their lowest common
+//! tree ancestor their branches would start at the same chain step.
+//! So no key occurs twice, and every parent is its child's *longest*
+//! retained chain ancestor, which is what the insert path would have
+//! made it.
+//!
+//! A frame that is valid but not in that order — hand-built, from an
+//! older writer, or carrying a 64-bit step-hash collision — still
+//! decodes, to the tree inserting its rows builds: from the first row
+//! that breaks the order on, rows are placed through the ordinary
+//! insert path, and a key seen twice is rejected as a duplicate.
+//! Either way node `k`'s update stamp is its stream position, so a
+//! decoded tree compacts the same whichever way it was placed.
 
 use crate::pop::Popularity;
-use crate::tree::FlowTree;
+use crate::tree::{profile_depth, roll_step, FlowTree};
 use crate::Config;
 use core::fmt;
 use flowkey::pack::{
     pack_key, packed_key_len, read_varint, unpack_key, varint_len, varint_signed_len, write_varint,
     write_varint_signed,
 };
-use flowkey::{key_hash, FlowKey, Schema, SchemaKind};
+use flowkey::{key_hash, DepthProfile, FlowKey, Schema, SchemaKind};
 
 /// Magic bytes of the Flowtree wire format.
 pub const MAGIC: [u8; 4] = *b"FTR1";
@@ -88,6 +115,42 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// One node row of a frame, parsed; its key conforms to the schema.
+struct Row {
+    parent_pos: u64,
+    key: FlowKey,
+    profile: DepthProfile,
+    comp: Popularity,
+}
+
+/// Parses the row at `*pos`, advancing `*pos` past it.
+fn read_row(bytes: &[u8], pos: &mut usize, schema: &Schema) -> Result<Row, CodecError> {
+    let (parent_pos, n) = read_varint(&bytes[*pos..]).map_err(|_| CodecError::Truncated)?;
+    *pos += n;
+    let (key, n) = unpack_key(&bytes[*pos..]).map_err(|e| match e {
+        flowkey::pack::UnpackError::Truncated => CodecError::Truncated,
+        flowkey::pack::UnpackError::Invalid => CodecError::BadKey,
+    })?;
+    *pos += n;
+    let mut comp = Popularity::ZERO;
+    for field in [&mut comp.packets, &mut comp.bytes, &mut comp.flows] {
+        let (v, n) =
+            flowkey::pack::read_varint_signed(&bytes[*pos..]).map_err(|_| CodecError::Truncated)?;
+        *field = v;
+        *pos += n;
+    }
+    let profile = DepthProfile::of(&key);
+    if !schema.conforms_profile(&profile) {
+        return Err(CodecError::BadStructure("key outside schema"));
+    }
+    Ok(Row {
+        parent_pos,
+        key,
+        profile,
+        comp,
+    })
+}
 
 fn schema_byte(kind: SchemaKind) -> u8 {
     match kind {
@@ -173,7 +236,9 @@ impl FlowTree {
     /// key is a canonical-chain ancestor of the child, and keys must be
     /// unique. The node budget of `cfg` is raised to the decoded size if
     /// necessary, so a faithfully transferred summary is never mutated by
-    /// the act of decoding.
+    /// the act of decoding. The tree comes back frozen: its arena holds
+    /// exactly the frame's nodes and its key index is built on first use
+    /// (module docs, "Decoding is a bulk load").
     ///
     /// [`encode`]: FlowTree::encode
     pub fn decode(bytes: &[u8], cfg: Config) -> Result<FlowTree, CodecError> {
@@ -188,6 +253,29 @@ impl FlowTree {
     /// returning the tree and the number of bytes consumed (for framed
     /// streams carrying several trees).
     pub fn decode_prefix(bytes: &[u8], cfg: Config) -> Result<(FlowTree, usize), CodecError> {
+        Self::decode_placed(bytes, cfg, true)
+    }
+
+    /// [`FlowTree::decode`] placing every row through the insert path,
+    /// as a frame that leaves canonical order does from the first row
+    /// that breaks it. Kept for the differential tests that pin the
+    /// bulk load to it: same acceptance, same tree, same stats.
+    #[doc(hidden)]
+    pub fn decode_by_insert(bytes: &[u8], cfg: Config) -> Result<FlowTree, CodecError> {
+        let (tree, used) = Self::decode_placed(bytes, cfg, false)?;
+        if used != bytes.len() {
+            return Err(CodecError::TrailingBytes);
+        }
+        Ok(tree)
+    }
+
+    /// The decoder (module docs, "Decoding is a bulk load"); `bulk`
+    /// off places every row through the insert path.
+    fn decode_placed(
+        bytes: &[u8],
+        cfg: Config,
+        bulk: bool,
+    ) -> Result<(FlowTree, usize), CodecError> {
         if bytes.len() < 6 {
             return Err(CodecError::Truncated);
         }
@@ -206,8 +294,8 @@ impl FlowTree {
             return Err(CodecError::BadCount(count));
         }
         let count = count as usize;
-        // The count sizes four allocations below; a ten-byte frame
-        // must not get to claim four million rows. Hold it to what the
+        // The count sizes the arena below; a ten-byte frame must not
+        // get to claim four million rows. Hold it to what the
         // remaining bytes could possibly carry first.
         if count > (bytes.len() - pos) / MIN_ROW_BYTES {
             return Err(CodecError::Truncated);
@@ -215,73 +303,76 @@ impl FlowTree {
 
         let mut cfg = cfg;
         cfg.node_budget = cfg.node_budget.max(count);
-        let mut tree = FlowTree::new(schema, cfg);
-        tree.reserve(count - 1);
-        // Keys / depths / node ids in stream order, so parent
-        // references resolve to already-built nodes.
-        let mut keys: Vec<FlowKey> = Vec::with_capacity(count);
-        let mut depths: Vec<u32> = Vec::with_capacity(count);
-        let mut ids: Vec<u32> = Vec::with_capacity(count);
-
-        for i in 0..count {
-            let (parent_pos, n) = read_varint(&bytes[pos..]).map_err(|_| CodecError::Truncated)?;
-            pos += n;
-            let (key, n) = unpack_key(&bytes[pos..]).map_err(|e| match e {
-                flowkey::pack::UnpackError::Truncated => CodecError::Truncated,
-                flowkey::pack::UnpackError::Invalid => CodecError::BadKey,
-            })?;
-            pos += n;
-            let mut comp = Popularity::ZERO;
-            for field in [&mut comp.packets, &mut comp.bytes, &mut comp.flows] {
-                let (v, n) = flowkey::pack::read_varint_signed(&bytes[pos..])
-                    .map_err(|_| CodecError::Truncated)?;
-                *field = v;
-                pos += n;
-            }
-
-            if !schema.conforms(&key) {
-                return Err(CodecError::BadStructure("key outside schema"));
-            }
-            if i == 0 {
-                if !key.is_root() {
-                    return Err(CodecError::BadStructure("first node is not the root"));
-                }
-                if parent_pos != 0 {
-                    return Err(CodecError::BadStructure("root parent reference"));
-                }
-                tree.set_root_comp(comp);
-                ids.push(tree.root);
-                depths.push(0);
-            } else {
-                if parent_pos as usize >= i {
-                    return Err(CodecError::BadStructure("forward parent reference"));
-                }
-                // Validate the chain-ancestor claim and extract the
-                // key's step under the parent in the same upward walk,
-                // then trust the validated parent position to attach
-                // directly — no longest-matching-parent search. Streams
-                // produced by `encode` always name the direct parent,
-                // so the fallback splice inside `attach_decoded` only
-                // runs for indirect (but still valid) hand-built
-                // streams.
-                let parent_depth = depths[parent_pos as usize];
-                let depth = schema.depth(&key);
-                if depth <= parent_depth {
-                    return Err(CodecError::BadStructure("parent not a chain ancestor"));
-                }
-                let (anc, step_key) = schema.chain_ancestor_with_step(&key, parent_depth);
-                if anc != keys[parent_pos as usize] {
-                    return Err(CodecError::BadStructure("parent not a chain ancestor"));
-                }
-                let step_hash = key_hash(&step_key);
-                let id = tree
-                    .attach_decoded(key, depth, comp, ids[parent_pos as usize], step_hash)
-                    .ok_or(CodecError::BadStructure("duplicate key"))?;
-                ids.push(id);
-                depths.push(depth);
-            }
-            keys.push(key);
+        let mut tree = FlowTree::frozen_with_arena(schema, cfg, count);
+        let root = read_row(bytes, &mut pos, &schema)?;
+        if !root.key.is_root() {
+            return Err(CodecError::BadStructure("first node is not the root"));
         }
+        if root.parent_pos != 0 {
+            return Err(CodecError::BadStructure("root parent reference"));
+        }
+        tree.set_root_comp(root.comp);
+        // Node id of every row so far, kept only once a row has left
+        // canonical order; until then row `i` is node `i`.
+        let mut ids: Option<Vec<u32>> = (!bulk).then(|| vec![tree.root]);
+        for i in 1..count {
+            let Row {
+                parent_pos,
+                key,
+                profile,
+                comp,
+            } = read_row(bytes, &mut pos, &schema)?;
+            if parent_pos as usize >= i {
+                return Err(CodecError::BadStructure("forward parent reference"));
+            }
+            let parent = match &ids {
+                None => parent_pos as u32,
+                Some(ids) => ids[parent_pos as usize],
+            };
+            let p = &tree.nodes[parent as usize];
+            let depth = profile_depth(&profile);
+            let p_profile = DepthProfile::of(&p.key);
+            // A strict chain ancestor is its own LCCA with the key.
+            let on_chain = depth > p.depth
+                && schema.lcca_of_profiles(&key.agreement_profile(&p.key), &profile, &p_profile)
+                    == p_profile;
+            debug_assert_eq!(
+                on_chain,
+                depth > p.depth && schema.is_chain_ancestor(&p.key, &key),
+                "the closed form must agree with the chain walk"
+            );
+            if !on_chain {
+                return Err(CodecError::BadStructure("parent not a chain ancestor"));
+            }
+            let hash = key_hash(&key);
+            if ids.is_none() {
+                let (dim, level) = schema
+                    .chain_step_below(&p_profile, &profile)
+                    .expect("the parent is a strict chain ancestor");
+                let step = roll_step(&p.key, p.key_hash, &key, dim, level);
+                debug_assert_eq!(
+                    step,
+                    key_hash(&schema.chain_ancestor(&key, p.depth + 1)),
+                    "rolled step hash is the chain step's"
+                );
+                if tree.push_first_child(parent, key, hash, depth, step, comp) {
+                    continue;
+                }
+            }
+            // Out of canonical order: the rows so far are nodes
+            // 0..i, and the rest take the insert path.
+            let ids = ids.get_or_insert_with(|| (0..i as u32).collect());
+            if tree.lookup(&key, hash).is_some() {
+                return Err(CodecError::BadStructure("duplicate key"));
+            }
+            ids.push(tree.add_mass_hashed(key, hash, comp));
+        }
+        // Decoding places rows, it does not search for them: however
+        // they were placed, a decoded tree's work counters are one
+        // insert and one miss per non-root row (and any join an
+        // out-of-order frame forced).
+        tree.stats.chain_steps = 0;
+        tree.stats.descent_hops = 0;
         Ok((tree, pos))
     }
 
@@ -512,11 +603,14 @@ mod tests {
     #[test]
     fn fuzz_decode_never_panics() {
         let bytes = sample_tree().encode();
-        // Flip each byte and decode; must never panic.
+        // Flip each byte and decode; must never panic, and whatever
+        // decodes is a valid tree.
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[i] ^= 0x5A;
-            let _ = FlowTree::decode(&mutated, Config::paper());
+            if let Ok(tree) = FlowTree::decode(&mutated, Config::paper()) {
+                tree.validate();
+            }
         }
     }
 }

@@ -94,11 +94,14 @@
 //!   up to 2× doubling slack while the tree is growing.
 //! * The index costs 16 B × 1.14–2.3 per node (see [`crate::table`]),
 //!   and only while the tree is **thawed**.
-//! * Whoever knows a size says so through [`FlowTree::reserve`]: the
-//!   decoder reserves from the validated frame count, `clone`
-//!   allocates exactly what it copies, and a site daemon reserves a
-//!   new window from its predecessor's final node count, so steady
+//! * Whoever knows a size allocates it once: `clone` allocates exactly
+//!   what it copies, and a site daemon reserves a new window from its
+//!   predecessor's final node count ([`FlowTree::reserve`]), so steady
 //!   ingest does not reallocate.
+//! * The decoder allocates exactly the arena the validated frame
+//!   count asks for and no index: a decoded tree comes back
+//!   **frozen** (below), its nodes in stream order (see
+//!   [`crate::codec`]).
 //! * [`FlowTree::shrink_to_fit`] **freezes** a tree that is about to
 //!   be stored and mostly read — a collector's stored window, a
 //!   relay's pinned delta base, a closed window queued for the
@@ -304,7 +307,7 @@ pub struct NodeView<'a> {
 /// Chain depth of a key (conforming to the tree's schema) from its
 /// profile.
 #[inline]
-fn profile_depth(p: &DepthProfile) -> u32 {
+pub(crate) fn profile_depth(p: &DepthProfile) -> u32 {
     p.0.iter().map(|d| *d as u32).sum()
 }
 
@@ -313,7 +316,13 @@ fn profile_depth(p: &DepthProfile) -> u32 {
 /// dimension to `level`, so it rolls from `from_hash` with two
 /// single-feature hashes and no key is built.
 #[inline]
-fn roll_step(from: &FlowKey, from_hash: u64, to: &FlowKey, dim: flowkey::Dim, level: u16) -> u64 {
+pub(crate) fn roll_step(
+    from: &FlowKey,
+    from_hash: u64,
+    to: &FlowKey,
+    dim: flowkey::Dim,
+    level: u16,
+) -> u64 {
     let step = from_hash
         .wrapping_sub(flowkey::dim_hash(from, dim))
         .wrapping_add(flowkey::dim_hash_at(to, dim, level));
@@ -466,28 +475,13 @@ pub struct FlowTree {
 impl FlowTree {
     /// Creates an empty Flowtree (just the all-wildcard root).
     pub fn new(schema: Schema, cfg: Config) -> FlowTree {
-        let root_key = schema.root();
-        let root_hash = key_hash(&root_key);
-        let root = Node {
-            key: root_key,
-            key_hash: root_hash,
-            depth: 0,
-            parent: NIL,
-            first_child: NIL,
-            next_sibling: NIL,
-            prev_sibling: NIL,
-            step_hash: 0,
-            comp: Popularity::ZERO,
-            touch: 0,
-            generation: 0,
-            alive: true,
-        };
+        let root = Self::root_node(&schema);
         // O(1) whatever the budget: the root and the smallest index.
         // Arena and index grow on demand; a caller that knows how many
         // nodes are coming says so with `reserve` (module docs, "What
         // a tree costs").
         let mut index = KeyIndex::with_capacity(0);
-        index.insert(root_hash, 0);
+        index.insert(root.key_hash, 0);
         FlowTree {
             schema,
             cfg,
@@ -502,6 +496,104 @@ impl FlowTree {
         }
     }
 
+    /// The all-wildcard root node of `schema`, linked to nothing.
+    fn root_node(schema: &Schema) -> Node {
+        let key = schema.root();
+        Node {
+            key,
+            key_hash: key_hash(&key),
+            depth: 0,
+            parent: NIL,
+            first_child: NIL,
+            next_sibling: NIL,
+            prev_sibling: NIL,
+            step_hash: 0,
+            comp: Popularity::ZERO,
+            touch: 0,
+            generation: 0,
+            alive: true,
+        }
+    }
+
+    /// A **frozen** tree holding only the root, whose arena has room
+    /// for exactly `nodes` nodes, root included: what the decoder bulk
+    /// loads into ([`FlowTree::push_first_child`]) without ever
+    /// reallocating or building an index.
+    pub(crate) fn frozen_with_arena(schema: Schema, cfg: Config, nodes: usize) -> FlowTree {
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(Self::root_node(&schema));
+        FlowTree {
+            schema,
+            cfg,
+            nodes: arena,
+            free: Vec::new(),
+            index: OnceLock::new(),
+            root: 0,
+            live: 1,
+            clock: 0,
+            total: Popularity::ZERO,
+            stats: Stats::default(),
+        }
+    }
+
+    /// The decoder's bulk append: records `key` as a new node at the
+    /// end of the arena and links it in front of `parent`'s children —
+    /// O(1), no search and no index. The caller has verified that
+    /// `parent` is a strict chain ancestor of `key`, and `step_hash`
+    /// is the key's chain step under it.
+    ///
+    /// Refuses (returns `false`, changing nothing) unless `step_hash` is
+    /// strictly below the step of `parent`'s first child, and therefore
+    /// of all its children, siblings being sorted ascending. A
+    /// stream whose every row passes that check names each node's
+    /// longest retained chain ancestor as its parent and holds no key
+    /// twice (the codec module docs give the argument), so the tree
+    /// this builds is exactly the one inserting the rows would.
+    ///
+    /// Counts one insert and one miss and advances the clock, like the
+    /// insert that creates a node. Only for a frozen tree that has not
+    /// lost a node (the index is unset, ids are arena positions).
+    pub(crate) fn push_first_child(
+        &mut self,
+        parent: u32,
+        key: FlowKey,
+        hash: u64,
+        depth: u32,
+        step_hash: u64,
+        comp: Popularity,
+    ) -> bool {
+        debug_assert!(self.index.get().is_none() && self.free.is_empty());
+        let next = self.nodes[parent as usize].first_child;
+        if next != NIL && self.nodes[next as usize].step_hash <= step_hash {
+            return false;
+        }
+        let id = self.nodes.len() as u32;
+        self.clock += 1;
+        self.stats.inserts += 1;
+        self.stats.misses += 1;
+        self.total += comp;
+        self.live += 1;
+        self.nodes.push(Node {
+            key,
+            key_hash: hash,
+            depth,
+            parent,
+            first_child: NIL,
+            next_sibling: next,
+            prev_sibling: NIL,
+            step_hash,
+            comp,
+            touch: self.clock,
+            generation: 0,
+            alive: true,
+        });
+        if next != NIL {
+            self.nodes[next as usize].prev_sibling = id;
+        }
+        self.nodes[parent as usize].first_child = id;
+        true
+    }
+
     /// Creates a Flowtree with the paper's evaluation configuration
     /// (40 K nodes).
     pub fn with_schema(schema: Schema) -> FlowTree {
@@ -511,8 +603,8 @@ impl FlowTree {
     /// Reserves room for at least `additional` more nodes, in the
     /// arena and in the key index, so that many inserts (or merged-in
     /// nodes) allocate nothing further. Like `Vec::reserve`, a hint:
-    /// the tree grows on demand without it. The decoder and the site
-    /// daemon's window open are the in-tree callers.
+    /// the tree grows on demand without it. The site daemon's window
+    /// open is the in-tree caller.
     pub fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);
         self.index_mut().reserve(additional);
@@ -618,7 +710,7 @@ impl FlowTree {
 
     /// Looks up the node id of `key` given its precomputed hash.
     #[inline]
-    fn lookup(&self, key: &FlowKey, hash: u64) -> Option<u32> {
+    pub(crate) fn lookup(&self, key: &FlowKey, hash: u64) -> Option<u32> {
         let nodes = &self.nodes;
         self.index().get(hash, |id| nodes[id as usize].key == *key)
     }
@@ -1834,51 +1926,6 @@ impl FlowTree {
     /// Looks up a node id by key (for crate-internal query paths).
     pub(crate) fn node_id(&self, key: &FlowKey) -> Option<u32> {
         self.lookup(key, key_hash(key))
-    }
-
-    /// Decode fast path: records a node whose claimed parent the codec
-    /// has already validated as a canonical-chain ancestor, attaching
-    /// directly at `step_hash` (the key's chain step under that parent)
-    /// when the step is free — no parent-search probes or descent. Any
-    /// retained node whose chain shares the step lives inside the
-    /// step's child subtree, so a free step proves the parent is the
-    /// longest matching parent and no join is needed; a step conflict
-    /// (indirect-ancestor stream, join required) falls back to the
-    /// general insert path, preserving the decoder's acceptance
-    /// semantics. Returns `None` if `key` is already present (hostile
-    /// duplicate).
-    pub(crate) fn attach_decoded(
-        &mut self,
-        key: FlowKey,
-        depth: u32,
-        comp: Popularity,
-        parent: u32,
-        step_hash: u64,
-    ) -> Option<u32> {
-        debug_assert_eq!(depth, self.schema.depth(&key));
-        let hash = key_hash(&key);
-        if self.lookup(&key, hash).is_some() {
-            return None;
-        }
-        let mut c = self.nodes[parent as usize].first_child;
-        while c != NIL {
-            let n = &self.nodes[c as usize];
-            if n.step_hash == step_hash {
-                return Some(self.add_mass_hashed(key, hash, comp));
-            }
-            if n.step_hash > step_hash {
-                break; // siblings are sorted by step hash
-            }
-            c = n.next_sibling;
-        }
-        self.clock += 1;
-        self.stats.inserts += 1;
-        self.stats.misses += 1;
-        self.total += comp;
-        let nid = self.alloc(key, hash, depth, comp);
-        self.index_mut().insert(hash, nid);
-        self.attach(nid, parent, step_hash);
-        Some(nid)
     }
 
     /// Rebuilds a tree from `(key, comp)` masses (the collector's
