@@ -174,32 +174,6 @@ impl SiteDaemon {
         out
     }
 
-    /// Ingests a batch of pre-keyed masses that genuinely share one
-    /// event time. Returns summaries of any windows the advancing event
-    /// time closed.
-    ///
-    /// Every item is attributed to the window containing `ts_ms` — for
-    /// batches whose records carry their own timestamps (which may
-    /// straddle a window boundary), use [`Self::ingest_stamped_batch`]
-    /// so each item lands in its own window.
-    pub fn ingest_mass_batch(
-        &mut self,
-        ts_ms: u64,
-        batch: &[(flowkey::FlowKey, Popularity)],
-    ) -> Vec<Summary> {
-        self.stats.records += batch.len() as u64;
-        self.stats.raw_bytes += batch.len() as u64 * flownet::netflow5::RECORD_LEN as u64;
-        let window = WindowId::containing(ts_ms, self.cfg.window_ms);
-        let out = self.advance_watermark(ts_ms);
-        let oldest_open = self.oldest_allowed();
-        if window.start_ms < oldest_open {
-            self.stats.late_drops += batch.len() as u64;
-            return out;
-        }
-        self.window_tree(window.start_ms).insert_batch(batch);
-        out
-    }
-
     /// Ingests a batch of `(event_time_ms, key, mass)` items, routing
     /// **each item to the window containing its own timestamp** — the
     /// batch may span window boundaries freely (the streaming
@@ -489,20 +463,6 @@ mod tests {
                 .parse()
                 .unwrap();
         (k, Popularity::new(packets, packets * 100, 1))
-    }
-
-    #[test]
-    fn mass_batch_is_counted_like_the_record_path() {
-        let mut d = daemon(1000, TransferMode::Full);
-        let batch: Vec<_> = (0..10).map(|i| mass(i, 2)).collect();
-        d.ingest_mass_batch(500, &batch);
-        assert_eq!(d.stats().records, 10);
-        assert_eq!(d.stats().raw_bytes, 10 * 48);
-        // A dropped-late batch still counts as ingested records.
-        d.ingest_mass_batch(9_500, &batch);
-        d.ingest_mass_batch(100, &batch[..3]);
-        assert_eq!(d.stats().records, 23);
-        assert_eq!(d.stats().late_drops, 3);
     }
 
     #[test]

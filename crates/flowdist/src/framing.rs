@@ -237,6 +237,11 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
         assert!(read_frame(&buf[..]).is_err());
+        // A truncated body is an error, not `None` (that is clean EOF).
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"abcdef").unwrap();
+        buf.truncate(buf.len() - 2);
+        assert!(read_frame(&buf[..]).is_err());
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Multi-lane UDP ingest: N independent listen→decode→pipeline lanes
+//! The UDP ingest edge: N independent listen→decode→pipeline lanes
 //! merged into one summary stream at window close.
 //!
-//! The single-reader loop in [`crate::listen`] serializes every
-//! datagram through one thread — one syscall, one decoder, one
-//! admission table, one pipeline. At site export rates that reader is
-//! the ceiling, not the tree. This module rebuilds the ingest edge so
-//! it scales with cores:
+//! [`spawn_multi_lane_ingest`] is the one way an exporter datagram
+//! (NetFlow v5/v9/IPFIX, auto-detected by each lane's
+//! [`flownet::ExportDecoder`], template caches persisting) becomes a
+//! [`Summary`] frame. One reader serializes every datagram through
+//! one thread — one syscall, one decoder, one admission table, one
+//! pipeline — and at site export rates that reader is the ceiling,
+//! not the tree. So the edge is built to scale with cores:
 //!
 //! * **N sockets, one port** — [`crate::sockopt::bind_reuseport`]
 //!   binds N `SO_REUSEPORT` sockets to the same address and the kernel
@@ -56,13 +58,17 @@
 //! re-emitting the window would *replace* it at the collector, which
 //! is worse.
 //!
-//! With `lanes == 1` this collapses to the familiar single-reader
-//! loop (one lane, pass-through merge) and the emitted frames are
-//! byte-identical to [`crate::listen::spawn_udp_ingest`]'s.
+//! With `lanes == 1` this collapses to a single reader (one lane,
+//! pass-through merge), and `tests/lane_matrix.rs` pins its frames
+//! byte-identical to every multi-lane mode's over the same records.
+//!
+//! Shutdown is cooperative: [`MultiIngestHandle::stop`] raises a flag,
+//! every lane drains whatever already sits in its socket buffer (so no
+//! datagram sent before `stop` is lost), flushes its pipeline, and the
+//! merger ships every residual window before the counters come back.
 
 use crate::admission::{AdmissionControl, AdmissionKnobs, AdmissionStats};
 use crate::daemon::{DaemonConfig, DaemonStats, TransferMode};
-use crate::listen::{IngestReport, IngestSnapshot, IngestTelemetry};
 use crate::mrecv::BatchReceiver;
 use crate::pipeline::{IngestPipeline, PipelineStats};
 use crate::ring;
@@ -95,8 +101,8 @@ pub const DEFAULT_IDLE_LANE_MS: u64 = 2_000;
 /// Tuning for [`spawn_multi_lane_ingest`].
 #[derive(Debug, Clone)]
 pub struct LaneOptions {
-    /// Listen lanes (clamped to `1..=MAX_LANES`). 1 = the classic
-    /// single-reader loop.
+    /// Listen lanes (clamped to `1..=MAX_LANES`). 1 = one reader
+    /// thread, pass-through merge.
     pub lanes: usize,
     /// Datagrams per receive syscall (clamped to
     /// `1..=`[`crate::mrecv::MAX_RECV_BATCH`]).
@@ -114,8 +120,7 @@ pub struct LaneOptions {
     /// Live-reloadable admission quotas, open-window budget, and the
     /// `pin-cores` toggle, shared with whoever serves `POST /reload`.
     pub knobs: Arc<AdmissionKnobs>,
-    /// Observability hooks (wired to lane 0, whose open-window gauge
-    /// and shed events mirror the single-reader loop's).
+    /// Observability hooks (wired to lane 0 only).
     pub telemetry: IngestTelemetry,
     /// Observes the datagram count of every receive batch.
     pub batch_hist: Option<Histogram>,
@@ -140,6 +145,94 @@ impl Default for LaneOptions {
             idle_lane_ms: DEFAULT_IDLE_LANE_MS,
         }
     }
+}
+
+/// Aggregate live counters of a running engine, read through
+/// [`MultiGaugeView::snapshot`]: lane counters summed, merger counters
+/// for the summary/frame side.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IngestSnapshot {
+    /// Raw datagrams received (admitted or not). The edge identity:
+    /// `datagrams == packets + decode_errors + quota_packet_drops`.
+    pub datagrams: u64,
+    /// Export packets decoded successfully.
+    pub packets: u64,
+    /// Payloads that failed to decode.
+    pub decode_errors: u64,
+    /// Datagrams denied by a per-exporter packet quota.
+    pub quota_packet_drops: u64,
+    /// Records denied by a per-exporter record quota.
+    pub quota_record_drops: u64,
+    /// Flow records extracted.
+    pub records: u64,
+    /// Data records/sets dropped for lack of a template.
+    pub records_no_template: u64,
+    /// Templates currently cached by the decoders.
+    pub templates: u64,
+    /// Templates evicted (count cap + timeout).
+    pub templates_evicted: u64,
+    /// Templates rejected for violating shape bounds.
+    pub templates_rejected: u64,
+    /// Window buckets force-flushed to honor the open-window budget.
+    pub window_sheds: u64,
+    /// 1 ms waits spent on a full ring or frames channel
+    /// (backpressure).
+    pub backpressure_waits: u64,
+    /// Exporter addresses currently tracked by admission control.
+    pub exporters: u64,
+    /// Exporter entries evicted to bound the table.
+    pub exporters_evicted: u64,
+    /// Achieved socket receive buffer (0 = OS default / unsupported).
+    pub recv_buffer_bytes: u64,
+    /// Records dropped as older than any open window.
+    pub late_drops: u64,
+    /// Summaries emitted by the merger.
+    pub summaries: u64,
+    /// Summary frames shipped through the channel.
+    pub frames_sent: u64,
+    /// Frames dropped (receiver gone, or full channel while stopping).
+    pub frames_dropped: u64,
+}
+
+/// What [`MultiIngestHandle::stop`] hands back: lane counters summed,
+/// `daemon.summaries` / `summary_bytes` taken from the merged stream.
+#[derive(Debug)]
+pub struct IngestReport {
+    /// Raw datagrams received (admitted or not).
+    pub datagrams: u64,
+    /// Decode/bucket/batch counters of the pipelines.
+    pub pipeline: PipelineStats,
+    /// The decoders' hardening counters (templates, skipped records).
+    pub decoder: DecoderStats,
+    /// Admission-control drop/eviction counters.
+    pub admission: AdmissionStats,
+    /// The lane daemons' counters.
+    pub daemon: DaemonStats,
+    /// Summary frames shipped through the channel.
+    pub frames_sent: u64,
+    /// Frames dropped because the channel's receiver was gone, or
+    /// because the channel was still full while stopping (the caller
+    /// was no longer draining).
+    pub frames_dropped: u64,
+    /// 1 ms waits spent on a full ring or frames channel
+    /// (backpressure).
+    pub backpressure_waits: u64,
+    /// A socket-level error that ended a lane or the reader early, if
+    /// any.
+    pub error: Option<std::io::Error>,
+}
+
+/// Optional observability hooks for the ingest engine — the pieces the
+/// snapshot counters can't carry: an instantaneous open-window gauge
+/// and shed events with a *why* attached.
+#[derive(Debug, Clone, Default)]
+pub struct IngestTelemetry {
+    /// Set to the pipeline's open window-bucket count after every
+    /// receive batch.
+    pub open_windows: Option<flowmetrics::Gauge>,
+    /// Receives a `window_shed` event whenever the open-window budget
+    /// force-flushes buckets.
+    pub events: Option<flowmetrics::EventRing>,
 }
 
 /// Live counters of one lane, published by its thread after every
@@ -281,9 +374,8 @@ impl MultiGaugeView {
         self.merger.stale_windows.load(Ordering::Relaxed)
     }
 
-    /// The aggregate view in the same shape the single-reader loop
-    /// publishes: lane counters summed, merger counters for the
-    /// summary/frame side.
+    /// The aggregate view: lane counters summed, merger counters for
+    /// the summary/frame side.
     pub fn snapshot(&self) -> IngestSnapshot {
         let mut s = IngestSnapshot::default();
         for lane in self.lanes.iter() {
@@ -378,9 +470,9 @@ impl MultiIngestHandle {
 
     /// Stops the engine: every lane drains its socket (or ring),
     /// flushes its pipeline, the merger emits every residual window,
-    /// and the aggregated counters come back in the single-loop
-    /// [`IngestReport`] shape (lane counters summed; `daemon.summaries`
-    /// / `summary_bytes` are the merger's emitted stream).
+    /// and the aggregated counters come back as one [`IngestReport`]
+    /// (lane counters summed; `daemon.summaries` / `summary_bytes` are
+    /// the merger's emitted stream).
     pub fn stop(self) -> IngestReport {
         self.stop.store(true, Ordering::Relaxed);
         let mut error = None;
@@ -751,9 +843,12 @@ impl Lane {
         self.finish(None)
     }
 
-    /// The per-datagram hot path — identical admission discipline to
-    /// the single-reader loop, so the edge identity `datagrams ==
-    /// packets + decode_errors + quota_packet_drops` holds per lane.
+    /// The per-datagram hot path. Admission order pins the edge
+    /// identity `datagrams == packets + decode_errors +
+    /// quota_packet_drops` per lane: a datagram is quota-dropped
+    /// *before* decode (no work for the hostile), or it decodes
+    /// (packets/decode_errors); records of an admitted packet are
+    /// then charged all-or-nothing.
     fn process_datagram(&mut self, payload: &[u8], peer: SocketAddr, now_ms: u64) {
         self.datagrams += 1;
         let cfg = self.knobs.load();
@@ -1005,8 +1100,11 @@ fn merger_loop(
         current.saturating_sub(span * (cfg.open_windows as u64 - 1))
     };
 
-    // The same ship-or-drop discipline as the single-reader loop: a
-    // full channel is backpressure until stop, then drops are counted.
+    // Ship-or-drop: a full channel is backpressure (1 ms waits, so a
+    // slow consumer throttles ingest) until stop, then undeliverable
+    // frames are dropped and counted — `stop()` joins this thread, so
+    // blocking on `send` would deadlock a caller that drains the
+    // channel only after stopping.
     let emit = |start_ms: u64, trees: Vec<FlowTree>, done: &mut MergerDone, seq: &mut u64| {
         let mut trees = trees;
         let tree = if trees.len() == 1 {
@@ -1136,7 +1234,7 @@ fn merger_loop(
 mod tests {
     use super::*;
     use crate::daemon::{DaemonConfig, SiteDaemon};
-    use crate::net::export_netflow;
+    use crate::net::{export_ipfix, export_netflow};
     use crate::Collector;
     use crossbeam::channel;
     use flowkey::Schema;
@@ -1375,6 +1473,116 @@ mod tests {
             "every summary is accounted for"
         );
         drop(rx);
+    }
+
+    /// One lane, three exporter dialects and garbage: v5, IPFIX (with
+    /// an IPv6 record and a template-only empty export) and v9 all
+    /// decode on the same socket, garbage lands in `decode_errors`,
+    /// and every record's mass — the v6 one included — reaches a
+    /// collector.
+    #[test]
+    fn every_dialect_and_garbage_on_one_lane() {
+        const T: u64 = 1_700_000_000_000;
+        let v4 = |net: u8, host: u8, packets: u64| {
+            let mut r = FlowRecord::v4(
+                [10, net, 0, host],
+                [192, 0, 2, 1],
+                1234,
+                443,
+                6,
+                packets,
+                packets * 100,
+            );
+            r.first_ms = T + 100 + host as u64;
+            r.last_ms = r.first_ms;
+            r
+        };
+        let v5_recs: Vec<FlowRecord> = (0..40).map(|i| v4(5, i, 2)).collect();
+        let mut ipfix_recs: Vec<FlowRecord> = (0..20).map(|i| v4(10, i, 3)).collect();
+        let v6 = FlowRecord {
+            src: "2001:db8::1".parse().unwrap(),
+            dst: "2001:db8::2".parse().unwrap(),
+            sport: 53,
+            dport: 53,
+            proto: 17,
+            packets: 9,
+            bytes: 900,
+            first_ms: T + 500,
+            last_ms: T + 500,
+        };
+        ipfix_recs.push(v6);
+        let v9_recs: Vec<FlowRecord> = (0..12).map(|i| v4(9, i, 5)).collect();
+
+        let (tx, rx) = channel::bounded::<Vec<u8>>(64);
+        let handle =
+            spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(3), tx, LaneOptions::default())
+                .unwrap();
+        let to = handle.local_addr();
+        let [v5_sock, ipfix_sock, v9_sock] =
+            [(); 3].map(|_| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let v5_dgrams = export_netflow(&v5_sock, to, &v5_recs, T + 10_000).unwrap() as u64;
+        let secs = (T / 1_000) as u32;
+        let mut ipfix_dgrams = export_ipfix(&ipfix_sock, to, &ipfix_recs, secs, 7).unwrap();
+        assert_eq!(export_ipfix(&ipfix_sock, to, &[], secs, 8).unwrap(), 1);
+        ipfix_dgrams += 1;
+        let v9 = flownet::netflow9::encode(&v9_recs, T + 10_000, 1, 4);
+        v9_sock.send_to(&v9, to).unwrap();
+        let garbage: [&[u8]; 3] = [
+            b"not an export packet",
+            &[0xde, 0xad, 0xbe, 0xef],
+            &v9[..30],
+        ];
+        for g in garbage {
+            v9_sock.send_to(g, to).unwrap();
+        }
+        let sent = v5_dgrams + ipfix_dgrams as u64 + 1 + garbage.len() as u64;
+        // `stop` drains the socket buffer, so every datagram sent above
+        // is received.
+        let report = handle.stop();
+
+        assert!(report.error.is_none());
+        assert_eq!(report.datagrams, sent);
+        assert_eq!(
+            report.datagrams,
+            report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops
+        );
+        assert_eq!(report.pipeline.decode_errors, garbage.len() as u64);
+        assert_eq!(report.pipeline.packets_v5, v5_dgrams);
+        assert_eq!(report.pipeline.packets_ipfix, ipfix_dgrams as u64);
+        assert_eq!(report.pipeline.packets_v9, 1);
+        let records = (v5_recs.len() + ipfix_recs.len() + v9_recs.len()) as u64;
+        assert_eq!(report.pipeline.records, records);
+        assert_eq!(report.daemon.records, records);
+        assert_eq!(report.daemon.late_drops, 0);
+        assert_eq!((report.daemon.summaries, report.frames_dropped), (1, 0));
+
+        let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(8_192));
+        for f in rx.try_iter() {
+            collector.apply_bytes(&f).unwrap();
+        }
+        let merged = collector.merged(None, 0, u64::MAX);
+        assert_eq!(merged.total().packets, 40 * 2 + 20 * 3 + 9 + 12 * 5);
+        assert_eq!(
+            merged.subtree_popularity(&v6.flow_key()).map(|p| p.packets),
+            Some(9),
+            "the IPv6 record's mass reaches the collector"
+        );
+    }
+
+    #[test]
+    fn dropped_receiver_counts_not_wedges() {
+        let (tx, rx) = channel::bounded::<Vec<u8>>(8);
+        drop(rx);
+        let handle =
+            spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, LaneOptions::default())
+                .unwrap();
+        let to = handle.local_addr();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        export_netflow(&sock, to, &[record(100, 1, 1)], 1_000).unwrap();
+        let report = handle.stop();
+        assert_eq!(report.pipeline.records, 1);
+        assert_eq!(report.frames_sent, 0);
+        assert!(report.frames_dropped >= 1);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   thread per site.
 //! * [`store`] — the on-disk summary database (atomic writes,
 //!   re-validated loads, retention).
-//! * [`net`] — UDP NetFlow ingestion and TCP summary framing over real
-//!   sockets.
+//! * [`net`] — exporters (NetFlow v5 and IPFIX over UDP) and
+//!   collector-side receive of summary frames over TCP.
 //! * [`control`] — the reverse channel of the acknowledged export
 //!   path: per-frame acks and rebase-requests, version-gated so
 //!   pre-handshake peers interoperate unchanged.
@@ -33,8 +33,8 @@
 //!   flowdist *and* flowrelay speaks.
 //! * [`admission`] — per-exporter token-bucket quotas over a bounded
 //!   exporter table, with live-reloadable knobs shared between the
-//!   ingest loop and the ops endpoint.
-//! * [`lane`] — the multi-lane ingest edge: N `SO_REUSEPORT`
+//!   ingest lanes and the ops endpoint.
+//! * [`lane`] — the UDP ingest edge, and the only one: N `SO_REUSEPORT`
 //!   listen→decode→pipeline lanes (batched `recvmmsg`, lane-local
 //!   admission and template caches, opt-in core pinning) merged
 //!   lane→site only at window close via the paper's structural
@@ -72,7 +72,6 @@ pub mod daemon;
 pub mod faultnet;
 pub mod framing;
 pub mod lane;
-pub mod listen;
 pub mod mrecv;
 pub mod net;
 pub mod ops;
@@ -92,10 +91,9 @@ pub use collector::{Collector, TransferLedger, ViewCacheStats};
 pub use control::{ControlFrame, SlotPos, FEATURE_ACKS};
 pub use daemon::{DaemonConfig, DaemonStats, SiteDaemon, TransferMode};
 pub use framing::{FramedConn, MAX_FRAME};
-pub use lane::{LaneOptions, LaneSnapshot, MultiIngestHandle};
-pub use listen::{
-    spawn_udp_ingest, spawn_udp_ingest_with, IngestGauges, IngestOptions, IngestReport,
-    IngestSnapshot, UdpIngestHandle,
+pub use lane::{
+    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, LaneOptions, LaneSnapshot,
+    MultiIngestHandle,
 };
 pub use mrecv::{BatchReceiver, MAX_RECV_BATCH};
 pub use pipeline::{IngestPipeline, PipelineStats};

@@ -1,94 +1,22 @@
-//! Real-socket transports.
+//! Real-socket transports at both ends of a site daemon.
 //!
-//! Two small pieces wire the system to actual networks:
+//! * Exporters — [`export_netflow`] (NetFlow v5) and [`export_ipfix`]
+//!   (IPFIX, templates first) send flow records to a UDP address the
+//!   way a router would. The receiving side is
+//!   [`crate::lane::spawn_multi_lane_ingest`], which decodes every
+//!   dialect.
+//! * Collector-side receive — [`receive_summaries`] drains
+//!   length-prefixed summary frames ([`crate::framing`]) from one TCP
+//!   connection into a [`crate::Collector`].
 //!
-//! * [`NetflowListener`] — a UDP socket speaking NetFlow v5, feeding
-//!   decoded records to a callback (what a daemon binds next to its
-//!   routers).
-//! * Length-prefixed frame I/O over TCP ([`write_frame`] /
-//!   [`read_frame`]) for shipping summary frames site → collector.
-//!
-//! Everything here is synchronous `std::net`; the daemons are
-//! single-site and the collector fan-in is modest, so threads suffice
-//! (the offline dependency set has no async runtime, and none is
-//! needed at this scale).
+//! Everything here is synchronous `std::net`; the collector fan-in is
+//! modest, so threads suffice (the offline dependency set has no async
+//! runtime, and none is needed at this scale).
 
 use crate::DistError;
 use flownet::netflow5;
 use flownet::FlowRecord;
-use std::net::{SocketAddr, TcpStream, UdpSocket};
-
-// The framing primitives moved to the shared [`crate::framing`]
-// module (one copy for flowdist and flowrelay alike); re-exported
-// here so existing `net::read_frame` call sites keep compiling.
-pub use crate::framing::{read_frame, write_frame, FramedConn, MAX_FRAME};
-
-/// Sends one frame to a connected TCP peer.
-pub fn send_summary(stream: &mut TcpStream, frame: &[u8]) -> Result<(), DistError> {
-    write_frame(stream, frame).map_err(DistError::Io)
-}
-
-/// A UDP NetFlow v5 listener.
-#[derive(Debug)]
-pub struct NetflowListener {
-    socket: UdpSocket,
-    buf: Vec<u8>,
-    /// Datagrams that failed to decode (malformed/hostile input).
-    pub decode_errors: u64,
-    /// Records decoded so far.
-    pub records: u64,
-}
-
-impl NetflowListener {
-    /// Binds to `addr` (e.g. `127.0.0.1:2055`).
-    pub fn bind(addr: &str) -> Result<NetflowListener, DistError> {
-        let socket = UdpSocket::bind(addr).map_err(DistError::Io)?;
-        Ok(NetflowListener {
-            socket,
-            buf: vec![0u8; 65_536],
-            decode_errors: 0,
-            records: 0,
-        })
-    }
-
-    /// The bound local address.
-    pub fn local_addr(&self) -> Result<SocketAddr, DistError> {
-        self.socket.local_addr().map_err(DistError::Io)
-    }
-
-    /// Sets a receive timeout so [`poll_once`](Self::poll_once) can
-    /// return periodically.
-    pub fn set_timeout(&self, dur: std::time::Duration) -> Result<(), DistError> {
-        self.socket
-            .set_read_timeout(Some(dur))
-            .map_err(DistError::Io)
-    }
-
-    /// Receives and decodes one datagram; `Ok(None)` on timeout.
-    /// Malformed datagrams are counted, not fatal — routers reboot,
-    /// attackers probe, the listener survives.
-    pub fn poll_once(&mut self) -> Result<Option<Vec<FlowRecord>>, DistError> {
-        match self.socket.recv_from(&mut self.buf) {
-            Ok((n, _peer)) => match netflow5::decode(&self.buf[..n]) {
-                Ok((_, records)) => {
-                    self.records += records.len() as u64;
-                    Ok(Some(records))
-                }
-                Err(_) => {
-                    self.decode_errors += 1;
-                    Ok(Some(Vec::new()))
-                }
-            },
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(DistError::Io(e)),
-        }
-    }
-}
+use std::net::{SocketAddr, UdpSocket};
 
 /// Sends flow records to a NetFlow v5 collector address in ≤ 30-record
 /// packets; returns the number of datagrams sent.
@@ -107,75 +35,6 @@ pub fn export_netflow(
         sent += 1;
     }
     Ok(sent)
-}
-
-/// A UDP IPFIX listener — the second export protocol of "APIs such as
-/// NetFlow" (and the one that carries IPv6 flows).
-#[derive(Debug)]
-pub struct IpfixListener {
-    socket: UdpSocket,
-    buf: Vec<u8>,
-    decoder: flownet::ipfix::Decoder,
-    /// Messages that failed structural validation.
-    pub decode_errors: u64,
-    /// Flow records decoded so far.
-    pub records: u64,
-    /// Data records skipped (e.g. data before its template).
-    pub skipped: u64,
-}
-
-impl IpfixListener {
-    /// Binds to `addr` (e.g. `127.0.0.1:4739`, the IANA IPFIX port).
-    pub fn bind(addr: &str) -> Result<IpfixListener, DistError> {
-        let socket = UdpSocket::bind(addr).map_err(DistError::Io)?;
-        Ok(IpfixListener {
-            socket,
-            buf: vec![0u8; 65_536],
-            decoder: flownet::ipfix::Decoder::new(),
-            decode_errors: 0,
-            records: 0,
-            skipped: 0,
-        })
-    }
-
-    /// The bound local address.
-    pub fn local_addr(&self) -> Result<SocketAddr, DistError> {
-        self.socket.local_addr().map_err(DistError::Io)
-    }
-
-    /// Sets a receive timeout so [`poll_once`](Self::poll_once) can
-    /// return periodically.
-    pub fn set_timeout(&self, dur: std::time::Duration) -> Result<(), DistError> {
-        self.socket
-            .set_read_timeout(Some(dur))
-            .map_err(DistError::Io)
-    }
-
-    /// Receives and decodes one message; `Ok(None)` on timeout.
-    /// Malformed datagrams are counted, not fatal; templates persist
-    /// across messages in the listener's decoder.
-    pub fn poll_once(&mut self) -> Result<Option<Vec<FlowRecord>>, DistError> {
-        match self.socket.recv_from(&mut self.buf) {
-            Ok((n, _peer)) => match self.decoder.decode_message(&self.buf[..n]) {
-                Ok((records, info)) => {
-                    self.records += records.len() as u64;
-                    self.skipped += info.records_skipped as u64;
-                    Ok(Some(records))
-                }
-                Err(_) => {
-                    self.decode_errors += 1;
-                    Ok(Some(Vec::new()))
-                }
-            },
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(DistError::Io(e)),
-        }
-    }
 }
 
 /// Sends flow records to an IPFIX collector, templates first, in
@@ -207,10 +66,30 @@ pub fn export_ipfix(
     Ok(sent)
 }
 
+/// Reads length-prefixed summary frames from one TCP connection until
+/// EOF, applying each to the collector. Returns (applied, rejected) —
+/// a malformed frame is counted and skipped, not fatal, so one bad
+/// exporter cannot take the collector down.
+pub fn receive_summaries(
+    stream: &mut std::net::TcpStream,
+    collector: &mut crate::Collector,
+) -> Result<(usize, usize), DistError> {
+    let (mut applied, mut rejected) = (0usize, 0usize);
+    let owned = stream.try_clone().map_err(DistError::Io)?;
+    crate::framing::serve_framed(owned, |frame| {
+        match collector.apply_bytes(&frame) {
+            Ok(()) => applied += 1,
+            Err(_) => rejected += 1,
+        }
+        None
+    })
+    .map_err(DistError::Io)?;
+    Ok((applied, rejected))
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::time::Duration;
+    use crate::framing::{read_frame, write_frame, MAX_FRAME};
 
     #[test]
     fn frame_roundtrip_over_buffers() {
@@ -236,163 +115,13 @@ mod tests {
         buf.truncate(buf.len() - 2);
         assert!(read_frame(&buf[..]).is_err());
     }
-
-    #[test]
-    fn netflow_over_loopback_udp() {
-        let mut listener = NetflowListener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(500)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-
-        let records: Vec<FlowRecord> = (0..75)
-            .map(|i| {
-                let mut r = FlowRecord::v4(
-                    [10, 0, 0, (i % 250) as u8],
-                    [192, 0, 2, 1],
-                    1000 + i as u16,
-                    443,
-                    6,
-                    i as u64 + 1,
-                    500,
-                );
-                r.first_ms = 1_000;
-                r.last_ms = 2_000;
-                r
-            })
-            .collect();
-        let datagrams = export_netflow(&sender, to, &records, 10_000).unwrap();
-        assert_eq!(datagrams, 3); // 30 + 30 + 15
-
-        let mut got = Vec::new();
-        while got.len() < 75 {
-            match listener.poll_once().unwrap() {
-                Some(batch) => got.extend(batch),
-                None => panic!("timed out with {} records", got.len()),
-            }
-        }
-        assert_eq!(got.len(), 75);
-        assert_eq!(listener.records, 75);
-        assert_eq!(listener.decode_errors, 0);
-        // Spot-check one record surviving the wire.
-        assert!(got.iter().any(|r| r.sport == 1000 && r.packets == 1));
-    }
-
-    #[test]
-    fn hostile_datagrams_are_survived() {
-        let mut listener = NetflowListener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(300)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sender.send_to(b"not netflow at all", to).unwrap();
-        let got = listener.poll_once().unwrap();
-        assert_eq!(got, Some(Vec::new()));
-        assert_eq!(listener.decode_errors, 1);
-    }
-}
-
-#[cfg(test)]
-mod ipfix_tests {
-    use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn ipfix_over_loopback_udp_with_v6_records() {
-        let mut listener = IpfixListener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(500)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-
-        let mut records: Vec<FlowRecord> = (0..300)
-            .map(|i| {
-                FlowRecord::v4(
-                    [10, 0, (i / 250) as u8, (i % 250) as u8],
-                    [192, 0, 2, 1],
-                    1000 + i as u16,
-                    443,
-                    6,
-                    1 + i as u64,
-                    100,
-                )
-            })
-            .collect();
-        records.push(FlowRecord {
-            src: "2001:db8::1".parse().unwrap(),
-            dst: "2001:db8::2".parse().unwrap(),
-            sport: 53,
-            dport: 53,
-            proto: 17,
-            packets: 9,
-            bytes: 900,
-            first_ms: 1,
-            last_ms: 2,
-        });
-        let n = export_ipfix(&sender, to, &records, 1_700_000_000, 7).unwrap();
-        assert!(n >= 2, "batched into {n} datagrams");
-
-        let mut got = Vec::new();
-        while got.len() < records.len() {
-            match listener.poll_once().unwrap() {
-                Some(batch) => got.extend(batch),
-                None => panic!("timed out with {} of {} records", got.len(), records.len()),
-            }
-        }
-        assert_eq!(got.len(), records.len());
-        assert_eq!(listener.decode_errors, 0);
-        assert!(
-            got.iter().any(|r| r.proto == 17 && r.packets == 9),
-            "v6 record arrived"
-        );
-    }
-
-    #[test]
-    fn ipfix_listener_survives_garbage() {
-        let mut listener = IpfixListener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(300)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sender.send_to(&[0xde, 0xad, 0xbe, 0xef], to).unwrap();
-        assert_eq!(listener.poll_once().unwrap(), Some(Vec::new()));
-        assert_eq!(listener.decode_errors, 1);
-    }
-
-    #[test]
-    fn ipfix_empty_export_still_sends_templates() {
-        let mut listener = IpfixListener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(300)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let n = export_ipfix(&sender, to, &[], 0, 3).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(listener.poll_once().unwrap(), Some(Vec::new()));
-        assert_eq!(listener.decode_errors, 0);
-    }
-}
-
-/// Reads length-prefixed summary frames from one TCP connection until
-/// EOF, applying each to the collector. Returns (applied, rejected) —
-/// a malformed frame is counted and skipped, not fatal, so one bad
-/// exporter cannot take the collector down.
-pub fn receive_summaries(
-    stream: &mut std::net::TcpStream,
-    collector: &mut crate::Collector,
-) -> Result<(usize, usize), DistError> {
-    let (mut applied, mut rejected) = (0usize, 0usize);
-    let owned = stream.try_clone().map_err(DistError::Io)?;
-    crate::framing::serve_framed(owned, |frame| {
-        match collector.apply_bytes(&frame) {
-            Ok(()) => applied += 1,
-            Err(_) => rejected += 1,
-        }
-        None
-    })
-    .map_err(DistError::Io)?;
-    Ok((applied, rejected))
 }
 
 #[cfg(test)]
 mod tcp_tests {
     use super::*;
     use crate::daemon::{DaemonConfig, SiteDaemon, TransferMode};
+    use crate::framing::write_frame;
     use crate::Collector;
     use flowkey::Schema;
     use flowtree_core::Config;
@@ -425,7 +154,7 @@ mod tcp_tests {
             let mut stream = TcpStream::connect(addr).unwrap();
             let n = frames.len();
             for f in frames {
-                send_summary(&mut stream, &f).unwrap();
+                write_frame(&mut stream, &f).unwrap();
             }
             n
         });
@@ -447,7 +176,7 @@ mod tcp_tests {
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
-            send_summary(&mut stream, b"this is not a summary frame").unwrap();
+            write_frame(&mut stream, b"this is not a summary frame").unwrap();
         });
         let (mut conn, _) = listener.accept().unwrap();
         let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(64));
@@ -455,107 +184,5 @@ mod tcp_tests {
         sender.join().unwrap();
         assert_eq!((applied, rejected), (0, 1));
         assert_eq!(collector.stored_windows(), 0);
-    }
-}
-
-/// A UDP NetFlow v9 listener (template-based, per-source caches).
-#[derive(Debug)]
-pub struct Netflow9Listener {
-    socket: UdpSocket,
-    buf: Vec<u8>,
-    decoder: flownet::netflow9::Decoder,
-    /// Packets that failed structural validation.
-    pub decode_errors: u64,
-    /// Flow records decoded so far.
-    pub records: u64,
-    /// Records skipped (data before templates).
-    pub skipped: u64,
-}
-
-impl Netflow9Listener {
-    /// Binds to `addr`.
-    pub fn bind(addr: &str) -> Result<Netflow9Listener, DistError> {
-        let socket = UdpSocket::bind(addr).map_err(DistError::Io)?;
-        Ok(Netflow9Listener {
-            socket,
-            buf: vec![0u8; 65_536],
-            decoder: flownet::netflow9::Decoder::new(),
-            decode_errors: 0,
-            records: 0,
-            skipped: 0,
-        })
-    }
-
-    /// The bound local address.
-    pub fn local_addr(&self) -> Result<SocketAddr, DistError> {
-        self.socket.local_addr().map_err(DistError::Io)
-    }
-
-    /// Sets a receive timeout so [`poll_once`](Self::poll_once) can
-    /// return periodically.
-    pub fn set_timeout(&self, dur: std::time::Duration) -> Result<(), DistError> {
-        self.socket
-            .set_read_timeout(Some(dur))
-            .map_err(DistError::Io)
-    }
-
-    /// Receives and decodes one packet; `Ok(None)` on timeout.
-    pub fn poll_once(&mut self) -> Result<Option<Vec<FlowRecord>>, DistError> {
-        match self.socket.recv_from(&mut self.buf) {
-            Ok((n, _peer)) => match self.decoder.decode(&self.buf[..n]) {
-                Ok((records, info)) => {
-                    self.records += records.len() as u64;
-                    self.skipped += info.records_skipped as u64;
-                    Ok(Some(records))
-                }
-                Err(_) => {
-                    self.decode_errors += 1;
-                    Ok(Some(Vec::new()))
-                }
-            },
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(DistError::Io(e)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod netflow9_tests {
-    use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn netflow9_over_loopback_udp() {
-        let mut listener = Netflow9Listener::bind("127.0.0.1:0").unwrap();
-        listener.set_timeout(Duration::from_millis(500)).unwrap();
-        let to = listener.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let records: Vec<FlowRecord> = (0..12)
-            .map(|i| {
-                let mut r = FlowRecord::v4(
-                    [10, 0, 0, i as u8],
-                    [192, 0, 2, 1],
-                    2000 + i,
-                    53,
-                    17,
-                    3,
-                    300,
-                );
-                r.first_ms = 1_700_000_000_000;
-                r.last_ms = r.first_ms + 10;
-                r
-            })
-            .collect();
-        let pkt = flownet::netflow9::encode(&records, 1_700_000_001_000, 1, 4);
-        sender.send_to(&pkt, to).unwrap();
-        let got = listener.poll_once().unwrap().unwrap();
-        assert_eq!(got.len(), 12);
-        assert_eq!(listener.decode_errors, 0);
-        assert!(got.iter().all(|r| r.proto == 17 && r.packets == 3));
     }
 }

@@ -1,7 +1,7 @@
 //! The site-node runtime: one deployable site daemon as a value.
 //!
-//! [`crate::listen`] gives the `UDP → pipeline → summary frames`
-//! loop; what a *fleet* needs on top is the other half a production
+//! [`crate::lane`] gives the `UDP → pipeline → summary frames`
+//! engine; what a *fleet* needs on top is the other half a production
 //! site node runs — a forwarder that ships those frames upstream over
 //! TCP (reconnecting through outages), a stats endpoint, and a
 //! drain-on-shutdown path — wired behind one `start`/`drain` handle so
@@ -10,13 +10,15 @@
 //! `flowrelay::runtime::NodeRuntime`.
 //!
 //! Shutdown is a **drain**, never a cut: [`SiteRuntime::drain`] stops
-//! the UDP loop (which itself drains the socket buffer and flushes
+//! the UDP lanes (which themselves drain the socket buffers and flush
 //! every open window), then joins the forwarder after it has pushed
 //! the final frames upstream, then frees the stats port.
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
-use crate::lane::{spawn_multi_lane_ingest, LaneOptions, MultiGaugeView, MultiIngestHandle};
-use crate::listen::{IngestReport, IngestTelemetry};
+use crate::lane::{
+    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, IngestTelemetry, LaneOptions,
+    MultiGaugeView, MultiIngestHandle,
+};
 use crate::ops::{spawn_ops, OpsHandle, OpsRequest, OpsResponse};
 use crate::pipeline::IngestPipeline;
 use crate::{DaemonConfig, DistError, SiteDaemon, TransferMode};
@@ -58,8 +60,8 @@ pub struct SiteNodeConfig {
     /// Max distinct buffered window buckets before oldest-first
     /// shedding (0 = unbounded; live-reloadable).
     pub max_open_windows: u64,
-    /// Independent listen→pipeline lanes (1 = the classic
-    /// single-reader loop; see [`crate::lane`]).
+    /// Independent listen→pipeline lanes (1 = one reader thread;
+    /// see [`crate::lane`]).
     pub lanes: usize,
     /// Datagrams pulled per receive syscall (`recvmmsg` batch size).
     pub recv_batch: usize,
@@ -120,7 +122,7 @@ struct SiteTelemetry {
 /// What [`SiteRuntime::drain`] hands back.
 #[derive(Debug)]
 pub struct SiteDrainReport {
-    /// The ingest loop's final counters.
+    /// The ingest engine's final counters.
     pub ingest: IngestReport,
     /// Frames successfully written upstream over the node's lifetime.
     pub forwarded: u64,
@@ -251,8 +253,8 @@ impl SiteRuntime {
         self.ops.as_ref().map(|o| o.local_addr())
     }
 
-    /// The ingest loop's live counters.
-    pub fn ingest_snapshot(&self) -> crate::listen::IngestSnapshot {
+    /// The ingest engine's live counters.
+    pub fn ingest_snapshot(&self) -> IngestSnapshot {
         self.gauges.snapshot()
     }
 

@@ -13,8 +13,8 @@
 
 use flowdist::faultnet::HostileExporter;
 use flowdist::{
-    AdmissionConfig, AdmissionControl, AdmissionKnobs, DaemonConfig, IngestOptions, IngestPipeline,
-    SiteDaemon, TransferMode,
+    spawn_multi_lane_ingest, AdmissionConfig, AdmissionControl, AdmissionKnobs, DaemonConfig,
+    IngestPipeline, LaneOptions, SiteDaemon, TransferMode,
 };
 use flownet::DecoderLimits;
 use std::net::{IpAddr, Ipv4Addr, UdpSocket};
@@ -173,10 +173,10 @@ fn exporter_table_is_bounded_under_address_flood() {
     assert!(ac.stats().exporters_evicted > 0);
 }
 
-/// The full UDP loop under a seeded hostile mix with tight quotas:
+/// The UDP ingest engine under a seeded hostile mix with tight quotas:
 /// the accounting identity `datagrams == packets + decode_errors +
 /// quota_packet_drops` holds at the live gauges, templates stay
-/// capped, and the loop drains cleanly. (Loopback UDP may drop under
+/// capped, and the engine drains cleanly. (Loopback UDP may drop under
 /// pressure, so the identity is pinned against *received* datagrams,
 /// which is immune to socket loss.)
 #[test]
@@ -190,23 +190,22 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
         },
         8,
     ));
-    let pipeline = IngestPipeline::with_limits(daemon(1_000), 64, tight_limits());
     let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(64);
-    // Drain frames so backpressure never wedges the loop.
+    // Drain frames so backpressure never wedges the engine.
     let drain = std::thread::spawn(move || while rx.recv().is_ok() {});
-    let handle = flowdist::spawn_udp_ingest_with(
+    let handle = spawn_multi_lane_ingest(
         "127.0.0.1:0",
-        pipeline,
+        |_| IngestPipeline::with_limits(daemon(1_000), 64, tight_limits()),
         tx,
-        IngestOptions {
+        LaneOptions {
             receive_buffer_bytes: Some(1 << 20),
             knobs: Arc::clone(&knobs),
-            telemetry: Default::default(),
+            ..Default::default()
         },
     )
     .expect("bind");
     let addr = handle.local_addr();
-    let gauges = handle.gauges();
+    let gauges = handle.view();
 
     #[cfg(target_os = "linux")]
     assert!(
@@ -259,7 +258,7 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     );
 }
 
-/// Live knob reload mid-stream: the loop reads the shared knobs per
+/// Live knob reload mid-stream: a lane reads the shared knobs per
 /// datagram, so storing a zero quota un-throttles without a restart.
 #[test]
 fn knob_reload_takes_effect_without_restart() {
@@ -271,22 +270,20 @@ fn knob_reload_takes_effect_without_restart() {
         },
         0,
     ));
-    let pipeline = IngestPipeline::with_limits(daemon(1_000), 64, DecoderLimits::default());
     let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(64);
     let drain = std::thread::spawn(move || while rx.recv().is_ok() {});
-    let handle = flowdist::spawn_udp_ingest_with(
+    let handle = spawn_multi_lane_ingest(
         "127.0.0.1:0",
-        pipeline,
+        |_| IngestPipeline::with_limits(daemon(1_000), 64, DecoderLimits::default()),
         tx,
-        IngestOptions {
-            receive_buffer_bytes: None,
+        LaneOptions {
             knobs: Arc::clone(&knobs),
-            telemetry: Default::default(),
+            ..Default::default()
         },
     )
     .expect("bind");
     let addr = handle.local_addr();
-    let gauges = handle.gauges();
+    let gauges = handle.view();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     let mut gen = HostileExporter::new(7, 1_000_000);
 
@@ -301,7 +298,7 @@ fn knob_reload_takes_effect_without_restart() {
     }
     let throttled = gauges.snapshot();
     assert!(throttled.quota_packet_drops > 0, "phase 1 throttled");
-    // Let the loop finish the burst before touching the knobs: a
+    // Let the lane finish the burst before touching the knobs: a
     // datagram it judged under the old quota while the reload landed
     // would be one drop more than `drops_before` saw.
     while gauges.snapshot().datagrams < burst.len() as u64 && Instant::now() < deadline {

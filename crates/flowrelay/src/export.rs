@@ -27,7 +27,7 @@
 
 use crate::relay::Relay;
 use flowdist::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
-use flowdist::net::{read_frame, write_frame};
+use flowdist::framing::{read_frame, write_frame};
 use flowdist::{SpillQueue, Summary};
 use flowtree_core::Config;
 use std::collections::BTreeMap;

@@ -15,7 +15,7 @@ use crate::plan::{QueryRouter, Route};
 use crate::relay::{FrameOutcome, Relay};
 use crate::RelayError;
 use flowdist::control::{is_control, ControlFrame, FEATURE_ACKS};
-use flowdist::framing::FramedConn;
+use flowdist::framing::{write_frame, FramedConn};
 use flowdist::DistError;
 use flowquery::ast::Query;
 use flowtree_core::Metric;
@@ -129,7 +129,7 @@ pub fn ship_summaries(
     summaries: &[flowdist::Summary],
 ) -> Result<(), RelayError> {
     for s in summaries {
-        flowdist::net::send_summary(stream, &s.encode()).map_err(RelayError::Dist)?;
+        write_frame(&mut *stream, &s.encode()).map_err(io_err)?;
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! hostile-network weather for the ack/rebase export protocol.
 #![allow(dead_code)]
 
-use flowdist::net::{read_frame, write_frame};
+use flowdist::framing::{read_frame, write_frame};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,7 +7,7 @@ mod common;
 
 use common::{spawn_proxy, ProxyConfig};
 use flowdist::control::{ControlFrame, SlotPos, CONTROL_MAGIC, FEATURE_ACKS};
-use flowdist::net::{read_frame, write_frame};
+use flowdist::framing::{read_frame, write_frame};
 use flowdist::{Summary, SummaryKind, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowrelay::server::serve_acked_ingest;

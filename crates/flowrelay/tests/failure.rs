@@ -191,7 +191,7 @@ fn frames_and_queries_flow_over_tcp() {
         let mut stream = TcpStream::connect(addr).unwrap();
         let summaries = vec![site_summary(0, 0, 0..3, 1), site_summary(1, 0, 0..3, 1)];
         ship_summaries(&mut stream, &summaries).unwrap();
-        flowdist::net::send_summary(&mut stream, b"garbage frame").unwrap();
+        flowdist::framing::write_frame(&mut stream, b"garbage frame").unwrap();
     });
 
     let mut west = Relay::from_topology(&topo, 1, schema(), Config::with_budget(4_096));
@@ -406,7 +406,7 @@ fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
 
 mod tcp_error_paths {
     use super::*;
-    use flowdist::net::{read_frame, write_frame, MAX_FRAME};
+    use flowdist::framing::{read_frame, write_frame, MAX_FRAME};
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
 
@@ -552,7 +552,7 @@ mod tcp_error_paths {
 
 #[test]
 fn pipelined_query_frames_survive_the_readers_read_ahead() {
-    use flowdist::net::{read_frame, write_frame};
+    use flowdist::framing::{read_frame, write_frame};
     use std::io::{BufReader, Write as _};
     use std::net::{TcpListener, TcpStream};
 

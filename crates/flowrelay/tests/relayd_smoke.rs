@@ -126,7 +126,7 @@ fn poll_pop(query_addr: &str, want: i64) -> String {
 /// frames pending and delivers them once the upstream appears.
 #[test]
 fn relayd_retries_pending_exports_across_an_upstream_outage() {
-    use flowdist::net::read_frame;
+    use flowdist::framing::read_frame;
     use std::net::TcpListener;
 
     // Reserve a port for the not-yet-running upstream, then free it.
@@ -363,7 +363,7 @@ fn relayd_drain_flushes_unexported_windows_upstream_before_exit() {
 /// same `--state-dir` must deliver it once the upstream appears.
 #[test]
 fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
-    use flowdist::net::read_frame;
+    use flowdist::framing::read_frame;
     use std::io::Write as _;
     use std::net::TcpListener;
 
@@ -501,7 +501,7 @@ fn relayd_serves_ingest_and_queries_over_real_sockets() {
     // Ship two site windows plus one garbage frame.
     let mut ingest = TcpStream::connect(&ingest_addr).expect("connect ingest");
     ship_summaries(&mut ingest, &[site_summary(0, 0), site_summary(1, 0)]).unwrap();
-    flowdist::net::send_summary(&mut ingest, b"not a summary").unwrap();
+    flowdist::framing::write_frame(&mut ingest, b"not a summary").unwrap();
     drop(ingest);
 
     // Query until the frames have landed (lock-per-frame ingest).
@@ -518,7 +518,7 @@ fn relayd_serves_ingest_and_queries_over_real_sockets() {
     // Pipelined queries on one connection: both frames land in the
     // server reader's first read-ahead; both must be answered.
     {
-        use flowdist::net::{read_frame, write_frame};
+        use flowdist::framing::{read_frame, write_frame};
         use std::io::Write as _;
         let mut batch = Vec::new();
         write_frame(&mut batch, b"pop").unwrap();

@@ -1,33 +1,54 @@
 //! A live Flowtree daemon fed by real NetFlow v5 over UDP loopback.
 //!
 //! Exactly the Fig. 1 edge: a "router" thread exports NetFlow v5
-//! datagrams to 127.0.0.1; the daemon thread receives them on a UDP
-//! socket, decodes, summarizes into windows, and the main thread plays
-//! collector — all over real sockets.
+//! datagrams to 127.0.0.1; the site's ingest engine
+//! ([`flowdist::spawn_multi_lane_ingest`], one lane) receives them on a
+//! UDP socket, decodes, summarizes into 500 ms windows and ships
+//! summary frames, and a collector thread applies them — all over real
+//! sockets.
 //!
 //! ```sh
 //! cargo run --release --example live_daemon
 //! ```
 
-use flowdist::net::{export_netflow, NetflowListener};
-use flowdist::{Collector, DaemonConfig, SiteDaemon, TransferMode};
+use flowdist::net::export_netflow;
+use flowdist::{
+    spawn_multi_lane_ingest, Collector, DaemonConfig, IngestPipeline, LaneOptions, SiteDaemon,
+    TransferMode,
+};
 use flownet::FlowRecord;
 use flowtrace::{profile, TraceGen};
 use flowtree::{Config, Schema};
 use std::net::UdpSocket;
-use std::time::Duration;
 
 fn main() {
     let schema = Schema::five_feature();
     let tree_cfg = Config::with_budget(4_096);
 
-    // Daemon side: bind an ephemeral UDP port.
-    let mut listener = NetflowListener::bind("127.0.0.1:0").expect("bind");
-    listener
-        .set_timeout(Duration::from_millis(200))
-        .expect("timeout");
-    let addr = listener.local_addr().expect("addr");
+    // Daemon side: one ingest lane on an ephemeral UDP port, its
+    // summary frames drained into a collector on another thread.
+    let mut daemon_cfg = DaemonConfig::new(1);
+    daemon_cfg.window_ms = 500;
+    daemon_cfg.schema = schema;
+    daemon_cfg.tree = tree_cfg;
+    daemon_cfg.transfer = TransferMode::Full;
+    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(256);
+    let handle = spawn_multi_lane_ingest(
+        "127.0.0.1:0",
+        |_| IngestPipeline::new(SiteDaemon::new(daemon_cfg), 64),
+        tx,
+        LaneOptions::default(),
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
     println!("flowtree daemon listening for NetFlow v5 on {addr}");
+    let collector = std::thread::spawn(move || {
+        let mut collector = Collector::new(schema, tree_cfg);
+        for frame in rx.iter() {
+            collector.apply_bytes(&frame).expect("apply");
+        }
+        collector
+    });
 
     // Router side: generate flows and export them in a thread.
     let exporter = std::thread::spawn(move || {
@@ -60,38 +81,16 @@ fn main() {
         println!("router: exported flows in {datagrams} datagrams");
     });
 
-    // Daemon loop: receive until the exporter finishes and the socket
-    // stays quiet.
-    let mut daemon_cfg = DaemonConfig::new(1);
-    daemon_cfg.window_ms = 500;
-    daemon_cfg.schema = schema;
-    daemon_cfg.tree = tree_cfg;
-    daemon_cfg.transfer = TransferMode::Full;
-    let mut daemon = SiteDaemon::new(daemon_cfg);
-    let mut collector = Collector::new(schema, tree_cfg);
-    let mut quiet = 0;
-    while quiet < 5 {
-        match listener.poll_once().expect("recv") {
-            Some(records) => {
-                quiet = 0;
-                for r in records {
-                    for summary in daemon.ingest_record(&r) {
-                        collector.apply_bytes(&summary.encode()).expect("apply");
-                    }
-                }
-            }
-            None => quiet += 1,
-        }
-    }
+    // Every datagram is sent once the router is done. Stopping drains
+    // the socket buffer, closes every window, and drops the frame
+    // sender, which ends the collector thread.
     exporter.join().expect("exporter thread");
-    for summary in daemon.flush() {
-        collector.apply_bytes(&summary.encode()).expect("apply");
-    }
+    let report = handle.stop();
+    let collector = collector.join().expect("collector thread");
 
-    let stats = daemon.stats();
     println!(
         "daemon: {} records over UDP, {} windows summarized, {} summary bytes",
-        stats.records, stats.summaries, stats.summary_bytes
+        report.daemon.records, report.daemon.summaries, report.daemon.summary_bytes
     );
     let merged = collector.merged(None, 0, u64::MAX);
     println!(
