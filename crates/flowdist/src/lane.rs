@@ -66,6 +66,16 @@
 //! every lane drains whatever already sits in its socket buffer (so no
 //! datagram sent before `stop` is lost), flushes its pipeline, and the
 //! merger ships every residual window before the counters come back.
+//!
+//! Accounting is kept once: each lane thread publishes its whole
+//! [`LaneStats`] (datagrams plus its pipeline, decoder, admission and
+//! daemon counters) after every receive batch, into a mutex only
+//! scrapes contend for. Only what other threads bump (the fanout
+//! reader's `backpressure_waits` and `dead_drops`) or what changes
+//! outside a batch (`recv_batches`, `recv_buffer_bytes`, `pinned`)
+//! stays in atomics. [`MultiGaugeView::snapshot`] sums the lanes into
+//! one [`IngestReport`], and `stop` returns that same sum once every
+//! thread has joined.
 
 use crate::admission::{AdmissionControl, AdmissionKnobs, AdmissionStats};
 use crate::daemon::{DaemonConfig, DaemonStats, TransferMode};
@@ -83,7 +93,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Hard cap on lanes (sockets/threads) per listen address.
@@ -147,67 +157,76 @@ impl Default for LaneOptions {
     }
 }
 
-/// Aggregate live counters of a running engine, read through
-/// [`MultiGaugeView::snapshot`]: lane counters summed, merger counters
-/// for the summary/frame side.
+/// One lane's counters, published whole by the lane thread once per
+/// receive batch (and a last time after its pipeline flushes). Summed
+/// over lanes it is the engine's total: the same sum serves the live
+/// view ([`MultiGaugeView::snapshot`]) and the stop report.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct IngestSnapshot {
+pub struct LaneStats {
     /// Raw datagrams received (admitted or not). The edge identity:
-    /// `datagrams == packets + decode_errors + quota_packet_drops`.
+    /// `datagrams == pipeline.packets + pipeline.decode_errors +
+    /// admission.packet_drops`.
     pub datagrams: u64,
-    /// Export packets decoded successfully.
-    pub packets: u64,
-    /// Payloads that failed to decode.
-    pub decode_errors: u64,
-    /// Datagrams denied by a per-exporter packet quota.
-    pub quota_packet_drops: u64,
-    /// Records denied by a per-exporter record quota.
-    pub quota_record_drops: u64,
-    /// Flow records extracted.
-    pub records: u64,
-    /// Data records/sets dropped for lack of a template.
-    pub records_no_template: u64,
-    /// Templates currently cached by the decoders.
-    pub templates: u64,
-    /// Templates evicted (count cap + timeout).
-    pub templates_evicted: u64,
-    /// Templates rejected for violating shape bounds.
-    pub templates_rejected: u64,
-    /// Window buckets force-flushed to honor the open-window budget.
-    pub window_sheds: u64,
-    /// 1 ms waits spent on a full ring or frames channel
-    /// (backpressure).
-    pub backpressure_waits: u64,
-    /// Exporter addresses currently tracked by admission control.
-    pub exporters: u64,
-    /// Exporter entries evicted to bound the table.
-    pub exporters_evicted: u64,
-    /// Achieved socket receive buffer (0 = OS default / unsupported).
-    pub recv_buffer_bytes: u64,
-    /// Records dropped as older than any open window.
-    pub late_drops: u64,
-    /// Summaries emitted by the merger.
-    pub summaries: u64,
-    /// Summary frames shipped through the channel.
-    pub frames_sent: u64,
-    /// Frames dropped (receiver gone, or full channel while stopping).
-    pub frames_dropped: u64,
-}
-
-/// What [`MultiIngestHandle::stop`] hands back: lane counters summed,
-/// `daemon.summaries` / `summary_bytes` taken from the merged stream.
-#[derive(Debug)]
-pub struct IngestReport {
-    /// Raw datagrams received (admitted or not).
-    pub datagrams: u64,
-    /// Decode/bucket/batch counters of the pipelines.
+    /// Decode/bucket/batch counters of the pipeline.
     pub pipeline: PipelineStats,
-    /// The decoders' hardening counters (templates, skipped records).
+    /// The decoder's hardening counters (templates, skipped records).
     pub decoder: DecoderStats,
     /// Admission-control drop/eviction counters.
     pub admission: AdmissionStats,
-    /// The lane daemons' counters.
+    /// The lane daemon's counters. In a total, `summaries` and
+    /// `summary_bytes` are the merger's emitted stream.
     pub daemon: DaemonStats,
+    /// Exporter addresses currently tracked by admission control.
+    pub exporters: u64,
+}
+
+impl LaneStats {
+    /// Adds `o` field by field: the one summation over lanes.
+    fn add(&mut self, o: &LaneStats) {
+        self.datagrams += o.datagrams;
+        self.exporters += o.exporters;
+        let (p, q) = (&mut self.pipeline, &o.pipeline);
+        p.packets += q.packets;
+        p.packets_v5 += q.packets_v5;
+        p.packets_v9 += q.packets_v9;
+        p.packets_ipfix += q.packets_ipfix;
+        p.decode_errors += q.decode_errors;
+        p.records += q.records;
+        p.wire_bytes += q.wire_bytes;
+        p.batches += q.batches;
+        p.window_sheds += q.window_sheds;
+        let (d, e) = (&mut self.decoder, &o.decoder);
+        d.templates += e.templates;
+        d.templates_learned += e.templates_learned;
+        d.templates_rejected += e.templates_rejected;
+        d.templates_evicted_cap += e.templates_evicted_cap;
+        d.templates_evicted_timeout += e.templates_evicted_timeout;
+        d.templates_withdrawn += e.templates_withdrawn;
+        d.withdrawals_unknown += e.withdrawals_unknown;
+        d.records_skipped += e.records_skipped;
+        let (a, b) = (&mut self.admission, &o.admission);
+        a.packet_drops += b.packet_drops;
+        a.record_drops += b.record_drops;
+        a.exporters_evicted += b.exporters_evicted;
+        let (m, n) = (&mut self.daemon, &o.daemon);
+        m.records += n.records;
+        m.raw_bytes += n.raw_bytes;
+        m.summaries += n.summaries;
+        m.summary_bytes += n.summary_bytes;
+        m.late_drops += n.late_drops;
+    }
+}
+
+/// The engine's counters: lane counters summed, plus the merger's
+/// frame side. [`MultiGaugeView::snapshot`] reads one while the engine
+/// runs; [`MultiIngestHandle::stop`] returns the final one.
+#[derive(Debug)]
+pub struct IngestReport {
+    /// Every lane's [`LaneStats`] summed; `daemon.summaries` /
+    /// `summary_bytes` are the merger's emitted stream.
+    pub total: LaneStats,
+    /// Achieved socket receive buffers, summed (0 = OS default).
+    pub recv_buffer_bytes: u64,
     /// Summary frames shipped through the channel.
     pub frames_sent: u64,
     /// Frames dropped because the channel's receiver was gone, or
@@ -218,7 +237,7 @@ pub struct IngestReport {
     /// (backpressure).
     pub backpressure_waits: u64,
     /// A socket-level error that ended a lane or the reader early, if
-    /// any.
+    /// any (always `None` in a live snapshot).
     pub error: Option<std::io::Error>,
 }
 
@@ -235,110 +254,47 @@ pub struct IngestTelemetry {
     pub events: Option<flowmetrics::EventRing>,
 }
 
-/// Live counters of one lane, published by its thread after every
-/// receive batch (plus `backpressure_waits`, bumped by the fanout
-/// reader when this lane's ring is full).
+/// One lane's live state: its [`LaneStats`] behind a mutex only the
+/// lane thread and scrapes take, plus the counters that are bumped by
+/// other threads or outside a receive batch.
 #[derive(Debug, Default)]
-pub struct LaneGauges {
-    /// Raw datagrams this lane received (admitted or not).
-    pub datagrams: AtomicU64,
-    /// Export packets decoded successfully.
-    pub packets: AtomicU64,
-    /// Payloads that failed to decode.
-    pub decode_errors: AtomicU64,
-    /// Datagrams denied by a per-exporter packet quota.
-    pub quota_packet_drops: AtomicU64,
-    /// Records denied by a per-exporter record quota.
-    pub quota_record_drops: AtomicU64,
-    /// Flow records extracted.
-    pub records: AtomicU64,
-    /// Data records/sets dropped for lack of a template.
-    pub records_no_template: AtomicU64,
-    /// Templates currently cached by this lane's decoder.
-    pub templates: AtomicU64,
-    /// Templates evicted (count cap + timeout).
-    pub templates_evicted: AtomicU64,
-    /// Templates rejected for violating shape bounds.
-    pub templates_rejected: AtomicU64,
-    /// Window buckets force-flushed to honor the open-window budget.
-    pub window_sheds: AtomicU64,
-    /// Exporter addresses tracked by this lane's admission table.
-    pub exporters: AtomicU64,
-    /// Exporter entries evicted to bound the table.
-    pub exporters_evicted: AtomicU64,
-    /// Records dropped as older than any open window.
-    pub late_drops: AtomicU64,
-    /// Achieved socket receive buffer (0 = OS default / shared
-    /// fanout socket).
-    pub recv_buffer_bytes: AtomicU64,
+struct LaneGauges {
+    stats: Mutex<LaneStats>,
+    recv_batches: AtomicU64,
+    backpressure_waits: AtomicU64,
+    dead_drops: AtomicU64,
+    recv_buffer_bytes: AtomicU64,
+    pinned: AtomicBool,
+}
+
+/// One reading of a lane.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LaneSnapshot {
+    /// The lane's counters as of its last receive batch.
+    pub stats: LaneStats,
     /// Successful receive batches (syscalls in reuseport mode; ring
     /// bursts in fanout mode). `datagrams / recv_batches` is the mean
     /// batch size.
-    pub recv_batches: AtomicU64,
-    /// 1 ms waits the fanout reader spent on this lane's full ring.
-    pub backpressure_waits: AtomicU64,
-    /// Datagrams the fanout reader discarded because this lane's ring
-    /// consumer was gone (lane thread exited). Keeps the reader-side
-    /// loss observable: these datagrams never reach any lane, so they
-    /// are absent from the per-lane accounting identity by design.
-    pub dead_drops: AtomicU64,
-    /// 1 when the lane thread currently holds a CPU affinity pin.
-    pub pinned: AtomicU64,
-}
-
-/// One coherent-enough reading of a lane's gauges.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneSnapshot {
-    /// Raw datagrams this lane received.
-    pub datagrams: u64,
-    /// Export packets decoded successfully.
-    pub packets: u64,
-    /// Payloads that failed to decode.
-    pub decode_errors: u64,
-    /// Datagrams denied by a per-exporter packet quota.
-    pub quota_packet_drops: u64,
-    /// Records denied by a per-exporter record quota.
-    pub quota_record_drops: u64,
-    /// Flow records extracted.
-    pub records: u64,
-    /// Records dropped as older than any open window.
-    pub late_drops: u64,
-    /// Successful receive batches.
     pub recv_batches: u64,
-    /// 1 ms fanout-reader waits on this lane's full ring.
+    /// 1 ms waits the fanout reader spent on this lane's full ring.
     pub backpressure_waits: u64,
     /// Datagrams the fanout reader discarded because this lane's ring
-    /// consumer was gone.
+    /// consumer was gone (lane thread exited). These never reach any
+    /// lane, so they are absent from the per-lane accounting identity
+    /// by design.
     pub dead_drops: u64,
-    /// Achieved socket receive buffer for this lane's socket.
+    /// Achieved socket receive buffer (0 = OS default / shared fanout
+    /// socket).
     pub recv_buffer_bytes: u64,
-    /// Whether the lane thread is currently pinned to a core.
+    /// Whether the lane thread currently holds a CPU affinity pin.
     pub pinned: bool,
 }
 
-impl LaneGauges {
-    fn snapshot(&self) -> LaneSnapshot {
-        LaneSnapshot {
-            datagrams: self.datagrams.load(Ordering::Relaxed),
-            packets: self.packets.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            quota_packet_drops: self.quota_packet_drops.load(Ordering::Relaxed),
-            quota_record_drops: self.quota_record_drops.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            late_drops: self.late_drops.load(Ordering::Relaxed),
-            recv_batches: self.recv_batches.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            dead_drops: self.dead_drops.load(Ordering::Relaxed),
-            recv_buffer_bytes: self.recv_buffer_bytes.load(Ordering::Relaxed),
-            pinned: self.pinned.load(Ordering::Relaxed) != 0,
-        }
-    }
-}
-
-/// Counters the merger thread publishes while running.
+/// Counters the merger thread bumps while running.
 #[derive(Debug, Default)]
 struct MergerGauges {
     summaries: AtomicU64,
+    summary_bytes: AtomicU64,
     frames_sent: AtomicU64,
     frames_dropped: AtomicU64,
     waits: AtomicU64,
@@ -363,7 +319,15 @@ impl MultiGaugeView {
 
     /// One lane's counters.
     pub fn lane(&self, i: usize) -> LaneSnapshot {
-        self.lanes[i].snapshot()
+        let g = &self.lanes[i];
+        LaneSnapshot {
+            stats: *g.stats.lock().expect("lane stats"),
+            recv_batches: g.recv_batches.load(Ordering::Relaxed),
+            backpressure_waits: g.backpressure_waits.load(Ordering::Relaxed),
+            dead_drops: g.dead_drops.load(Ordering::Relaxed),
+            recv_buffer_bytes: g.recv_buffer_bytes.load(Ordering::Relaxed),
+            pinned: g.pinned.load(Ordering::Relaxed),
+        }
     }
 
     /// Straggler window trees the merger dropped because their window
@@ -374,55 +338,30 @@ impl MultiGaugeView {
         self.merger.stale_windows.load(Ordering::Relaxed)
     }
 
-    /// The aggregate view: lane counters summed, merger counters for
-    /// the summary/frame side.
-    pub fn snapshot(&self) -> IngestSnapshot {
-        let mut s = IngestSnapshot::default();
-        for lane in self.lanes.iter() {
-            s.datagrams += lane.datagrams.load(Ordering::Relaxed);
-            s.packets += lane.packets.load(Ordering::Relaxed);
-            s.decode_errors += lane.decode_errors.load(Ordering::Relaxed);
-            s.quota_packet_drops += lane.quota_packet_drops.load(Ordering::Relaxed);
-            s.quota_record_drops += lane.quota_record_drops.load(Ordering::Relaxed);
-            s.records += lane.records.load(Ordering::Relaxed);
-            s.records_no_template += lane.records_no_template.load(Ordering::Relaxed);
-            s.templates += lane.templates.load(Ordering::Relaxed);
-            s.templates_evicted += lane.templates_evicted.load(Ordering::Relaxed);
-            s.templates_rejected += lane.templates_rejected.load(Ordering::Relaxed);
-            s.window_sheds += lane.window_sheds.load(Ordering::Relaxed);
-            s.exporters += lane.exporters.load(Ordering::Relaxed);
-            s.exporters_evicted += lane.exporters_evicted.load(Ordering::Relaxed);
-            s.late_drops += lane.late_drops.load(Ordering::Relaxed);
-            s.recv_buffer_bytes += lane.recv_buffer_bytes.load(Ordering::Relaxed);
-            s.backpressure_waits += lane.backpressure_waits.load(Ordering::Relaxed);
+    /// The engine's counters now: lane counters summed, merger
+    /// counters for the summary/frame side.
+    pub fn snapshot(&self) -> IngestReport {
+        let m = &self.merger;
+        let mut total = LaneStats::default();
+        let mut recv_buffer_bytes = 0;
+        let mut backpressure_waits = m.waits.load(Ordering::Relaxed);
+        for i in 0..self.lanes() {
+            let lane = self.lane(i);
+            total.add(&lane.stats);
+            recv_buffer_bytes += lane.recv_buffer_bytes;
+            backpressure_waits += lane.backpressure_waits;
         }
-        s.backpressure_waits += self.merger.waits.load(Ordering::Relaxed);
-        s.summaries = self.merger.summaries.load(Ordering::Relaxed);
-        s.frames_sent = self.merger.frames_sent.load(Ordering::Relaxed);
-        s.frames_dropped = self.merger.frames_dropped.load(Ordering::Relaxed);
-        s
+        total.daemon.summaries = m.summaries.load(Ordering::Relaxed);
+        total.daemon.summary_bytes = m.summary_bytes.load(Ordering::Relaxed);
+        IngestReport {
+            total,
+            recv_buffer_bytes,
+            frames_sent: m.frames_sent.load(Ordering::Relaxed),
+            frames_dropped: m.frames_dropped.load(Ordering::Relaxed),
+            backpressure_waits,
+            error: None,
+        }
     }
-}
-
-/// What one lane thread hands back on shutdown.
-#[derive(Debug)]
-struct LaneDone {
-    datagrams: u64,
-    pipeline: PipelineStats,
-    decoder: DecoderStats,
-    admission: AdmissionStats,
-    daemon: DaemonStats,
-    error: Option<std::io::Error>,
-}
-
-/// What the merger thread hands back on shutdown.
-#[derive(Debug)]
-struct MergerDone {
-    summaries: u64,
-    summary_bytes: u64,
-    frames_sent: u64,
-    frames_dropped: u64,
-    waits: u64,
 }
 
 /// Lane → merger traffic.
@@ -439,14 +378,17 @@ enum LaneEvent {
     Watermark { lane: usize, ts: u64 },
 }
 
+/// A socket error that ended a lane or the fanout reader early, if any.
+type SocketError = Option<std::io::Error>;
+
 /// A running multi-lane ingest engine (see [`spawn_multi_lane_ingest`]).
 #[derive(Debug)]
 pub struct MultiIngestHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    lanes: Vec<std::thread::JoinHandle<LaneDone>>,
-    reader: Option<std::thread::JoinHandle<(Option<std::io::Error>, u64)>>,
-    merger: std::thread::JoinHandle<MergerDone>,
+    lanes: Vec<std::thread::JoinHandle<SocketError>>,
+    reader: Option<std::thread::JoinHandle<SocketError>>,
+    merger: std::thread::JoinHandle<()>,
     view: MultiGaugeView,
     reuseport: bool,
 }
@@ -469,82 +411,26 @@ impl MultiIngestHandle {
     }
 
     /// Stops the engine: every lane drains its socket (or ring),
-    /// flushes its pipeline, the merger emits every residual window,
-    /// and the aggregated counters come back as one [`IngestReport`]
-    /// (lane counters summed; `daemon.summaries` / `summary_bytes` are
-    /// the merger's emitted stream).
+    /// flushes its pipeline and publishes its final counters, the
+    /// merger emits every residual window, and the view's
+    /// [`MultiGaugeView::snapshot`] of that final state comes back with
+    /// the first socket error, if any.
     pub fn stop(self) -> IngestReport {
         self.stop.store(true, Ordering::Relaxed);
-        let mut error = None;
-        let mut reader_waits = 0u64;
-        if let Some(reader) = self.reader {
-            let (err, waits) = reader.join().expect("fanout reader panicked");
-            error = err;
-            reader_waits = waits;
+        let mut error = self
+            .reader
+            .and_then(|r| r.join().expect("fanout reader panicked"));
+        for lane in self.lanes {
+            let err = lane.join().expect("lane thread panicked");
+            error = error.or(err);
         }
-        let dones: Vec<LaneDone> = self
-            .lanes
-            .into_iter()
-            .map(|h| h.join().expect("lane thread panicked"))
-            .collect();
         // Lanes joined → their event senders dropped → the merger's
         // receive loop ends and it emits every residual window.
-        let m = self.merger.join().expect("merger thread panicked");
-        let mut datagrams = 0u64;
-        let mut pipeline = PipelineStats::default();
-        let mut decoder = DecoderStats::default();
-        let mut admission = AdmissionStats::default();
-        let mut daemon = DaemonStats::default();
-        for d in dones {
-            datagrams += d.datagrams;
-            pipeline.packets += d.pipeline.packets;
-            pipeline.packets_v5 += d.pipeline.packets_v5;
-            pipeline.packets_v9 += d.pipeline.packets_v9;
-            pipeline.packets_ipfix += d.pipeline.packets_ipfix;
-            pipeline.decode_errors += d.pipeline.decode_errors;
-            pipeline.records += d.pipeline.records;
-            pipeline.wire_bytes += d.pipeline.wire_bytes;
-            pipeline.batches += d.pipeline.batches;
-            pipeline.window_sheds += d.pipeline.window_sheds;
-            decoder.templates += d.decoder.templates;
-            decoder.templates_learned += d.decoder.templates_learned;
-            decoder.templates_rejected += d.decoder.templates_rejected;
-            decoder.templates_evicted_cap += d.decoder.templates_evicted_cap;
-            decoder.templates_evicted_timeout += d.decoder.templates_evicted_timeout;
-            decoder.templates_withdrawn += d.decoder.templates_withdrawn;
-            decoder.withdrawals_unknown += d.decoder.withdrawals_unknown;
-            decoder.records_skipped += d.decoder.records_skipped;
-            admission.packet_drops += d.admission.packet_drops;
-            admission.record_drops += d.admission.record_drops;
-            admission.exporters_evicted += d.admission.exporters_evicted;
-            daemon.records += d.daemon.records;
-            daemon.raw_bytes += d.daemon.raw_bytes;
-            daemon.late_drops += d.daemon.late_drops;
-            if error.is_none() {
-                error = d.error;
-            }
-        }
-        daemon.summaries = m.summaries;
-        daemon.summary_bytes = m.summary_bytes;
-        IngestReport {
-            datagrams,
-            pipeline,
-            decoder,
-            admission,
-            daemon,
-            frames_sent: m.frames_sent,
-            frames_dropped: m.frames_dropped,
-            backpressure_waits: reader_waits + m.waits,
-            error,
-        }
+        self.merger.join().expect("merger thread panicked");
+        let mut report = self.view.snapshot();
+        report.error = error;
+        report
     }
-}
-
-fn epoch_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 /// Which lane an exporter address routes to in fanout mode: a
@@ -654,26 +540,27 @@ where
         }
     };
 
+    let mut new_lane = |i: usize| Lane {
+        idx: i,
+        pipeline: pipelines.remove(0),
+        admission: AdmissionControl::new(),
+        knobs: Arc::clone(&opts.knobs),
+        gauges: Arc::clone(&lane_gauges[i]),
+        events: events_tx.clone(),
+        telemetry: if i == 0 {
+            opts.telemetry.clone()
+        } else {
+            IngestTelemetry::default()
+        },
+        batch_hist: opts.batch_hist.clone(),
+        datagrams: 0,
+        wm_sent: 0,
+        pinned: false,
+        seen_sheds: 0,
+    };
     if reuseport || lanes == 1 {
         for (i, socket) in sockets.into_iter().enumerate() {
-            let mut lane = Lane {
-                idx: i,
-                pipeline: pipelines.remove(0),
-                admission: AdmissionControl::new(),
-                knobs: Arc::clone(&opts.knobs),
-                gauges: Arc::clone(&lane_gauges[i]),
-                events: events_tx.clone(),
-                telemetry: if i == 0 {
-                    opts.telemetry.clone()
-                } else {
-                    IngestTelemetry::default()
-                },
-                batch_hist: opts.batch_hist.clone(),
-                datagrams: 0,
-                wm_sent: 0,
-                pinned: false,
-                seen_sheds: 0,
-            };
+            let lane = new_lane(i);
             let stop = Arc::clone(&stop);
             let mut recv = make_receiver();
             lane_handles.push(
@@ -686,27 +573,10 @@ where
     } else {
         // Fanout mode: one reader, N rings, N lane threads.
         let mut producers = Vec::with_capacity(lanes);
-        for (i, _) in lane_gauges.iter().enumerate() {
+        for i in 0..lanes {
             let (tx, rx) = ring::spsc::<(Vec<u8>, SocketAddr)>(RING_CAPACITY);
             producers.push(tx);
-            let mut lane = Lane {
-                idx: i,
-                pipeline: pipelines.remove(0),
-                admission: AdmissionControl::new(),
-                knobs: Arc::clone(&opts.knobs),
-                gauges: Arc::clone(&lane_gauges[i]),
-                events: events_tx.clone(),
-                telemetry: if i == 0 {
-                    opts.telemetry.clone()
-                } else {
-                    IngestTelemetry::default()
-                },
-                batch_hist: opts.batch_hist.clone(),
-                datagrams: 0,
-                wm_sent: 0,
-                pinned: false,
-                seen_sheds: 0,
-            };
+            let lane = new_lane(i);
             lane_handles.push(
                 std::thread::Builder::new()
                     .name(format!("lane-{i}"))
@@ -716,7 +586,7 @@ where
         }
         let socket = sockets.pop().expect("one fanout socket");
         let stop = Arc::clone(&stop);
-        let gauges: Vec<Arc<LaneGauges>> = lane_gauges.clone();
+        let gauges = lane_gauges.clone();
         let mut recv = make_receiver();
         reader = Some(
             std::thread::Builder::new()
@@ -764,18 +634,18 @@ struct Lane {
 impl Lane {
     /// Reuseport mode: this lane owns `socket` outright.
     fn run_socket(
-        &mut self,
+        mut self,
         socket: UdpSocket,
         recv: &mut BatchReceiver,
         stop: &AtomicBool,
-    ) -> LaneDone {
+    ) -> SocketError {
         let mut error = None;
         'listen: loop {
             let stopping = stop.load(Ordering::Relaxed);
             self.refresh_pinning();
             match recv.recv(&socket) {
                 Ok(n) => {
-                    let now_ms = epoch_ms();
+                    let now_ms = crate::epoch_ms();
                     for i in 0..n {
                         let (payload, peer) = recv.datagram(i);
                         self.process_datagram(payload, peer, now_ms);
@@ -811,15 +681,15 @@ impl Lane {
     /// Fanout mode: this lane drains its SPSC ring; the reader owns
     /// the socket. Ends when the reader is gone and the ring is empty.
     fn run_ring(
-        &mut self,
+        mut self,
         mut rx: ring::Consumer<(Vec<u8>, SocketAddr)>,
         burst_max: usize,
-    ) -> LaneDone {
+    ) -> SocketError {
         let mut burst = 0u64;
         loop {
             match rx.try_pop() {
                 Some((payload, peer)) => {
-                    let now_ms = epoch_ms();
+                    let now_ms = crate::epoch_ms();
                     self.process_datagram(&payload, peer, now_ms);
                     burst += 1;
                     if burst >= burst_max as u64 {
@@ -829,7 +699,7 @@ impl Lane {
                 }
                 None => {
                     if burst > 0 {
-                        self.after_batch(burst, epoch_ms());
+                        self.after_batch(burst, crate::epoch_ms());
                         burst = 0;
                     }
                     if rx.sender_gone() && rx.is_empty() {
@@ -918,58 +788,34 @@ impl Lane {
                 crate::sockopt::unpin_current_thread()
             };
             self.pinned = want && ok;
-            self.gauges
-                .pinned
-                .store(self.pinned as u64, Ordering::Relaxed);
+            self.gauges.pinned.store(self.pinned, Ordering::Relaxed);
         }
     }
 
-    /// Publishes the lane's counters (store semantics — this thread is
-    /// the only writer of every field except `backpressure_waits`).
+    /// The lane's counters now.
+    fn stats(&self) -> LaneStats {
+        LaneStats {
+            datagrams: self.datagrams,
+            pipeline: *self.pipeline.stats(),
+            decoder: self.pipeline.decoder_stats(),
+            admission: self.admission.stats(),
+            daemon: *self.pipeline.daemon().stats(),
+            exporters: self.admission.exporters() as u64,
+        }
+    }
+
+    /// Publishes the lane's counters whole; only scrapes contend for
+    /// the lock.
     fn publish(&self) {
-        let g = &self.gauges;
-        let p = self.pipeline.stats();
-        let d = self.pipeline.decoder_stats();
-        let dm = self.pipeline.daemon().stats();
-        let a = self.admission.stats();
-        g.datagrams.store(self.datagrams, Ordering::Relaxed);
-        g.packets.store(p.packets, Ordering::Relaxed);
-        g.decode_errors.store(p.decode_errors, Ordering::Relaxed);
-        g.quota_packet_drops
-            .store(a.packet_drops, Ordering::Relaxed);
-        g.quota_record_drops
-            .store(a.record_drops, Ordering::Relaxed);
-        g.records.store(p.records, Ordering::Relaxed);
-        g.records_no_template
-            .store(d.records_skipped, Ordering::Relaxed);
-        g.templates.store(d.templates as u64, Ordering::Relaxed);
-        g.templates_evicted.store(
-            d.templates_evicted_cap + d.templates_evicted_timeout,
-            Ordering::Relaxed,
-        );
-        g.templates_rejected
-            .store(d.templates_rejected, Ordering::Relaxed);
-        g.window_sheds.store(p.window_sheds, Ordering::Relaxed);
-        g.exporters
-            .store(self.admission.exporters() as u64, Ordering::Relaxed);
-        g.exporters_evicted
-            .store(a.exporters_evicted, Ordering::Relaxed);
-        g.late_drops.store(dm.late_drops, Ordering::Relaxed);
+        *self.gauges.stats.lock().expect("lane stats") = self.stats();
     }
 
     /// Flushes the pipeline, ships residual window trees to the
-    /// merger, and returns the lane's counters.
-    fn finish(&mut self, error: Option<std::io::Error>) -> LaneDone {
-        // `IngestPipeline::finish` consumes the pipeline; swap in a
-        // throwaway so `self` stays usable for the final publish.
-        let cfg = *self.pipeline.daemon().config();
-        let pipeline = std::mem::replace(
-            &mut self.pipeline,
-            IngestPipeline::new(crate::daemon::SiteDaemon::new(cfg), 1),
-        );
-        let stats = *pipeline.stats();
-        let decoder = pipeline.decoder_stats();
-        let (rest, daemon) = pipeline.finish();
+    /// merger, and publishes the lane's final counters.
+    fn finish(self, error: SocketError) -> SocketError {
+        let mut last = self.stats();
+        let (rest, daemon) = self.pipeline.finish();
+        last.daemon = *daemon.stats();
         for s in rest {
             let _ = self.events.send(LaneEvent::Closed {
                 lane: self.idx,
@@ -977,23 +823,8 @@ impl Lane {
                 tree: Box::new(s.tree),
             });
         }
-        // Final publish so the gauges match the report exactly.
-        let g = &self.gauges;
-        g.datagrams.store(self.datagrams, Ordering::Relaxed);
-        g.packets.store(stats.packets, Ordering::Relaxed);
-        g.decode_errors
-            .store(stats.decode_errors, Ordering::Relaxed);
-        g.records.store(stats.records, Ordering::Relaxed);
-        g.late_drops
-            .store(daemon.stats().late_drops, Ordering::Relaxed);
-        LaneDone {
-            datagrams: self.datagrams,
-            pipeline: stats,
-            decoder,
-            admission: self.admission.stats(),
-            daemon: *daemon.stats(),
-            error,
-        }
+        *self.gauges.stats.lock().expect("lane stats") = last;
+        error
     }
 }
 
@@ -1009,9 +840,8 @@ fn fanout_loop(
     mut producers: Vec<ring::Producer<(Vec<u8>, SocketAddr)>>,
     gauges: Vec<Arc<LaneGauges>>,
     stop: &AtomicBool,
-) -> (Option<std::io::Error>, u64) {
+) -> SocketError {
     let lanes = producers.len();
-    let mut waits = 0u64;
     let mut error = None;
     'listen: loop {
         let stopping = stop.load(Ordering::Relaxed);
@@ -1030,7 +860,6 @@ fn fanout_loop(
                                     break;
                                 }
                                 item = back;
-                                waits += 1;
                                 gauges[lane]
                                     .backpressure_waits
                                     .fetch_add(1, Ordering::Relaxed);
@@ -1058,7 +887,7 @@ fn fanout_loop(
         }
     }
     // Dropping the producers tells each lane "no more datagrams".
-    (error, waits)
+    error
 }
 
 /// The merger: collects per-lane window trees, emits each window —
@@ -1073,7 +902,7 @@ fn merger_loop(
     frames: Sender<Vec<u8>>,
     stop: Arc<AtomicBool>,
     gauges: Arc<MergerGauges>,
-) -> MergerDone {
+) {
     let mut wins: BTreeMap<u64, Vec<FlowTree>> = BTreeMap::new();
     let mut wm = vec![0u64; lanes];
     // Wall clock of the last event heard from each lane; a lane quiet
@@ -1085,13 +914,6 @@ fn merger_loop(
     // counted and dropped (re-emitting would replace the window
     // wholesale at the collector).
     let mut emitted_to = 0u64;
-    let mut done = MergerDone {
-        summaries: 0,
-        summary_bytes: 0,
-        frames_sent: 0,
-        frames_dropped: 0,
-        waits: 0,
-    };
     let mut seq = 0u64;
 
     let horizon = |min_wm: u64| -> u64 {
@@ -1105,7 +927,7 @@ fn merger_loop(
     // frames are dropped and counted — `stop()` joins this thread, so
     // blocking on `send` would deadlock a caller that drains the
     // channel only after stopping.
-    let emit = |start_ms: u64, trees: Vec<FlowTree>, done: &mut MergerDone, seq: &mut u64| {
+    let emit = |start_ms: u64, trees: Vec<FlowTree>, seq: &mut u64| {
         let mut trees = trees;
         let tree = if trees.len() == 1 {
             trees.pop().expect("one tree")
@@ -1129,37 +951,30 @@ fn merger_loop(
             tree,
         };
         let mut frame = summary.encode();
-        done.summaries += 1;
-        done.summary_bytes += frame.len() as u64;
+        let bump = |c: &AtomicU64, n: u64| c.fetch_add(n, Ordering::Relaxed);
+        bump(&gauges.summaries, 1);
+        bump(&gauges.summary_bytes, frame.len() as u64);
         loop {
             match frames.try_send(frame) {
                 Ok(()) => {
-                    done.frames_sent += 1;
+                    bump(&gauges.frames_sent, 1);
                     break;
                 }
                 Err(TrySendError::Disconnected(_)) => {
-                    done.frames_dropped += 1;
+                    bump(&gauges.frames_dropped, 1);
                     break;
                 }
                 Err(TrySendError::Full(f)) => {
                     if stop.load(Ordering::Relaxed) {
-                        done.frames_dropped += 1;
+                        bump(&gauges.frames_dropped, 1);
                         break;
                     }
                     frame = f;
-                    done.waits += 1;
+                    bump(&gauges.waits, 1);
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
         }
-        gauges.summaries.store(done.summaries, Ordering::Relaxed);
-        gauges
-            .frames_sent
-            .store(done.frames_sent, Ordering::Relaxed);
-        gauges
-            .frames_dropped
-            .store(done.frames_dropped, Ordering::Relaxed);
-        gauges.waits.store(done.waits, Ordering::Relaxed);
     };
 
     loop {
@@ -1217,7 +1032,7 @@ fn merger_loop(
                 break;
             }
             let trees = wins.remove(&w).expect("window present");
-            emit(w, trees, &mut done, &mut seq);
+            emit(w, trees, &mut seq);
         }
     }
     // Every lane finished (senders dropped): emit residual windows,
@@ -1225,9 +1040,8 @@ fn merger_loop(
     let residual: Vec<u64> = wins.keys().copied().collect();
     for w in residual {
         let trees = wins.remove(&w).expect("window present");
-        emit(w, trees, &mut done, &mut seq);
+        emit(w, trees, &mut seq);
     }
-    done
 }
 
 #[cfg(test)]
@@ -1302,13 +1116,15 @@ mod tests {
 
     fn check(report: &IngestReport, frames: &[Vec<u8>], senders: u64) {
         assert!(report.error.is_none());
-        assert_eq!(report.pipeline.records, senders * 30);
-        assert_eq!(report.daemon.records, senders * 30);
-        assert_eq!(report.daemon.late_drops, 0);
+        assert_eq!(report.total.pipeline.records, senders * 30);
+        assert_eq!(report.total.daemon.records, senders * 30);
+        assert_eq!(report.total.daemon.late_drops, 0);
         // The edge identity, summed over lanes.
         assert_eq!(
-            report.datagrams,
-            report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops
+            report.total.datagrams,
+            report.total.pipeline.packets
+                + report.total.pipeline.decode_errors
+                + report.total.admission.packet_drops
         );
         assert_eq!(report.frames_dropped, 0);
         let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(8_192));
@@ -1326,7 +1142,7 @@ mod tests {
     fn single_lane_behaves_like_the_classic_loop() {
         let (report, frames, _) = run_engine(LaneOptions::default(), 1);
         check(&report, &frames, 1);
-        assert_eq!(report.daemon.summaries, 3);
+        assert_eq!(report.total.daemon.summaries, 3);
     }
 
     #[test]
@@ -1399,8 +1215,8 @@ mod tests {
         assert_eq!(view.merger_stale_windows(), 0);
         let report = handle.stop();
         assert!(report.error.is_none());
-        assert_eq!(report.daemon.late_drops, 0);
-        assert!(report.daemon.summaries >= 1);
+        assert_eq!(report.total.daemon.late_drops, 0);
+        assert!(report.total.daemon.summaries >= 1);
     }
 
     #[test]
@@ -1420,20 +1236,20 @@ mod tests {
         export_netflow(&sock, to, &records, 10_000).unwrap();
         // Wait until the engine has seen the datagram.
         for _ in 0..100 {
-            if view.snapshot().datagrams >= 1 {
+            if view.snapshot().total.datagrams >= 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         let snap = view.snapshot();
-        assert!(snap.datagrams >= 1);
+        assert!(snap.total.datagrams >= 1);
         assert_eq!(
-            snap.datagrams,
-            view.lane(0).datagrams + view.lane(1).datagrams,
+            snap.total.datagrams,
+            view.lane(0).stats.datagrams + view.lane(1).stats.datagrams,
             "aggregate is the lane sum"
         );
         let report = handle.stop();
-        assert_eq!(report.pipeline.records, 10);
+        assert_eq!(report.total.pipeline.records, 10);
         drop(rx);
     }
 
@@ -1447,8 +1263,8 @@ mod tests {
         let handle = spawn_multi_lane_ingest("127.0.0.1:0", mk_pipeline(2), tx, opts).unwrap();
         let report = handle.stop();
         assert!(report.error.is_none());
-        assert_eq!(report.datagrams, 0);
-        assert_eq!(report.daemon.summaries, 0);
+        assert_eq!(report.total.datagrams, 0);
+        assert_eq!(report.total.daemon.summaries, 0);
         assert!(rx.try_recv().is_err());
     }
 
@@ -1469,7 +1285,7 @@ mod tests {
         let report = handle.stop();
         assert_eq!(
             report.frames_sent + report.frames_dropped,
-            report.daemon.summaries,
+            report.total.daemon.summaries,
             "every summary is accounted for"
         );
         drop(rx);
@@ -1541,20 +1357,25 @@ mod tests {
         let report = handle.stop();
 
         assert!(report.error.is_none());
-        assert_eq!(report.datagrams, sent);
+        assert_eq!(report.total.datagrams, sent);
         assert_eq!(
-            report.datagrams,
-            report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops
+            report.total.datagrams,
+            report.total.pipeline.packets
+                + report.total.pipeline.decode_errors
+                + report.total.admission.packet_drops
         );
-        assert_eq!(report.pipeline.decode_errors, garbage.len() as u64);
-        assert_eq!(report.pipeline.packets_v5, v5_dgrams);
-        assert_eq!(report.pipeline.packets_ipfix, ipfix_dgrams as u64);
-        assert_eq!(report.pipeline.packets_v9, 1);
+        assert_eq!(report.total.pipeline.decode_errors, garbage.len() as u64);
+        assert_eq!(report.total.pipeline.packets_v5, v5_dgrams);
+        assert_eq!(report.total.pipeline.packets_ipfix, ipfix_dgrams as u64);
+        assert_eq!(report.total.pipeline.packets_v9, 1);
         let records = (v5_recs.len() + ipfix_recs.len() + v9_recs.len()) as u64;
-        assert_eq!(report.pipeline.records, records);
-        assert_eq!(report.daemon.records, records);
-        assert_eq!(report.daemon.late_drops, 0);
-        assert_eq!((report.daemon.summaries, report.frames_dropped), (1, 0));
+        assert_eq!(report.total.pipeline.records, records);
+        assert_eq!(report.total.daemon.records, records);
+        assert_eq!(report.total.daemon.late_drops, 0);
+        assert_eq!(
+            (report.total.daemon.summaries, report.frames_dropped),
+            (1, 0)
+        );
 
         let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(8_192));
         for f in rx.try_iter() {
@@ -1580,7 +1401,7 @@ mod tests {
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         export_netflow(&sock, to, &[record(100, 1, 1)], 1_000).unwrap();
         let report = handle.stop();
-        assert_eq!(report.pipeline.records, 1);
+        assert_eq!(report.total.pipeline.records, 1);
         assert_eq!(report.frames_sent, 0);
         assert!(report.frames_dropped >= 1);
     }

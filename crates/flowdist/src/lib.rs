@@ -47,7 +47,9 @@
 //!   floods, oversized fields, missing templates, truncation, garbage)
 //!   for deterministic fault-injection tests.
 //! * [`ops`] — the tiny plaintext HTTP/1.0 health/stats/reload
-//!   endpoint every fleet node serves.
+//!   endpoint every fleet node serves, the shared rendering of a node's
+//!   one stats list (`/stats`, `/stats.json`, `/metrics`) and the one
+//!   reload grammar.
 //! * [`runtime`] — the site-node runtime: UDP ingest + upstream TCP
 //!   forwarder + ops endpoint behind one `start`/`drain` handle, so a
 //!   launcher boots a site from a spec line.
@@ -92,8 +94,7 @@ pub use control::{ControlFrame, SlotPos, FEATURE_ACKS};
 pub use daemon::{DaemonConfig, DaemonStats, SiteDaemon, TransferMode};
 pub use framing::{FramedConn, MAX_FRAME};
 pub use lane::{
-    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, LaneOptions, LaneSnapshot,
-    MultiIngestHandle,
+    spawn_multi_lane_ingest, IngestReport, LaneOptions, LaneSnapshot, LaneStats, MultiIngestHandle,
 };
 pub use mrecv::{BatchReceiver, MAX_RECV_BATCH};
 pub use pipeline::{IngestPipeline, PipelineStats};
@@ -105,6 +106,15 @@ pub use summary::{EpochHeader, Summary, SummaryKind};
 pub use window::WindowId;
 
 use flowtree_core::CodecError;
+
+/// Wall-clock milliseconds since the Unix epoch (0 if the clock reads
+/// before it).
+pub fn epoch_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
+}
 
 /// Errors of the distributed layer.
 #[derive(Debug)]

@@ -14,12 +14,19 @@
 //! node's handler closure. [`OpsHandle::stop`] is cooperative and
 //! frees the port (the loop polls a nonblocking listener instead of
 //! parking in `accept`), so a drained node releases its endpoint.
+//!
+//! What every node serves the same way lives here too: a node builds
+//! its one [`Stats`] list per scrape and [`NodeTelemetry::serve`]
+//! renders `/stats`, `/stats.json` and `/metrics` from it (plus
+//! `/events`), and [`parse_reload`] is the one `POST /reload` grammar.
+//! A node's own handler answers only `/health` and `/reload`.
 
+use flowmetrics::{EventRing, Registry, Stats};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One parsed request: method, path, and (for POST) the body.
 #[derive(Debug, Clone)]
@@ -66,6 +73,129 @@ impl OpsResponse {
             body: msg.into(),
         }
     }
+}
+
+/// Shared observability state of one node: the metric registry behind
+/// `GET /metrics`, the event ring behind `GET /events`, and the boot
+/// instant behind `/health`'s `uptime_ms`.
+#[derive(Debug, Clone)]
+pub struct NodeTelemetry {
+    /// Registry-native instruments (latency histograms, gauges the hot
+    /// path sets) plus every series a [`Stats`] publishes.
+    pub registry: Registry,
+    /// Operational events, newest last.
+    pub events: EventRing,
+    /// When the node booted.
+    started: Instant,
+}
+
+impl Default for NodeTelemetry {
+    fn default() -> NodeTelemetry {
+        NodeTelemetry {
+            registry: Registry::new(),
+            events: EventRing::new(256),
+            started: Instant::now(),
+        }
+    }
+}
+
+impl NodeTelemetry {
+    /// Starts a node's stats list with the series every node shares:
+    /// build identity, uptime and the event count.
+    pub fn stats(&self, role: &str, node: &str) -> Stats {
+        let mut s = Stats::new();
+        s.metric(1u64)
+            .gauge("flowtree_build_info", "Constant 1; identity in labels.")
+            .label("role", role)
+            .label("node", node)
+            .label("version", env!("CARGO_PKG_VERSION"));
+        s.metric(self.started.elapsed().as_secs())
+            .gauge("flowtree_uptime_seconds", "Seconds since this node booted.");
+        s.metric(self.events.total()).counter(
+            "flowtree_events_total",
+            "Operational events recorded (including ones the ring evicted).",
+        );
+        s
+    }
+
+    /// The shared `/health` tail: `uptime_ms` (restarts reset it — a
+    /// freshly low value on a long-lived fleet flags a crash-restart)
+    /// and the build version (how `flowctl top` spots a mixed-version
+    /// fleet).
+    pub fn health_tail(&self) -> String {
+        format!(
+            "uptime_ms {}\nversion {}",
+            self.started.elapsed().as_millis(),
+            env!("CARGO_PKG_VERSION")
+        )
+    }
+
+    /// Answers the pages every node renders the same way: `/stats` (and
+    /// `/`), `/stats.json` and `/metrics` from the node's one `stats`
+    /// list, and `/events`. `None` for anything else.
+    pub fn serve(&self, req: &OpsRequest, stats: impl FnOnce() -> Stats) -> Option<OpsResponse> {
+        if req.method != "GET" {
+            return None;
+        }
+        let body = match req.path.as_str() {
+            "/stats" | "/" => stats().render_text(),
+            "/stats.json" => stats().render_json(),
+            "/metrics" => {
+                stats().publish(&self.registry);
+                self.registry.render_prometheus()
+            }
+            "/events" => self.events.render_text(),
+            _ => return None,
+        };
+        Some(OpsResponse::ok(body))
+    }
+
+    /// Answers a `POST /reload` with the outcome of applying it; an
+    /// applied reload is recorded as a `reload` event.
+    pub fn reloaded(&self, outcome: Result<String, String>) -> OpsResponse {
+        match outcome {
+            Ok(reply) => {
+                self.events.push(crate::epoch_ms(), "reload", reply.clone());
+                OpsResponse::ok(reply)
+            }
+            Err(e) => OpsResponse::bad_request(e),
+        }
+    }
+}
+
+/// The `POST /reload` grammar every node speaks: `key=value` lines,
+/// trimmed, blank and `#` lines skipped. `set` stages one pair (the
+/// caller commits only on `Ok`), so a malformed line, an unknown key or
+/// a bad value fails the whole request and a typoed reload never
+/// half-applies. The reply is `applied k=v …` or `unchanged`.
+pub fn parse_reload(
+    body: &str,
+    mut set: impl FnMut(&str, &str) -> Result<(), String>,
+) -> Result<String, String> {
+    let mut applied = Vec::new();
+    for line in body.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| format!("malformed reload line (want key=value): {line:?}"))?;
+        let (key, value) = (key.trim(), value.trim());
+        set(key, value)?;
+        applied.push(format!("{key}={value}"));
+    }
+    Ok(if applied.is_empty() {
+        "unchanged".into()
+    } else {
+        format!("applied {}", applied.join(" "))
+    })
+}
+
+/// A reload value that must be an integer.
+pub fn reload_u64(key: &str, value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{key}: not a number: {value:?}"))
 }
 
 /// A running ops endpoint (see [`spawn_ops`]).

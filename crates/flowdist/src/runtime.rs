@@ -5,9 +5,16 @@
 //! site node runs — a forwarder that ships those frames upstream over
 //! TCP (reconnecting through outages), a stats endpoint, and a
 //! drain-on-shutdown path — wired behind one `start`/`drain` handle so
-//! a launcher ([`flowrelay`]'s `flowctl`) can boot a site from a spec
+//! a launcher (`flowrelay`'s `flowctl`) can boot a site from a spec
 //! line instead of hand-assembling threads. The relay-side twin is
 //! `flowrelay::runtime::NodeRuntime`.
+//!
+//! The stats endpoint serves one list: `site_stats` declares every
+//! counter once — its `/stats` key, its `/metrics` series, or both —
+//! from the lane engine's summed [`IngestReport`], the forwarder's
+//! counters and the live knobs, and
+//! [`NodeTelemetry::serve`](crate::ops::NodeTelemetry::serve) renders
+//! `/stats`, `/stats.json` and `/metrics` from it.
 //!
 //! Shutdown is a **drain**, never a cut: [`SiteRuntime::drain`] stops
 //! the UDP lanes (which themselves drain the socket buffers and flush
@@ -16,20 +23,22 @@
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
 use crate::lane::{
-    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, IngestTelemetry, LaneOptions,
-    MultiGaugeView, MultiIngestHandle,
+    spawn_multi_lane_ingest, IngestReport, IngestTelemetry, LaneOptions, MultiGaugeView,
+    MultiIngestHandle,
 };
-use crate::ops::{spawn_ops, OpsHandle, OpsRequest, OpsResponse};
+use crate::ops::{
+    parse_reload, reload_u64, spawn_ops, NodeTelemetry, OpsHandle, OpsRequest, OpsResponse,
+};
 use crate::pipeline::IngestPipeline;
 use crate::{DaemonConfig, DistError, SiteDaemon, TransferMode};
 use flowkey::Schema;
-use flowmetrics::{EventRing, KvValue, Registry};
+use flowmetrics::Stats;
 use flownet::DecoderLimits;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything one site node needs, as a value (superseding ad-hoc
 /// wiring): where to listen, where to ship, and the daemon knobs.
@@ -109,16 +118,6 @@ struct ForwardGauges {
     abandoned: AtomicU64,
 }
 
-/// Shared observability state of one site node: the metric registry
-/// behind `GET /metrics`, the event ring behind `GET /events`, and the
-/// boot instant behind `/health`'s `uptime_ms`.
-#[derive(Debug, Clone)]
-struct SiteTelemetry {
-    registry: Registry,
-    events: EventRing,
-    started: Instant,
-}
-
 /// What [`SiteRuntime::drain`] hands back.
 #[derive(Debug)]
 pub struct SiteDrainReport {
@@ -154,11 +153,7 @@ impl SiteRuntime {
         dcfg.schema = Schema::five_feature();
         dcfg.tree = flowtree_core::Config::with_budget(cfg.budget);
         dcfg.transfer = TransferMode::Full;
-        let telemetry = SiteTelemetry {
-            registry: Registry::new(),
-            events: EventRing::new(256),
-            started: Instant::now(),
-        };
+        let telemetry = NodeTelemetry::default();
         let decode_hist = telemetry.registry.histogram(
             "flowtree_decode_seconds",
             "Export-packet decode latency (one datagram through the dialect decoders).",
@@ -210,14 +205,15 @@ impl SiteRuntime {
         let ops = match &cfg.stats {
             Some(addr) => {
                 let site = cfg.site;
-                let g = gauges.clone();
+                let view = gauges.clone();
                 let f = Arc::clone(&fwd);
                 let k = Arc::clone(&knobs);
-                let tel = telemetry.clone();
-                Some(
-                    spawn_ops(addr, move |req| site_ops(site, &g, &f, &k, &tel, req))
-                        .map_err(DistError::Io)?,
-                )
+                let tel = telemetry;
+                let handler = move |req: &OpsRequest| {
+                    tel.serve(req, || site_stats(site, &tel, &view, &f, &k))
+                        .unwrap_or_else(|| site_ops(site, &k, &tel, req))
+                };
+                Some(spawn_ops(addr, handler).map_err(DistError::Io)?)
             }
             None => None,
         };
@@ -254,7 +250,7 @@ impl SiteRuntime {
     }
 
     /// The ingest engine's live counters.
-    pub fn ingest_snapshot(&self) -> IngestSnapshot {
+    pub fn ingest_snapshot(&self) -> IngestReport {
         self.gauges.snapshot()
     }
 
@@ -279,363 +275,221 @@ impl SiteRuntime {
     }
 }
 
-/// The workspace version every node reports in `/health` — how
-/// `flowctl top` spots a mixed-version or crash-restarted fleet.
-pub fn build_version() -> &'static str {
-    env!("CARGO_PKG_VERSION")
-}
-
-/// The shared `/health` tail: `uptime_ms` (restarts reset it — a
-/// freshly low value on a long-lived fleet flags a crash-restart) and
-/// the build version.
-pub fn health_tail(started: Instant) -> String {
-    format!(
-        "uptime_ms {}\nversion {}",
-        started.elapsed().as_millis(),
-        build_version()
-    )
-}
-
-/// The site node's stats as ordered key/value pairs — the single
-/// source both the legacy plaintext page and `/stats.json` render
-/// from, so the two can never drift.
-fn site_stat_pairs(
+/// The site node's one stats list: every key of the plaintext page and
+/// `/stats.json` in order, and every `/metrics` series except the
+/// registry-native histograms and open-window gauge.
+fn site_stats(
     site: u16,
+    tel: &NodeTelemetry,
     view: &MultiGaugeView,
     fwd: &ForwardGauges,
     knobs: &AdmissionKnobs,
-) -> Vec<(String, KvValue)> {
-    let s = &view.snapshot();
+) -> Stats {
+    let r = view.snapshot();
+    let t = &r.total;
     let cfg = knobs.load();
-    let mut pairs: Vec<(String, KvValue)> = vec![
-        ("role".into(), "site".into()),
-        ("site".into(), KvValue::U64(site as u64)),
-    ];
-    let mut line = |k: &str, v: u64| pairs.push((k.to_string(), KvValue::U64(v)));
-    line("datagrams", s.datagrams);
-    line("packets", s.packets);
-    line("decode_errors", s.decode_errors);
-    line("quota_packet_drops", s.quota_packet_drops);
-    line("quota_record_drops", s.quota_record_drops);
-    line("records", s.records);
-    line("records_no_template", s.records_no_template);
-    line("templates_live", s.templates);
-    line("templates_evicted", s.templates_evicted);
-    line("templates_rejected", s.templates_rejected);
-    line("window_sheds", s.window_sheds);
-    line("backpressure_waits", s.backpressure_waits);
-    line("exporters_tracked", s.exporters);
-    line("exporters_evicted", s.exporters_evicted);
-    line("recv_buffer_bytes", s.recv_buffer_bytes);
-    line("late_drops", s.late_drops);
-    line("summaries", s.summaries);
-    line("frames_sent", s.frames_sent);
-    line("frames_dropped", s.frames_dropped);
-    line("forwarded", fwd.forwarded.load(Ordering::Relaxed));
-    line("forward_reconnects", fwd.reconnects.load(Ordering::Relaxed));
-    line("forward_abandoned", fwd.abandoned.load(Ordering::Relaxed));
-    line("knob_packet_rate", cfg.packet_rate);
-    line("knob_packet_burst", cfg.packet_burst);
-    line("knob_record_rate", cfg.record_rate);
-    line("knob_record_burst", cfg.record_burst);
-    line("knob_max_exporters", cfg.max_exporters as u64);
-    line("knob_max_open_windows", knobs.max_open_windows());
-    line("knob_pin_cores", knobs.pin_cores() as u64);
-    line("lanes", view.lanes() as u64);
-    line("merger_stale_windows", view.merger_stale_windows());
-    for i in 0..view.lanes() {
-        let l = view.lane(i);
-        line(&format!("lane{i}_datagrams"), l.datagrams);
-        line(&format!("lane{i}_records"), l.records);
-        line(&format!("lane{i}_recv_batches"), l.recv_batches);
-        line(&format!("lane{i}_backpressure_waits"), l.backpressure_waits);
-        line(&format!("lane{i}_dead_drops"), l.dead_drops);
-        line(&format!("lane{i}_pinned"), l.pinned as u64);
-    }
-    pairs
-}
-
-/// Mirrors the site's snapshot counters into its registry so a
-/// `/metrics` scrape sees every ad-hoc counter as a first-class
-/// Prometheus series next to the live histograms/gauges.
-fn sync_site_registry(site: u16, tel: &SiteTelemetry, view: &MultiGaugeView, fwd: &ForwardGauges) {
-    let s = &view.snapshot();
-    let reg = &tel.registry;
-    let node = format!("site{site}");
-    reg.gauge_with(
-        "flowtree_build_info",
-        "Constant 1; identity in labels.",
-        &[
-            ("role", "site"),
-            ("node", &node),
-            ("version", build_version()),
-        ],
-    )
-    .set(1);
-    reg.gauge("flowtree_uptime_seconds", "Seconds since this node booted.")
-        .set(tel.started.elapsed().as_secs() as i64);
-    let c = |name: &str, help: &str, v: u64| reg.counter(name, help).set(v);
-    let g = |name: &str, help: &str, v: u64| reg.gauge(name, help).set(v as i64);
-    c(
+    let mut s = tel.stats("site", &format!("site{site}"));
+    s.kv("role", "site");
+    s.kv("site", u64::from(site));
+    s.kv("datagrams", t.datagrams).counter(
         "flowtree_ingest_datagrams_total",
         "Raw datagrams received (admitted or not).",
-        s.datagrams,
     );
-    c(
+    s.kv("packets", t.pipeline.packets).counter(
         "flowtree_ingest_packets_total",
         "Export packets decoded successfully.",
-        s.packets,
     );
-    c(
+    s.kv("decode_errors", t.pipeline.decode_errors).counter(
         "flowtree_ingest_decode_errors_total",
         "Payloads that failed to decode.",
-        s.decode_errors,
     );
-    c(
-        "flowtree_ingest_quota_packet_drops_total",
-        "Datagrams denied by a per-exporter packet quota.",
-        s.quota_packet_drops,
-    );
-    c(
-        "flowtree_ingest_quota_record_drops_total",
-        "Records denied by a per-exporter record quota.",
-        s.quota_record_drops,
-    );
-    c(
-        "flowtree_ingest_records_total",
-        "Flow records extracted.",
-        s.records,
-    );
-    c(
-        "flowtree_ingest_records_no_template_total",
-        "Records dropped for lack of a template.",
-        s.records_no_template,
-    );
-    g(
+    s.kv("quota_packet_drops", t.admission.packet_drops)
+        .counter(
+            "flowtree_ingest_quota_packet_drops_total",
+            "Datagrams denied by a per-exporter packet quota.",
+        );
+    s.kv("quota_record_drops", t.admission.record_drops)
+        .counter(
+            "flowtree_ingest_quota_record_drops_total",
+            "Records denied by a per-exporter record quota.",
+        );
+    s.kv("records", t.pipeline.records)
+        .counter("flowtree_ingest_records_total", "Flow records extracted.");
+    s.kv("records_no_template", t.decoder.records_skipped)
+        .counter(
+            "flowtree_ingest_records_no_template_total",
+            "Records dropped for lack of a template.",
+        );
+    s.kv("templates_live", t.decoder.templates).gauge(
         "flowtree_templates_live",
         "Templates currently cached by the decoders.",
-        s.templates,
     );
-    c(
+    let evicted = t.decoder.templates_evicted_cap + t.decoder.templates_evicted_timeout;
+    s.kv("templates_evicted", evicted).counter(
         "flowtree_templates_evicted_total",
         "Templates evicted (count cap + timeout).",
-        s.templates_evicted,
     );
-    c(
-        "flowtree_templates_rejected_total",
-        "Templates rejected for violating shape bounds.",
-        s.templates_rejected,
-    );
-    c(
+    s.kv("templates_rejected", t.decoder.templates_rejected)
+        .counter(
+            "flowtree_templates_rejected_total",
+            "Templates rejected for violating shape bounds.",
+        );
+    s.kv("window_sheds", t.pipeline.window_sheds).counter(
         "flowtree_window_sheds_total",
         "Window buckets force-flushed to honor the open-window budget.",
-        s.window_sheds,
     );
-    c(
+    s.kv("backpressure_waits", r.backpressure_waits).counter(
         "flowtree_backpressure_waits_total",
         "1 ms waits spent on a full frames channel.",
-        s.backpressure_waits,
     );
-    g(
+    s.kv("exporters_tracked", t.exporters).gauge(
         "flowtree_exporters_tracked",
         "Exporter addresses currently tracked by admission control.",
-        s.exporters,
     );
-    c(
-        "flowtree_exporters_evicted_total",
-        "Exporter entries evicted to bound the table.",
-        s.exporters_evicted,
-    );
-    g(
+    s.kv("exporters_evicted", t.admission.exporters_evicted)
+        .counter(
+            "flowtree_exporters_evicted_total",
+            "Exporter entries evicted to bound the table.",
+        );
+    s.kv("recv_buffer_bytes", r.recv_buffer_bytes).gauge(
         "flowtree_recv_buffer_bytes",
         "Achieved socket receive buffer (0 = OS default).",
-        s.recv_buffer_bytes,
     );
-    c(
+    s.kv("late_drops", t.daemon.late_drops).counter(
         "flowtree_late_drops_total",
         "Records dropped as older than any open window.",
-        s.late_drops,
     );
-    c(
+    s.kv("summaries", t.daemon.summaries).counter(
         "flowtree_summaries_total",
         "Summaries emitted by the daemon.",
-        s.summaries,
     );
-    c(
+    s.kv("frames_sent", r.frames_sent).counter(
         "flowtree_frames_sent_total",
         "Summary frames shipped through the channel.",
-        s.frames_sent,
     );
-    c(
+    s.kv("frames_dropped", r.frames_dropped).counter(
         "flowtree_frames_dropped_total",
         "Frames dropped (receiver gone or full channel while stopping).",
-        s.frames_dropped,
     );
-    c(
-        "flowtree_forward_frames_total",
-        "Frames written upstream by the TCP forwarder.",
-        fwd.forwarded.load(Ordering::Relaxed),
-    );
-    c(
-        "flowtree_forward_reconnects_total",
-        "Upstream reconnect attempts by the forwarder.",
-        fwd.reconnects.load(Ordering::Relaxed),
-    );
-    c(
-        "flowtree_forward_abandoned_total",
-        "Frames abandoned because the upstream stayed unreachable while draining.",
-        fwd.abandoned.load(Ordering::Relaxed),
-    );
-    c(
-        "flowtree_events_total",
-        "Operational events recorded (including ones the ring evicted).",
-        tel.events.total(),
-    );
-    g(
+    s.kv("forwarded", fwd.forwarded.load(Ordering::Relaxed))
+        .counter(
+            "flowtree_forward_frames_total",
+            "Frames written upstream by the TCP forwarder.",
+        );
+    s.kv("forward_reconnects", fwd.reconnects.load(Ordering::Relaxed))
+        .counter(
+            "flowtree_forward_reconnects_total",
+            "Upstream reconnect attempts by the forwarder.",
+        );
+    s.kv("forward_abandoned", fwd.abandoned.load(Ordering::Relaxed))
+        .counter(
+            "flowtree_forward_abandoned_total",
+            "Frames abandoned because the upstream stayed unreachable while draining.",
+        );
+    s.kv("knob_packet_rate", cfg.packet_rate);
+    s.kv("knob_packet_burst", cfg.packet_burst);
+    s.kv("knob_record_rate", cfg.record_rate);
+    s.kv("knob_record_burst", cfg.record_burst);
+    s.kv("knob_max_exporters", cfg.max_exporters);
+    s.kv("knob_max_open_windows", knobs.max_open_windows());
+    s.kv("knob_pin_cores", u64::from(knobs.pin_cores()));
+    s.kv("lanes", view.lanes()).gauge(
         "flowtree_lanes",
         "Configured ingest lanes on this site node.",
-        view.lanes() as u64,
     );
-    c(
-        "flowtree_merger_stale_windows_total",
-        "Straggler window trees dropped because the window was already emitted \
+    s.kv("merger_stale_windows", view.merger_stale_windows())
+        .counter(
+            "flowtree_merger_stale_windows_total",
+            "Straggler window trees dropped because the window was already emitted \
          past an idle-excluded lane.",
-        view.merger_stale_windows(),
-    );
+        );
     for i in 0..view.lanes() {
         let l = view.lane(i);
-        let lane = i.to_string();
-        let labels: &[(&str, &str)] = &[("lane", lane.as_str())];
-        reg.counter_with(
-            "flowtree_lane_datagrams_total",
-            "Raw datagrams received by one ingest lane.",
-            labels,
-        )
-        .set(l.datagrams);
-        reg.counter_with(
-            "flowtree_lane_records_total",
-            "Flow records extracted by one ingest lane.",
-            labels,
-        )
-        .set(l.records);
-        reg.counter_with(
-            "flowtree_lane_recv_batches_total",
-            "Successful receive batches (syscalls or ring bursts) on one lane.",
-            labels,
-        )
-        .set(l.recv_batches);
-        reg.counter_with(
-            "flowtree_lane_backpressure_waits_total",
-            "1 ms fanout-reader waits on one lane's full ring.",
-            labels,
-        )
-        .set(l.backpressure_waits);
-        reg.counter_with(
-            "flowtree_lane_dead_drops_total",
-            "Datagrams the fanout reader discarded because the lane's ring \
-             consumer was gone.",
-            labels,
-        )
-        .set(l.dead_drops);
-        reg.gauge_with(
-            "flowtree_lane_pinned",
-            "Whether the lane thread currently holds a CPU affinity pin.",
-            labels,
-        )
-        .set(l.pinned as i64);
+        s.kv(format!("lane{i}_datagrams"), l.stats.datagrams)
+            .counter(
+                "flowtree_lane_datagrams_total",
+                "Raw datagrams received by one ingest lane.",
+            )
+            .label("lane", i.to_string());
+        s.kv(format!("lane{i}_records"), l.stats.pipeline.records)
+            .counter(
+                "flowtree_lane_records_total",
+                "Flow records extracted by one ingest lane.",
+            )
+            .label("lane", i.to_string());
+        s.kv(format!("lane{i}_recv_batches"), l.recv_batches)
+            .counter(
+                "flowtree_lane_recv_batches_total",
+                "Successful receive batches (syscalls or ring bursts) on one lane.",
+            )
+            .label("lane", i.to_string());
+        s.kv(format!("lane{i}_backpressure_waits"), l.backpressure_waits)
+            .counter(
+                "flowtree_lane_backpressure_waits_total",
+                "1 ms fanout-reader waits on one lane's full ring.",
+            )
+            .label("lane", i.to_string());
+        s.kv(format!("lane{i}_dead_drops"), l.dead_drops)
+            .counter(
+                "flowtree_lane_dead_drops_total",
+                "Datagrams the fanout reader discarded because the lane's ring \
+                 consumer was gone.",
+            )
+            .label("lane", i.to_string());
+        s.kv(format!("lane{i}_pinned"), u64::from(l.pinned))
+            .gauge(
+                "flowtree_lane_pinned",
+                "Whether the lane thread currently holds a CPU affinity pin.",
+            )
+            .label("lane", i.to_string());
     }
+    s
 }
 
-/// Renders the site node's ops surface.
+/// The site node's own ops routes, next to the shared ones
+/// ([`NodeTelemetry::serve`]): `/health` and `POST /reload`.
 fn site_ops(
     site: u16,
-    gauges: &MultiGaugeView,
-    fwd: &ForwardGauges,
     knobs: &AdmissionKnobs,
-    tel: &SiteTelemetry,
+    tel: &NodeTelemetry,
     req: &OpsRequest,
 ) -> OpsResponse {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => OpsResponse::ok(format!(
             "ok true\nrole site\nsite {site}\n{}",
-            health_tail(tel.started)
+            tel.health_tail()
         )),
-        ("GET", "/stats" | "/") => {
-            let pairs = site_stat_pairs(site, gauges, fwd, knobs);
-            let mut body = flowmetrics::render_kv_text(&pairs);
-            body.pop();
-            OpsResponse::ok(body)
-        }
-        ("GET", "/stats.json") => {
-            let pairs = site_stat_pairs(site, gauges, fwd, knobs);
-            OpsResponse::ok(flowmetrics::render_kv_json(&pairs))
-        }
-        ("GET", "/metrics") => {
-            sync_site_registry(site, tel, gauges, fwd);
-            OpsResponse::ok(tel.registry.render_prometheus())
-        }
-        ("GET", "/events") => OpsResponse::ok(tel.events.render_text()),
-        ("POST", "/reload") => match parse_site_reload(&req.body, knobs) {
-            Ok(applied) => {
-                tel.events.push(epoch_ms_now(), "reload", applied.clone());
-                OpsResponse::ok(applied)
-            }
-            Err(e) => OpsResponse::bad_request(e),
-        },
+        ("POST", "/reload") => tel.reloaded(site_reload(&req.body, knobs)),
         _ => OpsResponse::not_found(),
     }
 }
 
-fn epoch_ms_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Applies a `POST /reload` body (`key=value` lines; keys
+/// Applies a `POST /reload` body ([`parse_reload`]; keys
 /// `packet-rate`, `packet-burst`, `record-rate`, `record-burst`,
 /// `max-exporters`, `max-open-windows`, `pin-cores`) to the live
 /// admission knobs.
-/// Unknown keys or unparsable values fail the whole request so a
-/// typoed reload never half-applies silently — the same all-or-nothing
-/// grammar the relay's reload endpoint speaks.
-fn parse_site_reload(body: &str, knobs: &AdmissionKnobs) -> Result<String, String> {
+fn site_reload(body: &str, knobs: &AdmissionKnobs) -> Result<String, String> {
     let mut cfg = knobs.load();
     let mut windows = knobs.max_open_windows();
     let mut pin = knobs.pin_cores();
-    let mut applied = Vec::new();
-    for raw in body.lines() {
-        let lineno = raw.trim();
-        if lineno.is_empty() || lineno.starts_with('#') {
-            continue;
-        }
-        let (key, value) = lineno
-            .split_once('=')
-            .ok_or_else(|| format!("malformed line (want key=value): {lineno:?}"))?;
-        let (key, value) = (key.trim(), value.trim());
-        let parsed: u64 = value
-            .parse()
-            .map_err(|_| format!("{key}: not a number: {value:?}"))?;
+    let reply = parse_reload(body, |key, value| {
+        let n = reload_u64(key, value)?;
         match key {
-            "packet-rate" => cfg.packet_rate = parsed,
-            "packet-burst" => cfg.packet_burst = parsed,
-            "record-rate" => cfg.record_rate = parsed,
-            "record-burst" => cfg.record_burst = parsed,
-            "max-exporters" => cfg.max_exporters = parsed as usize,
-            "max-open-windows" => windows = parsed,
-            "pin-cores" => pin = parsed != 0,
+            "packet-rate" => cfg.packet_rate = n,
+            "packet-burst" => cfg.packet_burst = n,
+            "record-rate" => cfg.record_rate = n,
+            "record-burst" => cfg.record_burst = n,
+            "max-exporters" => cfg.max_exporters = n as usize,
+            "max-open-windows" => windows = n,
+            "pin-cores" => pin = n != 0,
             other => return Err(format!("unknown key: {other}")),
         }
-        applied.push(format!("{key}={parsed}"));
-    }
-    if applied.is_empty() {
-        return Ok("unchanged".to_string());
-    }
+        Ok(())
+    })?;
     knobs.store(cfg);
     knobs.set_max_open_windows(windows);
     knobs.set_pin_cores(pin);
-    Ok(format!("applied {}", applied.join(" ")))
+    Ok(reply)
 }
 
 /// Ships queued frames upstream until the channel closes, then drains
@@ -776,7 +630,7 @@ mod tests {
 
         let report = node.drain();
         assert!(report.ingest.error.is_none());
-        assert_eq!(report.ingest.pipeline.records, 20);
+        assert_eq!(report.ingest.total.pipeline.records, 20);
         assert_eq!(report.abandoned, 0);
         assert!(
             report.forwarded >= 2,

@@ -230,7 +230,7 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     let mut last = 0u64;
     loop {
         std::thread::sleep(Duration::from_millis(100));
-        let now = gauges.snapshot().datagrams;
+        let now = gauges.snapshot().total.datagrams;
         if (now == last && now > 0) || Instant::now() > deadline {
             break;
         }
@@ -241,20 +241,22 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     drop(drain); // rx side: sender gone, thread exits on its own
     assert!(report.error.is_none(), "loop survived: {:?}", report.error);
     assert_eq!(
-        report.datagrams,
-        report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops,
+        report.total.datagrams,
+        report.total.pipeline.packets
+            + report.total.pipeline.decode_errors
+            + report.total.admission.packet_drops,
         "every datagram in exactly one counter: {report:?}"
     );
-    assert!(report.datagrams > 0, "traffic arrived");
+    assert!(report.total.datagrams > 0, "traffic arrived");
     assert!(
-        report.decoder.templates <= 64, // v9 cap + IPFIX cap
+        report.total.decoder.templates <= 64, // v9 cap + IPFIX cap
         "template cap held under flood: {}",
-        report.decoder.templates
+        report.total.decoder.templates
     );
     assert!(
-        report.admission.packet_drops > 0,
+        report.total.admission.packet_drops > 0,
         "tight quota engaged: {:?}",
-        report.admission
+        report.total.admission
     );
 }
 
@@ -293,30 +295,33 @@ fn knob_reload_takes_effect_without_restart() {
         sender.send_to(pkt, addr).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
-    while gauges.snapshot().quota_packet_drops == 0 && Instant::now() < deadline {
+    while gauges.snapshot().total.admission.packet_drops == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     let throttled = gauges.snapshot();
-    assert!(throttled.quota_packet_drops > 0, "phase 1 throttled");
+    assert!(
+        throttled.total.admission.packet_drops > 0,
+        "phase 1 throttled"
+    );
     // Let the lane finish the burst before touching the knobs: a
     // datagram it judged under the old quota while the reload landed
     // would be one drop more than `drops_before` saw.
-    while gauges.snapshot().datagrams < burst.len() as u64 && Instant::now() < deadline {
+    while gauges.snapshot().total.datagrams < burst.len() as u64 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
 
     // Reload: lift the quota entirely (0 = unlimited).
     knobs.store(AdmissionConfig::default());
-    let drops_before = gauges.snapshot().quota_packet_drops;
+    let drops_before = gauges.snapshot().total.admission.packet_drops;
     let valid = flownet::netflow5::encode(&[flowrecord(1_000_500)], 1_002_000, 1);
     let mut accepted = false;
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
-        let before = gauges.snapshot().packets;
+        let before = gauges.snapshot().total.pipeline.packets;
         sender.send_to(&valid, addr).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let s = gauges.snapshot();
-        if s.packets > before {
+        if s.total.pipeline.packets > before {
             accepted = true;
             break;
         }
@@ -325,7 +330,7 @@ fn knob_reload_takes_effect_without_restart() {
     drop(drain);
     assert!(accepted, "post-reload packets flow");
     assert_eq!(
-        report.admission.packet_drops, drops_before,
+        report.total.admission.packet_drops, drops_before,
         "no further quota drops after reload"
     );
 }

@@ -88,11 +88,11 @@ fn run_cell(opts: LaneOptions) -> (IngestReport, Vec<Vec<u8>>, Vec<LaneSnapshot>
     // below needs every datagram, so wait until the lanes have seen
     // (and therefore processed) all of them before stopping.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while view.snapshot().datagrams < sent {
+    while view.snapshot().total.datagrams < sent {
         assert!(
             Instant::now() < deadline,
             "lanes saw {} of {sent} datagrams",
-            view.snapshot().datagrams
+            view.snapshot().total.datagrams
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -100,7 +100,10 @@ fn run_cell(opts: LaneOptions) -> (IngestReport, Vec<Vec<u8>>, Vec<LaneSnapshot>
     let lanes: Vec<LaneSnapshot> = (0..view.lanes()).map(|i| view.lane(i)).collect();
     let report = handle.stop();
     let frames: Vec<Vec<u8>> = rx.try_iter().collect();
-    assert_eq!(report.datagrams, sent, "nothing received beyond the plan");
+    assert_eq!(
+        report.total.datagrams, sent,
+        "nothing received beyond the plan"
+    );
     (report, frames, lanes)
 }
 
@@ -110,25 +113,29 @@ fn check_accounting(report: &IngestReport, lanes: &[LaneSnapshot]) {
     assert!(report.error.is_none());
     for (i, l) in lanes.iter().enumerate() {
         assert_eq!(
-            l.datagrams,
-            l.packets + l.decode_errors + l.quota_packet_drops,
+            l.stats.datagrams,
+            l.stats.pipeline.packets
+                + l.stats.pipeline.decode_errors
+                + l.stats.admission.packet_drops,
             "lane {i} accounting identity"
         );
     }
-    let summed: u64 = lanes.iter().map(|l| l.datagrams).sum();
-    assert_eq!(summed, report.datagrams, "lane datagrams re-sum");
+    let summed: u64 = lanes.iter().map(|l| l.stats.datagrams).sum();
+    assert_eq!(summed, report.total.datagrams, "lane datagrams re-sum");
     assert_eq!(
-        report.datagrams,
-        report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops,
+        report.total.datagrams,
+        report.total.pipeline.packets
+            + report.total.pipeline.decode_errors
+            + report.total.admission.packet_drops,
         "summed accounting identity"
     );
     assert_eq!(
-        report.pipeline.decode_errors,
+        report.total.pipeline.decode_errors,
         (EXPORTERS * GARBAGE_PER_EXPORTER) as u64,
         "every garbage datagram counted as a decode error"
     );
     assert_eq!(
-        report.pipeline.records,
+        report.total.pipeline.records,
         (EXPORTERS * RECORDS_PER_EXPORTER) as u64
     );
     assert_eq!(report.frames_dropped, 0);
@@ -184,9 +191,9 @@ fn forced_fallback_receiver_still_batches_accounting() {
     assert!(!frames.is_empty());
     let batches: u64 = lanes.iter().map(|l| l.recv_batches).sum();
     assert!(
-        batches >= report.datagrams / 2,
+        batches >= report.total.datagrams / 2,
         "burst size 1 means roughly one batch per datagram (got {batches} \
          for {} datagrams)",
-        report.datagrams
+        report.total.datagrams
     );
 }

@@ -10,10 +10,7 @@
 use crate::{Family, Kind, Value};
 use std::fmt::Write as _;
 
-/// A value in a key/value stats page ([`render_kv_text`] /
-/// [`render_kv_json`]): the ops endpoints build one list and render
-/// the legacy plaintext page and `/stats.json` from it, so the two
-/// can never drift.
+/// The value of one [`crate::Stats`] entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KvValue {
     /// Unsigned integer (the common case: counters, gauges).
@@ -59,7 +56,9 @@ impl From<String> for KvValue {
 }
 
 /// Renders `key value` lines — the legacy plaintext stats page.
-pub fn render_kv_text(pairs: &[(String, KvValue)]) -> String {
+pub(crate) fn render_kv_text<'a>(
+    pairs: impl IntoIterator<Item = (&'a str, &'a KvValue)>,
+) -> String {
     let mut out = String::new();
     for (k, v) in pairs {
         match v {
@@ -85,9 +84,11 @@ pub fn render_kv_text(pairs: &[(String, KvValue)]) -> String {
 
 /// Renders the same pairs as one flat JSON object, key order
 /// preserved.
-pub fn render_kv_json(pairs: &[(String, KvValue)]) -> String {
+pub(crate) fn render_kv_json<'a>(
+    pairs: impl IntoIterator<Item = (&'a str, &'a KvValue)>,
+) -> String {
     let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
+    for (i, (k, v)) in pairs.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -234,7 +235,7 @@ pub(crate) fn json(families: &[Family]) -> String {
             }
         }
     }
-    render_kv_json(&pairs)
+    render_kv_json(pairs.iter().map(|(k, v)| (k.as_str(), v)))
 }
 
 #[cfg(test)]
@@ -287,18 +288,19 @@ mod tests {
 
     #[test]
     fn json_escapes_and_round_trips_kv_pairs() {
-        let pairs = vec![
-            ("plain".to_string(), KvValue::U64(7)),
-            ("text".to_string(), KvValue::Str("a\"b\\c\nd".to_string())),
-            ("neg".to_string(), KvValue::I64(-4)),
-            ("ok".to_string(), KvValue::Bool(true)),
+        let pairs = [
+            ("plain", KvValue::U64(7)),
+            ("text", KvValue::Str("a\"b\\c\nd".to_string())),
+            ("neg", KvValue::I64(-4)),
+            ("ok", KvValue::Bool(true)),
         ];
-        let json = render_kv_json(&pairs);
+        let pairs = || pairs.iter().map(|(k, v)| (*k, v));
+        let json = render_kv_json(pairs());
         assert!(json.contains("\"plain\": 7"));
         assert!(json.contains("\"text\": \"a\\\"b\\\\c\\nd\""));
         assert!(json.contains("\"neg\": -4"));
         assert!(json.contains("\"ok\": true"));
-        let text = render_kv_text(&pairs);
+        let text = render_kv_text(pairs());
         assert!(text.contains("plain 7\n"));
         assert!(text.contains("neg -4\n"));
         assert!(text.contains("ok true\n"));

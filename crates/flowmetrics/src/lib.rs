@@ -5,10 +5,9 @@
 //! atomics. Registration takes a lock once; the instruments themselves
 //! are lock-free on the hot path:
 //!
-//! * [`Counter`] — monotonically increasing `AtomicU64`. `set` exists
-//!   so scrape handlers can mirror an existing snapshot counter
-//!   (e.g. `RelayLedger` fields) into a registry-backed series without
-//!   rewriting the producer.
+//! * [`Counter`] — monotonically increasing `AtomicU64`. `set` is how
+//!   [`Stats::publish`] writes a node's counters (kept by their
+//!   producers, e.g. `RelayLedger`) into the registry at scrape time.
 //! * [`Gauge`] — an `AtomicI64` that can go up and down (queue depths,
 //!   open windows, lag).
 //! * [`Histogram`] — fixed exponential buckets over seconds, counts
@@ -21,7 +20,10 @@
 //! Exposition is text-based and allocation-at-scrape-time only:
 //! [`Registry::render_prometheus`] emits the Prometheus text format
 //! (`# HELP`/`# TYPE`, cumulative `le` buckets, `+Inf` == `_count`),
-//! [`Registry::render_json`] the same series as one JSON object. The
+//! [`Registry::render_json`] the same series as one JSON object. A
+//! node declares each of its counters once, as one entry of a
+//! [`Stats`] list, which renders the plaintext stats page and
+//! `/stats.json` and publishes the `/metrics` series. The
 //! [`events`] module adds a bounded in-memory ring of operational
 //! events (rebases, fallbacks, sheds, crash-restarts) served as
 //! `GET /events`.
@@ -32,9 +34,11 @@
 
 pub mod events;
 pub mod expo;
+pub mod stats;
 
 pub use events::{Event, EventRing};
-pub use expo::{render_kv_json, render_kv_text, KvValue};
+pub use expo::KvValue;
+pub use stats::{Entry, Stats};
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -379,16 +379,7 @@ fn run(spec: &FleetSpec, args: &Args, deadline: Duration) {
                         l.spill_sheds
                     );
                 }
-                for site in &fleet.sites {
-                    let s = site.ingest_snapshot();
-                    println!(
-                        "status site {} packets={} records={} summaries={}",
-                        site.site(),
-                        s.packets,
-                        s.records,
-                        s.summaries
-                    );
-                }
+                fleet.sites.iter().for_each(print_site_status);
             }
             Some("top") => match fleet.scrape() {
                 Ok(nodes) => {
@@ -425,6 +416,18 @@ fn run(spec: &FleetSpec, args: &Args, deadline: Duration) {
     }
     fleet.drain(deadline);
     println!("flowctl: fleet down");
+}
+
+/// The `status site …` line of one in-process site.
+fn print_site_status(site: &SiteRuntime) {
+    let t = site.ingest_snapshot().total;
+    println!(
+        "status site {} packets={} records={} summaries={}",
+        site.site(),
+        t.pipeline.packets,
+        t.pipeline.records,
+        t.daemon.summaries
+    );
 }
 
 /// Parses `k=v` words into a [`flowrelay::NodeReload`] against each
@@ -749,16 +752,7 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
                     send_line(c, "status");
                 }
                 drop(guard);
-                for site in &sites {
-                    let s = site.ingest_snapshot();
-                    println!(
-                        "status site {} packets={} records={} summaries={}",
-                        site.site(),
-                        s.packets,
-                        s.records,
-                        s.summaries
-                    );
-                }
+                sites.iter().for_each(print_site_status);
             }
             Some("top") => {
                 // Children bind their own stats ports, so the spec's
@@ -857,10 +851,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     // measured against real time.
     let sender = std::net::UdpSocket::bind("127.0.0.1:0")
         .unwrap_or_else(|e| fail(format_args!("udp bind: {e}")));
-    let now_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
+    let now_ms = flowdist::epoch_ms();
     let mut sent = 0usize;
     for site in &fleet.sites {
         let w = spec

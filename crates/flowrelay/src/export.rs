@@ -52,12 +52,8 @@ pub struct SteadyClock {
 impl SteadyClock {
     /// Anchors to the current wall clock.
     pub fn new() -> SteadyClock {
-        let wall0_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
         SteadyClock {
-            wall0_ms,
+            wall0_ms: flowdist::epoch_ms(),
             t0: Instant::now(),
         }
     }

@@ -623,7 +623,7 @@ impl Relay {
     /// Retention: drops every stored window (collector trees, epoch
     /// ledger, export state, pinned bases) starting before
     /// `cutoff_ms`. Without this a long-running relay accumulates one
-    /// [`WindowState`] per window forever. Returns how many collector
+    /// `WindowState` per window forever. Returns how many collector
     /// windows were evicted.
     ///
     /// Epoch **continuity** survives eviction (a bounded map of

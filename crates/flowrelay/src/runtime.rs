@@ -29,9 +29,11 @@
 //! * **`shutdown`** exits without flushing (the journal still makes
 //!   it safe; it is just not graceful).
 //! * The **stats endpoint** (when configured) serves `GET /health`,
-//!   `GET /stats` (plaintext `key value` lines: the full
-//!   [`RelayLedger`] including the spill-shed counters, shipper and
-//!   spill-queue state, export config) and `POST /reload`.
+//!   `POST /reload`, and the pages rendered from the node's one stats
+//!   list (`relay_stats`: the full [`RelayLedger`] including the
+//!   spill-shed counters, shipper and spill-queue state, export
+//!   config), each counter declared once: `GET /stats` (plaintext
+//!   `key value` lines), `/stats.json` and `/metrics`.
 
 use crate::export::{ExportShipper, ShipperConfig, ShipperStats};
 use crate::journal::{JournalConfig, RecoveryReport};
@@ -40,10 +42,11 @@ use crate::relay::{ExportConfig, ExportMode, Relay, RelayConfig, RelayLedger};
 use crate::server::{answer_query, serve_acked_ingest_timed};
 use crate::topology::{RelaySpec, RelayTopology};
 use crate::{BackoffConfig, SteadyClock};
-use flowdist::ops::{spawn_ops, OpsHandle, OpsRequest, OpsResponse};
-use flowdist::runtime::health_tail;
-use flowdist::{FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
-use flowmetrics::{EventRing, KvValue, Registry, Stopwatch};
+use flowdist::ops::{
+    parse_reload, reload_u64, spawn_ops, NodeTelemetry, OpsHandle, OpsRequest, OpsResponse,
+};
+use flowdist::{epoch_ms, FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
+use flowmetrics::{EventRing, Stats, Stopwatch};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -248,23 +251,6 @@ impl LedgerSeen {
     }
 }
 
-/// Shared observability state of one relay node: the metric registry
-/// behind `GET /metrics`, the event ring behind `GET /events`, and the
-/// boot instant behind `/health`'s `uptime_ms`.
-#[derive(Debug, Clone)]
-struct RelayTelemetry {
-    registry: Registry,
-    events: EventRing,
-    started: Instant,
-}
-
-fn epoch_ms_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
 /// One running relay node (see the module docs).
 pub struct NodeRuntime {
     name: String,
@@ -357,15 +343,11 @@ impl NodeRuntime {
                 ));
             }
         }
-        let telemetry = RelayTelemetry {
-            registry: Registry::new(),
-            events: EventRing::new(256),
-            started: Instant::now(),
-        };
+        let telemetry = NodeTelemetry::default();
         if let Some(report) = &recovery {
             if report.wal_records > 0 || report.snapshot_slots > 0 {
                 telemetry.events.push(
-                    epoch_ms_now(),
+                    epoch_ms(),
                     "crash_restart",
                     format!(
                         "gen {} wal_records {} torn_bytes {}",
@@ -375,11 +357,9 @@ impl NodeRuntime {
             }
         }
         if rewound > 0 {
-            telemetry.events.push(
-                epoch_ms_now(),
-                "rewound",
-                format!("unacked_exports {rewound}"),
-            );
+            telemetry
+                .events
+                .push(epoch_ms(), "rewound", format!("unacked_exports {rewound}"));
         }
         let update_hist = telemetry.registry.histogram(
             "flowtree_tree_update_seconds",
@@ -586,14 +566,26 @@ impl NodeRuntime {
                 let params = Arc::clone(&params);
                 let run = Arc::clone(&run);
                 let name = cfg.name.clone();
-                let is_root = cfg.upstream.is_none();
+                let role = if cfg.upstream.is_none() {
+                    "root"
+                } else {
+                    "relay"
+                };
                 let agg_site = cfg.agg_site;
+                let identity = format!("role {role}\nname {name}\nagg_site {agg_site}");
                 let tel = telemetry.clone();
                 Some(
                     spawn_ops(addr, move |req| {
-                        relay_ops(
-                            &name, agg_site, is_root, &relay, &sched, &params, &run, &tel, req,
-                        )
+                        tel.serve(req, || {
+                            relay_stats(
+                                &tel,
+                                role,
+                                &name,
+                                agg_site,
+                                &observe(&relay, &sched, &params),
+                            )
+                        })
+                        .unwrap_or_else(|| relay_ops(&identity, &relay, &params, &run, &tel, req))
                     })
                     .map_err(|err| RuntimeError::Bind {
                         what: "stats",
@@ -962,9 +954,7 @@ fn note_sheds(relay: &Arc<Mutex<Relay>>, before: &SpillStats, after: &SpillStats
 }
 
 /// One coherent observation of the node, gathered under the relay and
-/// scheduler locks once per ops request — the single source the
-/// legacy plaintext page, `/stats.json`, and the `/metrics` sync all
-/// render from, so the three can never drift.
+/// scheduler locks once per stats request — what [`relay_stats`] lists.
 struct ObsSnap {
     export: ExportConfig,
     params: SchedParams,
@@ -985,7 +975,7 @@ fn observe(
     sched: &Arc<Mutex<SchedState>>,
     params: &Arc<Mutex<SchedParams>>,
 ) -> ObsSnap {
-    let now_ms = epoch_ms_now();
+    let now_ms = epoch_ms();
     let (ledger, export, journal_degraded, stored_windows, lag_ms) = {
         let guard = relay.lock().expect("relay lock");
         (
@@ -1028,385 +1018,241 @@ fn observe(
     }
 }
 
-/// The relay node's stats as ordered key/value pairs — key set and
-/// order are exactly the pre-JSON plaintext page's.
-fn relay_stat_pairs(role: &str, name: &str, agg_site: u16, o: &ObsSnap) -> Vec<(String, KvValue)> {
-    let mut pairs: Vec<(String, KvValue)> = Vec::with_capacity(48);
-    let mut kv = |k: &str, v: KvValue| pairs.push((k.to_string(), v));
-    kv("role", role.into());
-    kv("name", name.into());
-    kv("agg_site", KvValue::U64(u64::from(agg_site)));
-    kv("mode", format!("{:?}", o.export.mode).to_lowercase().into());
-    kv("linger_ms", KvValue::U64(o.export.linger_ms));
-    kv("retention_ms", KvValue::U64(o.params.retention_ms));
-    kv("drain_every_ms", KvValue::U64(o.params.drain_every_ms));
-    kv("max_bases", KvValue::U64(o.export.max_bases as u64));
-    kv("journal_degraded", KvValue::Bool(o.journal_degraded));
+/// The relay node's one stats list: every key of the plaintext page and
+/// `/stats.json` in order (key set and order are the pre-JSON page's),
+/// and every `/metrics` series except the registry-native histograms.
+fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &ObsSnap) -> Stats {
+    let mut s = tel.stats(role, name);
+    s.kv("role", role);
+    s.kv("name", name);
+    s.kv("agg_site", u64::from(agg_site));
+    s.kv("mode", format!("{:?}", o.export.mode).to_lowercase());
+    s.kv("linger_ms", o.export.linger_ms);
+    s.kv("retention_ms", o.params.retention_ms);
+    s.kv("drain_every_ms", o.params.drain_every_ms);
+    s.kv("max_bases", o.export.max_bases);
+    s.kv("journal_degraded", o.journal_degraded);
     let l = &o.ledger;
-    kv("frames", KvValue::U64(l.frames));
-    kv("site_frames", KvValue::U64(l.site_frames));
-    kv("agg_frames", KvValue::U64(l.agg_frames));
-    kv("rejected", KvValue::U64(l.rejected));
-    kv("replayed", KvValue::U64(l.replayed));
-    kv("exported", KvValue::U64(l.exported));
-    kv("exported_bytes", KvValue::U64(l.exported_bytes));
-    kv("full_exports", KvValue::U64(l.full_exports));
-    kv("delta_exports", KvValue::U64(l.delta_exports));
-    kv("delta_fallbacks", KvValue::U64(l.delta_fallbacks));
-    kv("base_losses", KvValue::U64(l.base_losses));
-    kv("late_downstream", KvValue::U64(l.late_downstream));
-    kv("rebase_requests", KvValue::U64(l.rebase_requests));
-    kv("rebase_rewinds", KvValue::U64(l.rebase_rewinds));
-    kv("reconnect_attempts", KvValue::U64(l.reconnect_attempts));
-    kv("reconnect_failures", KvValue::U64(l.reconnect_failures));
-    kv("backoff_ms_total", KvValue::U64(l.backoff_ms_total));
-    kv("spill_sheds", KvValue::U64(l.spill_sheds));
-    kv("spill_shed_bytes", KvValue::U64(l.spill_shed_bytes));
-    kv("export_pending", KvValue::U64(o.pending as u64));
-    kv("upstream_connected", KvValue::Bool(o.connected));
-    kv(
-        "acked_mode",
-        match o.acked_mode {
-            Some(true) => "acked",
-            Some(false) => "legacy",
-            None => "none",
-        }
-        .into(),
-    );
-    if let Some(s) = &o.shipper {
-        kv("ship_enqueued", KvValue::U64(s.enqueued));
-        kv("ship_sent_frames", KvValue::U64(s.sent_frames));
-        kv("ship_sent_bytes", KvValue::U64(s.sent_bytes));
-        kv("ship_acked_frames", KvValue::U64(s.acked_frames));
-        kv("ship_legacy_released", KvValue::U64(s.legacy_released));
-        kv("ship_rebase_honored", KvValue::U64(s.rebase_honored));
-        kv("ship_stall_recycles", KvValue::U64(s.stall_recycles));
-        kv("ship_handshakes", KvValue::U64(s.handshakes));
-        kv("ship_legacy_sessions", KvValue::U64(s.legacy_sessions));
-    }
-    if let Some(s) = &o.spill {
-        kv("spill_pushed_frames", KvValue::U64(s.pushed_frames));
-        kv("spill_pushed_bytes", KvValue::U64(s.pushed_bytes));
-        kv("spill_acked_floor", KvValue::U64(s.acked_frames));
-        kv("spill_recovered_frames", KvValue::U64(s.recovered_frames));
-        kv("spill_torn_bytes", KvValue::U64(s.torn_bytes));
-        kv("spill_io_errors", KvValue::U64(s.io_errors));
-    }
-    // New observability-layer keys, appended so legacy scrapers keep
-    // their line positions.
-    kv("stored_windows", KvValue::U64(o.stored_windows as u64));
-    kv("export_watermark_lag_ms", KvValue::U64(o.lag_ms));
-    kv("export_pending_bytes", KvValue::U64(o.pending_bytes));
-    kv(
-        "max_base_nodes",
-        KvValue::U64(o.export.max_base_nodes as u64),
-    );
-    pairs
-}
-
-/// Mirrors one observation into the node's registry so a `/metrics`
-/// scrape sees the ledger, shipper, and spill counters as first-class
-/// Prometheus series next to the live latency histograms.
-fn sync_relay_registry(tel: &RelayTelemetry, role: &str, name: &str, o: &ObsSnap) {
-    let reg = &tel.registry;
-    reg.gauge_with(
-        "flowtree_build_info",
-        "Constant 1; identity in labels.",
-        &[
-            ("role", role),
-            ("node", name),
-            ("version", flowdist::runtime::build_version()),
-        ],
-    )
-    .set(1);
-    reg.gauge("flowtree_uptime_seconds", "Seconds since this node booted.")
-        .set(tel.started.elapsed().as_secs() as i64);
-    let c = |name: &str, help: &str, v: u64| reg.counter(name, help).set(v);
-    let g = |name: &str, help: &str, v: i64| reg.gauge(name, help).set(v);
-    let l = &o.ledger;
-    c(
+    s.kv("frames", l.frames).counter(
         "flowtree_relay_frames_total",
         "Downstream summary frames accepted.",
-        l.frames,
     );
-    c(
+    s.kv("site_frames", l.site_frames).counter(
         "flowtree_relay_site_frames_total",
         "Plain per-site frames among them.",
-        l.site_frames,
     );
-    c(
+    s.kv("agg_frames", l.agg_frames).counter(
         "flowtree_relay_agg_frames_total",
         "Aggregate (provenance-carrying) frames among them.",
-        l.agg_frames,
     );
-    c(
+    s.kv("rejected", l.rejected).counter(
         "flowtree_relay_rejected_total",
         "Frames rejected (malformed, coverage violations, overlaps).",
-        l.rejected,
     );
-    c(
+    s.kv("replayed", l.replayed).counter(
         "flowtree_relay_replayed_total",
         "At-least-once replays recognized and acked without re-applying.",
-        l.replayed,
     );
-    c(
+    s.kv("exported", l.exported).counter(
         "flowtree_relay_exported_total",
         "Aggregates exported upstream (full and delta frames).",
-        l.exported,
     );
-    c(
+    s.kv("exported_bytes", l.exported_bytes).counter(
         "flowtree_relay_exported_bytes_total",
         "Encoded bytes of those exports.",
-        l.exported_bytes,
     );
-    c(
+    s.kv("full_exports", l.full_exports).counter(
         "flowtree_relay_full_exports_total",
         "Full frames among the exports.",
-        l.full_exports,
     );
-    c(
+    s.kv("delta_exports", l.delta_exports).counter(
         "flowtree_relay_delta_exports_total",
         "Delta frames among the exports.",
-        l.delta_exports,
     );
-    c(
+    s.kv("delta_fallbacks", l.delta_fallbacks).counter(
         "flowtree_relay_delta_fallbacks_total",
         "Deltas that fell back to full frames.",
-        l.delta_fallbacks,
     );
-    c(
+    s.kv("base_losses", l.base_losses).counter(
         "flowtree_relay_base_losses_total",
         "Fallbacks caused by a dropped re-aggregation base.",
-        l.base_losses,
     );
-    c(
+    s.kv("late_downstream", l.late_downstream).counter(
         "flowtree_relay_late_downstream_total",
         "Frames accepted for windows already exported upstream.",
-        l.late_downstream,
     );
-    c(
+    s.kv("rebase_requests", l.rebase_requests).counter(
         "flowtree_relay_rebase_requests_total",
         "Deltas whose declared base was ahead; answered with a rebase-request.",
-        l.rebase_requests,
     );
-    c(
+    s.kv("rebase_rewinds", l.rebase_rewinds).counter(
         "flowtree_relay_rebase_rewinds_total",
         "Windows rewound to full rebasing re-exports on downstream request.",
-        l.rebase_rewinds,
     );
-    c(
+    s.kv("reconnect_attempts", l.reconnect_attempts).counter(
         "flowtree_relay_reconnect_attempts_total",
         "Upstream connection attempts by the export shipper.",
-        l.reconnect_attempts,
     );
-    c(
+    s.kv("reconnect_failures", l.reconnect_failures).counter(
         "flowtree_relay_reconnect_failures_total",
         "Failed connection attempts among them.",
-        l.reconnect_failures,
     );
-    c(
+    s.kv("backoff_ms_total", l.backoff_ms_total).counter(
         "flowtree_relay_backoff_ms_total",
         "Milliseconds the shipper backed off between attempts.",
-        l.backoff_ms_total,
     );
-    c(
+    s.kv("spill_sheds", l.spill_sheds).counter(
         "flowtree_relay_spill_sheds_total",
         "Pending exports shed by the spill byte bound.",
-        l.spill_sheds,
     );
-    c(
+    s.kv("spill_shed_bytes", l.spill_shed_bytes).counter(
         "flowtree_relay_spill_shed_bytes_total",
         "Payload bytes those shed frames carried.",
-        l.spill_shed_bytes,
     );
-    g(
-        "flowtree_stored_windows",
-        "Windows the export scheduler currently tracks.",
-        o.stored_windows as i64,
-    );
-    g(
-        "flowtree_export_watermark_lag_seconds",
-        "Age of the oldest window with unexported content (0 = keeping up).",
-        (o.lag_ms / 1_000) as i64,
-    );
-    g(
+    s.kv("export_pending", o.pending).gauge(
         "flowtree_export_pending_frames",
         "Export frames awaiting upstream acknowledgment.",
-        o.pending as i64,
     );
-    g(
-        "flowtree_spill_pending_bytes",
-        "Payload bytes the pending exports hold in the spill queue.",
-        o.pending_bytes as i64,
-    );
-    g(
+    s.kv("upstream_connected", o.connected).gauge(
         "flowtree_upstream_connected",
         "1 when an upstream connection is established.",
-        i64::from(o.connected),
     );
-    if let Some(s) = &o.shipper {
-        c(
+    let acked_mode = match o.acked_mode {
+        Some(true) => "acked",
+        Some(false) => "legacy",
+        None => "none",
+    };
+    s.kv("acked_mode", acked_mode);
+    if let Some(sh) = &o.shipper {
+        s.kv("ship_enqueued", sh.enqueued).counter(
             "flowtree_ship_enqueued_total",
             "Frames handed to the durable shipper.",
-            s.enqueued,
         );
-        c(
+        s.kv("ship_sent_frames", sh.sent_frames).counter(
             "flowtree_ship_sent_frames_total",
             "Frames written to the wire (including resends).",
-            s.sent_frames,
         );
-        c(
+        s.kv("ship_sent_bytes", sh.sent_bytes).counter(
             "flowtree_ship_sent_bytes_total",
             "Bytes written to the wire.",
-            s.sent_bytes,
         );
-        c(
+        s.kv("ship_acked_frames", sh.acked_frames).counter(
             "flowtree_ship_acked_frames_total",
             "Frames released by a receiver ack.",
-            s.acked_frames,
         );
-        c(
+        s.kv("ship_legacy_released", sh.legacy_released).counter(
             "flowtree_ship_legacy_released_total",
             "Frames released by the legacy flushed-write contract.",
-            s.legacy_released,
         );
-        c(
+        s.kv("ship_rebase_honored", sh.rebase_honored).counter(
             "flowtree_ship_rebase_honored_total",
             "Rebase-requests honored (window rewound).",
-            s.rebase_honored,
         );
-        c(
+        s.metric(sh.stale_acks).counter(
             "flowtree_ship_stale_acks_total",
             "Acks that matched nothing pending.",
-            s.stale_acks,
         );
-        c(
+        s.metric(sh.hostile_acks).counter(
             "flowtree_ship_hostile_acks_total",
             "Zero-epoch acks that claimed epoch-advancing frames; ignored.",
-            s.hostile_acks,
         );
-        c(
+        s.kv("ship_stall_recycles", sh.stall_recycles).counter(
             "flowtree_ship_stall_recycles_total",
             "Connections recycled because acks went silent.",
-            s.stall_recycles,
         );
-        c(
+        s.kv("ship_handshakes", sh.handshakes).counter(
             "flowtree_ship_handshakes_total",
             "Completed hello handshakes (ack mode negotiated).",
-            s.handshakes,
         );
-        c(
+        s.kv("ship_legacy_sessions", sh.legacy_sessions).counter(
             "flowtree_ship_legacy_sessions_total",
             "Connections that fell back to legacy fire-and-forget.",
-            s.legacy_sessions,
         );
     }
-    if let Some(s) = &o.spill {
-        c(
+    if let Some(sp) = &o.spill {
+        s.kv("spill_pushed_frames", sp.pushed_frames).counter(
             "flowtree_spill_pushed_frames_total",
             "Frames pushed into the spill queue.",
-            s.pushed_frames,
         );
-        c(
+        s.kv("spill_pushed_bytes", sp.pushed_bytes).counter(
             "flowtree_spill_pushed_bytes_total",
             "Payload bytes pushed into the spill queue.",
-            s.pushed_bytes,
         );
-        c(
+        s.kv("spill_acked_floor", sp.acked_frames).counter(
             "flowtree_spill_acked_frames_total",
             "Frames released from the spill queue by acks.",
-            s.acked_frames,
         );
-        c(
+        s.metric(sp.shed_frames).counter(
             "flowtree_spill_shed_frames_total",
             "Frames shed by the spill byte bound.",
-            s.shed_frames,
         );
-        c(
+        s.metric(sp.shed_bytes).counter(
             "flowtree_spill_shed_bytes_total",
             "Payload bytes the shed frames carried.",
-            s.shed_bytes,
         );
-        c(
+        s.kv("spill_recovered_frames", sp.recovered_frames).counter(
             "flowtree_spill_recovered_frames_total",
             "Frames recovered from disk at startup.",
-            s.recovered_frames,
         );
-        c(
+        s.kv("spill_torn_bytes", sp.torn_bytes).counter(
             "flowtree_spill_torn_bytes_total",
             "Torn tail bytes truncated during recovery.",
-            s.torn_bytes,
         );
-        c(
+        s.kv("spill_io_errors", sp.io_errors).counter(
             "flowtree_spill_io_errors_total",
             "Spill writes degraded to memory-only by I/O errors.",
-            s.io_errors,
         );
     }
-    c(
-        "flowtree_events_total",
-        "Operational events recorded (including ones the ring evicted).",
-        tel.events.total(),
+    // Observability-layer keys, appended so legacy scrapers keep their
+    // line positions.
+    s.kv("stored_windows", o.stored_windows).gauge(
+        "flowtree_stored_windows",
+        "Windows the export scheduler currently tracks.",
     );
+    s.kv("export_watermark_lag_ms", o.lag_ms);
+    s.metric(o.lag_ms / 1_000).gauge(
+        "flowtree_export_watermark_lag_seconds",
+        "Age of the oldest window with unexported content (0 = keeping up).",
+    );
+    s.kv("export_pending_bytes", o.pending_bytes).gauge(
+        "flowtree_spill_pending_bytes",
+        "Payload bytes the pending exports hold in the spill queue.",
+    );
+    s.kv("max_base_nodes", o.export.max_base_nodes);
+    s
 }
 
-/// Renders the relay node's ops surface.
-#[allow(clippy::too_many_arguments)]
+/// The relay node's own ops routes, next to the shared ones
+/// ([`NodeTelemetry::serve`]): `/health` (after the `role`, `name` and
+/// `agg_site` lines in `identity`) and `POST /reload`.
 fn relay_ops(
-    name: &str,
-    agg_site: u16,
-    is_root: bool,
+    identity: &str,
     relay: &Arc<Mutex<Relay>>,
-    sched: &Arc<Mutex<SchedState>>,
     params: &Arc<Mutex<SchedParams>>,
     run: &Arc<(Mutex<bool>, Condvar)>,
-    tel: &RelayTelemetry,
+    tel: &NodeTelemetry,
     req: &OpsRequest,
 ) -> OpsResponse {
-    let role = if is_root { "root" } else { "relay" };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             let healthy = relay.lock().expect("relay lock").journal_error().is_none();
-            OpsResponse::ok(format!(
-                "ok {healthy}\nrole {role}\nname {name}\nagg_site {agg_site}\n{}",
-                health_tail(tel.started)
-            ))
+            OpsResponse::ok(format!("ok {healthy}\n{identity}\n{}", tel.health_tail()))
         }
-        ("GET", "/stats" | "/") => {
-            let o = observe(relay, sched, params);
-            OpsResponse::ok(flowmetrics::render_kv_text(&relay_stat_pairs(
-                role, name, agg_site, &o,
-            )))
-        }
-        ("GET", "/stats.json") => {
-            let o = observe(relay, sched, params);
-            OpsResponse::ok(flowmetrics::render_kv_json(&relay_stat_pairs(
-                role, name, agg_site, &o,
-            )))
-        }
-        ("GET", "/metrics") => {
-            let o = observe(relay, sched, params);
-            sync_relay_registry(tel, role, name, &o);
-            OpsResponse::ok(tel.registry.render_prometheus())
-        }
-        ("GET", "/events") => OpsResponse::ok(tel.events.render_text()),
-        ("POST", "/reload") => match parse_reload_body(&req.body, relay, params) {
-            Ok(applied) => {
+        ("POST", "/reload") => {
+            let outcome = relay_reload(&req.body, relay, params);
+            if outcome.is_ok() {
                 run.1.notify_all();
-                tel.events.push(epoch_ms_now(), "reload", applied.clone());
-                OpsResponse::ok(applied)
             }
-            Err(e) => OpsResponse::bad_request(e),
-        },
+            tel.reloaded(outcome)
+        }
         _ => OpsResponse::not_found(),
     }
 }
 
-/// Applies a `POST /reload` body (`key=value` lines; keys `mode`,
+/// Applies a `POST /reload` body ([`parse_reload`]; keys `mode`,
 /// `linger-ms`, `retention-ms`, `drain-every-ms`, `max-bases`,
-/// `max-base-nodes`) to the live node. Unknown keys fail the whole
-/// request so a typoed reload never half-applies silently.
-fn parse_reload_body(
+/// `max-base-nodes`) to the live node.
+fn relay_reload(
     body: &str,
     relay: &Arc<Mutex<Relay>>,
     params: &Arc<Mutex<SchedParams>>,
@@ -1414,16 +1260,7 @@ fn parse_reload_body(
     let mut relay_guard = relay.lock().expect("relay lock");
     let mut export = *relay_guard.export_config();
     let mut p = *params.lock().expect("params lock");
-    let mut applied = Vec::new();
-    for raw in body.lines() {
-        let lineno = raw.trim();
-        if lineno.is_empty() || lineno.starts_with('#') {
-            continue;
-        }
-        let Some((k, v)) = lineno.split_once('=') else {
-            return Err(format!("malformed reload line: {lineno}"));
-        };
-        let (k, v) = (k.trim(), v.trim());
+    let reply = parse_reload(body, |k, v| {
         match k {
             "mode" => {
                 export.mode = match v {
@@ -1432,25 +1269,16 @@ fn parse_reload_body(
                     _ => return Err(format!("mode must be full or delta, got {v}")),
                 }
             }
-            "linger-ms" => export.linger_ms = parse_u64(k, v)?,
-            "max-bases" => export.max_bases = parse_u64(k, v)?.max(1) as usize,
-            "max-base-nodes" => export.max_base_nodes = parse_u64(k, v)?.max(1) as usize,
-            "retention-ms" => p.retention_ms = parse_u64(k, v)?,
-            "drain-every-ms" => p.drain_every_ms = parse_u64(k, v)?.max(1),
+            "linger-ms" => export.linger_ms = reload_u64(k, v)?,
+            "max-bases" => export.max_bases = reload_u64(k, v)?.max(1) as usize,
+            "max-base-nodes" => export.max_base_nodes = reload_u64(k, v)?.max(1) as usize,
+            "retention-ms" => p.retention_ms = reload_u64(k, v)?,
+            "drain-every-ms" => p.drain_every_ms = reload_u64(k, v)?.max(1),
             _ => return Err(format!("unknown reload key: {k}")),
         }
-        applied.push(format!("{k}={v}"));
-    }
+        Ok(())
+    })?;
     relay_guard.set_export_config(export);
     *params.lock().expect("params lock") = p;
-    Ok(if applied.is_empty() {
-        "unchanged".into()
-    } else {
-        format!("applied {}", applied.join(" "))
-    })
-}
-
-fn parse_u64(k: &str, v: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|_| format!("{k} must be an integer, got {v}"))
+    Ok(reply)
 }

@@ -46,7 +46,11 @@ struct Fleet {
 /// Boots sites → leaf relay → root the way `flowctl run` would, stats
 /// endpoints included.
 fn boot() -> Fleet {
-    let spec = FleetSpec::parse(SPEC).expect("spec parses");
+    boot_spec(SPEC)
+}
+
+fn boot_spec(spec: &str) -> Fleet {
+    let spec = FleetSpec::parse(spec).expect("spec parses");
     let relays = spec.boot_relays().expect("relays boot");
     let ingest: HashMap<String, SocketAddr> = relays
         .iter()
@@ -60,6 +64,7 @@ fn boot() -> Fleet {
         cfg.window_ms = s.window_ms;
         cfg.budget = s.budget;
         cfg.batch = s.batch;
+        cfg.lanes = s.lanes;
         sites.push(SiteRuntime::start(cfg).expect("site boots"));
     }
     Fleet { relays, sites }
@@ -279,5 +284,85 @@ fn live_fleet_serves_conformant_metrics_and_matching_views() {
     }
     for rt in fleet.relays.into_iter().rev() {
         rt.drain(Duration::from_secs(30));
+    }
+}
+
+/// The keys of a plaintext stats body, in order.
+fn stats_keys(addr: &str) -> Vec<String> {
+    let (status, body) = get(addr, "/stats");
+    assert_eq!(status, 200, "/stats serves on {addr}");
+    body.lines()
+        .map(|l| l.split_once(' ').map_or(l, |(k, _)| k).to_string())
+        .collect()
+}
+
+fn words(s: &str) -> Vec<String> {
+    s.split_whitespace().map(String::from).collect()
+}
+
+/// The scraped `/stats` surface, pinned key for key and in order:
+/// `bench/e2e` and `flowctl` read these keys off the plaintext page,
+/// so a key that moves, vanishes or is renamed breaks a scraper.
+#[test]
+fn stats_pages_keep_their_exact_ordered_keys() {
+    let spec = SPEC.replace("[site 0]\n", "[site 0]\nlanes = 2\n");
+    let fleet = boot_spec(&spec);
+    let leaf = fleet.relays.iter().find(|r| r.name() == "leaf").unwrap();
+    let root = fleet.relays.iter().find(|r| r.name() == "root").unwrap();
+    let site = fleet.sites.iter().find(|s| s.site() == 0).unwrap();
+
+    let mut site_keys = words(
+        "role site datagrams packets decode_errors quota_packet_drops
+         quota_record_drops records records_no_template templates_live
+         templates_evicted templates_rejected window_sheds backpressure_waits
+         exporters_tracked exporters_evicted recv_buffer_bytes late_drops
+         summaries frames_sent frames_dropped forwarded forward_reconnects
+         forward_abandoned knob_packet_rate knob_packet_burst knob_record_rate
+         knob_record_burst knob_max_exporters knob_max_open_windows
+         knob_pin_cores lanes merger_stale_windows",
+    );
+    for i in 0..2 {
+        for k in words("datagrams records recv_batches backpressure_waits dead_drops pinned") {
+            site_keys.push(format!("lane{i}_{k}"));
+        }
+    }
+    let relay_head = words(
+        "role name agg_site mode linger_ms retention_ms drain_every_ms max_bases
+         journal_degraded frames site_frames agg_frames rejected replayed exported
+         exported_bytes full_exports delta_exports delta_fallbacks base_losses
+         late_downstream rebase_requests rebase_rewinds reconnect_attempts
+         reconnect_failures backoff_ms_total spill_sheds spill_shed_bytes
+         export_pending upstream_connected acked_mode",
+    );
+    let shipper = words(
+        "ship_enqueued ship_sent_frames ship_sent_bytes ship_acked_frames
+         ship_legacy_released ship_rebase_honored ship_stall_recycles
+         ship_handshakes ship_legacy_sessions spill_pushed_frames
+         spill_pushed_bytes spill_acked_floor spill_recovered_frames
+         spill_torn_bytes spill_io_errors",
+    );
+    let relay_tail =
+        words("stored_windows export_watermark_lag_ms export_pending_bytes max_base_nodes");
+    let leaf_keys = [&relay_head[..], &shipper, &relay_tail].concat();
+    let root_keys = [&relay_head[..], &relay_tail].concat();
+
+    assert_eq!(
+        stats_keys(&site.stats_addr().unwrap().to_string()),
+        site_keys
+    );
+    assert_eq!(
+        stats_keys(&leaf.stats_addr().unwrap().to_string()),
+        leaf_keys
+    );
+    assert_eq!(
+        stats_keys(&root.stats_addr().unwrap().to_string()),
+        root_keys
+    );
+
+    for site in fleet.sites {
+        site.drain();
+    }
+    for rt in fleet.relays.into_iter().rev() {
+        rt.drain(Duration::from_secs(5));
     }
 }

@@ -90,7 +90,9 @@ fn main() {
 
     println!(
         "daemon: {} records over UDP, {} windows summarized, {} summary bytes",
-        report.daemon.records, report.daemon.summaries, report.daemon.summary_bytes
+        report.total.daemon.records,
+        report.total.daemon.summaries,
+        report.total.daemon.summary_bytes
     );
     let merged = collector.merged(None, 0, u64::MAX);
     println!(
