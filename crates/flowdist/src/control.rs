@@ -21,10 +21,12 @@
 //! ```
 //!
 //! * **Hello** — capability announcement. A shipper sends one right
-//!   after connecting; a capable receiver replies with its own Hello
-//!   and thereafter answers every summary frame. No reply within the
-//!   shipper's handshake window means a legacy peer: the shipper falls
-//!   back to fire-and-forget exactly as before this protocol existed.
+//!   after connecting; the receiver replies with its own Hello and
+//!   thereafter answers every summary frame. No reply within the
+//!   shipper's handshake window is a failed connect: the shipper backs
+//!   off and retries, and never releases a frame without an ack
+//!   ([`crate::export`]). A receiver still serves a sender that never
+//!   says hello, in one-way silence.
 //! * **Ack** — the receiver's applied position for one `(window,
 //!   exporter)` slot: the content epoch its ledger now holds (`0` when
 //!   the slot was stored by a pre-epoch v1/v2 frame). Sent for applied

@@ -1,41 +1,39 @@
-//! The durable export shipper: spill-backed pending buffer, ack
-//! tracking, reconnect backoff, and a skew-proof clock.
+//! The acknowledged export shipper: the one way a summary frame
+//! leaves a node. A site ships its window summaries through it, and a
+//! relay its re-exports; both hops keep one delivery contract.
 //!
-//! `relayd`'s old export loop kept drained frames in a bounded `Vec`,
-//! reconnected in a tight loop, and treated a successful `write` as
-//! delivery. The [`ExportShipper`] replaces all three:
-//!
-//! * every drained frame lands in a [`SpillQueue`] **before** any send
-//!   (process death loses nothing that was drained);
-//! * against an ack-capable upstream (hello handshake,
-//!   [`flowdist::control`]) a frame stays pending until the receiver
-//!   acknowledges **applying** it; a reconnect resends the whole
-//!   unacked suffix and the receiver deduplicates idempotently;
-//! * against a legacy (v1–v3) upstream the shipper falls back to
-//!   exactly the old fire-and-forget contract: a flushed write
-//!   releases the frame;
+//! * every frame lands in a [`SpillQueue`] **before** any send (a
+//!   disk-backed queue survives process death; a site's in-memory one
+//!   bounds an outage by bytes, shedding the oldest with accounting);
+//! * every connection opens with a hello ([`crate::control`]). An
+//!   upstream that does not answer it within
+//!   [`ShipperConfig::handshake_ms`] is a failed connect: back off and
+//!   retry. A frame stays pending until the receiver acknowledges
+//!   **applying** it; a reconnect resends the whole unacked suffix and
+//!   the receiver deduplicates idempotently;
 //! * reconnects use exponential [`Backoff`] with jitter instead of a
-//!   tight retry loop, feeding attempt/failure/backoff counters into
-//!   the [`RelayLedger`](crate::RelayLedger);
-//! * rebase-requests from the receiver rewind the named window
-//!   ([`Relay::request_rebase`]) so the next drain ships a full
-//!   rebasing frame.
+//!   tight retry loop, and report each attempt to the node's
+//!   [`ShipperHost`];
+//! * rebase-requests from the receiver go to
+//!   [`ShipperHost::request_rebase`]: a relay rewinds the named window
+//!   so its next drain ships a full rebasing frame; a site ships each
+//!   window once, whole, and refuses.
 //!
 //! A dedicated reader thread per connection decodes control frames
 //! into a channel — the pump never does a blocking read mid-frame, so
 //! a slow upstream cannot desynchronize the stream.
 
-use crate::relay::Relay;
-use flowdist::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
-use flowdist::framing::{read_frame, write_frame};
-use flowdist::{SpillQueue, Summary};
-use flowtree_core::Config;
+use crate::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
+use crate::framing::{read_frame, write_frame};
+use crate::summary::SummaryHeader;
+use crate::{DistError, SpillQueue, SpillStats};
+use flowmetrics::Stats;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A wall-anchored **monotonic** clock for the export scheduler: the
 /// wall time is sampled once at construction and advanced by
@@ -53,7 +51,7 @@ impl SteadyClock {
     /// Anchors to the current wall clock.
     pub fn new() -> SteadyClock {
         SteadyClock {
-            wall0_ms: flowdist::epoch_ms(),
+            wall0_ms: crate::epoch_ms(),
             t0: Instant::now(),
         }
     }
@@ -165,20 +163,47 @@ impl Backoff {
 pub struct ShipperConfig {
     /// Upstream address (`host:port`).
     pub upstream: String,
-    /// How long to wait for the upstream's hello reply before falling
-    /// back to legacy fire-and-forget.
+    /// How long to wait for the upstream's hello reply before counting
+    /// the connect as failed.
     pub handshake_ms: u64,
-    /// How long an acked connection may sit fully-sent with pending
-    /// frames and no ack progress before it is recycled. TCP only
-    /// loses frames by losing the connection, but a half-dead path
-    /// (or a peer that stopped acking) looks healthy forever —
-    /// recycling forces the resend-all-unacked reconnect path.
+    /// How long a connection may sit fully-sent with pending frames
+    /// and no ack progress before it is recycled. TCP only loses
+    /// frames by losing the connection, but a half-dead path (or a
+    /// peer that stopped acking) looks healthy forever — recycling
+    /// forces the resend-all-unacked reconnect path.
     pub stall_ms: u64,
-    /// Tree budget for re-decoding recovered spill frames (their
-    /// pending metadata is rebuilt from the bytes).
-    pub tree: Config,
     /// Reconnect backoff tuning.
     pub backoff: BackoffConfig,
+}
+
+impl ShipperConfig {
+    /// The defaults for shipping to `upstream`: a 1 s hello timeout, a
+    /// 10 s ack stall, [`BackoffConfig::default`].
+    pub fn new(upstream: impl Into<String>) -> ShipperConfig {
+        ShipperConfig {
+            upstream: upstream.into(),
+            handshake_ms: 1_000,
+            stall_ms: 10_000,
+            backoff: BackoffConfig::default(),
+        }
+    }
+}
+
+/// What a shipper reports to, and asks of, the node it ships for. The
+/// shipper locks the node (`&Mutex<H>`) only for these calls.
+pub trait ShipperHost {
+    /// One connection attempt finished: whether it succeeded, and how
+    /// long the shipper backed off before it.
+    fn note_reconnect(&mut self, ok: bool, waited_ms: u64);
+
+    /// The upstream acknowledged applying the window at `epoch`.
+    fn note_shipped(&mut self, _window_start_ms: u64, _epoch: u64) {}
+
+    /// The upstream asked for a full rebasing re-export of the window.
+    /// Returns whether the node honors it; the default refuses.
+    fn request_rebase(&mut self, _window_start_ms: u64) -> bool {
+        false
+    }
 }
 
 /// Shipper counters.
@@ -192,11 +217,10 @@ pub struct ShipperStats {
     pub sent_bytes: u64,
     /// Frames released by a receiver ack.
     pub acked_frames: u64,
-    /// Frames released by the legacy flushed-write contract.
-    pub legacy_released: u64,
     /// Rebase-requests honored (window rewound).
     pub rebase_honored: u64,
-    /// Rebase-requests for windows this relay no longer tracks.
+    /// Rebase-requests the host refused (a window it no longer
+    /// tracks, or a site, which never re-exports).
     pub rebase_unknown: u64,
     /// Acks that matched nothing pending (at-least-once replays of
     /// our own resends, or a hostile peer).
@@ -204,13 +228,11 @@ pub struct ShipperStats {
     /// Zero-epoch acks that claimed to cover epoch-advancing pending
     /// frames — ignored, a v3 frame is only released by an epoch ack.
     pub hostile_acks: u64,
-    /// Completed hello handshakes (ack mode negotiated).
+    /// Completed hello handshakes (one per established connection).
     pub handshakes: u64,
     /// Connections recycled because acks stopped arriving while
     /// frames were pending (see [`ShipperConfig::stall_ms`]).
     pub stall_recycles: u64,
-    /// Connections that fell back to legacy fire-and-forget.
-    pub legacy_sessions: u64,
 }
 
 /// What one pending frame is waiting on.
@@ -229,8 +251,6 @@ struct PendingMeta {
 struct Conn {
     stream: TcpStream,
     rx: Receiver<ControlFrame>,
-    /// Negotiated per-frame acks; false = legacy fire-and-forget.
-    acked: bool,
     /// Next spill seq to send on this connection (everything unacked
     /// below it was already sent here).
     send_from: u64,
@@ -246,7 +266,7 @@ impl Drop for Conn {
     }
 }
 
-/// The durable acknowledged export pipeline of one relay (see the
+/// The durable acknowledged export pipeline of one node (see the
 /// module docs).
 pub struct ExportShipper {
     cfg: ShipperConfig,
@@ -262,14 +282,14 @@ pub struct ExportShipper {
 
 impl ExportShipper {
     /// Wraps a spill queue (fresh or recovered). Metadata for
-    /// recovered frames is rebuilt by decoding their bytes; undecodable
-    /// records are dropped from tracking (they will be shed by acks
-    /// never matching — counted, not resent forever).
+    /// recovered frames is rebuilt from their headers; records whose
+    /// header does not parse are dropped from tracking (they will be
+    /// shed by acks never matching — counted, not resent forever).
     pub fn new(cfg: ShipperConfig, spill: SpillQueue, seed: u64) -> ExportShipper {
         let mut meta = BTreeMap::new();
         for rec in spill.pending() {
-            if let Ok(s) = Summary::decode(&rec.bytes, cfg.tree) {
-                meta.insert(rec.seq, meta_of(&s));
+            if let Ok(h) = SummaryHeader::parse(&rec.bytes) {
+                meta.insert(rec.seq, meta_of(&h));
             }
         }
         let backoff = Backoff::new(cfg.backoff, seed);
@@ -290,16 +310,18 @@ impl ExportShipper {
         self.rtt = Some(hist);
     }
 
-    /// Queues one drained export durably. Returns the window starts of
-    /// any frames the byte bound shed — the caller must
-    /// [`Relay::mark_unshipped`] them so the loss is healed by a full
-    /// rebasing re-export instead of being silent.
-    pub fn enqueue(&mut self, summary: &Summary) -> Vec<u64> {
-        let bytes = summary.encode();
+    /// Queues one encoded summary frame durably, tracking it by its
+    /// header ([`SummaryHeader::parse`]; the tree is never decoded).
+    /// Returns the window starts of any frames the byte bound shed: a
+    /// relay marks them unshipped so a full rebasing re-export heals
+    /// the loss; a site has nothing to re-export, and the loss stays
+    /// counted in [`SpillStats::shed_frames`]. A frame whose header
+    /// does not parse is refused and nothing is queued.
+    pub fn enqueue(&mut self, frame: Vec<u8>) -> Result<Vec<u64>, DistError> {
+        let m = meta_of(&SummaryHeader::parse(&frame)?);
         self.stats.enqueued += 1;
-        let m = meta_of(summary);
         let seq = self.spill.next_seq();
-        let shed = self.spill.push(bytes);
+        let shed = self.spill.push(frame);
         self.meta.insert(seq, m);
         let mut rewind: Vec<u64> = Vec::new();
         for rec in &shed {
@@ -309,27 +331,26 @@ impl ExportShipper {
         }
         rewind.sort_unstable();
         rewind.dedup();
-        rewind
+        Ok(rewind)
     }
 
     /// One delivery round: process any arrived control frames, then
     /// (re)connect and send the unacked suffix. Never blocks beyond
-    /// the connect and handshake timeouts. Call with the relay
-    /// **unlocked** — the shipper takes the lock itself for ledger and
-    /// rewind bookkeeping.
-    pub fn pump(&mut self, relay: &Mutex<Relay>, now_ms: u64) {
-        if self.conn.is_some() && !self.process_control(relay, now_ms) {
+    /// the connect and handshake timeouts. Call with the host
+    /// **unlocked** — the shipper takes the lock itself for the
+    /// host's bookkeeping.
+    pub fn pump<H: ShipperHost>(&mut self, host: &Mutex<H>, now_ms: u64) {
+        if self.conn.is_some() && !self.process_control(host, now_ms) {
             self.conn = None;
         }
         if self.spill.is_empty() {
             return;
         }
-        // A fully-sent acked connection that has gone silent is not
+        // A fully-sent connection that has gone silent is not
         // delivering: recycle it so the reconnect resends everything
         // unacked.
         if let Some(conn) = &self.conn {
-            if conn.acked
-                && conn.send_from >= self.spill.next_seq()
+            if conn.send_from >= self.spill.next_seq()
                 && now_ms.saturating_sub(conn.last_progress_ms) > self.cfg.stall_ms
             {
                 self.stats.stall_recycles += 1;
@@ -343,25 +364,15 @@ impl ExportShipper {
                 return;
             }
             let waited = self.backoff.last_delay_ms;
-            match self.connect(now_ms) {
+            let conn = self.connect(now_ms);
+            lock(host).note_reconnect(conn.is_ok(), waited);
+            match conn {
                 Ok(conn) => {
-                    relay
-                        .lock()
-                        .expect("relay lock")
-                        .note_reconnect(true, waited);
                     self.backoff.success();
-                    if conn.acked {
-                        self.stats.handshakes += 1;
-                    } else {
-                        self.stats.legacy_sessions += 1;
-                    }
+                    self.stats.handshakes += 1;
                     self.conn = Some(conn);
                 }
                 Err(_) => {
-                    relay
-                        .lock()
-                        .expect("relay lock")
-                        .note_reconnect(false, waited);
                     self.backoff.failure(now_ms);
                     return;
                 }
@@ -372,20 +383,39 @@ impl ExportShipper {
             self.backoff.failure(now_ms);
             return;
         }
-        if !self.process_control(relay, now_ms) {
+        if !self.process_control(host, now_ms) {
             self.conn = None;
         }
     }
 
+    /// Pumps until nothing is pending or `deadline` passes — a node's
+    /// graceful drain. Returns the frames still pending.
+    pub fn flush<H: ShipperHost>(
+        &mut self,
+        host: &Mutex<H>,
+        clock: &SteadyClock,
+        deadline: Duration,
+    ) -> usize {
+        let limit = Instant::now() + deadline;
+        while self.pending_len() > 0 && Instant::now() < limit {
+            self.pump(host, clock.now_ms());
+            if self.pending_len() > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        self.pending_len()
+    }
+
+    /// Connects and completes the hello handshake; an upstream that
+    /// does not answer with an ack-capable hello is a failed connect.
     fn connect(&mut self, now_ms: u64) -> std::io::Result<Conn> {
-        let stream = flowdist::framing::connect(&self.cfg.upstream)?;
+        let stream = crate::framing::connect(&self.cfg.upstream)?;
         let reader_stream = stream.try_clone()?;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || reader_loop(reader_stream, tx));
         let mut conn = Conn {
             stream,
             rx,
-            acked: false,
             send_from: self.spill.acked_floor(),
             last_progress_ms: now_ms,
         };
@@ -398,23 +428,14 @@ impl ExportShipper {
         )?;
         match conn
             .rx
-            .recv_timeout(std::time::Duration::from_millis(self.cfg.handshake_ms))
+            .recv_timeout(Duration::from_millis(self.cfg.handshake_ms))
         {
-            Ok(ControlFrame::Hello { features }) => {
-                conn.acked = features & FEATURE_ACKS != 0;
-            }
-            Ok(_) | Err(RecvTimeoutError::Timeout) => {
-                // No hello: a legacy peer that counted ours as one
-                // rejected frame. Fire-and-forget, as before.
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionReset,
-                    "upstream closed during handshake",
-                ));
-            }
+            Ok(ControlFrame::Hello { features }) if features & FEATURE_ACKS != 0 => Ok(conn),
+            _ => Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "upstream did not answer the hello with acks",
+            )),
         }
-        Ok(conn)
     }
 
     /// Sends every pending frame not yet sent on this connection.
@@ -446,19 +467,12 @@ impl ExportShipper {
         }
         self.stats.sent_frames += sent;
         self.stats.sent_bytes += sent_bytes;
-        if !conn.acked && sent > 0 {
-            // Legacy contract: a flushed write is delivery.
-            let release = self.spill.next_seq();
-            self.stats.legacy_released += self.meta.len() as u64;
-            self.meta.clear();
-            self.spill.ack_through(release);
-        }
         true
     }
 
     /// Drains arrived control frames. Returns false when the reader
     /// thread is gone (connection closed).
-    fn process_control(&mut self, relay: &Mutex<Relay>, now_ms: u64) -> bool {
+    fn process_control<H: ShipperHost>(&mut self, host: &Mutex<H>, now_ms: u64) -> bool {
         loop {
             let frame = match self.conn.as_ref() {
                 Some(conn) => conn.rx.try_recv(),
@@ -466,18 +480,14 @@ impl ExportShipper {
             };
             match frame {
                 Ok(ControlFrame::Ack(slot)) => {
-                    if self.handle_ack(slot, relay, now_ms) > 0 {
+                    if self.handle_ack(slot, host, now_ms) > 0 {
                         if let Some(conn) = self.conn.as_mut() {
                             conn.last_progress_ms = now_ms;
                         }
                     }
                 }
                 Ok(ControlFrame::RebaseRequest(slot)) => {
-                    let honored = relay
-                        .lock()
-                        .expect("relay lock")
-                        .request_rebase(slot.window_start_ms);
-                    if honored {
+                    if lock(host).request_rebase(slot.window_start_ms) {
                         self.stats.rebase_honored += 1;
                     } else {
                         self.stats.rebase_unknown += 1;
@@ -495,7 +505,7 @@ impl ExportShipper {
     /// ≤ `e`; a zero-epoch ack (v1/v2 receiver position) releases only
     /// the oldest pre-epoch frame of the slot and can never release an
     /// epoch-advancing one. Returns the number of frames released.
-    fn handle_ack(&mut self, slot: SlotPos, relay: &Mutex<Relay>, now_ms: u64) -> u64 {
+    fn handle_ack<H: ShipperHost>(&mut self, slot: SlotPos, host: &Mutex<H>, now_ms: u64) -> u64 {
         let candidates: Vec<u64> = self
             .meta
             .iter()
@@ -546,10 +556,7 @@ impl ExportShipper {
             }
         }
         self.stats.acked_frames += released;
-        relay
-            .lock()
-            .expect("relay lock")
-            .note_shipped(slot.window_start_ms, slot.epoch);
+        lock(host).note_shipped(slot.window_start_ms, slot.epoch);
         let floor = self
             .meta
             .keys()
@@ -565,20 +572,16 @@ impl ExportShipper {
         self.spill.len()
     }
 
-    /// Payload bytes those pending frames hold (the spill queue's
-    /// live footprint).
-    pub fn pending_bytes(&self) -> u64 {
-        self.spill.pending_bytes()
-    }
-
-    /// Whether an upstream connection is currently established.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// Whether the current connection negotiated per-frame acks.
-    pub fn acked_mode(&self) -> Option<bool> {
-        self.conn.as_ref().map(|c| c.acked)
+    /// A coherent read of the shipper for a stats page
+    /// ([`shipper_stats`]).
+    pub fn view(&self) -> ShipperView {
+        ShipperView {
+            pending: self.spill.len(),
+            pending_bytes: self.spill.pending_bytes(),
+            connected: self.conn.is_some(),
+            stats: self.stats,
+            spill: self.spill.stats(),
+        }
     }
 
     /// Shipper counters.
@@ -587,18 +590,126 @@ impl ExportShipper {
     }
 
     /// The spill queue's counters (pushed/acked/shed/recovered bytes).
-    pub fn spill_stats(&self) -> flowdist::SpillStats {
+    pub fn spill_stats(&self) -> SpillStats {
         self.spill.stats()
     }
 }
 
-fn meta_of(s: &Summary) -> PendingMeta {
+fn lock<H>(host: &Mutex<H>) -> std::sync::MutexGuard<'_, H> {
+    host.lock().expect("shipper host lock")
+}
+
+fn meta_of(h: &SummaryHeader) -> PendingMeta {
     PendingMeta {
-        window_start_ms: s.window.start_ms,
-        exporter: s.site,
-        epoch: s.epoch.map(|e| e.epoch).unwrap_or(0),
+        window_start_ms: h.window.start_ms,
+        exporter: h.site,
+        epoch: h.epoch.map_or(0, |e| e.epoch),
         sent_at_ms: 0,
     }
+}
+
+/// One shipper as a stats page sees it (see [`ExportShipper::view`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ShipperView {
+    /// Frames awaiting acknowledgment.
+    pub pending: usize,
+    /// Payload bytes those frames hold in the spill queue.
+    pub pending_bytes: u64,
+    /// Whether an upstream connection is established.
+    pub connected: bool,
+    /// The shipper's counters.
+    pub stats: ShipperStats,
+    /// The spill queue's counters.
+    pub spill: SpillStats,
+}
+
+/// The shipper's entries of a node's stats list, declared once for
+/// every node: `export_pending` and `upstream_connected`, then — when
+/// the node ships at all (a root does not) — the `ship_*` counters and
+/// the `spill_*` queue state.
+pub fn shipper_stats(s: &mut Stats, view: Option<&ShipperView>) {
+    s.kv("export_pending", view.map_or(0, |v| v.pending)).gauge(
+        "flowtree_export_pending_frames",
+        "Export frames awaiting upstream acknowledgment.",
+    );
+    s.kv("upstream_connected", view.is_some_and(|v| v.connected))
+        .gauge(
+            "flowtree_upstream_connected",
+            "1 when an upstream connection is established.",
+        );
+    let Some(v) = view else {
+        return;
+    };
+    let sh = &v.stats;
+    s.kv("ship_enqueued", sh.enqueued).counter(
+        "flowtree_ship_enqueued_total",
+        "Frames handed to the durable shipper.",
+    );
+    s.kv("ship_sent_frames", sh.sent_frames).counter(
+        "flowtree_ship_sent_frames_total",
+        "Frames written to the wire (including resends).",
+    );
+    s.kv("ship_sent_bytes", sh.sent_bytes).counter(
+        "flowtree_ship_sent_bytes_total",
+        "Bytes written to the wire.",
+    );
+    s.kv("ship_acked_frames", sh.acked_frames).counter(
+        "flowtree_ship_acked_frames_total",
+        "Frames released by a receiver ack.",
+    );
+    s.kv("ship_rebase_honored", sh.rebase_honored).counter(
+        "flowtree_ship_rebase_honored_total",
+        "Rebase-requests honored (window rewound).",
+    );
+    s.metric(sh.stale_acks).counter(
+        "flowtree_ship_stale_acks_total",
+        "Acks that matched nothing pending.",
+    );
+    s.metric(sh.hostile_acks).counter(
+        "flowtree_ship_hostile_acks_total",
+        "Zero-epoch acks that claimed epoch-advancing frames; ignored.",
+    );
+    s.kv("ship_stall_recycles", sh.stall_recycles).counter(
+        "flowtree_ship_stall_recycles_total",
+        "Connections recycled because acks went silent.",
+    );
+    s.kv("ship_handshakes", sh.handshakes).counter(
+        "flowtree_ship_handshakes_total",
+        "Completed hello handshakes (one per established connection).",
+    );
+    let sp = &v.spill;
+    s.kv("spill_pushed_frames", sp.pushed_frames).counter(
+        "flowtree_spill_pushed_frames_total",
+        "Frames pushed into the spill queue.",
+    );
+    s.kv("spill_pushed_bytes", sp.pushed_bytes).counter(
+        "flowtree_spill_pushed_bytes_total",
+        "Payload bytes pushed into the spill queue.",
+    );
+    s.kv("spill_acked_floor", sp.acked_frames).counter(
+        "flowtree_spill_acked_frames_total",
+        "Frames released from the spill queue by acks.",
+    );
+    s.metric(sp.shed_frames).counter(
+        "flowtree_spill_shed_frames_total",
+        "Frames shed by the spill byte bound.",
+    );
+    s.metric(sp.shed_bytes).counter(
+        "flowtree_spill_shed_bytes_total",
+        "Payload bytes the shed frames carried.",
+    );
+    s.kv("spill_recovered_frames", sp.recovered_frames).counter(
+        "flowtree_spill_recovered_frames_total",
+        "Frames recovered from disk at startup.",
+    );
+    s.kv("spill_torn_bytes", sp.torn_bytes).counter(
+        "flowtree_spill_torn_bytes_total",
+        "Torn tail bytes truncated during recovery.",
+    );
+    s.kv("spill_io_errors", sp.io_errors).counter(
+        "flowtree_spill_io_errors_total",
+        "Spill writes degraded to memory-only by I/O errors.",
+    );
 }
 
 fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>) {
@@ -617,18 +728,13 @@ fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relay::RelayConfig;
-    use flowdist::{SpillConfig, SummaryKind, WindowId};
+    use crate::{EpochHeader, SpillConfig, Summary, SummaryKind, WindowId};
     use flowkey::Schema;
-    use flowtree_core::{FlowTree, Popularity};
-
-    fn clock_is_monotone() -> SteadyClock {
-        SteadyClock::new()
-    }
+    use flowtree_core::{Config, FlowTree, Popularity};
 
     #[test]
     fn steady_clock_never_goes_backwards() {
-        let c = clock_is_monotone();
+        let c = SteadyClock::new();
         let mut prev = c.now_ms();
         for _ in 0..1_000 {
             let now = c.now_ms();
@@ -662,7 +768,7 @@ mod tests {
         }
     }
 
-    fn export(window: u64, epoch: u64) -> Summary {
+    fn export(window: u64, epoch: u64) -> Vec<u8> {
         let schema = Schema::five_feature();
         let mut tree = FlowTree::new(schema, Config::with_budget(4_096));
         let key: flowkey::FlowKey =
@@ -679,31 +785,32 @@ mod tests {
             seq: epoch,
             kind: SummaryKind::Full,
             provenance: Some(vec![0]),
-            epoch: Some(flowdist::EpochHeader { epoch, base: None }),
+            epoch: Some(EpochHeader { epoch, base: None }),
             tree,
         }
+        .encode()
     }
 
     fn shipper() -> ExportShipper {
         let cfg = ShipperConfig {
-            upstream: "127.0.0.1:1".into(),
             handshake_ms: 10,
-            stall_ms: 10_000,
-            tree: Config::with_budget(1 << 20),
-            backoff: BackoffConfig::default(),
+            ..ShipperConfig::new("127.0.0.1:1")
         };
         ExportShipper::new(cfg, SpillQueue::in_memory(SpillConfig::default()), 1)
     }
 
-    fn relay_mutex() -> Mutex<Relay> {
-        Mutex::new(Relay::new(RelayConfig {
-            name: "t".into(),
-            agg_site: 100,
-            expected: vec![0],
-            schema: Schema::five_feature(),
-            tree: Config::with_budget(1 << 20),
-            export: Default::default(),
-        }))
+    /// A host that records the acked windows.
+    #[derive(Default)]
+    struct Recorder {
+        shipped: Vec<(u64, u64)>,
+    }
+
+    impl ShipperHost for Recorder {
+        fn note_reconnect(&mut self, _ok: bool, _waited_ms: u64) {}
+
+        fn note_shipped(&mut self, window_start_ms: u64, epoch: u64) {
+            self.shipped.push((window_start_ms, epoch));
+        }
     }
 
     #[test]
@@ -715,11 +822,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flowrelay-degrade-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ShipperConfig {
-            upstream: "127.0.0.1:1".into(),
             handshake_ms: 10,
-            stall_ms: 10_000,
-            tree: Config::with_budget(1 << 20),
-            backoff: BackoffConfig::default(),
+            ..ShipperConfig::new("127.0.0.1:1")
         };
         let spill_cfg = SpillConfig {
             segment_bytes: 1,
@@ -728,18 +832,18 @@ mod tests {
         let spill = SpillQueue::open(&dir, spill_cfg).unwrap();
         std::fs::create_dir_all(dir.join(format!("spill-{:020}.seg", 1))).unwrap();
         let mut s = ExportShipper::new(cfg, spill, 1);
-        assert!(s.enqueue(&export(0, 1)).is_empty());
+        assert!(s.enqueue(export(0, 1)).unwrap().is_empty());
         assert_eq!(s.spill_stats().io_errors, 0, "first segment is healthy");
         // The second enqueue survives the write failure: the frame
         // pends in memory, the event is counted once, and later
         // enqueues and acks proceed as if configured memory-only.
-        assert!(s.enqueue(&export(1, 1)).is_empty());
+        assert!(s.enqueue(export(1, 1)).unwrap().is_empty());
         assert_eq!(s.spill_stats().io_errors, 1);
         assert_eq!(s.pending_len(), 2);
-        assert!(s.enqueue(&export(2, 1)).is_empty());
+        assert!(s.enqueue(export(2, 1)).unwrap().is_empty());
         assert_eq!(s.spill_stats().io_errors, 1, "degrade counted once");
         assert_eq!(s.pending_len(), 3);
-        let relay = relay_mutex();
+        let host = Mutex::new(Recorder::default());
         s.handle_ack(
             SlotPos {
                 window_start_ms: 0,
@@ -747,7 +851,7 @@ mod tests {
                 exporter: 100,
                 epoch: 1,
             },
-            &relay,
+            &host,
             0,
         );
         assert_eq!(s.pending_len(), 2, "the window-0 frame released");
@@ -757,9 +861,9 @@ mod tests {
     #[test]
     fn acks_release_matching_epochs_and_advance_the_floor() {
         let mut s = shipper();
-        let relay = relay_mutex();
+        let host = Mutex::new(Recorder::default());
         for e in 1..=3u64 {
-            assert!(s.enqueue(&export(0, e)).is_empty());
+            assert!(s.enqueue(export(0, e)).unwrap().is_empty());
         }
         assert_eq!(s.pending_len(), 3);
         // Ack at epoch 2 releases the first two frames.
@@ -770,11 +874,12 @@ mod tests {
                 exporter: 100,
                 epoch: 2,
             },
-            &relay,
+            &host,
             0,
         );
         assert_eq!(s.pending_len(), 1);
         assert_eq!(s.stats().acked_frames, 2);
+        assert_eq!(host.lock().unwrap().shipped, [(0, 2)]);
         // Replayed ack: nothing matches any more.
         s.handle_ack(
             SlotPos {
@@ -783,7 +888,7 @@ mod tests {
                 exporter: 100,
                 epoch: 2,
             },
-            &relay,
+            &host,
             0,
         );
         assert_eq!(s.stats().stale_acks, 1);
@@ -795,7 +900,7 @@ mod tests {
                 exporter: 100,
                 epoch: 0,
             },
-            &relay,
+            &host,
             0,
         );
         assert_eq!(s.stats().hostile_acks, 1);
@@ -805,11 +910,8 @@ mod tests {
     #[test]
     fn shed_frames_report_their_windows_for_rewind() {
         let cfg = ShipperConfig {
-            upstream: "127.0.0.1:1".into(),
             handshake_ms: 10,
-            stall_ms: 10_000,
-            tree: Config::with_budget(1 << 20),
-            backoff: BackoffConfig::default(),
+            ..ShipperConfig::new("127.0.0.1:1")
         };
         let spill = SpillQueue::in_memory(SpillConfig {
             max_bytes: 200,
@@ -818,7 +920,7 @@ mod tests {
         let mut s = ExportShipper::new(cfg, spill, 1);
         let mut rewound = Vec::new();
         for e in 1..=6u64 {
-            rewound.extend(s.enqueue(&export(e, 1)));
+            rewound.extend(s.enqueue(export(e, 1)).unwrap());
         }
         assert!(
             !rewound.is_empty(),

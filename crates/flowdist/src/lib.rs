@@ -23,11 +23,13 @@
 //!   thread per site.
 //! * [`store`] — the on-disk summary database (atomic writes,
 //!   re-validated loads, retention).
-//! * [`net`] — exporters (NetFlow v5 and IPFIX over UDP) and
-//!   collector-side receive of summary frames over TCP.
+//! * [`net`] — exporters (NetFlow v5 and IPFIX over UDP).
 //! * [`control`] — the reverse channel of the acknowledged export
-//!   path: per-frame acks and rebase-requests, version-gated so
-//!   pre-handshake peers interoperate unchanged.
+//!   path: the hello handshake, per-frame acks and rebase-requests.
+//! * [`export`] — the acknowledged export shipper, the one way a
+//!   summary frame leaves a node on every hop (site → relay and
+//!   relay → parent): spill-before-send, resend until acked,
+//!   exponential reconnect backoff, ack-stall recycling.
 //! * [`framing`] — the one copy of the length-prefixed TCP framing
 //!   (`read_frame`/`write_frame`/`FramedConn`) every TCP surface in
 //!   flowdist *and* flowrelay speaks.
@@ -50,9 +52,9 @@
 //!   endpoint every fleet node serves, the shared rendering of a node's
 //!   one stats list (`/stats`, `/stats.json`, `/metrics`) and the one
 //!   reload grammar.
-//! * [`runtime`] — the site-node runtime: UDP ingest + upstream TCP
-//!   forwarder + ops endpoint behind one `start`/`drain` handle, so a
-//!   launcher boots a site from a spec line.
+//! * [`runtime`] — the site-node runtime: UDP ingest + the upstream
+//!   [`ExportShipper`] + ops endpoint behind one `start`/`drain`
+//!   handle, so a launcher boots a site from a spec line.
 //! * [`spill`] — disk-backed queue of unacked export frames
 //!   (append-only CRC-checked segments with an acked-floor ledger), so
 //!   pending exports survive process death.
@@ -71,6 +73,7 @@ pub mod alarm;
 pub mod collector;
 pub mod control;
 pub mod daemon;
+pub mod export;
 pub mod faultnet;
 pub mod framing;
 pub mod lane;
@@ -92,6 +95,10 @@ pub use alarm::{AlarmConfig, AlarmEvent, Direction};
 pub use collector::{Collector, TransferLedger, ViewCacheStats};
 pub use control::{ControlFrame, SlotPos, FEATURE_ACKS};
 pub use daemon::{DaemonConfig, DaemonStats, SiteDaemon, TransferMode};
+pub use export::{
+    shipper_stats, Backoff, BackoffConfig, ExportShipper, ShipperConfig, ShipperHost, ShipperStats,
+    ShipperView, SteadyClock,
+};
 pub use framing::{FramedConn, MAX_FRAME};
 pub use lane::{
     spawn_multi_lane_ingest, IngestReport, LaneOptions, LaneSnapshot, LaneStats, MultiIngestHandle,
@@ -102,7 +109,7 @@ pub use runtime::{SiteDrainReport, SiteNodeConfig, SiteRuntime};
 pub use sim::{SimConfig, SimReport, SiteRun};
 pub use spill::{FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
 pub use store::{LoadReport, SummaryStore};
-pub use summary::{EpochHeader, Summary, SummaryKind};
+pub use summary::{EpochHeader, Summary, SummaryHeader, SummaryKind};
 pub use window::WindowId;
 
 use flowtree_core::CodecError;

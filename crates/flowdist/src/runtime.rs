@@ -2,26 +2,40 @@
 //!
 //! [`crate::lane`] gives the `UDP → pipeline → summary frames`
 //! engine; what a *fleet* needs on top is the other half a production
-//! site node runs — a forwarder that ships those frames upstream over
-//! TCP (reconnecting through outages), a stats endpoint, and a
+//! site node runs — the acknowledged [`ExportShipper`] that ships
+//! those frames upstream (the same shipper, and the same delivery
+//! contract, as every relay hop), a stats endpoint, and a
 //! drain-on-shutdown path — wired behind one `start`/`drain` handle so
 //! a launcher (`flowrelay`'s `flowctl`) can boot a site from a spec
 //! line instead of hand-assembling threads. The relay-side twin is
 //! `flowrelay::runtime::NodeRuntime`.
 //!
+//! One shipper thread takes the lane merger's frames off its channel
+//! into an in-memory [`SpillQueue`] and pumps on every frame and on a
+//! fixed idle tick, so acks and stalls are handled while no frames
+//! arrive. A frame stays queued until the relay acknowledges applying
+//! it; a reset connection or a restarted relay gets the unacked frames
+//! again, and the relay deduplicates them. During an upstream outage
+//! the frames wait in the spill, which bounds them by bytes and sheds
+//! the oldest with accounting (`spill_*`, `flowtree_spill_shed_*`)
+//! rather than blocking the merger. The site uses the shipper's
+//! defaults ([`ShipperConfig::new`], [`SpillConfig::default`]).
+//!
 //! The stats endpoint serves one list: `site_stats` declares every
 //! counter once — its `/stats` key, its `/metrics` series, or both —
-//! from the lane engine's summed [`IngestReport`], the forwarder's
-//! counters and the live knobs, and
-//! [`NodeTelemetry::serve`](crate::ops::NodeTelemetry::serve) renders
-//! `/stats`, `/stats.json` and `/metrics` from it.
+//! from the lane engine's summed [`IngestReport`], the shipper's block
+//! ([`shipper_stats`]) and its reconnect counters, and the live knobs,
+//! and [`NodeTelemetry::serve`](crate::ops::NodeTelemetry::serve)
+//! renders `/stats`, `/stats.json` and `/metrics` from it.
 //!
 //! Shutdown is a **drain**, never a cut: [`SiteRuntime::drain`] stops
 //! the UDP lanes (which themselves drain the socket buffers and flush
-//! every open window), then joins the forwarder after it has pushed
-//! the final frames upstream, then frees the stats port.
+//! every open window), lets the shipper thread queue the final frames,
+//! pumps until every frame is acked or the deadline passes, then frees
+//! the stats port.
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
+use crate::export::{shipper_stats, ExportShipper, ShipperConfig, ShipperHost, ShipperStats};
 use crate::lane::{
     spawn_multi_lane_ingest, IngestReport, IngestTelemetry, LaneOptions, MultiGaugeView,
     MultiIngestHandle,
@@ -30,15 +44,19 @@ use crate::ops::{
     parse_reload, reload_u64, spawn_ops, NodeTelemetry, OpsHandle, OpsRequest, OpsResponse,
 };
 use crate::pipeline::IngestPipeline;
-use crate::{DaemonConfig, DistError, SiteDaemon, TransferMode};
+use crate::{
+    DaemonConfig, DistError, SiteDaemon, SpillConfig, SpillQueue, SteadyClock, TransferMode,
+};
 use flowkey::Schema;
 use flowmetrics::Stats;
 use flownet::DecoderLimits;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How often the shipper thread pumps while no frame arrives, so acks,
+/// reconnects and stalls are handled on a quiet site too.
+const SHIP_TICK: Duration = Duration::from_millis(50);
 
 /// Everything one site node needs, as a value (superseding ad-hoc
 /// wiring): where to listen, where to ship, and the daemon knobs.
@@ -107,15 +125,30 @@ impl SiteNodeConfig {
     }
 }
 
-/// Counters of the TCP forwarder thread, shared with the stats
-/// endpoint.
-#[derive(Debug, Default)]
-struct ForwardGauges {
-    forwarded: AtomicU64,
-    reconnects: AtomicU64,
-    /// Frames abandoned after the upstream stayed unreachable through
-    /// the drain deadline (explicit, accounted loss — only on drain).
-    abandoned: AtomicU64,
+/// A site's [`ShipperHost`]: it counts reconnects, needs no ack
+/// bookkeeping, and refuses rebase-requests — a site ships each window
+/// once, whole, and keeps nothing to re-export.
+#[derive(Debug, Default, Clone, Copy)]
+struct Reconnects {
+    attempts: u64,
+    failures: u64,
+    backoff_ms: u64,
+}
+
+impl ShipperHost for Reconnects {
+    fn note_reconnect(&mut self, ok: bool, waited_ms: u64) {
+        self.attempts += 1;
+        self.failures += u64::from(!ok);
+        self.backoff_ms += waited_ms;
+    }
+}
+
+/// The site's upstream half, shared by the shipper thread, the stats
+/// endpoint and [`SiteRuntime::drain`].
+struct Uplink {
+    shipper: ExportShipper,
+    reconnects: Mutex<Reconnects>,
+    clock: SteadyClock,
 }
 
 /// What [`SiteRuntime::drain`] hands back.
@@ -123,30 +156,28 @@ struct ForwardGauges {
 pub struct SiteDrainReport {
     /// The ingest engine's final counters.
     pub ingest: IngestReport,
-    /// Frames successfully written upstream over the node's lifetime.
-    pub forwarded: u64,
-    /// Upstream reconnect attempts.
-    pub reconnects: u64,
-    /// Frames abandoned because the upstream stayed unreachable while
-    /// draining.
-    pub abandoned: u64,
+    /// The shipper's final counters (`acked_frames` = windows the
+    /// relay acknowledged applying).
+    pub shipper: ShipperStats,
+    /// Frames still unacknowledged when the drain deadline passed
+    /// (0 = the relay acked everything the site emitted).
+    pub pending_at_exit: usize,
 }
 
 /// A running site node (see [`SiteNodeConfig`] and the module docs).
-#[derive(Debug)]
 pub struct SiteRuntime {
     site: u16,
     ingest: MultiIngestHandle,
-    forward: std::thread::JoinHandle<()>,
+    ship: std::thread::JoinHandle<()>,
     gauges: MultiGaugeView,
-    fwd: Arc<ForwardGauges>,
+    uplink: Arc<Mutex<Uplink>>,
     knobs: Arc<AdmissionKnobs>,
     ops: Option<OpsHandle>,
 }
 
 impl SiteRuntime {
     /// Boots the node: binds the UDP listener, spawns the upstream
-    /// forwarder, and (if configured) the stats endpoint.
+    /// shipper thread, and (if configured) the stats endpoint.
     pub fn start(cfg: SiteNodeConfig) -> Result<SiteRuntime, DistError> {
         let mut dcfg = DaemonConfig::new(cfg.site);
         dcfg.window_ms = cfg.window_ms.max(1);
@@ -195,22 +226,31 @@ impl SiteRuntime {
         };
         let ingest = spawn_multi_lane_ingest(&cfg.listen, pipeline_for, tx, opts)?;
         let gauges = ingest.view();
-        let fwd = Arc::new(ForwardGauges::default());
-        let fwd_loop = Arc::clone(&fwd);
-        let upstream = cfg.upstream.clone();
-        let forward = std::thread::Builder::new()
-            .name(format!("site{}-forward", cfg.site))
-            .spawn(move || forward_loop(&upstream, rx, &fwd_loop))
-            .map_err(DistError::Io)?;
+        let uplink = Arc::new(Mutex::new(Uplink {
+            shipper: ExportShipper::new(
+                ShipperConfig::new(cfg.upstream.clone()),
+                SpillQueue::in_memory(SpillConfig::default()),
+                u64::from(cfg.site) ^ (u64::from(std::process::id()) << 17),
+            ),
+            reconnects: Mutex::new(Reconnects::default()),
+            clock: SteadyClock::new(),
+        }));
+        let ship = {
+            let uplink = Arc::clone(&uplink);
+            std::thread::Builder::new()
+                .name(format!("site{}-ship", cfg.site))
+                .spawn(move || ship_loop(&rx, &uplink))
+                .map_err(DistError::Io)?
+        };
         let ops = match &cfg.stats {
             Some(addr) => {
                 let site = cfg.site;
                 let view = gauges.clone();
-                let f = Arc::clone(&fwd);
+                let up = Arc::clone(&uplink);
                 let k = Arc::clone(&knobs);
                 let tel = telemetry;
                 let handler = move |req: &OpsRequest| {
-                    tel.serve(req, || site_stats(site, &tel, &view, &f, &k))
+                    tel.serve(req, || site_stats(site, &tel, &view, &up, &k))
                         .unwrap_or_else(|| site_ops(site, &k, &tel, req))
                 };
                 Some(spawn_ops(addr, handler).map_err(DistError::Io)?)
@@ -220,9 +260,9 @@ impl SiteRuntime {
         Ok(SiteRuntime {
             site: cfg.site,
             ingest,
-            forward,
+            ship,
             gauges,
-            fwd,
+            uplink,
             knobs,
             ops,
         })
@@ -254,24 +294,47 @@ impl SiteRuntime {
         self.gauges.snapshot()
     }
 
-    /// Drains and shuts the node down: the UDP loop empties its socket
-    /// buffer and flushes every open window, the forwarder ships the
-    /// final frames upstream (retrying within the drain deadline),
-    /// then every port is released.
-    pub fn drain(self) -> SiteDrainReport {
-        let report = self.ingest.stop();
-        // The ingest thread owned the channel sender; with it gone the
-        // forwarder drains the queue and exits on its own.
-        let _ = self.forward.join();
+    /// Drains and shuts the node down: the UDP lanes empty their
+    /// socket buffers and flush every open window, the shipper thread
+    /// queues the final frames, then the shipper pumps until every
+    /// frame is acked or `deadline` passes, and every port is
+    /// released. Unacked frames left at the deadline are reported in
+    /// [`SiteDrainReport::pending_at_exit`].
+    pub fn drain(self, deadline: Duration) -> SiteDrainReport {
+        let ingest = self.ingest.stop();
+        // The ingest engine owned the channel sender; with it gone the
+        // shipper thread queues what is left and exits.
+        let _ = self.ship.join();
+        let mut up = self.uplink.lock().expect("uplink lock");
+        let up = &mut *up;
+        let pending_at_exit = up.shipper.flush(&up.reconnects, &up.clock, deadline);
         if let Some(ops) = self.ops {
             ops.stop();
         }
         SiteDrainReport {
-            ingest: report,
-            forwarded: self.fwd.forwarded.load(Ordering::Relaxed),
-            reconnects: self.fwd.reconnects.load(Ordering::Relaxed),
-            abandoned: self.fwd.abandoned.load(Ordering::Relaxed),
+            ingest,
+            shipper: up.shipper.stats(),
+            pending_at_exit,
         }
+    }
+}
+
+/// The shipper thread: queues each merged frame and pumps, and pumps
+/// on every idle tick, until the ingest engine drops the channel.
+fn ship_loop(rx: &crossbeam::channel::Receiver<Vec<u8>>, uplink: &Mutex<Uplink>) {
+    loop {
+        let first = match rx.recv_timeout(SHIP_TICK) {
+            Ok(frame) => Some(frame),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+        };
+        let mut guard = uplink.lock().expect("uplink lock");
+        let up = &mut *guard;
+        for frame in first.into_iter().chain(rx.try_iter()) {
+            let queued = up.shipper.enqueue(frame);
+            debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
+        }
+        up.shipper.pump(&up.reconnects, up.clock.now_ms());
     }
 }
 
@@ -282,7 +345,7 @@ fn site_stats(
     site: u16,
     tel: &NodeTelemetry,
     view: &MultiGaugeView,
-    fwd: &ForwardGauges,
+    uplink: &Mutex<Uplink>,
     knobs: &AdmissionKnobs,
 ) -> Stats {
     let r = view.snapshot();
@@ -371,21 +434,24 @@ fn site_stats(
         "flowtree_frames_dropped_total",
         "Frames dropped (receiver gone or full channel while stopping).",
     );
-    s.kv("forwarded", fwd.forwarded.load(Ordering::Relaxed))
-        .counter(
-            "flowtree_forward_frames_total",
-            "Frames written upstream by the TCP forwarder.",
-        );
-    s.kv("forward_reconnects", fwd.reconnects.load(Ordering::Relaxed))
-        .counter(
-            "flowtree_forward_reconnects_total",
-            "Upstream reconnect attempts by the forwarder.",
-        );
-    s.kv("forward_abandoned", fwd.abandoned.load(Ordering::Relaxed))
-        .counter(
-            "flowtree_forward_abandoned_total",
-            "Frames abandoned because the upstream stayed unreachable while draining.",
-        );
+    let (ship, rc) = {
+        let up = uplink.lock().expect("uplink lock");
+        let rc = *up.reconnects.lock().expect("reconnects lock");
+        (up.shipper.view(), rc)
+    };
+    s.kv("reconnect_attempts", rc.attempts).counter(
+        "flowtree_ship_reconnect_attempts_total",
+        "Upstream connection attempts by the shipper.",
+    );
+    s.kv("reconnect_failures", rc.failures).counter(
+        "flowtree_ship_reconnect_failures_total",
+        "Failed connection attempts among them.",
+    );
+    s.kv("backoff_ms_total", rc.backoff_ms).counter(
+        "flowtree_ship_backoff_ms_total",
+        "Milliseconds the shipper backed off between attempts.",
+    );
+    shipper_stats(&mut s, Some(&ship));
     s.kv("knob_packet_rate", cfg.packet_rate);
     s.kv("knob_packet_burst", cfg.packet_burst);
     s.kv("knob_record_rate", cfg.record_rate);
@@ -492,79 +558,12 @@ fn site_reload(body: &str, knobs: &AdmissionKnobs) -> Result<String, String> {
     Ok(reply)
 }
 
-/// Ships queued frames upstream until the channel closes, then drains
-/// what is left. Reconnects with a capped linear backoff; while the
-/// channel is open a frame waits indefinitely for the upstream (the
-/// bounded channel throttles ingest meanwhile). Once the channel has
-/// closed (drain), each remaining frame gets a bounded retry window so
-/// a dead upstream cannot wedge shutdown.
-fn forward_loop(upstream: &str, rx: crossbeam::channel::Receiver<Vec<u8>>, gauges: &ForwardGauges) {
-    let mut conn: Option<TcpStream> = None;
-    while let Ok(frame) = rx.recv() {
-        if !forward_one(upstream, &mut conn, &frame, gauges, usize::MAX) {
-            gauges.abandoned.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // Channel closed: the ingest loop flushed its final frames before
-    // dropping the sender — recv() above already delivered them, so
-    // nothing is left here. (Kept as a loop for clarity if crossbeam
-    // ever buffers past disconnect.)
-    while let Ok(frame) = rx.try_recv() {
-        if !forward_one(upstream, &mut conn, &frame, gauges, 50) {
-            gauges.abandoned.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(c) = conn {
-        let _ = c.shutdown(std::net::Shutdown::Write);
-    }
-}
-
-/// Writes one frame, (re)connecting as needed. `max_attempts` bounds
-/// the retry loop; returns whether the frame was written.
-fn forward_one(
-    upstream: &str,
-    conn: &mut Option<TcpStream>,
-    frame: &[u8],
-    gauges: &ForwardGauges,
-    max_attempts: usize,
-) -> bool {
-    let mut attempts = 0usize;
-    loop {
-        if conn.is_none() {
-            attempts += 1;
-            gauges.reconnects.fetch_add(1, Ordering::Relaxed);
-            match crate::framing::connect(upstream) {
-                Ok(s) => *conn = Some(s),
-                Err(_) => {
-                    if attempts >= max_attempts {
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_millis((50 * attempts).min(1_000) as u64));
-                    continue;
-                }
-            }
-        }
-        let stream = conn.as_mut().expect("connected above");
-        match crate::framing::write_frame(&mut *stream, frame).and_then(|()| stream.flush()) {
-            Ok(()) => {
-                gauges.forwarded.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            Err(_) => {
-                *conn = None;
-                if attempts >= max_attempts {
-                    return false;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{ControlFrame, SlotPos, FEATURE_ACKS};
     use crate::net::export_netflow;
-    use crate::Collector;
+    use crate::{Collector, Summary};
     use flownet::FlowRecord;
     use std::net::{TcpListener, UdpSocket};
 
@@ -585,7 +584,9 @@ mod tests {
 
     #[test]
     fn site_runtime_ships_upstream_and_drains() {
-        // A stand-in relay: accept frames, apply to a collector.
+        // A stand-in relay: answer the hello, apply each frame to a
+        // collector and ack it at the pre-epoch position a v1 frame
+        // stores.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let upstream_addr = listener.local_addr().unwrap();
         let sink = std::thread::spawn(move || {
@@ -593,9 +594,34 @@ mod tests {
                 Schema::five_feature(),
                 flowtree_core::Config::with_budget(4_096),
             );
-            let (mut stream, _) = listener.accept().unwrap();
-            let (applied, rejected) =
-                crate::net::receive_summaries(&mut stream, &mut collector).expect("clean stream");
+            let (stream, _) = listener.accept().unwrap();
+            let (mut applied, mut rejected) = (0u64, 0u64);
+            crate::framing::serve_framed(stream, |frame| {
+                if crate::control::is_control(&frame) {
+                    let hello = ControlFrame::Hello {
+                        features: FEATURE_ACKS,
+                    };
+                    return Some(hello.encode());
+                }
+                let summary = Summary::decode(&frame, flowtree_core::Config::with_budget(4_096));
+                let pos = summary.as_ref().ok().map(|s| SlotPos {
+                    window_start_ms: s.window.start_ms,
+                    span_ms: s.window.span_ms,
+                    exporter: s.site,
+                    epoch: 0,
+                });
+                match summary.and_then(|s| collector.apply(s)) {
+                    Ok(_) => {
+                        applied += 1;
+                        pos.map(|p| ControlFrame::Ack(p).encode())
+                    }
+                    Err(_) => {
+                        rejected += 1;
+                        None
+                    }
+                }
+            })
+            .expect("clean stream");
             (collector, applied, rejected)
         });
 
@@ -628,19 +654,19 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
 
-        let report = node.drain();
+        let report = node.drain(Duration::from_secs(10));
         assert!(report.ingest.error.is_none());
         assert_eq!(report.ingest.total.pipeline.records, 20);
-        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.pending_at_exit, 0);
         assert!(
-            report.forwarded >= 2,
+            report.shipper.acked_frames >= 2,
             "windows flushed: {}",
-            report.forwarded
+            report.shipper.acked_frames
         );
 
         let (collector, applied, rejected) = sink.join().unwrap();
         assert_eq!(rejected, 0);
-        assert_eq!(applied as u64, report.forwarded);
+        assert_eq!(applied, report.shipper.acked_frames);
         assert_eq!(collector.merged(None, 0, u64::MAX).total().packets, 40);
     }
 }

@@ -5,12 +5,13 @@
 //! against the site's previous window (the paper: "allowing transfer of
 //! only summaries or even difference of consecutive summaries").
 //!
-//! Summary frames flow downstream→upstream; the acknowledged export
-//! path adds a reverse channel of **control frames** (acks and
-//! rebase-requests, magic `"FCTL"`) in [`crate::control`]. The magics
-//! are disjoint, so each side classifies a frame from its first four
-//! bytes, and a pre-handshake peer that sees a control frame rejects
-//! it as a malformed summary and carries on — version gating for free.
+//! Summary frames flow downstream→upstream; every hop ships them
+//! through the acknowledged [`crate::export`], whose reverse channel
+//! carries **control frames** (hello, acks and rebase-requests, magic
+//! `"FCTL"`, see [`crate::control`]). The magics are disjoint, so each
+//! side classifies a frame from its first four bytes. A shipper tracks
+//! the frames it holds by their header alone ([`SummaryHeader::parse`]),
+//! never decoding a tree it only forwards.
 //!
 //! Frame layout (after the 4-byte magic):
 //!
@@ -216,14 +217,56 @@ impl Summary {
         out
     }
 
-    /// Decodes and validates a summary frame. The tree inside is fully
-    /// re-validated by the flowtree codec (untrusted network input).
-    /// All three frame versions decode; the provenance header of a
-    /// version-2/3 frame must be nonempty, strictly ascending, bounded
-    /// by [`MAX_PROVENANCE`]; version-2 aggregates must be `Full`;
-    /// version-3 frames must carry an epoch ≥ 1, a `Delta` declaring a
-    /// strictly older base.
+    /// Decodes and validates a summary frame: the header
+    /// ([`SummaryHeader::parse`]), then the tree, which the flowtree
+    /// codec fully re-validates (untrusted network input), then no
+    /// trailing bytes.
     pub fn decode(bytes: &[u8], tree_cfg: Config) -> Result<Summary, DistError> {
+        let h = SummaryHeader::parse(bytes)?;
+        let (tree, used) = FlowTree::decode_prefix(&bytes[h.tree_offset..], tree_cfg)?;
+        if h.tree_offset + used != bytes.len() {
+            return Err(DistError::BadFrame("trailing bytes"));
+        }
+        Ok(Summary {
+            site: h.site,
+            window: h.window,
+            seq: h.seq,
+            kind: h.kind,
+            provenance: h.provenance,
+            epoch: h.epoch,
+            tree,
+        })
+    }
+}
+
+/// Everything in a summary frame before its tree, validated exactly
+/// as [`Summary::decode`] validates it — what a shipper reads to track
+/// a frame it holds as bytes, without decoding the tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SummaryHeader {
+    /// Producing site (an aggregate's exporter id).
+    pub site: u16,
+    /// The summarized window.
+    pub window: WindowId,
+    /// Per-site sequence number.
+    pub seq: u64,
+    /// Full or delta.
+    pub kind: SummaryKind,
+    /// The site-set provenance (version 2/3 frames).
+    pub provenance: Option<Vec<u16>>,
+    /// The content-epoch handshake (version 3 frames).
+    pub epoch: Option<EpochHeader>,
+    /// Byte offset of the tree's codec frame.
+    pub tree_offset: usize,
+}
+
+impl SummaryHeader {
+    /// Parses and validates a frame's header. All three frame versions
+    /// parse; the provenance header of a version-2/3 frame must be
+    /// nonempty, strictly ascending, bounded by [`MAX_PROVENANCE`];
+    /// version-2 aggregates must be `Full`; version-3 frames must carry
+    /// an epoch ≥ 1, a `Delta` declaring a strictly older base.
+    pub fn parse(bytes: &[u8]) -> Result<SummaryHeader, DistError> {
         if bytes.len() < 8 {
             return Err(DistError::BadFrame("short summary frame"));
         }
@@ -309,18 +352,14 @@ impl Summary {
         } else {
             None
         };
-        let (tree, used) = FlowTree::decode_prefix(&bytes[pos..], tree_cfg)?;
-        if pos + used != bytes.len() {
-            return Err(DistError::BadFrame("trailing bytes"));
-        }
-        Ok(Summary {
+        Ok(SummaryHeader {
             site,
             window: WindowId { start_ms, span_ms },
             seq,
             kind,
             provenance,
             epoch,
-            tree,
+            tree_offset: pos,
         })
     }
 }
@@ -363,6 +402,12 @@ mod tests {
         assert_eq!(back.kind, SummaryKind::Full);
         assert_eq!(back.tree.total(), s.tree.total());
         assert_eq!(back.tree.len(), s.tree.len());
+        let h = SummaryHeader::parse(&bytes).unwrap();
+        assert_eq!(
+            (h.site, h.window, h.seq, h.kind),
+            (3, s.window, 17, back.kind)
+        );
+        assert_eq!(bytes[h.tree_offset..], back.tree.encode()[..]);
     }
 
     #[test]

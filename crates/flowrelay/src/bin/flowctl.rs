@@ -329,16 +329,10 @@ impl ThreadFleet {
 
     /// Leaves-first drain: sites flush to leaf relays, every relay
     /// tier flushes its pending exports to its (still-running) parent,
-    /// the root exits last.
-    fn drain(self, deadline: Duration) {
-        for site in self.sites {
-            let id = site.site();
-            let report = site.drain();
-            log(format_args!(
-                "flowctl: site {id} drained — {} forwarded, {} abandoned",
-                report.forwarded, report.abandoned
-            ));
-        }
+    /// the root exits last. Returns the frames the sites' relays
+    /// acknowledged.
+    fn drain(self, deadline: Duration) -> u64 {
+        let site_acked = drain_sites(self.sites, deadline);
         for rt in self.relays.into_iter().rev() {
             let name = rt.name().to_string();
             let report = rt.drain(deadline);
@@ -347,7 +341,24 @@ impl ThreadFleet {
                 report.flushed, report.pending_at_exit
             ));
         }
+        site_acked
     }
+}
+
+/// Drains every site, logging each one's delivery; returns the sum of
+/// their acknowledged frames.
+fn drain_sites(sites: Vec<SiteRuntime>, deadline: Duration) -> u64 {
+    let mut acked = 0;
+    for site in sites {
+        let id = site.site();
+        let report = site.drain(deadline);
+        log(format_args!(
+            "flowctl: site {id} drained — {} acked, {} pending at exit",
+            report.shipper.acked_frames, report.pending_at_exit
+        ));
+        acked += report.shipper.acked_frames;
+    }
+    acked
 }
 
 fn run(spec: &FleetSpec, args: &Args, deadline: Duration) {
@@ -793,18 +804,11 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
 
     draining.store(true, Ordering::Relaxed);
     let _ = sup.join();
-    for site in sites {
-        let id = site.site();
-        let report = site.drain();
-        log(format_args!(
-            "flowctl: site {id} drained — {} forwarded, {} abandoned",
-            report.forwarded, report.abandoned
-        ));
-    }
+    drain_sites(sites, deadline);
     // Leaves-first: closing a child's stdin (or sending `drain`) makes
-    // relayd flush pending exports to its still-running parent.
+    // relayd flush pending exports to its still-running parent (each
+    // child bounds its own drain via --drain-deadline-ms).
     let mut guard = fleet.lock().expect("fleet lock");
-    let _ = deadline; // children bound their own drain via --drain-deadline-ms
     for c in guard.children.iter_mut().rev() {
         send_line(c, "drain");
         drop(c.child.stdin.take());
@@ -1137,13 +1141,14 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     let hostile_no_template = stat_field(&site_body, "records_no_template").unwrap_or(0);
     let relays = fleet.relays.len();
     let sites = fleet.sites.len();
-    fleet.drain(deadline);
+    let site_acked = fleet.drain(deadline);
     println!(
         "flowctl smoke: ok — relays={relays} sites={sites} records={sent} \
          root_frames={root_frames} stats_endpoints={endpoints} reload=applied \
          hostile=accounted decode_errors={hostile_decode_errors} \
          records_no_template={hostile_no_template} metrics_nodes={metrics_nodes} \
-         export_rtt_count={rtt_count} query_count={query_count} {route} elapsed_ms={}",
+         export_rtt_count={rtt_count} query_count={query_count} site_acked={site_acked} \
+         {route} elapsed_ms={}",
         t0.elapsed().as_millis()
     );
 }

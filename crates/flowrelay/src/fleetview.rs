@@ -299,7 +299,7 @@ pub fn aggregate(nodes: &[NodeMetrics]) -> Vec<TierRow> {
                         + n.get("flowtree_ingest_records_no_template_total")
                         + n.get("flowtree_late_drops_total")
                         + n.get("flowtree_frames_dropped_total")
-                        + n.get("flowtree_forward_abandoned_total"),
+                        + n.get("flowtree_spill_shed_frames_total"),
                 )
             } else {
                 (
@@ -451,6 +451,8 @@ c_total{k=\"b\"} 3
                     ("flowtree_ingest_records_total", 100.0),
                     ("flowtree_uptime_seconds", 10.0),
                     ("flowtree_ingest_decode_errors_total", 2.0),
+                    // The site shipper's spill shed frames in an outage.
+                    ("flowtree_spill_shed_frames_total", 3.0),
                 ],
             ),
             mk(
@@ -485,7 +487,7 @@ c_total{k=\"b\"} 3
         assert_eq!(rows[0].role, "site");
         assert_eq!(rows[0].nodes, 2);
         assert_eq!(rows[0].ingested, 400);
-        assert_eq!(rows[0].drops, 2);
+        assert_eq!(rows[0].drops, 5);
         assert!((rows[0].rate_per_sec - 40.0).abs() < 1e-9);
         assert_eq!(rows[1].role, "relay");
         assert_eq!(rows[1].max_lag_secs, 7);

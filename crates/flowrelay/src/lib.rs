@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod fleetview;
 pub mod journal;
 pub mod plan;
@@ -67,7 +66,6 @@ pub mod sim;
 pub mod spec;
 pub mod topology;
 
-pub use export::{Backoff, BackoffConfig, ExportShipper, ShipperConfig, ShipperStats, SteadyClock};
 pub use journal::{JournalConfig, RecoveryReport};
 pub use plan::{QueryRouter, Route, Routed};
 pub use relay::{Compose, ExportConfig, ExportMode, FrameOutcome, Relay, RelayConfig, RelayLedger};

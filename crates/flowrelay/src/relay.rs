@@ -57,7 +57,9 @@
 //! window missing one site no longer advertises it.
 
 use crate::RelayError;
-use flowdist::{Collector, DistError, EpochHeader, SlotPos, Summary, SummaryKind, WindowId};
+use flowdist::{
+    Collector, DistError, EpochHeader, ShipperHost, SlotPos, Summary, SummaryKind, WindowId,
+};
 use flowkey::Schema;
 use flowtree_core::{Config, FlowTree};
 use std::collections::{BTreeMap, BTreeSet};
@@ -223,7 +225,7 @@ struct WindowState {
     /// The content epoch last drained for export (0 = never).
     exported_epoch: u64,
     /// The content epoch the upstream has **acknowledged applying**
-    /// (0 = never, or legacy fire-and-forget upstream). The gap
+    /// (0 = never). The gap
     /// between this and `exported_epoch` is exactly the in-flight
     /// exposure a restart must heal
     /// ([`Relay::rewind_unacked_exports`]).
@@ -712,17 +714,6 @@ impl Relay {
         starts.len()
     }
 
-    /// Feeds the export shipper's reconnect bookkeeping into the
-    /// ledger: one attempt, whether it failed, and how long the
-    /// shipper backed off before it.
-    pub fn note_reconnect(&mut self, ok: bool, backoff_ms: u64) {
-        self.ledger.reconnect_attempts += 1;
-        if !ok {
-            self.ledger.reconnect_failures += 1;
-        }
-        self.ledger.backoff_ms_total += backoff_ms;
-    }
-
     /// Feeds a spill-bound shed into the ledger: `frames` pending
     /// exports (carrying `bytes` payload bytes) were dropped by the
     /// spill queue's byte bound and their windows rewound to rebase.
@@ -1038,6 +1029,28 @@ impl Relay {
             self.collector.restore_position(site, start, seq);
         }
         self.ledger = s.ledger;
+    }
+}
+
+/// A relay's export shipper reports into the ledger and the journaled
+/// window export state.
+impl ShipperHost for Relay {
+    /// One attempt, whether it failed, and how long the shipper backed
+    /// off before it, into the ledger.
+    fn note_reconnect(&mut self, ok: bool, waited_ms: u64) {
+        self.ledger.reconnect_attempts += 1;
+        if !ok {
+            self.ledger.reconnect_failures += 1;
+        }
+        self.ledger.backoff_ms_total += waited_ms;
+    }
+
+    fn note_shipped(&mut self, window_start_ms: u64, epoch: u64) {
+        Relay::note_shipped(self, window_start_ms, epoch);
+    }
+
+    fn request_rebase(&mut self, window_start_ms: u64) -> bool {
+        Relay::request_rebase(self, window_start_ms)
     }
 }
 

@@ -35,23 +35,24 @@
 //!   config), each counter declared once: `GET /stats` (plaintext
 //!   `key value` lines), `/stats.json` and `/metrics`.
 
-use crate::export::{ExportShipper, ShipperConfig, ShipperStats};
 use crate::journal::{JournalConfig, RecoveryReport};
 use crate::plan::QueryRouter;
 use crate::relay::{ExportConfig, ExportMode, Relay, RelayConfig, RelayLedger};
 use crate::server::{answer_query, serve_acked_ingest_timed};
 use crate::topology::{RelaySpec, RelayTopology};
-use crate::{BackoffConfig, SteadyClock};
 use flowdist::ops::{
     parse_reload, reload_u64, spawn_ops, NodeTelemetry, OpsHandle, OpsRequest, OpsResponse,
 };
-use flowdist::{epoch_ms, FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
+use flowdist::{
+    epoch_ms, shipper_stats, BackoffConfig, ExportShipper, FsyncPolicy, ShipperConfig, ShipperView,
+    SpillConfig, SpillQueue, SteadyClock, Summary,
+};
 use flowmetrics::{EventRing, Stats, Stopwatch};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything one relay node needs, as a value. Field-for-field this
 /// supersedes `relayd`'s ad-hoc CLI flags; the defaults are the
@@ -171,6 +172,8 @@ pub enum RuntimeError {
     Journal(String),
     /// The export spill queue could not be opened.
     Spill(String),
+    /// The export scheduler thread could not be spawned.
+    Spawn(std::io::Error),
 }
 
 impl core::fmt::Display for RuntimeError {
@@ -182,6 +185,7 @@ impl core::fmt::Display for RuntimeError {
             }
             RuntimeError::Journal(e) => write!(f, "cannot open journal: {e}"),
             RuntimeError::Spill(e) => write!(f, "cannot open spill dir: {e}"),
+            RuntimeError::Spawn(e) => write!(f, "cannot spawn the export scheduler: {e}"),
         }
     }
 }
@@ -395,14 +399,12 @@ impl NodeRuntime {
                 };
                 let mut shipper = ExportShipper::new(
                     ShipperConfig {
-                        upstream: addr.clone(),
-                        handshake_ms: 1_000,
                         stall_ms: cfg.ack_stall_ms,
-                        tree: flowtree_core::Config::with_budget(cfg.budget),
                         backoff: BackoffConfig {
                             base_ms: cfg.reconnect_base_ms,
                             max_ms: cfg.reconnect_max_ms,
                         },
+                        ..ShipperConfig::new(addr.clone())
                     },
                     spill,
                     u64::from(cfg.agg_site) ^ (u64::from(std::process::id()) << 17),
@@ -454,9 +456,9 @@ impl NodeRuntime {
                     .spawn(move || {
                         // Acknowledged ingest: per-frame ack /
                         // rebase-request replies once the peer says
-                        // hello; pure one-way v1–v3 senders get
-                        // exactly the legacy silence. Locks the relay
-                        // per frame, not per connection.
+                        // hello (every shipper does); a sender that
+                        // never does gets one-way silence. Locks the
+                        // relay per frame, not per connection.
                         let _ = serve_acked_ingest_timed(&mut conn, &relay, Some(&update_hist));
                     });
             })
@@ -551,11 +553,7 @@ impl NodeRuntime {
                         );
                     }
                 })
-                .map_err(|err| RuntimeError::Bind {
-                    what: "ingest",
-                    addr: "scheduler thread".into(),
-                    err,
-                })?
+                .map_err(RuntimeError::Spawn)?
         };
 
         // --- stats endpoint ------------------------------------------
@@ -739,26 +737,10 @@ impl NodeRuntime {
         let (flushed, pending_at_exit) = match sched.shipper.as_mut() {
             Some(shipper) => {
                 let due = self.relay.lock().expect("relay lock").flush_exports();
-                let before = shipper.spill_stats();
-                for e in &due {
-                    let shed = shipper.enqueue(e);
-                    if !shed.is_empty() {
-                        let mut guard = self.relay.lock().expect("relay lock");
-                        for w in &shed {
-                            guard.mark_unshipped(*w);
-                        }
-                    }
-                }
-                note_sheds(&self.relay, &before, &shipper.spill_stats());
-                let limit = Instant::now() + deadline;
-                while shipper.pending_len() > 0 && Instant::now() < limit {
-                    shipper.pump(&self.relay, self.clock.now_ms());
-                    if shipper.pending_len() == 0 {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                (due.len(), shipper.pending_len())
+                let flushed = due.len();
+                enqueue_exports(&self.relay, shipper, due, &self.tag);
+                let pending = shipper.flush(&*self.relay, &self.clock, deadline);
+                (flushed, pending)
             }
             None => (0, 0),
         };
@@ -874,23 +856,8 @@ fn scheduler_pass(
     // pinned delta base per window.
     if let Some(shipper) = sched.shipper.as_mut() {
         let due = relay.lock().expect("relay lock").drain_exports_at(now);
-        let before = shipper.spill_stats();
-        for e in &due {
-            let shed = shipper.enqueue(e);
-            if !shed.is_empty() {
-                let mut guard = relay.lock().expect("relay lock");
-                for w in &shed {
-                    guard.mark_unshipped(*w);
-                }
-                drop(guard);
-                log(format_args!(
-                    "{tag}: spill bound shed {} old exports; their windows will rebase",
-                    shed.len()
-                ));
-            }
-        }
-        note_sheds(relay, &before, &shipper.spill_stats());
-        shipper.pump(relay, now);
+        enqueue_exports(relay, shipper, due, tag);
+        shipper.pump(&**relay, now);
     }
     if params.retention_ms > 0 {
         let cutoff = now.saturating_sub(params.retention_ms);
@@ -940,17 +907,42 @@ fn note_ledger_events(relay: &Arc<Mutex<Relay>>, sched: &mut SchedState, ts_ms: 
     sched.seen = LedgerSeen::of(&l);
 }
 
-/// Feeds spill-shed deltas across one enqueue batch into the ledger
-/// (PR-6 counted sheds only inside the queue; now they are readable).
-fn note_sheds(relay: &Arc<Mutex<Relay>>, before: &SpillStats, after: &SpillStats) {
+/// Queues drained exports with the shipper, each encoded once. A frame
+/// the spill bound shed rewinds its window, so the next drain heals
+/// the loss with a full rebasing frame, and the shed is counted in the
+/// ledger.
+fn enqueue_exports(
+    relay: &Mutex<Relay>,
+    shipper: &mut ExportShipper,
+    due: Vec<Summary>,
+    tag: &str,
+) {
+    let before = shipper.spill_stats();
+    let mut shed: Vec<u64> = Vec::new();
+    for e in due {
+        match shipper.enqueue(e.encode()) {
+            Ok(windows) => shed.extend(windows),
+            Err(err) => log(format_args!(
+                "{tag}: export frame refused by the shipper: {err}"
+            )),
+        }
+    }
+    let after = shipper.spill_stats();
     let frames = after.shed_frames.saturating_sub(before.shed_frames);
     let bytes = after.shed_bytes.saturating_sub(before.shed_bytes);
-    if frames > 0 || bytes > 0 {
-        relay
-            .lock()
-            .expect("relay lock")
-            .note_spill_shed(frames, bytes);
+    if shed.is_empty() && frames == 0 && bytes == 0 {
+        return;
     }
+    let mut guard = relay.lock().expect("relay lock");
+    for w in &shed {
+        guard.mark_unshipped(*w);
+    }
+    guard.note_spill_shed(frames, bytes);
+    drop(guard);
+    log(format_args!(
+        "{tag}: spill bound shed {} old exports; their windows will rebase",
+        shed.len()
+    ));
 }
 
 /// One coherent observation of the node, gathered under the relay and
@@ -962,12 +954,7 @@ struct ObsSnap {
     ledger: RelayLedger,
     stored_windows: usize,
     lag_ms: u64,
-    pending: usize,
-    pending_bytes: u64,
-    connected: bool,
-    acked_mode: Option<bool>,
-    shipper: Option<ShipperStats>,
-    spill: Option<SpillStats>,
+    ship: Option<ShipperView>,
 }
 
 fn observe(
@@ -987,20 +974,12 @@ fn observe(
         )
     };
     let p = *params.lock().expect("params lock");
-    let guard = sched.lock().expect("sched lock");
-    let (pending, pending_bytes, connected, acked_mode, shipper, spill) =
-        match guard.shipper.as_ref() {
-            Some(s) => (
-                s.pending_len(),
-                s.pending_bytes(),
-                s.is_connected(),
-                s.acked_mode(),
-                Some(s.stats()),
-                Some(s.spill_stats()),
-            ),
-            None => (0, 0, false, None, None, None),
-        };
-    drop(guard);
+    let ship = sched
+        .lock()
+        .expect("sched lock")
+        .shipper
+        .as_ref()
+        .map(ExportShipper::view);
     ObsSnap {
         export,
         params: p,
@@ -1008,13 +987,8 @@ fn observe(
         ledger,
         stored_windows,
         // A root never exports, so nothing it stores is "unexported".
-        lag_ms: if shipper.is_some() { lag_ms } else { 0 },
-        pending,
-        pending_bytes,
-        connected,
-        acked_mode,
-        shipper,
-        spill,
+        lag_ms: if ship.is_some() { lag_ms } else { 0 },
+        ship,
     }
 }
 
@@ -1109,100 +1083,7 @@ fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &O
         "flowtree_relay_spill_shed_bytes_total",
         "Payload bytes those shed frames carried.",
     );
-    s.kv("export_pending", o.pending).gauge(
-        "flowtree_export_pending_frames",
-        "Export frames awaiting upstream acknowledgment.",
-    );
-    s.kv("upstream_connected", o.connected).gauge(
-        "flowtree_upstream_connected",
-        "1 when an upstream connection is established.",
-    );
-    let acked_mode = match o.acked_mode {
-        Some(true) => "acked",
-        Some(false) => "legacy",
-        None => "none",
-    };
-    s.kv("acked_mode", acked_mode);
-    if let Some(sh) = &o.shipper {
-        s.kv("ship_enqueued", sh.enqueued).counter(
-            "flowtree_ship_enqueued_total",
-            "Frames handed to the durable shipper.",
-        );
-        s.kv("ship_sent_frames", sh.sent_frames).counter(
-            "flowtree_ship_sent_frames_total",
-            "Frames written to the wire (including resends).",
-        );
-        s.kv("ship_sent_bytes", sh.sent_bytes).counter(
-            "flowtree_ship_sent_bytes_total",
-            "Bytes written to the wire.",
-        );
-        s.kv("ship_acked_frames", sh.acked_frames).counter(
-            "flowtree_ship_acked_frames_total",
-            "Frames released by a receiver ack.",
-        );
-        s.kv("ship_legacy_released", sh.legacy_released).counter(
-            "flowtree_ship_legacy_released_total",
-            "Frames released by the legacy flushed-write contract.",
-        );
-        s.kv("ship_rebase_honored", sh.rebase_honored).counter(
-            "flowtree_ship_rebase_honored_total",
-            "Rebase-requests honored (window rewound).",
-        );
-        s.metric(sh.stale_acks).counter(
-            "flowtree_ship_stale_acks_total",
-            "Acks that matched nothing pending.",
-        );
-        s.metric(sh.hostile_acks).counter(
-            "flowtree_ship_hostile_acks_total",
-            "Zero-epoch acks that claimed epoch-advancing frames; ignored.",
-        );
-        s.kv("ship_stall_recycles", sh.stall_recycles).counter(
-            "flowtree_ship_stall_recycles_total",
-            "Connections recycled because acks went silent.",
-        );
-        s.kv("ship_handshakes", sh.handshakes).counter(
-            "flowtree_ship_handshakes_total",
-            "Completed hello handshakes (ack mode negotiated).",
-        );
-        s.kv("ship_legacy_sessions", sh.legacy_sessions).counter(
-            "flowtree_ship_legacy_sessions_total",
-            "Connections that fell back to legacy fire-and-forget.",
-        );
-    }
-    if let Some(sp) = &o.spill {
-        s.kv("spill_pushed_frames", sp.pushed_frames).counter(
-            "flowtree_spill_pushed_frames_total",
-            "Frames pushed into the spill queue.",
-        );
-        s.kv("spill_pushed_bytes", sp.pushed_bytes).counter(
-            "flowtree_spill_pushed_bytes_total",
-            "Payload bytes pushed into the spill queue.",
-        );
-        s.kv("spill_acked_floor", sp.acked_frames).counter(
-            "flowtree_spill_acked_frames_total",
-            "Frames released from the spill queue by acks.",
-        );
-        s.metric(sp.shed_frames).counter(
-            "flowtree_spill_shed_frames_total",
-            "Frames shed by the spill byte bound.",
-        );
-        s.metric(sp.shed_bytes).counter(
-            "flowtree_spill_shed_bytes_total",
-            "Payload bytes the shed frames carried.",
-        );
-        s.kv("spill_recovered_frames", sp.recovered_frames).counter(
-            "flowtree_spill_recovered_frames_total",
-            "Frames recovered from disk at startup.",
-        );
-        s.kv("spill_torn_bytes", sp.torn_bytes).counter(
-            "flowtree_spill_torn_bytes_total",
-            "Torn tail bytes truncated during recovery.",
-        );
-        s.kv("spill_io_errors", sp.io_errors).counter(
-            "flowtree_spill_io_errors_total",
-            "Spill writes degraded to memory-only by I/O errors.",
-        );
-    }
+    shipper_stats(&mut s, o.ship.as_ref());
     // Observability-layer keys, appended so legacy scrapers keep their
     // line positions.
     s.kv("stored_windows", o.stored_windows).gauge(
@@ -1214,7 +1095,11 @@ fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &O
         "flowtree_export_watermark_lag_seconds",
         "Age of the oldest window with unexported content (0 = keeping up).",
     );
-    s.kv("export_pending_bytes", o.pending_bytes).gauge(
+    s.kv(
+        "export_pending_bytes",
+        o.ship.map_or(0, |v| v.pending_bytes),
+    )
+    .gauge(
         "flowtree_spill_pending_bytes",
         "Payload bytes the pending exports hold in the spill queue.",
     );

@@ -52,10 +52,10 @@ pub fn receive_frames(
 /// protocol ([`flowdist::control`]): summary frames are classified by
 /// [`Relay::ingest_classified`] and answered per frame — an ack for
 /// applied or replayed content, a rebase-request for a delta whose
-/// base this relay no longer holds. Control replies are only emitted
-/// after the peer negotiates them with a hello (a legacy v1–v3 sender
-/// never sees an unexpected frame on what it believes is a one-way
-/// stream). Locks the relay per frame, never per connection.
+/// base this relay no longer holds. Every in-tree shipper opens with a
+/// hello; control replies are only emitted after it, so a sender that
+/// never says hello sees no unexpected frame on what it believes is a
+/// one-way stream. Locks the relay per frame, never per connection.
 ///
 /// Returns `(applied, rejected)` like [`receive_frames`]; replayed
 /// frames count as applied (the peer converged, nothing was lost).

@@ -166,16 +166,9 @@ fn forward(
     rng: &mut Rng,
     stats: &Arc<ProxyStats>,
 ) -> bool {
-    // Hello frames are exempt from the weather: losing one only
-    // downgrades the session to legacy fire-and-forget, which is a
-    // different (untestable-under-loss) delivery contract. Every
-    // *data* and ack frame is fair game.
-    let is_hello = flowdist::control::is_control(frame)
-        && matches!(
-            flowdist::ControlFrame::decode(frame),
-            Ok(flowdist::ControlFrame::Hello { .. })
-        );
-    if !is_hello && rng.chance(cfg.drop_percent) {
+    // Every frame is fair game, hellos included: a lost hello is a
+    // failed connect the shipper backs off from and retries.
+    if rng.chance(cfg.drop_percent) {
         stats.dropped.fetch_add(1, Ordering::Relaxed);
         return true;
     }

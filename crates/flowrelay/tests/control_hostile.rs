@@ -8,15 +8,19 @@ mod common;
 use common::{spawn_proxy, ProxyConfig};
 use flowdist::control::{ControlFrame, SlotPos, CONTROL_MAGIC, FEATURE_ACKS};
 use flowdist::framing::{read_frame, write_frame};
-use flowdist::{Summary, SummaryKind, WindowId};
-use flowkey::{FlowKey, Schema};
-use flowrelay::server::serve_acked_ingest;
-use flowrelay::{
-    BackoffConfig, ExportConfig, ExportShipper, Relay, RelayConfig, ShipperConfig, SteadyClock,
+use flowdist::net::export_netflow;
+use flowdist::runtime::{SiteNodeConfig, SiteRuntime};
+use flowdist::{
+    BackoffConfig, ExportShipper, ShipperConfig, SteadyClock, Summary, SummaryKind, WindowId,
 };
+use flowkey::{FlowKey, Schema};
+use flownet::FlowRecord;
+use flowrelay::server::serve_acked_ingest;
+use flowrelay::{ExportConfig, JournalConfig, Relay, RelayConfig};
 use flowtree_core::{Config, FlowTree, Popularity};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -259,13 +263,12 @@ fn shipper_rejects_lying_acks_from_a_scripted_upstream() {
             upstream: addr,
             handshake_ms: 2_000,
             stall_ms: 10_000,
-            tree: Config::with_budget(100_000),
             backoff: BackoffConfig::default(),
         },
         flowdist::SpillQueue::in_memory(flowdist::SpillConfig::default()),
         7,
     );
-    assert!(shipper.enqueue(&exports[0]).is_empty());
+    assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
     let clock = SteadyClock::new();
     for _ in 0..200 {
         shipper.pump(&relay, clock.now_ms());
@@ -287,6 +290,49 @@ fn shipper_rejects_lying_acks_from_a_scripted_upstream() {
     assert_eq!(stats.rebase_honored, 0);
     // And the relay's ledger saw the ack land.
     assert_eq!(relay.lock().unwrap().rewind_unacked_exports(), 0);
+}
+
+/// An upstream that never answers the hello is a failed connect: the
+/// shipper backs off and retries, and sends and releases nothing.
+#[test]
+fn silent_upstream_is_a_failed_connect_and_releases_nothing() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let silent = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(conn);
+        while let Ok(Some(_)) = read_frame(&mut reader) {}
+    });
+    let relay = Mutex::new(relay("t1", 100, &[0]));
+    relay
+        .lock()
+        .unwrap()
+        .apply(site_summary(0, 0, 0..3, 1))
+        .unwrap();
+    let exports = relay.lock().unwrap().flush_exports();
+    let mut shipper = ExportShipper::new(
+        ShipperConfig {
+            handshake_ms: 50,
+            ..ShipperConfig::new(addr)
+        },
+        flowdist::SpillQueue::in_memory(flowdist::SpillConfig::default()),
+        3,
+    );
+    assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
+    shipper.pump(&relay, SteadyClock::new().now_ms());
+    let ledger = *relay.lock().unwrap().ledger();
+    assert_eq!(
+        (ledger.reconnect_attempts, ledger.reconnect_failures),
+        (1, 1)
+    );
+    let stats = shipper.stats();
+    assert_eq!(
+        (stats.handshakes, stats.sent_frames, stats.acked_frames),
+        (0, 0, 0)
+    );
+    assert_eq!(shipper.pending_len(), 1, "no ack, no release");
+    assert!(!shipper.view().connected);
+    silent.join().unwrap();
 }
 
 /// The full export chain through a dropping, duplicating, flapping
@@ -319,7 +365,6 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
             upstream: proxy.addr.clone(),
             handshake_ms: 2_000,
             stall_ms: 150,
-            tree: Config::with_budget(100_000),
             backoff: BackoffConfig {
                 base_ms: 5,
                 max_ms: 50,
@@ -343,8 +388,9 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
         }
         for e in relay.lock().unwrap().flush_exports() {
             // The reference upstream is fed directly, no network.
-            reference.ingest_classified(&e.encode());
-            assert!(shipper.enqueue(&e).is_empty());
+            let frame = e.encode();
+            reference.ingest_classified(&frame);
+            assert!(shipper.enqueue(frame).unwrap().is_empty());
         }
         for _ in 0..1_200 {
             shipper.pump(&relay, clock.now_ms());
@@ -361,10 +407,9 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
         );
     }
 
-    assert_eq!(
-        shipper.acked_mode(),
-        Some(true),
-        "hello survives the proxy, sessions negotiate acks"
+    assert!(
+        shipper.view().connected && shipper.stats().handshakes > 0,
+        "hellos get through the weather, sessions negotiate acks"
     );
     let up = upstream.lock().unwrap();
     for w in 0..4u64 {
@@ -397,4 +442,163 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
         dropped > 0 && duplicated > 0,
         "the weather actually happened: dropped {dropped}, duplicated {duplicated}"
     );
+}
+
+/// Serves the acknowledged ingest protocol on `listener` until `stop`
+/// is set, then dies the way a relay process does: every live
+/// connection is cut, and the listener and the relay handle go with
+/// the thread.
+fn serve_until_killed(
+    listener: TcpListener,
+    relay: Arc<Mutex<Relay>>,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    listener.set_nonblocking(true).unwrap();
+    std::thread::spawn(move || {
+        let mut conns = Vec::new();
+        while !stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((mut conn, _)) => {
+                    conn.set_nonblocking(false).unwrap();
+                    let cut = conn.try_clone().unwrap();
+                    let relay = Arc::clone(&relay);
+                    let serving = std::thread::spawn(move || {
+                        let _ = serve_acked_ingest(&mut conn, &relay);
+                    });
+                    conns.push((cut, serving));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        for (cut, serving) in conns {
+            let _ = cut.shutdown(std::net::Shutdown::Both);
+            let _ = serving.join();
+        }
+    })
+}
+
+/// The site hop under weather: a `SiteRuntime` ships through a proxy
+/// that duplicates frames and kills every session after a few of
+/// them, to a journaled relay that is restarted once mid-stream on the
+/// same port. Every window must arrive exactly once with every record
+/// in it: frames written into a dying connection are resent until
+/// acked, and the relay deduplicates the resends.
+#[test]
+fn site_hop_survives_weather_and_a_relay_restart() {
+    const SITE: u16 = 7;
+    const WINDOWS: u64 = 12;
+    const PER_WINDOW: u64 = 8;
+    let dir = std::env::temp_dir().join(format!("flowrelay-site-hop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let cfg = RelayConfig {
+            name: "up".into(),
+            agg_site: 200,
+            expected: vec![SITE],
+            schema: Schema::five_feature(),
+            tree: Config::with_budget(100_000),
+            export: ExportConfig::default(),
+        };
+        let (relay, _) = Relay::open_journaled(cfg, &dir.join("journal"), JournalConfig::default())
+            .expect("open journal");
+        Arc::new(Mutex::new(relay))
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let relay_addr = listener.local_addr().unwrap().to_string();
+    let mut relay = open();
+    let mut stop = Arc::new(AtomicBool::new(false));
+    let mut serving = serve_until_killed(listener, Arc::clone(&relay), Arc::clone(&stop));
+    let proxy = spawn_proxy(
+        relay_addr.clone(),
+        ProxyConfig {
+            drop_percent: 0,
+            dup_percent: 25,
+            flap_after: 3,
+            seed: 17,
+        },
+    );
+    let mut cfg = SiteNodeConfig::new(SITE, proxy.addr.clone());
+    cfg.window_ms = SPAN;
+    cfg.budget = 4_096;
+    let site = SiteRuntime::start(cfg).unwrap();
+
+    // Window w carries PER_WINDOW records of w + 1 packets each.
+    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let send = |windows: std::ops::Range<u64>| {
+        for w in windows {
+            let records: Vec<FlowRecord> = (0..PER_WINDOW)
+                .map(|i| {
+                    let mut r = FlowRecord::v4(
+                        [10, 9, 0, i as u8],
+                        [192, 0, 2, 1],
+                        1234,
+                        443,
+                        6,
+                        w + 1,
+                        (w + 1) * 100,
+                    );
+                    r.first_ms = w * SPAN + 100 + i;
+                    r.last_ms = r.first_ms;
+                    r
+                })
+                .collect();
+            export_netflow(&sender, site.ingest_addr(), &records, 100_000).unwrap();
+        }
+    };
+
+    send(0..WINDOWS / 2);
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while relay.lock().unwrap().ledger().site_frames < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no window reached the relay"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The relay dies mid-stream and recovers from its journal on the
+    // same port.
+    stop.store(true, Ordering::SeqCst);
+    serving.join().unwrap();
+    drop(relay);
+    relay = open();
+    stop = Arc::new(AtomicBool::new(false));
+    let listener = TcpListener::bind(&relay_addr).expect("rebind the relay's port");
+    serving = serve_until_killed(listener, Arc::clone(&relay), Arc::clone(&stop));
+    send(WINDOWS / 2..WINDOWS);
+
+    let report = site.drain(Duration::from_secs(30));
+    assert_eq!(report.ingest.total.pipeline.records, WINDOWS * PER_WINDOW);
+    assert_eq!(report.ingest.frames_sent, WINDOWS, "one frame per window");
+    assert_eq!(report.pending_at_exit, 0, "the relay acked every frame");
+    assert_eq!(report.shipper.acked_frames, WINDOWS);
+    stop.store(true, Ordering::SeqCst);
+    serving.join().unwrap();
+    drop(relay);
+
+    // What the relay durably holds, recovered from its journal.
+    let up = open();
+    let up = up.lock().unwrap();
+    for w in 0..WINDOWS {
+        let tree = up
+            .collector()
+            .window_tree(w * SPAN, SITE)
+            .unwrap_or_else(|| panic!("window {w} delivered"));
+        assert_eq!(
+            tree.total().packets,
+            PER_WINDOW as i64 * (w as i64 + 1),
+            "window {w} holds every record sent"
+        );
+    }
+    assert_eq!(
+        up.ledger().site_frames,
+        WINDOWS,
+        "each window applied exactly once: resends and duplicates were deduped"
+    );
+    let stats = &proxy.stats;
+    assert!(
+        stats.flaps.load(Ordering::Relaxed) > 0 && stats.duplicated.load(Ordering::Relaxed) > 0,
+        "the weather actually happened"
+    );
+    drop(up);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -198,8 +198,8 @@ fn spec_booted_fleet_answers_identically_to_manual_wiring() {
     // Both fleets drain leaves-first without abandoning anything.
     for fleet in [spec_fleet, manual_fleet] {
         for site in fleet.sites {
-            let report = site.drain();
-            assert_eq!(report.abandoned, 0, "site flushed everything");
+            let report = site.drain(Duration::from_secs(30));
+            assert_eq!(report.pending_at_exit, 0, "site flushed everything");
         }
         for rt in fleet.relays.into_iter().rev() {
             let name = rt.name().to_string();

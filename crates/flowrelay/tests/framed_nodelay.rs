@@ -1,5 +1,5 @@
 //! Every framed TCP connection of a running fleet has `TCP_NODELAY` on
-//! **both** ends: site forwarder → relay ingest, relay export shipper →
+//! **both** ends: site shipper → relay ingest, relay export shipper →
 //! parent ingest, and query client → relay query. Without it a frame's
 //! tail waits behind Nagle for the peer's delayed ACK (~40 ms a hop).
 //!
@@ -127,7 +127,7 @@ fn every_framed_connection_is_nodelay_on_both_ends() {
         .expect("valid query");
 
     let links = [
-        ("site forwarder -> relay ingest", leaf.ingest_addr()),
+        ("site shipper -> relay ingest", leaf.ingest_addr()),
         ("export shipper -> parent ingest", root.ingest_addr()),
         ("query client -> relay query", leaf.query_addr()),
     ];
@@ -161,7 +161,7 @@ fn every_framed_connection_is_nodelay_on_both_ends() {
     }
 
     drop(query);
-    site.drain();
+    site.drain(Duration::from_secs(10));
     for rt in relays.into_iter().rev() {
         rt.drain(Duration::from_secs(10));
     }

@@ -280,7 +280,7 @@ fn live_fleet_serves_conformant_metrics_and_matching_views() {
     );
 
     for site in fleet.sites {
-        site.drain();
+        site.drain(Duration::from_secs(30));
     }
     for rt in fleet.relays.into_iter().rev() {
         rt.drain(Duration::from_secs(30));
@@ -316,8 +316,13 @@ fn stats_pages_keep_their_exact_ordered_keys() {
          quota_record_drops records records_no_template templates_live
          templates_evicted templates_rejected window_sheds backpressure_waits
          exporters_tracked exporters_evicted recv_buffer_bytes late_drops
-         summaries frames_sent frames_dropped forwarded forward_reconnects
-         forward_abandoned knob_packet_rate knob_packet_burst knob_record_rate
+         summaries frames_sent frames_dropped reconnect_attempts
+         reconnect_failures backoff_ms_total export_pending upstream_connected
+         ship_enqueued ship_sent_frames ship_sent_bytes ship_acked_frames
+         ship_rebase_honored ship_stall_recycles ship_handshakes
+         spill_pushed_frames spill_pushed_bytes spill_acked_floor
+         spill_recovered_frames spill_torn_bytes spill_io_errors
+         knob_packet_rate knob_packet_burst knob_record_rate
          knob_record_burst knob_max_exporters knob_max_open_windows
          knob_pin_cores lanes merger_stale_windows",
     );
@@ -332,14 +337,13 @@ fn stats_pages_keep_their_exact_ordered_keys() {
          exported_bytes full_exports delta_exports delta_fallbacks base_losses
          late_downstream rebase_requests rebase_rewinds reconnect_attempts
          reconnect_failures backoff_ms_total spill_sheds spill_shed_bytes
-         export_pending upstream_connected acked_mode",
+         export_pending upstream_connected",
     );
     let shipper = words(
         "ship_enqueued ship_sent_frames ship_sent_bytes ship_acked_frames
-         ship_legacy_released ship_rebase_honored ship_stall_recycles
-         ship_handshakes ship_legacy_sessions spill_pushed_frames
-         spill_pushed_bytes spill_acked_floor spill_recovered_frames
-         spill_torn_bytes spill_io_errors",
+         ship_rebase_honored ship_stall_recycles ship_handshakes
+         spill_pushed_frames spill_pushed_bytes spill_acked_floor
+         spill_recovered_frames spill_torn_bytes spill_io_errors",
     );
     let relay_tail =
         words("stored_windows export_watermark_lag_ms export_pending_bytes max_base_nodes");
@@ -360,7 +364,7 @@ fn stats_pages_keep_their_exact_ordered_keys() {
     );
 
     for site in fleet.sites {
-        site.drain();
+        site.drain(Duration::from_secs(5));
     }
     for rt in fleet.relays.into_iter().rev() {
         rt.drain(Duration::from_secs(5));

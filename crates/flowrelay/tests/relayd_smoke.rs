@@ -122,11 +122,35 @@ fn poll_pop(query_addr: &str, want: i64) -> String {
     body
 }
 
+/// Plays a bare upstream on an accepted shipper connection: the
+/// shipper leads with a hello and sends nothing until the upstream
+/// answers it. Answers, skips any further control frames, and returns
+/// the first summary frame.
+fn first_export_after_hello(mut conn: TcpStream) -> Vec<u8> {
+    use flowdist::framing::{read_frame, write_frame};
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let hello = read_frame(&mut reader)
+        .expect("clean frame stream")
+        .expect("the shipper's hello");
+    assert!(flowdist::control::is_control(&hello));
+    let reply = flowdist::ControlFrame::Hello {
+        features: flowdist::FEATURE_ACKS,
+    };
+    write_frame(&mut conn, &reply.encode()).unwrap();
+    loop {
+        let frame = read_frame(&mut reader)
+            .expect("clean frame stream")
+            .expect("one export frame, not EOF");
+        if !flowdist::control::is_control(&frame) {
+            return frame;
+        }
+    }
+}
+
 /// An upstream outage must not lose exports: the daemon keeps drained
 /// frames pending and delivers them once the upstream appears.
 #[test]
 fn relayd_retries_pending_exports_across_an_upstream_outage() {
-    use flowdist::framing::read_frame;
     use std::net::TcpListener;
 
     // Reserve a port for the not-yet-running upstream, then free it.
@@ -157,19 +181,7 @@ fn relayd_retries_pending_exports_across_an_upstream_outage() {
         .set_nonblocking(false)
         .expect("blocking accept is fine");
     let (conn, _) = upstream.accept().expect("tier-1 reconnects");
-    let mut reader = BufReader::new(conn);
-    // The shipper leads with a hello control frame; a silent peer
-    // (like this bare listener) downgrades it to legacy
-    // fire-and-forget after the handshake timeout. Skip any control
-    // frames and decode the first summary.
-    let frame = loop {
-        let frame = read_frame(&mut reader)
-            .expect("clean frame stream")
-            .expect("one export frame, not EOF");
-        if !flowdist::control::is_control(&frame) {
-            break frame;
-        }
-    };
+    let frame = first_export_after_hello(conn);
     let summary = Summary::decode(&frame, Config::with_budget(1 << 20)).expect("valid v3 frame");
     assert_eq!(summary.site, 1000);
     assert_eq!(summary.tree.total().packets, 10);
@@ -363,7 +375,6 @@ fn relayd_drain_flushes_unexported_windows_upstream_before_exit() {
 /// same `--state-dir` must deliver it once the upstream appears.
 #[test]
 fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
-    use flowdist::framing::read_frame;
     use std::io::Write as _;
     use std::net::TcpListener;
 
@@ -428,15 +439,7 @@ fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
         ],
     );
     let (conn, _) = upstream.accept().expect("restarted west reconnects");
-    let mut reader = BufReader::new(conn);
-    let frame = loop {
-        let frame = read_frame(&mut reader)
-            .expect("clean frame stream")
-            .expect("one export frame, not EOF");
-        if !flowdist::control::is_control(&frame) {
-            break frame;
-        }
-    };
+    let frame = first_export_after_hello(conn);
     let summary = Summary::decode(&frame, Config::with_budget(1 << 20)).expect("valid v3 frame");
     assert_eq!(
         summary.site, 1000,
