@@ -373,12 +373,24 @@ impl Schema {
     /// hierarchy.
     pub fn log2_space_between(&self, anc: &FlowKey, desc: &FlowKey) -> u32 {
         debug_assert!(anc.contains(desc));
-        let pa = DepthProfile::of(anc);
-        let pd = DepthProfile::of(desc);
+        self.log2_space_between_profiles(&DepthProfile::of(anc), &DepthProfile::of(desc))
+    }
+
+    /// [`Self::log2_space_between`] on depth profiles: `Σ` over active
+    /// dimensions of `max(0, desc_d − anc_d) × fan-out_d`.
+    ///
+    /// Feature hierarchies are laminar, so the meet of two overlapping
+    /// keys is, per dimension, the deeper of their features. For
+    /// overlapping `node` and `pattern` this therefore equals
+    /// `log2_space_between(node, meet(node, pattern))` with `desc` the
+    /// *pattern's* profile — the uniform estimator's share without
+    /// building the meet key.
+    #[inline]
+    pub fn log2_space_between_profiles(&self, anc: &DepthProfile, desc: &DepthProfile) -> u32 {
         let mut bits = 0u32;
         for dim in self.dims() {
             let i = dim.index();
-            let delta = pd.0[i].saturating_sub(pa.0[i]) as u32;
+            let delta = desc.0[i].saturating_sub(anc.0[i]) as u32;
             bits += delta * LOG2_FANOUT[i] as u32;
         }
         bits

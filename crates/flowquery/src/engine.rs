@@ -15,9 +15,8 @@
 
 use crate::ast::{Query, Scope};
 use flowdist::Collector;
-use flowkey::{Dim, FlowKey};
+use flowkey::{Dim, FlowKey, IpNet};
 use flowtree_core::{FlowTree, Metric, PopEst};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One result row.
@@ -270,48 +269,20 @@ fn hhh_rows(merged: &FlowTree, phi: f64, metric: Metric) -> Vec<Row> {
 }
 
 /// Expands `under` one natural granularity step along `dim`: the
-/// candidates are derived from the merged tree's retained nodes, each
-/// estimated and ranked.
+/// candidates are derived from the merged tree's retained nodes inside
+/// `under`, and [`FlowTree::estimate_refinements`] estimates the scope
+/// and every candidate in one walk of the tree (each estimate
+/// bit-identical to a separate [`FlowTree::estimate_pattern`]). Rows are
+/// ranked by `metric`, each with its share of the scope's estimate.
 fn refine_on(merged: &FlowTree, under: &FlowKey, dim: Dim, metric: Metric) -> Vec<Row> {
-    let target_depth = refine_depth(under, dim);
-    let mut candidates: BTreeMap<FlowKey, ()> = BTreeMap::new();
-    for node in merged.iter() {
-        if !under.contains(node.key) {
-            continue;
-        }
-        // Project the node's dim-feature up to the target granularity
-        // and substitute it into the `under` pattern.
-        if node.key.dim_depth(dim) < target_depth {
-            continue; // too coarse to name a refinement
-        }
-        if let Some(projected) = node.key.dim_ancestor_at(dim, target_depth) {
-            let mut refined = *under;
-            match dim {
-                Dim::SrcIp => refined.src = projected.src,
-                Dim::DstIp => refined.dst = projected.dst,
-                Dim::SrcPort => refined.sport = projected.sport,
-                Dim::DstPort => refined.dport = projected.dport,
-                Dim::Proto => refined.proto = projected.proto,
-                Dim::Time => refined.time = projected.time,
-                Dim::Site => refined.site = projected.site,
-            }
-            candidates.insert(refined, ());
-        }
-    }
-    let total = merged
-        .estimate_pattern(under)
-        .get(metric)
-        .abs()
-        .max(f64::MIN_POSITIVE);
+    let (scope, candidates) = merged.estimate_refinements(under, dim, refine_depth(under, dim));
+    let total = scope.get(metric).abs().max(f64::MIN_POSITIVE);
     let mut rows: Vec<Row> = candidates
-        .into_keys()
-        .map(|key| {
-            let est = merged.estimate_pattern(&key);
-            Row {
-                key,
-                est,
-                share: est.get(metric) / total,
-            }
+        .into_iter()
+        .map(|(key, est)| Row {
+            key,
+            est,
+            share: est.get(metric) / total,
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -325,12 +296,18 @@ fn refine_on(merged: &FlowTree, under: &FlowKey, dim: Dim, metric: Metric) -> Ve
 }
 
 /// The next natural granularity below `under` along `dim`: +8 bits for
-/// IP prefixes (the /8 → /16 → /24 ladder operators drill along),
-/// +4 bits for ports, one hierarchy step otherwise.
+/// IP prefixes (the /8 → /16 → /24 ladder operators drill along, capped
+/// at the host prefix of `under`'s family), +4 bits for ports, one
+/// hierarchy step otherwise.
 fn refine_depth(under: &FlowKey, dim: Dim) -> u16 {
     let cur = under.dim_depth(dim);
+    let ip_max = |net: &IpNet| match net {
+        IpNet::V6(_) => 129,
+        IpNet::Any | IpNet::V4(_) => 33,
+    };
     let (step, max) = match dim {
-        Dim::SrcIp | Dim::DstIp => (8, 33),
+        Dim::SrcIp => (8, ip_max(&under.src)),
+        Dim::DstIp => (8, ip_max(&under.dst)),
         Dim::SrcPort | Dim::DstPort => (4, 16),
         Dim::Proto => (1, 1),
         Dim::Time => (8, 36),
@@ -434,6 +411,65 @@ mod tests {
         };
         assert_eq!(rows[0].key.to_string(), "src=10.0.0.0/16");
         assert!(rows[0].share > 0.9, "{}", rows[0].share);
+    }
+
+    /// One site, one window of IPv6 flows under `2001:db8:1::/48`,
+    /// spread over two /56s.
+    fn v6_collector() -> Collector {
+        let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(4096));
+        let mut cfg = DaemonConfig::new(0);
+        cfg.window_ms = 1_000;
+        cfg.schema = Schema::five_feature();
+        cfg.tree = Config::with_budget(4096);
+        cfg.transfer = TransferMode::Full;
+        let mut d = SiteDaemon::new(cfg);
+        let mut summaries = Vec::new();
+        for h in 0..8u16 {
+            let mut r = FlowRecord::v4([0; 4], [0; 4], 40_000 + h, 443, 6, 10 + h as u64, 1_000);
+            let subnet = if h < 5 { 0x0100 } else { 0x0200 };
+            r.src = std::net::Ipv6Addr::new(0x2001, 0xdb8, 1, subnet, 0, 0, 0, h + 1).into();
+            r.dst = std::net::Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1).into();
+            r.first_ms = 10 + h as u64;
+            r.last_ms = r.first_ms;
+            summaries.extend(d.ingest_record(&r));
+        }
+        summaries.extend(d.flush());
+        for s in summaries {
+            collector.apply_bytes(&s.encode()).unwrap();
+        }
+        collector
+    }
+
+    #[test]
+    fn ipv6_drills_below_slash_32() {
+        let c = v6_collector();
+        let e = QueryEngine::new(&c);
+        let drill = |q: &str| {
+            let QueryOutput::Table(rows) = e.run(&parse(q, u64::MAX - 1).unwrap()) else {
+                panic!()
+            };
+            rows.iter().map(|r| r.key.to_string()).collect::<Vec<_>>()
+        };
+        // /32 steps to /40, not back to itself.
+        assert_eq!(
+            drill("drill src under src=2001:db8::/32"),
+            ["src=2001:db8::/40"]
+        );
+        // /48 steps to /56, not up to the /32.
+        assert_eq!(
+            drill("drill src under src=2001:db8:1::/48"),
+            ["src=2001:db8:1:100::/56", "src=2001:db8:1:200::/56"]
+        );
+        // The IPv4 ladder still stops at the host prefix.
+        assert_eq!(
+            refine_depth(&"src=10.1.2.3/32".parse().unwrap(), Dim::SrcIp),
+            33
+        );
+        assert_eq!(
+            refine_depth(&"src=2001:db8::1/128".parse().unwrap(), Dim::SrcIp),
+            129
+        );
+        assert_eq!(refine_depth(&FlowKey::ROOT, Dim::DstIp), 9);
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! hierarchy." This module implements that, generalized to arbitrary
 //! hierarchical patterns (any combination of prefixes / port ranges /
 //! wildcards, not only keys on canonical chains), plus top-k and
-//! hierarchical-heavy-hitter extraction. Pattern queries run in time
-//! proportional to the number of tree nodes, matching the paper.
+//! hierarchical-heavy-hitter extraction.
+//!
+//! A query costs what it reads. The wildcard pattern is answered from
+//! the tree's running total in `O(1)`; any other pattern walks only the
+//! nodes it overlaps, down to the first node it fully contains
+//! (`O(visited nodes)`, at most the tree size, as in the paper). A
+//! drill-down estimates every refinement candidate of a scope in one
+//! such walk ([`FlowTree::estimate_refinements`]), not one walk per
+//! candidate.
 
 use crate::pop::{Metric, PopEst, Popularity};
 use crate::tree::{FlowTree, NIL};
 use crate::Estimator;
-use flowkey::FlowKey;
+use core::cmp::Ordering;
+use flowkey::{DepthProfile, Dim, FlowKey};
 
 /// Result of a popularity query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,11 +66,14 @@ impl FlowTree {
         }
     }
 
-    /// Estimates the popularity of an arbitrary hierarchical pattern by
-    /// walking the tree once (`O(n)`).
+    /// Estimates the popularity of an arbitrary hierarchical pattern.
     ///
-    /// For every retained node the walk classifies the node's key
-    /// against the pattern:
+    /// The wildcard pattern contains every node, so it is the tree's
+    /// total mass, which insert, merge, diff and decode keep equal to
+    /// the sum of every node's complementary mass: `O(1)`. Any other
+    /// pattern walks the tree once, visiting only what it overlaps
+    /// (`O(visited nodes)`). For every visited node the walk classifies
+    /// the node's key against the pattern:
     ///
     /// * fully inside the pattern → its whole subtree counts;
     /// * disjoint → its whole subtree is skipped (children specialize
@@ -71,6 +82,10 @@ impl FlowTree {
     ///   pattern) → a share of the node's *complementary* mass is
     ///   attributed according to the estimator, and the walk recurses.
     pub fn estimate_pattern(&self, pattern: &FlowKey) -> PopEst {
+        if pattern.is_root() {
+            return PopEst::from(self.total);
+        }
+        let profile = DepthProfile::of(pattern);
         let mut acc = PopEst::ZERO;
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
@@ -84,23 +99,8 @@ impl FlowTree {
             }
             // Node strictly contains or crosses the pattern: attribute a
             // share of the residual mass, then descend.
-            match self.config().estimator {
-                Estimator::Conservative => {}
-                Estimator::Optimistic => acc += PopEst::from(node.comp),
-                Estimator::Uniform => {
-                    let meet = node
-                        .key
-                        .meet(pattern)
-                        .expect("overlapping keys have a meet");
-                    let bits = self.schema().log2_space_between(&node.key, &meet);
-                    // 2^-bits, saturating to 0 for absurdly deep gaps.
-                    let frac = if bits >= 1024 {
-                        0.0
-                    } else {
-                        0.5f64.powi(bits as i32)
-                    };
-                    acc += PopEst::from(node.comp).scaled(frac);
-                }
+            if let Some(share) = self.residual_share(node.comp, &node.key, &profile) {
+                acc += share;
             }
             let mut c = node.first_child;
             while c != NIL {
@@ -109,6 +109,172 @@ impl FlowTree {
             }
         }
         acc
+    }
+
+    /// The estimate of `under` and of each of its refinements along
+    /// `dim` at hierarchy depth `depth`, in one walk of the tree.
+    ///
+    /// The candidates are `under` with its `dim` feature replaced by the
+    /// ancestor at `depth` of some retained node inside `under`, each
+    /// once, in key order; `depth` must not be coarser than `under`'s
+    /// own `dim` feature.
+    ///
+    /// Every returned estimate is **bit-identical** to
+    /// [`Self::estimate_pattern`] of the same key. Floating-point
+    /// addition is not associative, so this holds only because each
+    /// estimate receives exactly the addends its own walk would, in the
+    /// same order: the walk is `estimate_pattern`'s (same stack, same
+    /// child order), it visits a node when any pattern would, and a
+    /// pattern's addends are a subsequence of that one visiting order.
+    /// Nothing here may skip, merge or reorder an add.
+    ///
+    /// The candidates differ only along `dim`, where they are disjoint
+    /// features of one depth, so a node either contains a contiguous run
+    /// of them (in key order) or lies under at most one: each stack
+    /// entry carries the run that still descends, and a node's share is
+    /// computed once for the whole run (all candidates have one depth
+    /// profile). The candidates and every subtree sum come from passes
+    /// over the arena slots first, so the cost is `O(slots)` plus the
+    /// nodes the walk visits, whatever the number of candidates.
+    pub fn estimate_refinements(
+        &self,
+        under: &FlowKey,
+        dim: Dim,
+        depth: u16,
+    ) -> (PopEst, Vec<(FlowKey, PopEst)>) {
+        let candidates = self.refinement_candidates(under, dim, depth);
+        let sums = self.subtree_sums();
+        debug_assert!(
+            candidates.iter().all(|c| under.contains(c)),
+            "refinements of {under} along {dim:?} at depth {depth} must lie inside it"
+        );
+        let under_profile = DepthProfile::of(under);
+        let under_depth = under.dim_depth(dim);
+        let cand_profile = candidates.first().map(DepthProfile::of);
+        let mut under_acc = PopEst::ZERO;
+        let mut accs = vec![PopEst::ZERO; candidates.len()];
+        // `(node, candidates[lo..hi] still descending, under still
+        // descending, the parent's depth along dim)`.
+        let mut stack = vec![(self.root, 0, candidates.len(), true, 0)];
+        while let Some((id, mut lo, mut hi, under_live, parent_depth)) = stack.pop() {
+            let node = self.node(id);
+            let key = &node.key;
+            // Every candidate lies inside `under`: a node disjoint from
+            // it is disjoint from all of them.
+            if !under.overlaps(key) {
+                continue;
+            }
+            let mut under_descends = false;
+            if under_live {
+                if under.contains(key) {
+                    under_acc += PopEst::from(sums[id as usize]);
+                } else {
+                    if let Some(share) = self.residual_share(node.comp, key, &under_profile) {
+                        under_acc += share;
+                    }
+                    under_descends = true;
+                }
+            }
+            // The other dims are `under`'s, so a candidate overlaps the
+            // node iff its `dim` feature agrees with the node's at the
+            // shallower of their depths. A node whose `dim` feature is
+            // no deeper than `under`'s, or is its parent's, keeps the run.
+            let node_depth = key.dim_depth(dim);
+            if lo < hi && node_depth > under_depth && node_depth != parent_depth {
+                let cmp = |c: &FlowKey| cmp_dim_at(c, key, dim, node_depth.min(depth));
+                let run = &candidates[lo..hi];
+                (lo, hi) = if node_depth >= depth {
+                    match run.binary_search_by(cmp) {
+                        Ok(i) => (lo + i, lo + i + 1),
+                        Err(_) => (lo, lo),
+                    }
+                } else {
+                    let first = run.partition_point(|c| cmp(c).is_lt());
+                    let last = first + run[first..].partition_point(|c| cmp(c).is_eq());
+                    (lo + first, lo + last)
+                };
+            }
+            if lo < hi && candidates[lo].contains(key) {
+                debug_assert_eq!(hi, lo + 1, "a node lies under one candidate");
+                accs[lo] += PopEst::from(sums[id as usize]);
+                hi = lo;
+            } else if lo < hi {
+                let cand_profile = cand_profile.as_ref().expect("a run means candidates");
+                if let Some(share) = self.residual_share(node.comp, key, cand_profile) {
+                    for acc in &mut accs[lo..hi] {
+                        *acc += share;
+                    }
+                }
+            }
+            if under_descends || lo < hi {
+                let mut c = node.first_child;
+                while c != NIL {
+                    stack.push((c, lo, hi, under_descends, node_depth));
+                    c = self.node(c).next_sibling;
+                }
+            }
+        }
+        (under_acc, candidates.into_iter().zip(accs).collect())
+    }
+
+    /// The candidates of [`Self::estimate_refinements`], sorted and
+    /// distinct, from one pass over the arena slots.
+    fn refinement_candidates(&self, under: &FlowKey, dim: Dim, depth: u16) -> Vec<FlowKey> {
+        let mut candidates: Vec<FlowKey> = Vec::new();
+        let mut last = 0;
+        for node in self.nodes.iter().filter(|n| n.alive) {
+            if node.key.dim_depth(dim) < depth || !under.contains(&node.key) {
+                continue;
+            }
+            // Few candidates, many nodes naming each: keep them sorted
+            // and distinct, look up by one feature, and try the previous
+            // node's first (neighbouring slots are often one subtree).
+            let cmp = |c: &FlowKey| cmp_dim_at(c, &node.key, dim, depth);
+            if candidates.get(last).is_some_and(|c| cmp(c).is_eq()) {
+                continue;
+            }
+            last = match candidates.binary_search_by(cmp) {
+                Ok(at) => at,
+                Err(at) => {
+                    let projected = node
+                        .key
+                        .dim_ancestor_at(dim, depth)
+                        .expect("the node is at least that deep");
+                    candidates.insert(at, with_feature(under, dim, &projected));
+                    at
+                }
+            };
+        }
+        candidates
+    }
+
+    /// The estimator's share of the complementary mass `comp` of the
+    /// node keyed `node`, for an overlapping pattern of depth profile
+    /// `pattern` that does not contain it; `None` when the estimator
+    /// attributes nothing.
+    #[inline]
+    fn residual_share(
+        &self,
+        comp: Popularity,
+        node: &FlowKey,
+        pattern: &DepthProfile,
+    ) -> Option<PopEst> {
+        match self.config().estimator {
+            Estimator::Conservative => None,
+            Estimator::Optimistic => Some(PopEst::from(comp)),
+            Estimator::Uniform => {
+                let bits = self
+                    .schema()
+                    .log2_space_between_profiles(&DepthProfile::of(node), pattern);
+                // 2^-bits, saturating to 0 for absurdly deep gaps.
+                let frac = if bits >= 1024 {
+                    0.0
+                } else {
+                    0.5f64.powi(bits as i32)
+                };
+                Some(PopEst::from(comp).scaled(frac))
+            }
+        }
     }
 
     /// The `k` most popular retained flows by subtree popularity
@@ -192,15 +358,11 @@ impl FlowTree {
 
     /// The retained generalized flows inside `pattern`, with their
     /// subtree popularities, most popular first — the raw material for
-    /// custom drill-down UIs (`flowquery` builds its refinement
-    /// candidates this way). `O(n)` in tree size; disjoint subtrees are
-    /// pruned without descending.
+    /// custom drill-down UIs (`flowquery`'s own drill-down uses
+    /// [`Self::estimate_refinements`]). `O(n)` in tree size; disjoint
+    /// subtrees are pruned without descending.
     pub fn nodes_under(&self, pattern: &FlowKey, metric: Metric) -> Vec<(FlowKey, Popularity)> {
-        let sums = self.all_subtree_sums();
-        let mut sum_of = vec![Popularity::ZERO; self.capacity()];
-        for (id, s) in &sums {
-            sum_of[*id as usize] = *s;
-        }
+        let sum_of = self.subtree_sums();
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
@@ -221,23 +383,41 @@ impl FlowTree {
         out
     }
 
-    /// Subtree sums for every live node in `O(n)`.
+    /// Subtree sums for every live node in `O(n)`, in pre-order.
     pub(crate) fn all_subtree_sums(&self) -> Vec<(u32, Popularity)> {
-        let order = self.preorder();
-        let n = self.capacity();
-        let mut sums: Vec<Popularity> = vec![Popularity::ZERO; n];
-        for &id in order.iter().rev() {
-            let node = self.node(id);
-            sums[id as usize] += node.comp;
-            if node.parent != NIL {
-                let s = sums[id as usize];
-                sums[node.parent as usize] += s;
-            }
-        }
-        order
+        let sums = self.subtree_sums();
+        self.preorder()
             .into_iter()
             .map(|id| (id, sums[id as usize]))
             .collect()
+    }
+
+    /// The subtree sum of every node, indexed by node id (zero at free
+    /// slots), in `O(n)`.
+    ///
+    /// It reads the arena in slot order, never in tree order: a walk
+    /// down the tree misses the cache on nearly every node, a pass over
+    /// the slots does not. Sums then move from child to parent, deepest
+    /// node first (a parent is always shallower than its children), which
+    /// touches only the sums themselves.
+    pub(crate) fn subtree_sums(&self) -> Vec<Popularity> {
+        let mut sums = vec![Popularity::ZERO; self.capacity()];
+        // `(depth, id, parent)` of every live non-root node.
+        let mut up: Vec<(u32, u32, u32)> = Vec::with_capacity(self.live);
+        for (id, node) in self.nodes.iter().enumerate() {
+            if node.alive {
+                sums[id] = node.comp;
+                if node.parent != NIL {
+                    up.push((node.depth, id as u32, node.parent));
+                }
+            }
+        }
+        up.sort_unstable_by_key(|&(depth, ..)| core::cmp::Reverse(depth));
+        for (_, id, parent) in up {
+            let s = sums[id as usize];
+            sums[parent as usize] += s;
+        }
+        sums
     }
 
     #[inline]
@@ -249,4 +429,36 @@ impl FlowTree {
     pub(crate) fn capacity(&self) -> usize {
         self.nodes.len()
     }
+}
+
+/// `a`'s and `b`'s `dim` features, each generalized to hierarchy depth
+/// `at`, compared. Features of one depth sort like their keys, and
+/// generalizing keeps that order, so the candidates whose feature
+/// agrees with a node's at `at` are one contiguous run.
+#[inline]
+fn cmp_dim_at(a: &FlowKey, b: &FlowKey, dim: Dim, at: u16) -> Ordering {
+    match dim {
+        Dim::SrcIp => a.src.ancestor_at(at).cmp(&b.src.ancestor_at(at)),
+        Dim::DstIp => a.dst.ancestor_at(at).cmp(&b.dst.ancestor_at(at)),
+        Dim::SrcPort => a.sport.ancestor_at(at).cmp(&b.sport.ancestor_at(at)),
+        Dim::DstPort => a.dport.ancestor_at(at).cmp(&b.dport.ancestor_at(at)),
+        Dim::Proto => a.proto.ancestor_at(at).cmp(&b.proto.ancestor_at(at)),
+        Dim::Time => a.time.ancestor_at(at).cmp(&b.time.ancestor_at(at)),
+        Dim::Site => a.site.ancestor_at(at).cmp(&b.site.ancestor_at(at)),
+    }
+}
+
+/// `under` with its `dim` feature taken from `from`.
+fn with_feature(under: &FlowKey, dim: Dim, from: &FlowKey) -> FlowKey {
+    let mut out = *under;
+    match dim {
+        Dim::SrcIp => out.src = from.src,
+        Dim::DstIp => out.dst = from.dst,
+        Dim::SrcPort => out.sport = from.sport,
+        Dim::DstPort => out.dport = from.dport,
+        Dim::Proto => out.proto = from.proto,
+        Dim::Time => out.time = from.time,
+        Dim::Site => out.site = from.site,
+    }
+    out
 }

@@ -5,26 +5,21 @@
 //! (complementary and subtree-summed, like the bracketed counts in the
 //! figure).
 
-use crate::pop::{Metric, Popularity};
+use crate::pop::Metric;
 use crate::tree::{FlowTree, NIL};
 use std::fmt::Write as _;
 
 impl FlowTree {
     /// Graphviz dot rendering of the whole tree.
     pub fn to_dot(&self) -> String {
-        let sums = self.all_subtree_sums();
-        let mut sum_of = vec![Popularity::ZERO; self.capacity()];
-        for (id, s) in &sums {
-            sum_of[*id as usize] = *s;
-        }
         let mut out =
             String::from("digraph flowtree {\n  node [shape=box, fontname=\"monospace\"];\n");
-        for &(id, _) in &sums {
+        for (id, sum) in self.all_subtree_sums() {
             let node = self.node(id);
             let label = format!(
                 "{}\\n[{} | comp {}]",
                 escape(&node.key.to_string()),
-                sum_of[id as usize].get(Metric::Packets),
+                sum.get(Metric::Packets),
                 node.comp.get(Metric::Packets),
             );
             let _ = writeln!(out, "  n{id} [label=\"{label}\"];");
@@ -38,11 +33,7 @@ impl FlowTree {
 
     /// Indented ASCII rendering (children sorted by key for determinism).
     pub fn to_ascii(&self) -> String {
-        let sums = self.all_subtree_sums();
-        let mut sum_of = vec![Popularity::ZERO; self.capacity()];
-        for (id, s) in &sums {
-            sum_of[*id as usize] = *s;
-        }
+        let sum_of = self.subtree_sums();
         let mut out = String::new();
         let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
         while let Some((id, indent)) = stack.pop() {
@@ -77,7 +68,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Config;
+    use crate::{Config, Popularity};
     use flowkey::Schema;
 
     fn tiny_tree() -> FlowTree {
