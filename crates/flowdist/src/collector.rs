@@ -41,7 +41,7 @@
 //! from-scratch rebuild — totals are conserved either way, exactly as
 //! for any merge order.
 
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::{Lineage, Summary, SummaryKind};
 use crate::window::WindowId;
 use crate::DistError;
 use flowkey::{FlowKey, Schema, Site, TimeBucket};
@@ -172,7 +172,7 @@ impl ViewCache {
 /// per-window site-set provenance the last frame declared.
 #[derive(Debug, Clone)]
 struct WindowMeta {
-    /// Content epoch (0 for pre-epoch v1/v2 frames).
+    /// Content epoch (0 for version-1 frames).
     epoch: u64,
     /// Sequence number of the frame that last stored the slot — what a
     /// crash-safe snapshot needs to reconstruct an equivalent frame.
@@ -194,7 +194,7 @@ pub struct Collector {
     /// increments: a delta only applies when its declared base equals
     /// the stored epoch, a full only when it strictly advances it.
     meta: BTreeMap<(u64, u16), WindowMeta>,
-    /// Per-site: last reconstructed window (base for deltas) and seq.
+    /// Per-site: last reconstructed window (base for v1 deltas) and seq.
     last: BTreeMap<u16, (u64, u64)>,
     ledger: TransferLedger,
     /// Bumped whenever a stored window is replaced or evicted — the
@@ -302,12 +302,12 @@ impl Collector {
     /// old tree absorb the same delta instead of being invalidated.
     /// Any other pairing is an out-of-order or orphaned increment and
     /// is rejected with [`DistError::EpochMismatch`].
-    pub fn apply(&mut self, summary: Summary) -> Result<SummaryKind, DistError> {
+    pub fn apply(&mut self, mut summary: Summary) -> Result<SummaryKind, DistError> {
         if *summary.tree.schema() != self.schema {
             return Err(DistError::SchemaMismatch);
         }
-        if summary.epoch.is_some() {
-            return self.apply_incremental(summary);
+        if let Some(lineage) = summary.lineage.take() {
+            return self.apply_incremental(summary, lineage);
         }
         let kind = summary.kind;
         let tree = match kind {
@@ -343,7 +343,7 @@ impl Collector {
             WindowMeta {
                 epoch: 0,
                 seq: summary.seq,
-                provenance: summary.provenance,
+                provenance: None,
             },
         );
         self.store_window(slot, tree);
@@ -364,8 +364,14 @@ impl Collector {
 
     /// The version-3 half of [`Collector::apply`]: epoch-gated full
     /// replacement or in-place delta merge (see `apply`'s docs).
-    fn apply_incremental(&mut self, summary: Summary) -> Result<SummaryKind, DistError> {
-        let eh = summary.epoch.expect("caller checked");
+    fn apply_incremental(
+        &mut self,
+        summary: Summary,
+        Lineage {
+            provenance,
+            epoch: eh,
+        }: Lineage,
+    ) -> Result<SummaryKind, DistError> {
         let kind = summary.kind;
         let slot = (summary.window.start_ms, summary.site);
         let have = self.meta.get(&slot).map_or(0, |m| m.epoch);
@@ -386,10 +392,9 @@ impl Collector {
                     .ok_or(DistError::BadFrame("v3 delta without base epoch"))?;
                 if base == 0 {
                     // Decode already rejects this on the wire; guard
-                    // the in-process path too — epoch 0 is the
-                    // pre-epoch marker, never a pinned base, so a
-                    // base-0 delta would merge onto a v1/v2-stored
-                    // tree the exporter never saw.
+                    // the in-process path too — epochs start at 1, so
+                    // a base-0 delta would merge onto a version-1
+                    // stored tree the exporter never saw.
                     return Err(DistError::BadFrame("zero delta base epoch"));
                 }
                 let Some(stored) = self.windows.get_mut(&slot) else {
@@ -416,11 +421,9 @@ impl Collector {
             WindowMeta {
                 epoch: eh.epoch,
                 seq: summary.seq,
-                provenance: summary.provenance,
+                provenance: Some(provenance),
             },
         );
-        self.last
-            .insert(summary.site, (summary.window.start_ms, summary.seq));
         Ok(kind)
     }
 
@@ -479,7 +482,7 @@ impl Collector {
     }
 
     /// The content epoch of one stored `(window, exporter)` slot (0 =
-    /// not stored, or stored by a pre-epoch v1/v2 frame).
+    /// not stored, or stored by a version-1 frame).
     pub fn window_epoch(&self, window_start_ms: u64, site: u16) -> u64 {
         self.meta
             .get(&(window_start_ms, site))
@@ -492,25 +495,6 @@ impl Collector {
     /// needs to reconstruct a frame that restores the slot exactly.
     pub fn window_seq(&self, window_start_ms: u64, site: u16) -> u64 {
         self.meta.get(&(window_start_ms, site)).map_or(0, |m| m.seq)
-    }
-
-    /// The per-exporter delta-chain positions: `(site, last window
-    /// start ms, last seq)` for every exporter that has applied a
-    /// frame. Snapshot state for crash-safe restart — replaying stored
-    /// slots in time order approximates this, but only the recorded
-    /// positions restore v1 delta-chain continuity exactly.
-    pub fn positions(&self) -> Vec<(u16, u64, u64)> {
-        self.last
-            .iter()
-            .map(|(site, (start, seq))| (*site, *start, *seq))
-            .collect()
-    }
-
-    /// Restores one exporter's delta-chain position (see
-    /// [`Collector::positions`]). Used by snapshot recovery after the
-    /// stored slots themselves have been re-applied.
-    pub fn restore_position(&mut self, site: u16, window_start_ms: u64, seq: u64) {
-        self.last.insert(site, (window_start_ms, seq));
     }
 
     /// The declared per-window provenance of one stored slot: the real

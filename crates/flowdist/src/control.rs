@@ -5,9 +5,9 @@
 //! path reliably delivered instead of fire-and-forget. They share the
 //! length-prefixed TCP framing ([`crate::net`]) with summaries but use
 //! their own magic, so either end can classify a frame from its first
-//! four bytes ([`is_control`]) — a pre-handshake (v1–v3) peer that
-//! receives one simply rejects it as a malformed summary and keeps
-//! going, which is exactly the version gating the tier relies on.
+//! four bytes ([`is_control`]) — a peer that does not speak the
+//! handshake rejects one as a malformed summary and keeps going,
+//! which is exactly the version gating the tier relies on.
 //!
 //! Frame layout (after the 4-byte magic):
 //!
@@ -28,10 +28,11 @@
 //!   ([`crate::export`]). A receiver still serves a sender that never
 //!   says hello, in one-way silence.
 //! * **Ack** — the receiver's applied position for one `(window,
-//!   exporter)` slot: the content epoch its ledger now holds (`0` when
-//!   the slot was stored by a pre-epoch v1/v2 frame). Sent for applied
-//!   frames *and* for idempotently deduplicated replays, so an
-//!   at-least-once sender always converges.
+//!   exporter)` slot: the content epoch (≥ 1) its ledger now holds.
+//!   Sent for applied frames *and* for idempotently deduplicated
+//!   replays, so an at-least-once sender always converges. Every
+//!   shipped frame is a version-3 frame; one without an epoch gets no
+//!   ack, and a shipper counts an ack at epoch 0 as hostile.
 //! * **RebaseRequest** — the receiver detected that a delta's declared
 //!   base epoch is ahead of its ledger (it lost state: restart,
 //!   shorter retention). `have` is what it actually holds (`0` =
@@ -62,10 +63,10 @@ pub struct SlotPos {
     pub span_ms: u64,
     /// The exporter id the summary frames carry in their `site` field.
     pub exporter: u16,
-    /// For an ack: the content epoch the receiver's ledger holds after
-    /// applying (0 = stored by a pre-epoch v1/v2 frame). For a
-    /// rebase-request: the epoch the receiver still holds (0 = slot
-    /// unknown — the delta's whole chain is gone).
+    /// For an ack: the content epoch (≥ 1) the receiver's ledger
+    /// holds after applying. For a rebase-request: the epoch the
+    /// receiver still holds (0 = slot unknown — the delta's whole
+    /// chain is gone).
     pub epoch: u64,
 }
 

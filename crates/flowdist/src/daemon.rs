@@ -4,8 +4,10 @@
 //! Flowtree daemon … to continuously construct summaries of the active
 //! flows". A [`SiteDaemon`] ingests flow records (or per-packet masses),
 //! maintains one Flowtree per open time window, and emits a [`Summary`]
-//! whenever the event-time watermark closes a window — in full or as a
-//! delta against the previous window to cut transfer volume.
+//! whenever the event-time watermark closes a window — in full, as the
+//! version-3 frame every site ships ([`Summary::site_full`]), or as a
+//! version-1 delta against the previous window for a bare
+//! [`crate::Collector`].
 
 use crate::summary::{Summary, SummaryKind};
 use crate::window::WindowId;
@@ -17,10 +19,12 @@ use std::collections::BTreeMap;
 /// Full-vs-delta transfer policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferMode {
-    /// Ship each window's complete tree.
+    /// Ship each window's complete tree as a version-3 frame at epoch
+    /// 1 (what every site ships).
     #[default]
     Full,
-    /// Ship the first window in full, then per-window deltas.
+    /// Ship the first window in full, then per-window deltas, as
+    /// version-1 frames for a bare [`crate::Collector`].
     Delta,
 }
 
@@ -311,13 +315,12 @@ impl SiteDaemon {
             start_ms,
             span_ms: self.cfg.window_ms,
         };
-        // Full mode moves the tree into the summary (the old path
-        // cloned every window's tree just to keep a value it then
-        // dropped); delta mode is the only one that must retain it as
-        // the next delta's base.
-        let (kind, wire_tree) = match self.cfg.transfer {
+        // Full mode moves the tree into the summary; delta mode is the
+        // only one that must retain it as the next delta's base.
+        self.seq += 1;
+        let summary = match self.cfg.transfer {
             TransferMode::Delta => {
-                let wire = match &self.last_emitted {
+                let (kind, wire_tree) = match &self.last_emitted {
                     Some((_, prev)) => (
                         SummaryKind::Delta,
                         FlowTree::diffed(&tree, prev).expect("same schema within one daemon"),
@@ -325,19 +328,16 @@ impl SiteDaemon {
                     None => (SummaryKind::Full, tree.clone()),
                 };
                 self.last_emitted = Some((start_ms, tree));
-                wire
+                Summary {
+                    site: self.cfg.site,
+                    window,
+                    seq: self.seq,
+                    kind,
+                    lineage: None,
+                    tree: wire_tree,
+                }
             }
-            TransferMode::Full => (SummaryKind::Full, tree),
-        };
-        self.seq += 1;
-        let summary = Summary {
-            site: self.cfg.site,
-            window,
-            seq: self.seq,
-            kind,
-            provenance: None,
-            epoch: None,
-            tree: wire_tree,
+            TransferMode::Full => Summary::site_full(self.cfg.site, window, self.seq, tree),
         };
         self.stats.summaries += 1;
         // Exact arithmetic size — no throwaway encode on the close path.

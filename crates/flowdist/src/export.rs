@@ -225,8 +225,8 @@ pub struct ShipperStats {
     /// Acks that matched nothing pending (at-least-once replays of
     /// our own resends, or a hostile peer).
     pub stale_acks: u64,
-    /// Zero-epoch acks that claimed to cover epoch-advancing pending
-    /// frames — ignored, a v3 frame is only released by an epoch ack.
+    /// Acks at epoch 0 — ignored: every frame a shipper holds carries
+    /// an epoch ≥ 1, so no receiver that applied one acks at 0.
     pub hostile_acks: u64,
     /// Completed hello handshakes (one per established connection).
     pub handshakes: u64,
@@ -240,7 +240,7 @@ pub struct ShipperStats {
 struct PendingMeta {
     window_start_ms: u64,
     exporter: u16,
-    /// The epoch the frame advances its slot to (0 = pre-epoch frame).
+    /// The epoch (≥ 1) the frame advances its slot to.
     epoch: u64,
     /// When the frame first hit the wire (0 = never sent yet). Resends
     /// keep the first timestamp: ship→ack RTT honestly includes every
@@ -283,13 +283,14 @@ pub struct ExportShipper {
 impl ExportShipper {
     /// Wraps a spill queue (fresh or recovered). Metadata for
     /// recovered frames is rebuilt from their headers; records whose
-    /// header does not parse are dropped from tracking (they will be
-    /// shed by acks never matching — counted, not resent forever).
+    /// header does not parse or carries no epoch are dropped from
+    /// tracking (they will be shed by acks never matching — counted,
+    /// not resent forever).
     pub fn new(cfg: ShipperConfig, spill: SpillQueue, seed: u64) -> ExportShipper {
         let mut meta = BTreeMap::new();
         for rec in spill.pending() {
-            if let Ok(h) = SummaryHeader::parse(&rec.bytes) {
-                meta.insert(rec.seq, meta_of(&h));
+            if let Ok(m) = meta_of(&rec.bytes) {
+                meta.insert(rec.seq, m);
             }
         }
         let backoff = Backoff::new(cfg.backoff, seed);
@@ -316,9 +317,10 @@ impl ExportShipper {
     /// relay marks them unshipped so a full rebasing re-export heals
     /// the loss; a site has nothing to re-export, and the loss stays
     /// counted in [`SpillStats::shed_frames`]. A frame whose header
-    /// does not parse is refused and nothing is queued.
+    /// does not parse, or that carries no epoch (a version-1 frame,
+    /// which no receiver acks), is refused and nothing is queued.
     pub fn enqueue(&mut self, frame: Vec<u8>) -> Result<Vec<u64>, DistError> {
-        let m = meta_of(&SummaryHeader::parse(&frame)?);
+        let m = meta_of(&frame)?;
         self.stats.enqueued += 1;
         let seq = self.spill.next_seq();
         let shed = self.spill.push(frame);
@@ -502,59 +504,32 @@ impl ExportShipper {
 
     /// Non-positional ack matching: an ack for `(window, exporter)` at
     /// epoch `e` releases every pending frame of that slot with epoch
-    /// ≤ `e`; a zero-epoch ack (v1/v2 receiver position) releases only
-    /// the oldest pre-epoch frame of the slot and can never release an
-    /// epoch-advancing one. Returns the number of frames released.
+    /// ≤ `e`. An ack at epoch 0 releases nothing and counts as hostile.
+    /// Returns the number of frames released.
     fn handle_ack<H: ShipperHost>(&mut self, slot: SlotPos, host: &Mutex<H>, now_ms: u64) -> u64 {
-        let candidates: Vec<u64> = self
+        if slot.epoch == 0 {
+            self.stats.hostile_acks += 1;
+            return 0;
+        }
+        let released: Vec<PendingMeta> = self
             .meta
-            .iter()
-            .filter(|(_, m)| {
-                m.window_start_ms == slot.window_start_ms && m.exporter == slot.exporter
+            .extract_if(.., |_, m| {
+                m.window_start_ms == slot.window_start_ms
+                    && m.exporter == slot.exporter
+                    && m.epoch <= slot.epoch
             })
-            .map(|(seq, _)| *seq)
+            .map(|(_, m)| m)
             .collect();
-        if candidates.is_empty() {
+        if released.is_empty() {
             self.stats.stale_acks += 1;
             return 0;
         }
-        let mut released = 0u64;
-        let observe_rtt = |m: PendingMeta| {
-            if let (Some(h), true) = (self.rtt.as_ref(), m.sent_at_ms > 0) {
+        if let Some(h) = &self.rtt {
+            for m in released.iter().filter(|m| m.sent_at_ms > 0) {
                 h.observe_secs(now_ms.saturating_sub(m.sent_at_ms) as f64 / 1_000.0);
             }
-        };
-        if slot.epoch == 0 {
-            let oldest_pre_epoch = candidates
-                .iter()
-                .copied()
-                .find(|seq| self.meta.get(seq).is_some_and(|m| m.epoch == 0));
-            match oldest_pre_epoch {
-                Some(seq) => {
-                    if let Some(m) = self.meta.remove(&seq) {
-                        observe_rtt(m);
-                    }
-                    released = 1;
-                }
-                None => {
-                    self.stats.hostile_acks += 1;
-                    return 0;
-                }
-            }
-        } else {
-            for seq in candidates {
-                if self.meta.get(&seq).is_some_and(|m| m.epoch <= slot.epoch) {
-                    if let Some(m) = self.meta.remove(&seq) {
-                        observe_rtt(m);
-                    }
-                    released += 1;
-                }
-            }
-            if released == 0 {
-                self.stats.stale_acks += 1;
-                return 0;
-            }
         }
+        let released = released.len() as u64;
         self.stats.acked_frames += released;
         lock(host).note_shipped(slot.window_start_ms, slot.epoch);
         let floor = self
@@ -599,13 +574,19 @@ fn lock<H>(host: &Mutex<H>) -> std::sync::MutexGuard<'_, H> {
     host.lock().expect("shipper host lock")
 }
 
-fn meta_of(h: &SummaryHeader) -> PendingMeta {
-    PendingMeta {
+/// What a frame's header says it waits on; a frame without an epoch
+/// is refused.
+fn meta_of(frame: &[u8]) -> Result<PendingMeta, DistError> {
+    let h = SummaryHeader::parse(frame)?;
+    let Some(lineage) = h.lineage else {
+        return Err(DistError::BadFrame("summary without epoch"));
+    };
+    Ok(PendingMeta {
         window_start_ms: h.window.start_ms,
         exporter: h.site,
-        epoch: h.epoch.map_or(0, |e| e.epoch),
+        epoch: lineage.epoch.epoch,
         sent_at_ms: 0,
-    }
+    })
 }
 
 /// One shipper as a stats page sees it (see [`ExportShipper::view`]).
@@ -667,7 +648,7 @@ pub fn shipper_stats(s: &mut Stats, view: Option<&ShipperView>) {
     );
     s.metric(sh.hostile_acks).counter(
         "flowtree_ship_hostile_acks_total",
-        "Zero-epoch acks that claimed epoch-advancing frames; ignored.",
+        "Acks at epoch 0, which no applied frame earns; ignored.",
     );
     s.kv("ship_stall_recycles", sh.stall_recycles).counter(
         "flowtree_ship_stall_recycles_total",
@@ -728,7 +709,7 @@ fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EpochHeader, SpillConfig, Summary, SummaryKind, WindowId};
+    use crate::{EpochHeader, Lineage, SpillConfig, Summary, SummaryKind, WindowId};
     use flowkey::Schema;
     use flowtree_core::{Config, FlowTree, Popularity};
 
@@ -784,8 +765,10 @@ mod tests {
             },
             seq: epoch,
             kind: SummaryKind::Full,
-            provenance: Some(vec![0]),
-            epoch: Some(EpochHeader { epoch, base: None }),
+            lineage: Some(Lineage {
+                provenance: vec![0],
+                epoch: EpochHeader { epoch, base: None },
+            }),
             tree,
         }
         .encode()
@@ -892,7 +875,7 @@ mod tests {
             0,
         );
         assert_eq!(s.stats().stale_acks, 1);
-        // Zero-epoch ack cannot release the remaining v3 frame.
+        // An ack at epoch 0 releases nothing.
         s.handle_ack(
             SlotPos {
                 window_start_ms: 0,

@@ -82,7 +82,7 @@ use crate::daemon::{DaemonConfig, DaemonStats, TransferMode};
 use crate::mrecv::BatchReceiver;
 use crate::pipeline::{IngestPipeline, PipelineStats};
 use crate::ring;
-use crate::summary::{Summary, SummaryKind};
+use crate::summary::Summary;
 use crate::window::WindowId;
 use crate::DistError;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -911,8 +911,8 @@ fn merger_loop(
     let mut last_ev = vec![std::time::Instant::now(); lanes];
     // Exclusive emission horizon: every window below it has been
     // shipped, so a straggler tree arriving under it can only be
-    // counted and dropped (re-emitting would replace the window
-    // wholesale at the collector).
+    // counted and dropped (a second epoch-1 frame of the window would
+    // be acked upstream as a replay and never applied).
     let mut emitted_to = 0u64;
     let mut seq = 0u64;
 
@@ -938,19 +938,11 @@ fn merger_loop(
             out
         };
         *seq += 1;
-        let summary = Summary {
-            site: cfg.site,
-            window: WindowId {
-                start_ms,
-                span_ms: cfg.window_ms,
-            },
-            seq: *seq,
-            kind: SummaryKind::Full,
-            provenance: None,
-            epoch: None,
-            tree,
+        let window = WindowId {
+            start_ms,
+            span_ms: cfg.window_ms,
         };
-        let mut frame = summary.encode();
+        let mut frame = Summary::site_full(cfg.site, window, *seq, tree).encode();
         let bump = |c: &AtomicU64, n: u64| c.fetch_add(n, Ordering::Relaxed);
         bump(&gauges.summaries, 1);
         bump(&gauges.summary_bytes, frame.len() as u64);

@@ -109,7 +109,7 @@ pub use runtime::{SiteDrainReport, SiteNodeConfig, SiteRuntime};
 pub use sim::{SimConfig, SimReport, SiteRun};
 pub use spill::{FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
 pub use store::{LoadReport, SummaryStore};
-pub use summary::{EpochHeader, Summary, SummaryHeader, SummaryKind};
+pub use summary::{EpochHeader, Lineage, Summary, SummaryHeader, SummaryKind};
 pub use window::WindowId;
 
 use flowtree_core::CodecError;
@@ -145,7 +145,7 @@ pub enum DistError {
     EpochMismatch {
         /// The exporter whose frame was rejected.
         site: u16,
-        /// The epoch stored for the slot (0 = none / pre-epoch frame).
+        /// The epoch stored for the slot (0 = none, or a version-1 frame).
         have: u64,
         /// The epoch the frame demanded (a delta's declared base, or a
         /// full frame's non-advancing epoch).

@@ -585,8 +585,7 @@ mod tests {
     #[test]
     fn site_runtime_ships_upstream_and_drains() {
         // A stand-in relay: answer the hello, apply each frame to a
-        // collector and ack it at the pre-epoch position a v1 frame
-        // stores.
+        // collector and ack it at the frame's epoch.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let upstream_addr = listener.local_addr().unwrap();
         let sink = std::thread::spawn(move || {
@@ -604,11 +603,13 @@ mod tests {
                     return Some(hello.encode());
                 }
                 let summary = Summary::decode(&frame, flowtree_core::Config::with_budget(4_096));
-                let pos = summary.as_ref().ok().map(|s| SlotPos {
-                    window_start_ms: s.window.start_ms,
-                    span_ms: s.window.span_ms,
-                    exporter: s.site,
-                    epoch: 0,
+                let pos = summary.as_ref().ok().and_then(|s| {
+                    Some(SlotPos {
+                        window_start_ms: s.window.start_ms,
+                        span_ms: s.window.span_ms,
+                        exporter: s.site,
+                        epoch: s.epoch()?.epoch,
+                    })
                 });
                 match summary.and_then(|s| collector.apply(s)) {
                     Ok(_) => {

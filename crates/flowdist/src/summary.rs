@@ -17,31 +17,30 @@
 //!
 //! ```text
 //! magic    4  "FSUM"
-//! version  1  = 1 (site summary) | 2 (aggregate with provenance)
-//!             | 3 (incremental aggregate with epoch handshake)
-//! kind     1  0 = full, 1 = delta          (v2: full only)
-//! site     2  big-endian site id           (v2/v3: the exporter's agg id)
+//! version  1  = 1 (delta-mode site stream) | 3 (epoch handshake)
+//! kind     1  0 = full, 1 = delta
+//! site     2  big-endian site id           (v3: the exporter's id)
 //! start    varint  window start (ms)
 //! span     varint  window span (ms)
-//! seq      varint  per-site sequence number
+//! seq      varint  per-exporter sequence number
 //! epoch    v3 only: varint ≥ 1 — the content epoch this frame
 //!          advances its window to
 //! base     v3 delta only: varint < epoch — the content epoch of the
 //!          re-aggregation base the delta applies on top of
-//! prov     v2/v3: varint count, then count × big-endian u16 site ids,
-//!          strictly ascending — the **site-set provenance** of a
-//!          pre-aggregated super-site summary. For a v2 frame this is
-//!          whatever the exporter claims (historically a lifetime
-//!          union); for a v3 frame it is the **per-window** site set:
+//! prov     v3 only: varint count, then count × big-endian u16 site
+//!          ids, strictly ascending — the **per-window** site set:
 //!          exactly the real sites folded into *this* window at *this*
-//!          epoch.
+//!          epoch (`[site]` on a site's own frame)
 //! tree     flowtree-core codec frame
 //! ```
 //!
-//! Version 1 frames predate the hierarchy tier and keep decoding
-//! unchanged; version 2 is what a [`flowrelay`-style aggregation relay
-//! re-exported upstream before the delta-oriented export path, and
-//! still decodes bit-for-bit. Version-2 aggregates are always `Full`.
+//! Every frame that crosses a shipper is a version-3 frame: a site
+//! ships each window once, whole, at epoch 1 with provenance `[site]`
+//! ([`Summary::site_full`]), and a relay re-exports at advancing
+//! epochs. Version 1 carries no epoch and survives only as the
+//! [`crate::TransferMode::Delta`] stream a [`crate::SiteDaemon`] feeds
+//! straight into a bare [`crate::Collector`]. Version 2 (provenance
+//! without an epoch) is gone and fails to parse.
 //!
 //! ## Version 3: the epoch/base handshake
 //!
@@ -67,12 +66,9 @@ use flowtree_core::{Config, FlowTree};
 
 /// Frame magic for summaries.
 pub const SUMMARY_MAGIC: [u8; 4] = *b"FSUM";
-/// Frame version of plain per-site summaries.
+/// Frame version of the epoch-less delta-mode site stream.
 pub const SUMMARY_VERSION: u8 = 1;
-/// Frame version of pre-aggregated summaries carrying a site-set
-/// provenance header.
-pub const SUMMARY_VERSION_AGG: u8 = 2;
-/// Frame version of incremental aggregates: per-window provenance plus
+/// Frame version of every shipped frame: per-window provenance plus
 /// the content-epoch handshake that lets a window re-export as a
 /// structural delta against a pinned base (see the module docs).
 pub const SUMMARY_VERSION_DELTA_AGG: u8 = 3;
@@ -91,8 +87,7 @@ pub enum SummaryKind {
     Delta,
 }
 
-/// The content-epoch handshake of a version-3 incremental aggregate
-/// frame (`None` on v1/v2 frames).
+/// The content-epoch handshake of a version-3 frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochHeader {
     /// The content epoch (≥ 1) this frame advances its `(window,
@@ -104,46 +99,72 @@ pub struct EpochHeader {
     pub base: Option<u64>,
 }
 
+/// What a version-3 frame adds to a version-1 one: whose sites it
+/// folds and which content epoch it advances its slot to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lineage {
+    /// The **per-window** site set: exactly the real sites folded into
+    /// this window at this epoch, sorted strictly ascending, never a
+    /// lifetime union.
+    pub provenance: Vec<u16>,
+    /// The content-epoch handshake.
+    pub epoch: EpochHeader,
+}
+
 /// One site's summary of one window.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// Producing site.
+    /// Producing site (an aggregate's exporter id).
     pub site: u16,
     /// The summarized window.
     pub window: WindowId,
-    /// Per-site sequence number (collector uses it to detect gaps).
+    /// Per-exporter sequence number (collector uses it to detect gaps).
     pub seq: u64,
     /// Full or delta.
     pub kind: SummaryKind,
-    /// The site-set provenance of a pre-aggregated summary: the real
-    /// sites whose trees were folded into `tree`, sorted strictly
-    /// ascending. `None` for plain per-site summaries (encoded as
-    /// version-1 frames; `Some` encodes version 2 — or 3 when an
-    /// [`EpochHeader`] is present). On a version-3 frame this is the
-    /// **per-window** site set: exactly the sites folded into this
-    /// window at this epoch, never a lifetime union.
-    pub provenance: Option<Vec<u16>>,
-    /// The content-epoch handshake of a version-3 incremental
-    /// aggregate; requires `provenance` to be present.
-    pub epoch: Option<EpochHeader>,
+    /// Provenance and epoch: `Some` encodes a version-3 frame, `None`
+    /// a version-1 frame of the delta-mode site stream.
+    pub lineage: Option<Lineage>,
     /// The tree (for deltas: comp-popularity differences, possibly
     /// negative).
     pub tree: FlowTree,
 }
 
 impl Summary {
-    /// The real sites this summary covers: its provenance for an
-    /// aggregate, its producing site otherwise.
-    pub fn covered_sites(&self) -> Vec<u16> {
-        match &self.provenance {
-            Some(p) => p.clone(),
-            None => vec![self.site],
+    /// One site's window, whole, as every site ships it: a version-3
+    /// `Full` frame at epoch 1 whose provenance is the site itself.
+    /// A site ships each window once, so its first epoch is its only
+    /// one; a restarted site's re-send of a window is a replay.
+    pub fn site_full(site: u16, window: WindowId, seq: u64, tree: FlowTree) -> Summary {
+        Summary {
+            site,
+            window,
+            seq,
+            kind: SummaryKind::Full,
+            lineage: Some(Lineage {
+                provenance: vec![site],
+                epoch: EpochHeader {
+                    epoch: 1,
+                    base: None,
+                },
+            }),
+            tree,
         }
+    }
+
+    /// The content-epoch handshake (version-3 frames).
+    pub fn epoch(&self) -> Option<EpochHeader> {
+        self.lineage.as_ref().map(|l| l.epoch)
+    }
+
+    /// The per-window provenance (version-3 frames).
+    pub fn provenance(&self) -> Option<&[u16]> {
+        self.lineage.as_ref().map(|l| &l.provenance[..])
     }
 
     /// The exact byte length [`Summary::encode`] would produce,
     /// computed arithmetically (no throwaway buffer) — header fields,
-    /// varint widths, the optional provenance list, and the tree's own
+    /// varint widths, the optional lineage, and the tree's own
     /// arithmetic [`FlowTree::encoded_size`].
     pub fn encoded_size(&self) -> usize {
         fn varint_len(mut v: u64) -> usize {
@@ -158,29 +179,24 @@ impl Summary {
         len += varint_len(self.window.start_ms);
         len += varint_len(self.window.span_ms);
         len += varint_len(self.seq);
-        if let Some(eh) = &self.epoch {
-            len += varint_len(eh.epoch);
-            if let Some(base) = eh.base {
+        if let Some(l) = &self.lineage {
+            len += varint_len(l.epoch.epoch);
+            if let Some(base) = l.epoch.base {
                 len += varint_len(base);
             }
-        }
-        if let Some(prov) = &self.provenance {
-            len += varint_len(prov.len() as u64) + 2 * prov.len();
+            len += varint_len(l.provenance.len() as u64) + 2 * l.provenance.len();
         }
         len + self.tree.encoded_size()
     }
 
-    /// Encodes the summary frame: version 1, version 2 when a
-    /// provenance site set is present, version 3 when an epoch header
-    /// is present too.
+    /// Encodes the summary frame: version 3 when a lineage is present,
+    /// version 1 otherwise.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(&SUMMARY_MAGIC);
-        out.push(match (&self.provenance, &self.epoch) {
-            (Some(_), Some(_)) => SUMMARY_VERSION_DELTA_AGG,
-            (Some(_), None) => SUMMARY_VERSION_AGG,
-            (None, None) => SUMMARY_VERSION,
-            (None, Some(_)) => unreachable!("epoch header requires per-window provenance"),
+        out.push(match self.lineage {
+            Some(_) => SUMMARY_VERSION_DELTA_AGG,
+            None => SUMMARY_VERSION,
         });
         out.push(match self.kind {
             SummaryKind::Full => 0,
@@ -190,7 +206,8 @@ impl Summary {
         write_varint(&mut out, self.window.start_ms);
         write_varint(&mut out, self.window.span_ms);
         write_varint(&mut out, self.seq);
-        if let Some(eh) = &self.epoch {
+        if let Some(l) = &self.lineage {
+            let eh = l.epoch;
             debug_assert!(eh.epoch >= 1, "content epochs start at 1");
             debug_assert_eq!(
                 eh.base.is_some(),
@@ -202,8 +219,7 @@ impl Summary {
             if let Some(base) = eh.base {
                 write_varint(&mut out, base);
             }
-        }
-        if let Some(prov) = &self.provenance {
+            let prov = &l.provenance;
             debug_assert!(
                 prov.windows(2).all(|w| w[0] < w[1]) && !prov.is_empty(),
                 "provenance must be nonempty and strictly ascending"
@@ -232,8 +248,7 @@ impl Summary {
             window: h.window,
             seq: h.seq,
             kind: h.kind,
-            provenance: h.provenance,
-            epoch: h.epoch,
+            lineage: h.lineage,
             tree,
         })
     }
@@ -248,24 +263,21 @@ pub struct SummaryHeader {
     pub site: u16,
     /// The summarized window.
     pub window: WindowId,
-    /// Per-site sequence number.
+    /// Per-exporter sequence number.
     pub seq: u64,
     /// Full or delta.
     pub kind: SummaryKind,
-    /// The site-set provenance (version 2/3 frames).
-    pub provenance: Option<Vec<u16>>,
-    /// The content-epoch handshake (version 3 frames).
-    pub epoch: Option<EpochHeader>,
+    /// Provenance and epoch (version-3 frames).
+    pub lineage: Option<Lineage>,
     /// Byte offset of the tree's codec frame.
     pub tree_offset: usize,
 }
 
 impl SummaryHeader {
-    /// Parses and validates a frame's header. All three frame versions
-    /// parse; the provenance header of a version-2/3 frame must be
-    /// nonempty, strictly ascending, bounded by [`MAX_PROVENANCE`];
-    /// version-2 aggregates must be `Full`; version-3 frames must carry
-    /// an epoch ≥ 1, a `Delta` declaring a strictly older base.
+    /// Parses and validates a frame's header. Versions 1 and 3 parse;
+    /// a version-3 frame must carry an epoch ≥ 1 (a `Delta` declaring
+    /// a strictly older base ≥ 1) and a provenance list that is
+    /// nonempty, strictly ascending and bounded by [`MAX_PROVENANCE`].
     pub fn parse(bytes: &[u8]) -> Result<SummaryHeader, DistError> {
         if bytes.len() < 8 {
             return Err(DistError::BadFrame("short summary frame"));
@@ -274,10 +286,7 @@ impl SummaryHeader {
             return Err(DistError::BadFrame("summary magic"));
         }
         let version = bytes[4];
-        if version != SUMMARY_VERSION
-            && version != SUMMARY_VERSION_AGG
-            && version != SUMMARY_VERSION_DELTA_AGG
-        {
+        if version != SUMMARY_VERSION && version != SUMMARY_VERSION_DELTA_AGG {
             return Err(DistError::BadFrame("summary version"));
         }
         let kind = match bytes[5] {
@@ -302,7 +311,7 @@ impl SummaryHeader {
         if start_ms % span_ms != 0 {
             return Err(DistError::BadFrame("unaligned window"));
         }
-        let epoch = if version == SUMMARY_VERSION_DELTA_AGG {
+        let lineage = if version == SUMMARY_VERSION_DELTA_AGG {
             let epoch = next()?;
             if epoch == 0 {
                 return Err(DistError::BadFrame("zero content epoch"));
@@ -310,10 +319,8 @@ impl SummaryHeader {
             let base = if kind == SummaryKind::Delta {
                 let base = next()?;
                 if base == 0 {
-                    // Epoch 0 marks pre-epoch (v1/v2) slots in the
-                    // receiver's ledger; a delta claiming it as base
-                    // would merge onto a tree the exporter never
-                    // pinned.
+                    // Epochs start at 1: a delta claiming base 0 would
+                    // merge onto a tree the exporter never pinned.
                     return Err(DistError::BadFrame("zero delta base epoch"));
                 }
                 if base >= epoch {
@@ -323,19 +330,11 @@ impl SummaryHeader {
             } else {
                 None
             };
-            Some(EpochHeader { epoch, base })
-        } else {
-            None
-        };
-        let provenance = if version != SUMMARY_VERSION {
-            if version == SUMMARY_VERSION_AGG && kind != SummaryKind::Full {
-                return Err(DistError::BadFrame("aggregate summaries must be full"));
-            }
             let count = next()?;
             if count == 0 || count as usize > MAX_PROVENANCE {
                 return Err(DistError::BadFrame("provenance count"));
             }
-            let mut prov = Vec::with_capacity(count as usize);
+            let mut provenance = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 let end = pos
                     .checked_add(2)
@@ -343,12 +342,15 @@ impl SummaryHeader {
                     .ok_or(DistError::BadFrame("truncated provenance"))?;
                 let s = u16::from_be_bytes([bytes[pos], bytes[pos + 1]]);
                 pos = end;
-                if prov.last().is_some_and(|&last| last >= s) {
+                if provenance.last().is_some_and(|&last| last >= s) {
                     return Err(DistError::BadFrame("provenance not strictly ascending"));
                 }
-                prov.push(s);
+                provenance.push(s);
             }
-            Some(prov)
+            Some(Lineage {
+                provenance,
+                epoch: EpochHeader { epoch, base },
+            })
         } else {
             None
         };
@@ -357,8 +359,7 @@ impl SummaryHeader {
             window: WindowId { start_ms, span_ms },
             seq,
             kind,
-            provenance,
-            epoch,
+            lineage,
             tree_offset: pos,
         })
     }
@@ -385,10 +386,16 @@ mod tests {
             window: WindowId::containing(1_700_000_123_456, 300_000),
             seq: 17,
             kind: SummaryKind::Full,
-            provenance: None,
-            epoch: None,
+            lineage: None,
             tree,
         }
+    }
+
+    fn lineage(provenance: Vec<u16>, epoch: u64, base: Option<u64>) -> Option<Lineage> {
+        Some(Lineage {
+            provenance,
+            epoch: EpochHeader { epoch, base },
+        })
     }
 
     #[test]
@@ -459,65 +466,75 @@ mod tests {
     fn encoded_size_predicts_encode_exactly() {
         let mut s = sample();
         assert_eq!(s.encoded_size(), s.encode().len());
-        s.provenance = Some(vec![1, 4, 9, 4_000]);
-        assert_eq!(s.encoded_size(), s.encode().len());
-        s.kind = SummaryKind::Full;
         s.window = WindowId::containing(u64::MAX / 2, 300_000);
         s.seq = u64::MAX;
         assert_eq!(s.encoded_size(), s.encode().len());
         // v3: full (epoch only) and delta (epoch + base).
-        s.epoch = Some(EpochHeader {
-            epoch: 300,
-            base: None,
-        });
+        s.lineage = lineage(vec![1, 4, 9, 4_000], 300, None);
         assert_eq!(s.encoded_size(), s.encode().len());
         s.kind = SummaryKind::Delta;
-        s.epoch = Some(EpochHeader {
-            epoch: 300,
-            base: Some(299),
-        });
+        s.lineage = lineage(vec![1, 4, 9, 4_000], 300, Some(299));
         assert_eq!(s.encoded_size(), s.encode().len());
     }
 
     #[test]
-    fn aggregate_provenance_roundtrips_as_v2() {
-        let mut s = sample();
-        s.provenance = Some(vec![1, 4, 9]);
+    fn site_frames_are_v3_full_at_epoch_one() {
+        let t = sample();
+        let s = Summary::site_full(3, t.window, 17, t.tree.clone());
         let bytes = s.encode();
-        assert_eq!(bytes[4], SUMMARY_VERSION_AGG);
+        assert_eq!(bytes[4], SUMMARY_VERSION_DELTA_AGG);
+        // Epoch 1, a one-site provenance list: four bytes over v1.
+        assert_eq!(bytes.len(), t.encode().len() + 4);
         let back = Summary::decode(&bytes, Config::with_budget(128)).unwrap();
-        assert_eq!(back.provenance.as_deref(), Some(&[1u16, 4, 9][..]));
-        assert_eq!(back.covered_sites(), vec![1, 4, 9]);
-        assert_eq!(back.tree.total(), s.tree.total());
-        // Plain summaries still report themselves.
-        assert_eq!(sample().covered_sites(), vec![3]);
+        assert_eq!((back.site, back.seq, back.kind), (3, 17, SummaryKind::Full));
+        assert_eq!(
+            back.epoch(),
+            Some(EpochHeader {
+                epoch: 1,
+                base: None
+            })
+        );
+        assert_eq!(back.provenance(), Some(&[3u16][..]));
+        assert_eq!(back.tree.total(), t.tree.total());
+    }
+
+    #[test]
+    fn version_two_frames_fail_to_parse() {
+        // Version 2 (provenance without an epoch) has no sender left.
+        let mut bytes = v3_sample(SummaryKind::Full, 1, None).encode();
+        bytes[4] = 2;
+        assert!(matches!(
+            SummaryHeader::parse(&bytes),
+            Err(DistError::BadFrame("summary version"))
+        ));
+        assert!(matches!(
+            Summary::decode(&bytes, Config::with_budget(128)),
+            Err(DistError::BadFrame("summary version"))
+        ));
     }
 
     #[test]
     fn v1_frames_still_decode_bit_for_bit() {
-        // A version-1 frame must be untouched by the v2 extension: the
-        // pre-hierarchy encoding decodes with `provenance: None`.
+        // The delta-mode site stream's version-1 frame decodes with no
+        // lineage.
         let s = sample();
         let bytes = s.encode();
         assert_eq!(bytes[4], SUMMARY_VERSION);
         let back = Summary::decode(&bytes, Config::with_budget(128)).unwrap();
-        assert!(back.provenance.is_none());
+        assert!(back.lineage.is_none());
     }
 
     #[test]
     fn hostile_provenance_frames_are_rejected() {
         let mut s = sample();
-        s.provenance = Some(vec![2, 5, 7]);
+        s.lineage = lineage(vec![2, 5, 7], 1, None);
         let good = s.encode();
         // Truncations anywhere in the provenance header.
         for cut in 9..good.len().min(20) {
             assert!(Summary::decode(&good[..cut], Config::paper()).is_err());
         }
-        // Unsorted / duplicated site sets (tamper with the list bytes:
-        // count sits after site(2)+3 varints; find it by re-encoding).
-        let mut unsorted = s.clone();
-        unsorted.provenance = Some(vec![5, 2, 7]);
-        // Bypass encode's debug_assert by patching the sorted frame.
+        // Unsorted / duplicated site sets: bypass encode's debug_assert
+        // by patching the list bytes of the sorted frame.
         let mut bytes = good.clone();
         let prov_at = bytes.len() - s.tree.encode().len() - 6;
         bytes[prov_at..prov_at + 2].copy_from_slice(&5u16.to_be_bytes());
@@ -527,23 +544,15 @@ mod tests {
             Err(DistError::BadFrame("provenance not strictly ascending"))
         ));
         // A zero-count provenance list.
-        let mut zero = good.clone();
+        let mut zero = good;
         zero[prov_at - 1] = 0;
         assert!(Summary::decode(&zero, Config::with_budget(128)).is_err());
-        // Aggregates must be Full.
-        let mut delta = good;
-        delta[5] = 1;
-        assert!(matches!(
-            Summary::decode(&delta, Config::with_budget(128)),
-            Err(DistError::BadFrame("aggregate summaries must be full"))
-        ));
     }
 
     fn v3_sample(kind: SummaryKind, epoch: u64, base: Option<u64>) -> Summary {
         let mut s = sample();
         s.kind = kind;
-        s.provenance = Some(vec![1, 4, 9]);
-        s.epoch = Some(EpochHeader { epoch, base });
+        s.lineage = lineage(vec![1, 4, 9], epoch, base);
         s
     }
 
@@ -555,13 +564,13 @@ mod tests {
         let back = Summary::decode(&bytes, Config::with_budget(128)).unwrap();
         assert_eq!(back.kind, SummaryKind::Full);
         assert_eq!(
-            back.epoch,
+            back.epoch(),
             Some(EpochHeader {
                 epoch: 7,
                 base: None
             })
         );
-        assert_eq!(back.provenance.as_deref(), Some(&[1u16, 4, 9][..]));
+        assert_eq!(back.provenance(), Some(&[1u16, 4, 9][..]));
         assert_eq!(back.tree.total(), full.tree.total());
 
         let delta = v3_sample(SummaryKind::Delta, 9, Some(7));
@@ -570,7 +579,7 @@ mod tests {
         let back = Summary::decode(&bytes, Config::with_budget(128)).unwrap();
         assert_eq!(back.kind, SummaryKind::Delta);
         assert_eq!(
-            back.epoch,
+            back.epoch(),
             Some(EpochHeader {
                 epoch: 9,
                 base: Some(7)
@@ -595,11 +604,7 @@ mod tests {
             }
         }
         // A zero content epoch.
-        let mut s = v3_sample(SummaryKind::Full, 1, None);
-        s.epoch = Some(EpochHeader {
-            epoch: 1,
-            base: None,
-        });
+        let s = v3_sample(SummaryKind::Full, 1, None);
         let mut bytes = s.encode();
         // epoch varint sits right after site(2) + 3 varints; window
         // start/span/seq of sample() are multi-byte, so locate it by
@@ -624,9 +629,9 @@ mod tests {
         ));
         bytes[base_at] = 9;
         assert!(Summary::decode(&bytes, Config::with_budget(128)).is_err());
-        // A delta claiming base 0: epoch 0 is the pre-epoch ledger
-        // marker, never a pinned base — it must not decode into a
-        // frame that would merge onto a v1/v2-stored tree.
+        // A delta claiming base 0: epochs start at 1, so no exporter
+        // ever pinned a base 0 — it must not decode into a frame that
+        // would merge onto a version-1-stored tree.
         bytes[base_at] = 0;
         assert!(matches!(
             Summary::decode(&bytes, Config::with_budget(128)),

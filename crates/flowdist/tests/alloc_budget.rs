@@ -169,8 +169,7 @@ fn a_stored_window_costs_its_nodes_and_no_index() {
         },
         seq: 1,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: None,
         tree: tree_of(1_000, Config::default()),
     };
     let len = summary.tree.len();

@@ -29,8 +29,7 @@ fn summary(site: u16, window: u64, lo: u8, hi: u8, weight: i64) -> Summary {
         },
         seq: window,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: None,
         tree,
     }
 }
@@ -246,7 +245,7 @@ fn cache_stats_count_hits_and_extends() {
 
 mod v3_increments {
     use super::*;
-    use flowdist::{DistError, EpochHeader};
+    use flowdist::{DistError, EpochHeader, Lineage};
 
     /// A version-3 frame for `(window, site)`: full or delta.
     fn v3(site: u16, window: u64, epoch: u64, base: Option<u64>, tree: FlowTree) -> Summary {
@@ -261,8 +260,10 @@ mod v3_increments {
                 Some(_) => SummaryKind::Delta,
                 None => SummaryKind::Full,
             },
-            provenance: Some(vec![site]),
-            epoch: Some(EpochHeader { epoch, base }),
+            lineage: Some(Lineage {
+                provenance: vec![site],
+                epoch: EpochHeader { epoch, base },
+            }),
             tree,
         }
     }
@@ -402,10 +403,10 @@ mod v3_increments {
         // The wire path rejects it at decode already; force the header
         // bytes through encode by checking encode panics are debug-only
         // — construct the frame bytes by patching a valid one instead.
-        hostile.epoch = Some(EpochHeader {
+        hostile.lineage.as_mut().unwrap().epoch = EpochHeader {
             epoch: 2,
             base: Some(1),
-        });
+        };
         let mut bytes = hostile.encode();
         // Locate the base varint (=1) right before the provenance
         // count (=1) and site id; epoch=2 precedes it.
@@ -425,7 +426,7 @@ mod v3_increments {
         // Window 0: an aggregate claiming sites 0,1 plus a plain frame
         // from site 4. Window 1: only the plain frame.
         let mut agg = v3(100, 0, 1, None, tree_of(0, 0, 5, 1));
-        agg.provenance = Some(vec![0, 1]);
+        agg.lineage.as_mut().unwrap().provenance = vec![0, 1];
         c.apply(agg).unwrap();
         c.apply(summary(4, 0, 0, 3, 1)).unwrap();
         c.apply(summary(4, 1, 0, 3, 1)).unwrap();

@@ -3,7 +3,9 @@
 //! degrade gracefully, never corrupt state, and keep exact accounting
 //! for everything it did receive.
 
-use flowdist::{Collector, DaemonConfig, SiteDaemon, Summary, SummaryKind, TransferMode};
+use flowdist::{
+    Collector, DaemonConfig, DistError, SiteDaemon, Summary, SummaryKind, TransferMode,
+};
 use flowkey::Schema;
 use flownet::FlowRecord;
 use flowtree_core::Config;
@@ -119,12 +121,25 @@ fn corrupt_frames_never_corrupt_state() {
 fn duplicated_and_reordered_full_frames_are_idempotent_per_window() {
     let all = summaries(TransferMode::Full, 4);
     let mut c = collector();
-    // Apply in reverse, twice.
-    for s in all.iter().rev().chain(all.iter().rev()) {
+    // Apply in reverse, then replay the same frames.
+    for s in all.iter().rev() {
         c.apply_bytes(&s.encode())
             .expect("full frames apply in any order");
     }
-    // Last write wins per (window, site): state equals a single clean pass.
+    // A site frame is epoch 1 of its window: a duplicate does not
+    // advance the slot and is refused without touching it.
+    for s in all.iter().rev() {
+        assert!(matches!(
+            c.apply_bytes(&s.encode()),
+            Err(DistError::EpochMismatch {
+                have: 1,
+                got: 1,
+                ..
+            })
+        ));
+    }
+    assert_eq!(c.ledger().rejected, all.len() as u64);
+    // State equals a single clean pass.
     let mut clean = collector();
     for s in &all {
         clean.apply_bytes(&s.encode()).unwrap();

@@ -34,7 +34,9 @@
 use crate::relay::{Relay, RelayLedger, RelayState};
 use crate::RelayError;
 use flowdist::spill::crc32;
-use flowdist::{DistError, EpochHeader, FsyncPolicy, Summary, SummaryKind, SummaryStore, WindowId};
+use flowdist::{
+    DistError, EpochHeader, FsyncPolicy, Lineage, Summary, SummaryKind, SummaryStore, WindowId,
+};
 use flowkey::pack::{read_varint, write_varint};
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
@@ -232,12 +234,17 @@ impl Relay {
         };
 
         // Snapshot: slot frames into the collector, relay state on top.
+        // Every relay slot carries an epoch; one that does not is a
+        // state dir written by an older relay and fails the open.
         let spath = state_path(dir, generation);
         if spath.exists() {
             let state = read_state_file(&spath)?;
             let store = SummaryStore::open(snap_dir(dir, generation))?;
             for (site, start) in store.list()? {
                 let summary = store.get(site, start, tree_cfg)?;
+                if summary.lineage.is_none() {
+                    return Err(DistError::BadFrame("summary without epoch").into());
+                }
                 relay
                     .collector_mut()
                     .apply_bytes(&summary.encode())
@@ -460,12 +467,13 @@ fn write_snapshot(
 }
 
 /// Rebuilds the frame that restores one stored slot exactly: its
-/// current tree, epoch, seq, and provenance, as a `Full` frame of the
-/// version matching how it was stored (v3 when epoch-advanced, v2
-/// when provenance-carrying, v1 otherwise).
+/// current tree, epoch, seq, and provenance, as a version-3 `Full`
+/// frame (a relay stores only frames that carry an epoch).
 fn reconstruct_slot(relay: &Relay, start: u64, site: u16, span: u64) -> Summary {
     let c = relay.collector();
-    let epoch = c.window_epoch(start, site);
+    let provenance = c
+        .window_provenance(start, site)
+        .expect("a relay slot has a lineage");
     Summary {
         site,
         window: WindowId {
@@ -474,8 +482,13 @@ fn reconstruct_slot(relay: &Relay, start: u64, site: u16, span: u64) -> Summary 
         },
         seq: c.window_seq(start, site),
         kind: SummaryKind::Full,
-        provenance: c.window_provenance(start, site).map(|p| p.to_vec()),
-        epoch: (epoch > 0).then_some(EpochHeader { epoch, base: None }),
+        lineage: Some(Lineage {
+            provenance: provenance.to_vec(),
+            epoch: EpochHeader {
+                epoch: c.window_epoch(start, site),
+                base: None,
+            },
+        }),
         tree: c.window_tree(start, site).expect("listed slot").clone(),
     }
 }
@@ -512,12 +525,10 @@ fn write_state_file(path: &Path, state: &RelayState, fsync: FsyncPolicy) -> std:
         write_varint(&mut payload, start);
         write_varint(&mut payload, epoch);
     }
-    write_varint(&mut payload, state.positions.len() as u64);
-    for &(site, start, seq) in &state.positions {
-        payload.extend_from_slice(&site.to_be_bytes());
-        write_varint(&mut payload, start);
-        write_varint(&mut payload, seq);
-    }
+    // The version-1 delta-chain positions: always none, since a relay
+    // refuses frames without an epoch. The empty section keeps the
+    // format.
+    write_varint(&mut payload, 0);
     let counters = ledger_counters(&state.ledger);
     write_varint(&mut payload, counters.len() as u64);
     for c in counters {
@@ -598,10 +609,11 @@ fn read_state_file(path: &Path) -> Result<RelayState, RelayError> {
     for _ in 0..next(payload, &mut pos)? {
         evicted.push((next(payload, &mut pos)?, next(payload, &mut pos)?));
     }
-    let mut positions = Vec::new();
+    // Version-1 delta-chain positions: parsed and dropped.
     for _ in 0..next(payload, &mut pos)? {
-        let site = next_u16(payload, &mut pos)?;
-        positions.push((site, next(payload, &mut pos)?, next(payload, &mut pos)?));
+        next_u16(payload, &mut pos)?;
+        next(payload, &mut pos)?;
+        next(payload, &mut pos)?;
     }
     let n = next(payload, &mut pos)? as usize;
     let mut counters = Vec::with_capacity(n);
@@ -618,7 +630,6 @@ fn read_state_file(path: &Path) -> Result<RelayState, RelayError> {
         provenance,
         windows,
         evicted,
-        positions,
         ledger,
     })
 }
@@ -710,7 +721,9 @@ mod tests {
         }
     }
 
-    fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) -> Summary {
+    /// A site's frame for `window` at content epoch `epoch` (its seq
+    /// too): a re-send of a window with new content takes a higher one.
+    fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, epoch: u64) -> Summary {
         let schema = Schema::five_feature();
         let mut tree = FlowTree::new(schema, Config::with_budget(4_096));
         for h in hosts {
@@ -726,10 +739,12 @@ mod tests {
                 start_ms: window * SPAN,
                 span_ms: SPAN,
             },
-            seq,
+            seq: epoch,
             kind: SummaryKind::Full,
-            provenance: None,
-            epoch: None,
+            lineage: Some(Lineage {
+                provenance: vec![site],
+                epoch: EpochHeader { epoch, base: None },
+            }),
             tree,
         }
     }
@@ -818,8 +833,9 @@ mod tests {
         assert_eq!(report.torn_bytes, 11);
         assert_eq!(report.wal_records, 1);
         // The intact record survived: the frame's content is stored
-        // (a pre-epoch frame tracks a seq, not an epoch).
+        // at its seq and epoch.
         assert_eq!(r2.collector().window_seq(0, 0), 1);
+        assert_eq!(r2.collector().window_epoch(0, 0), 1);
         assert!(r2.collector().window_tree(0, 0).is_some());
     }
 
@@ -879,7 +895,7 @@ mod tests {
         }
         let first = r.flush_exports();
         assert_eq!(first.len(), 1);
-        let epoch = first[0].epoch.unwrap().epoch;
+        let epoch = first[0].epoch().unwrap().epoch;
         r.note_shipped(0, epoch);
         drop(r);
         let (mut r2, _) = Relay::open_journaled(cfg(), &dir, JournalConfig::default()).unwrap();
@@ -912,7 +928,7 @@ mod tests {
         let _ = r2.ingest_classified(&site_summary(0, 0, 0..4, 2).encode());
         let frames = r2.flush_exports();
         if let Some(f) = frames.iter().find(|f| f.window.start_ms == 0) {
-            assert!(f.epoch.unwrap().epoch > 1);
+            assert!(f.epoch().unwrap().epoch > 1);
         }
     }
 }

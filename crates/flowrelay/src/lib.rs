@@ -26,8 +26,10 @@
 //!   existing length-prefixed framing, folds each window's downstream
 //!   trees into a **super-site summary** with the structural
 //!   [`flowtree_core::FlowTree::merge_many`], and re-exports it
-//!   upstream as a version-2 frame carrying a **site-set provenance
-//!   header** ([`flowdist::summary`]).
+//!   upstream as a version-3 frame carrying a **site-set provenance
+//!   header** and a content epoch ([`flowdist::summary`]). A site's own
+//!   frames are version-3 too (epoch 1, provenance `[site]`); a frame
+//!   without an epoch is refused.
 //! * [`QueryRouter`] — the query planner: inspects a query's
 //!   site-set and time-range scope and routes it to the cheapest
 //!   tier — a relay's own pre-aggregated view when the scope is

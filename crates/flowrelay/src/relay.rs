@@ -5,9 +5,14 @@
 //! [`Collector`] — per-site trees from daemons, pre-aggregated
 //! super-site trees from child relays — and every closed window is
 //! folded into **one** upstream aggregate with the structural
-//! [`FlowTree::merge_many`], re-exported as a version-2 frame whose
+//! [`FlowTree::merge_many`], re-exported as a version-3 frame whose
 //! provenance header names the real sites inside
 //! ([`flowdist::summary`]).
+//!
+//! Every downstream frame is a version-3 frame — a site's own window
+//! at epoch 1 with provenance `[site]`, or a child relay's export. A
+//! frame without an epoch is refused and counted in
+//! [`RelayLedger::rejected`] on every entry point.
 //!
 //! ## Provenance discipline
 //!
@@ -19,8 +24,7 @@
 //!   cannot inject a foreign site's traffic;
 //! * two different downstreams may never claim the same site — that
 //!   would double-count it in every aggregate;
-//! * pre-epoch (v2) aggregates are `Full` only, and all frames must
-//!   agree on the window span.
+//! * all frames must agree on the window span.
 //!
 //! Rejected frames are counted in the [`RelayLedger`], never fatal —
 //! the relay outlives hostile peers exactly as the collector does.
@@ -58,7 +62,8 @@
 
 use crate::RelayError;
 use flowdist::{
-    Collector, DistError, EpochHeader, ShipperHost, SlotPos, Summary, SummaryKind, WindowId,
+    Collector, DistError, EpochHeader, Lineage, ShipperHost, SlotPos, Summary, SummaryKind,
+    WindowId,
 };
 use flowkey::Schema;
 use flowtree_core::{Config, FlowTree};
@@ -133,11 +138,13 @@ pub struct RelayConfig {
 pub struct RelayLedger {
     /// Frames accepted.
     pub frames: u64,
-    /// Plain per-site frames among them.
+    /// A site's own frames among them: provenance exactly `[site]`
+    /// (topology forbids a relay's `agg_site` from being a site id).
     pub site_frames: u64,
-    /// Aggregate (provenance-carrying) frames among them.
+    /// Child relays' aggregates among them: every other provenance.
     pub agg_frames: u64,
-    /// Frames rejected (malformed, coverage violations, overlaps…).
+    /// Frames rejected (malformed, without an epoch, coverage
+    /// violations, overlaps…).
     pub rejected: u64,
     /// Upstream aggregates exported (full and delta frames).
     pub exported: u64,
@@ -426,33 +433,32 @@ impl Relay {
     /// * [`FrameOutcome::Applied`] — ack the slot's new position;
     /// * [`FrameOutcome::Replayed`] — an at-least-once duplicate of
     ///   content this relay already holds (an epoch at or behind the
-    ///   ledger, or a pre-epoch frame repeating its stored seq): not
-    ///   re-applied, but acked at the stored position so a resending
-    ///   peer converges;
+    ///   ledger): not re-applied, but acked at the stored position so
+    ///   a resending peer converges. A restarted site re-sending part
+    ///   of a window it already shipped lands here too: its epoch-1
+    ///   frame never replaces the stored window;
     /// * [`FrameOutcome::NeedsRebase`] — a delta whose declared base
     ///   is ahead of this relay's ledger (this relay lost state:
     ///   restart, shorter retention): answer with a rebase-request
     ///   carrying what is actually held, so the sender rewinds and
     ///   re-exports a full rebasing frame;
-    /// * [`FrameOutcome::Rejected`] — malformed or violating, counted,
-    ///   no response (exactly the legacy behavior).
+    /// * [`FrameOutcome::Rejected`] — malformed, without an epoch, or
+    ///   violating: counted, no response.
     ///
     /// Replay dedupe lives **only** here: the plain [`Relay::apply`]
-    /// path keeps its replacement semantics untouched.
+    /// path refuses a frame that does not advance its slot's epoch.
     pub fn ingest_classified(&mut self, bytes: &[u8]) -> FrameOutcome {
-        let summary = match Summary::decode(bytes, self.cfg.tree) {
-            Ok(s) => s,
-            Err(_) => {
-                self.ledger.rejected += 1;
-                return FrameOutcome::Rejected;
-            }
+        let decoded = Summary::decode(bytes, self.cfg.tree).ok();
+        let Some((eh, summary)) = decoded.and_then(|s| Some((s.epoch()?, s))) else {
+            self.ledger.rejected += 1;
+            return FrameOutcome::Rejected;
         };
         let (start, span, site) = (
             summary.window.start_ms,
             summary.window.span_ms,
             summary.site,
         );
-        let stored = self.collector().window_tree(start, site).is_some();
+        // Every slot a relay stores carries an epoch ≥ 1: 0 = none.
         let have = self.collector().window_epoch(start, site);
         let pos = |epoch: u64| SlotPos {
             window_start_ms: start,
@@ -460,23 +466,13 @@ impl Relay {
             exporter: site,
             epoch,
         };
-        match summary.epoch {
-            Some(eh) => {
-                if stored && eh.epoch <= have {
-                    self.ledger.replayed += 1;
-                    return FrameOutcome::Replayed(pos(have));
-                }
-                if summary.kind == SummaryKind::Delta && (!stored || eh.base != Some(have)) {
-                    self.ledger.rebase_requests += 1;
-                    return FrameOutcome::NeedsRebase(pos(have));
-                }
-            }
-            None => {
-                if stored && have == 0 && self.collector().window_seq(start, site) == summary.seq {
-                    self.ledger.replayed += 1;
-                    return FrameOutcome::Replayed(pos(0));
-                }
-            }
+        if eh.epoch <= have {
+            self.ledger.replayed += 1;
+            return FrameOutcome::Replayed(pos(have));
+        }
+        if summary.kind == SummaryKind::Delta && eh.base != Some(have) {
+            self.ledger.rebase_requests += 1;
+            return FrameOutcome::NeedsRebase(pos(have));
         }
         match self.apply_with_raw(summary, Some(bytes)) {
             Ok(()) => FrameOutcome::Applied(pos(self.collector().window_epoch(start, site))),
@@ -485,21 +481,17 @@ impl Relay {
     }
 
     fn check_and_apply(&mut self, summary: Summary) -> Result<(), RelayError> {
-        // Pre-epoch (v2) aggregates must be full; a v3 frame may be a
-        // delta — the collector's epoch ledger gates its application.
-        if summary.provenance.is_some()
-            && summary.kind != SummaryKind::Full
-            && summary.epoch.is_none()
-        {
-            return Err(DistError::BadFrame("aggregate summaries must be full").into());
-        }
+        let Some(provenance) = summary.provenance() else {
+            return Err(DistError::BadFrame("summary without epoch").into());
+        };
+        let key = summary.site;
+        let is_site = provenance == [key];
+        let claimed: BTreeSet<u16> = provenance.iter().copied().collect();
         if let Some(span) = self.span_ms {
             if summary.window.span_ms != span {
                 return Err(RelayError::SpanMismatch);
             }
         }
-        let key = summary.site;
-        let claimed: BTreeSet<u16> = summary.covered_sites().into_iter().collect();
         for &site in &claimed {
             if !self.expected.contains(&site) {
                 return Err(RelayError::CoverageViolation { site });
@@ -513,16 +505,15 @@ impl Relay {
                 return Err(RelayError::OverlappingProvenance { site });
             }
         }
-        let is_agg = summary.provenance.is_some();
         let window = summary.window;
         self.collector.apply(summary).map_err(RelayError::Dist)?;
         self.span_ms.get_or_insert(window.span_ms);
         self.provenance.entry(key).or_default().extend(claimed);
         self.ledger.frames += 1;
-        if is_agg {
-            self.ledger.agg_frames += 1;
-        } else {
+        if is_site {
             self.ledger.site_frames += 1;
+        } else {
+            self.ledger.agg_frames += 1;
         }
         let st = self.windows.entry(window.start_ms).or_insert_with(|| {
             // A window re-arriving after eviction resumes its epoch
@@ -841,8 +832,10 @@ impl Relay {
             },
             seq: self.seq,
             kind,
-            provenance: Some(provenance),
-            epoch: Some(EpochHeader { epoch, base }),
+            lineage: Some(Lineage {
+                provenance,
+                epoch: EpochHeader { epoch, base },
+            }),
             tree,
         };
         // Arithmetic size: the caller encodes once to ship; the ledger
@@ -992,7 +985,6 @@ impl Relay {
                 })
                 .collect(),
             evicted: self.evicted_epochs.iter().map(|(k, v)| (*k, *v)).collect(),
-            positions: self.collector.positions(),
             ledger: self.ledger,
         }
     }
@@ -1025,9 +1017,6 @@ impl Relay {
             })
             .collect();
         self.evicted_epochs = s.evicted.into_iter().collect();
-        for (site, start, seq) in s.positions {
-            self.collector.restore_position(site, start, seq);
-        }
         self.ledger = s.ledger;
     }
 }
@@ -1063,8 +1052,6 @@ pub(crate) struct RelayState {
     /// (start, content_epoch, exported_epoch, shipped_epoch).
     pub(crate) windows: Vec<(u64, u64, u64, u64)>,
     pub(crate) evicted: Vec<(u64, u64)>,
-    /// Collector delta-chain positions: (site, window start, seq).
-    pub(crate) positions: Vec<(u16, u64, u64)>,
     pub(crate) ledger: RelayLedger,
 }
 
@@ -1087,7 +1074,9 @@ mod tests {
 
     const SPAN: u64 = 1_000;
 
-    fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) -> Summary {
+    /// A site's frame for `window` at content epoch `epoch` (its seq
+    /// too): a re-send of a window with new content takes a higher one.
+    fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, epoch: u64) -> Summary {
         let schema = Schema::five_feature();
         let mut tree = FlowTree::new(schema, Config::with_budget(4_096));
         for h in hosts {
@@ -1103,12 +1092,20 @@ mod tests {
                 start_ms: window * SPAN,
                 span_ms: SPAN,
             },
-            seq,
+            seq: epoch,
             kind: SummaryKind::Full,
-            provenance: None,
-            epoch: None,
+            lineage: Some(Lineage {
+                provenance: vec![site],
+                epoch: EpochHeader { epoch, base: None },
+            }),
             tree,
         }
+    }
+
+    /// `s` re-labelled as an aggregate claiming `sites`.
+    fn claiming(mut s: Summary, sites: Vec<u16>) -> Summary {
+        s.lineage.as_mut().expect("v3").provenance = sites;
+        s
     }
 
     fn relay(name: &str, agg: u16, expected: &[u16]) -> Relay {
@@ -1140,7 +1137,7 @@ mod tests {
         for (i, e) in exports.iter().enumerate() {
             assert_eq!(e.site, 100);
             assert_eq!(e.window.start_ms, i as u64 * SPAN);
-            assert_eq!(e.provenance.as_deref(), Some(&[0u16, 1, 2][..]));
+            assert_eq!(e.provenance(), Some(&[0u16, 1, 2][..]));
             let local = r
                 .collector()
                 .merged(None, e.window.start_ms, e.window.end_ms());
@@ -1177,7 +1174,7 @@ mod tests {
         );
         let exports = r.flush_exports();
         assert_eq!(exports.len(), 2);
-        assert_eq!(exports[0].provenance.as_deref(), Some(&[0u16, 1][..]));
+        assert_eq!(exports[0].provenance(), Some(&[0u16, 1][..]));
         let c = r.compose(None);
         assert_eq!(c.missing, vec![2]);
     }
@@ -1192,9 +1189,7 @@ mod tests {
             Err(RelayError::CoverageViolation { site: 7 })
         ));
         // A child aggregate claiming site 0…
-        let mut agg = site_summary(50, 0, 0..2, 1);
-        agg.site = 50;
-        agg.provenance = Some(vec![0]);
+        let agg = claiming(site_summary(50, 0, 0..2, 1), vec![0]);
         // …but 50 is outside expected coverage? Use agg id inside none —
         // coverage checks claimed sites, not the carrier id.
         r.apply(agg).unwrap();
@@ -1243,8 +1238,8 @@ mod tests {
         let first = r.drain_exports_at(SPAN);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].kind, SummaryKind::Full);
-        assert_eq!(first[0].provenance.as_deref(), Some(&[0u16, 1][..]));
-        assert_eq!(first[0].epoch.unwrap().epoch, 2);
+        assert_eq!(first[0].provenance(), Some(&[0u16, 1][..]));
+        assert_eq!(first[0].epoch().unwrap().epoch, 2);
         // Nothing changed: nothing re-exports.
         assert!(r.drain_exports_at(10 * SPAN).is_empty());
 
@@ -1256,14 +1251,14 @@ mod tests {
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].kind, SummaryKind::Delta);
         assert_eq!(
-            second[0].epoch.unwrap(),
+            second[0].epoch().unwrap(),
             flowdist::EpochHeader {
                 epoch: 3,
                 base: Some(2)
             }
         );
         // Per-window provenance now names all three sites.
-        assert_eq!(second[0].provenance.as_deref(), Some(&[0u16, 1, 2][..]));
+        assert_eq!(second[0].provenance(), Some(&[0u16, 1, 2][..]));
         // The delta carries (roughly) one site's worth of bytes.
         assert!(
             second[0].encoded_size() < first[0].encoded_size(),
@@ -1289,13 +1284,14 @@ mod tests {
         r.apply(site_summary(0, 0, 0..4, 1)).unwrap();
         let first = r.flush_exports();
         assert_eq!(first[0].kind, SummaryKind::Full);
-        // The site restarts and re-sends window 0 with *less* content:
-        // the delta would be non-monotone, so the relay rebases.
-        r.apply(site_summary(0, 0, 0..2, 1)).unwrap();
+        // The downstream replaces window 0 with *less* content at a
+        // higher epoch: the delta would be non-monotone, so the relay
+        // rebases.
+        r.apply(site_summary(0, 0, 0..2, 2)).unwrap();
         let second = r.flush_exports();
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].kind, SummaryKind::Full);
-        assert_eq!(second[0].epoch.unwrap().base, None);
+        assert_eq!(second[0].epoch().unwrap().base, None);
         assert_eq!(r.ledger().delta_fallbacks, 1);
         // The upstream replaces wholesale and matches the relay.
         let upstream = collect(&[first[0].clone(), second[0].clone()]);
@@ -1358,7 +1354,7 @@ mod tests {
         r.apply(site_summary(1, 0, 0..3, 1)).unwrap();
         let second = r.flush_exports();
         assert_eq!(second[0].kind, SummaryKind::Full);
-        assert_eq!(second[0].epoch.unwrap().epoch, 2);
+        assert_eq!(second[0].epoch().unwrap().epoch, 2);
         assert_eq!(r.ledger().delta_exports, 0);
         let upstream = collect(&[first[0].clone(), second[0].clone()]);
         assert_eq!(
@@ -1418,8 +1414,8 @@ mod tests {
         let out = r.flush_exports();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, SummaryKind::Full);
-        assert_eq!(out[0].epoch.unwrap().epoch, 2);
-        assert_eq!(out[0].provenance.as_deref(), Some(&[1u16][..]));
+        assert_eq!(out[0].epoch().unwrap().epoch, 2);
+        assert_eq!(out[0].provenance(), Some(&[1u16][..]));
         // An upstream that received the pre-eviction export composes
         // the whole stream without a single rejection.
         let mut upstream = relay("root", 200, &[0, 1]);
@@ -1457,7 +1453,7 @@ mod tests {
         let heal = r.flush_exports();
         assert_eq!(heal.len(), 1);
         assert_eq!(heal[0].kind, SummaryKind::Full);
-        assert!(heal[0].epoch.unwrap().epoch > first[0].epoch.unwrap().epoch);
+        assert!(heal[0].epoch().unwrap().epoch > first[0].epoch().unwrap().epoch);
         upstream.ingest_frame(&heal[0].encode()).unwrap();
         assert_eq!(upstream.ledger().rejected, 0);
         assert_eq!(
@@ -1480,9 +1476,9 @@ mod tests {
         }
         let exports = r.flush_exports();
         assert_eq!(exports.len(), 2);
-        assert_eq!(exports[0].provenance.as_deref(), Some(&[0u16, 1, 2][..]));
+        assert_eq!(exports[0].provenance(), Some(&[0u16, 1, 2][..]));
         assert_eq!(
-            exports[1].provenance.as_deref(),
+            exports[1].provenance(),
             Some(&[0u16, 1][..]),
             "window 1 must not advertise the site it never folded"
         );
@@ -1497,10 +1493,8 @@ mod tests {
     #[test]
     fn compose_splits_scope_into_keys_and_missing() {
         let mut r = relay("root", 200, &[0, 1, 2, 3]);
-        let mut a = site_summary(100, 0, 0..2, 1);
-        a.provenance = Some(vec![0, 1]);
-        let mut b = site_summary(101, 0, 2..4, 1);
-        b.provenance = Some(vec![2]);
+        let a = claiming(site_summary(100, 0, 0..2, 1), vec![0, 1]);
+        let b = claiming(site_summary(101, 0, 2..4, 1), vec![2]);
         r.apply(a).unwrap();
         r.apply(b).unwrap();
         // Full-group scopes compose from aggregates.
@@ -1547,18 +1541,28 @@ mod tests {
     }
 
     #[test]
-    fn classified_ingest_dedupes_pre_epoch_replays_by_seq() {
+    fn a_restarted_sites_partial_resend_does_not_replace_its_window() {
         let mut b = relay("b", 200, &[0]);
-        let s1 = site_summary(0, 0, 0..3, 7).encode();
-        assert!(matches!(b.ingest_classified(&s1), FrameOutcome::Applied(_)));
-        // Same pre-epoch frame again: the stored seq matches — replay.
-        assert!(matches!(
-            b.ingest_classified(&s1),
-            FrameOutcome::Replayed(_)
-        ));
-        // A *newer* pre-epoch frame replaces (legacy semantics).
-        let s2 = site_summary(0, 0, 0..4, 8).encode();
-        assert!(matches!(b.ingest_classified(&s2), FrameOutcome::Applied(_)));
+        // The site's third window, shipped whole.
+        let mut whole = site_summary(0, 0, 0..6, 1);
+        whole.seq = 3;
+        let applied = b.ingest_classified(&whole.encode());
+        let FrameOutcome::Applied(pos) = applied else {
+            panic!("a fresh site frame must apply, got {applied:?}");
+        };
+        assert_eq!((pos.exporter, pos.epoch), (0, 1));
+        let stored = b.collector().window_tree(0, 0).unwrap().encode();
+        // The site restarts, reopens that window for two late
+        // stragglers and ships them at its first seq and epoch: a
+        // replay, acked at the stored position, never applied.
+        let partial = site_summary(0, 0, 4..6, 1).encode();
+        assert_eq!(b.ingest_classified(&partial), FrameOutcome::Replayed(pos));
+        assert_eq!(b.collector().window_tree(0, 0).unwrap().encode(), stored);
+        assert_eq!((b.ledger().frames, b.ledger().replayed), (1, 1));
+        // The window exports once, whole: 1 + 2 + … + 6 packets.
+        let exports = b.flush_exports();
+        assert_eq!(exports.len(), 1);
+        assert_eq!(exports[0].tree.total().packets, 21);
     }
 
     #[test]
@@ -1610,7 +1614,7 @@ mod tests {
         assert_eq!(rebased.kind, SummaryKind::Full);
         // A rewind replays the *same* content epoch as a full frame —
         // the chain repositions, it never forks forward.
-        assert_eq!(rebased.epoch.unwrap().epoch, delta.epoch.unwrap().epoch);
+        assert_eq!(rebased.epoch().unwrap().epoch, delta.epoch().unwrap().epoch);
         assert!(matches!(
             fresh.ingest_classified(&rebased.encode()),
             FrameOutcome::Applied(_)
@@ -1629,15 +1633,15 @@ mod tests {
         let mut a = relay("a", 100, &[0]);
         a.apply(site_summary(0, 0, 0..3, 1)).unwrap();
         let e = a.flush_exports().remove(0);
-        let epoch = e.epoch.unwrap().epoch;
+        let epoch = e.epoch().unwrap().epoch;
         // Drained but never acknowledged: a restart must rewind it.
         assert_eq!(a.rewind_unacked_exports(), 1);
         let again = a.flush_exports().remove(0);
         assert_eq!(again.kind, SummaryKind::Full);
         // The replay re-ships the same content epoch, as a full frame.
-        assert_eq!(again.epoch.unwrap().epoch, epoch);
+        assert_eq!(again.epoch().unwrap().epoch, epoch);
         // Acknowledged: nothing left to rewind.
-        a.note_shipped(0, again.epoch.unwrap().epoch);
+        a.note_shipped(0, again.epoch().unwrap().epoch);
         assert_eq!(a.rewind_unacked_exports(), 0);
         assert!(a.flush_exports().is_empty());
     }

@@ -1013,15 +1013,15 @@ fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &O
     );
     s.kv("site_frames", l.site_frames).counter(
         "flowtree_relay_site_frames_total",
-        "Plain per-site frames among them.",
+        "Sites' own frames among them (provenance exactly the exporter).",
     );
     s.kv("agg_frames", l.agg_frames).counter(
         "flowtree_relay_agg_frames_total",
-        "Aggregate (provenance-carrying) frames among them.",
+        "Child relays' aggregates among them.",
     );
     s.kv("rejected", l.rejected).counter(
         "flowtree_relay_rejected_total",
-        "Frames rejected (malformed, coverage violations, overlaps).",
+        "Frames rejected (malformed, without an epoch, coverage violations, overlaps).",
     );
     s.kv("replayed", l.replayed).counter(
         "flowtree_relay_replayed_total",

@@ -11,7 +11,8 @@ use flowdist::framing::{read_frame, write_frame};
 use flowdist::net::export_netflow;
 use flowdist::runtime::{SiteNodeConfig, SiteRuntime};
 use flowdist::{
-    BackoffConfig, ExportShipper, ShipperConfig, SteadyClock, Summary, SummaryKind, WindowId,
+    BackoffConfig, EpochHeader, ExportShipper, Lineage, ShipperConfig, SteadyClock, Summary,
+    SummaryKind, WindowId,
 };
 use flowkey::{FlowKey, Schema};
 use flownet::FlowRecord;
@@ -26,7 +27,7 @@ use std::time::Duration;
 
 const SPAN: u64 = 1_000;
 
-fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) -> Summary {
+fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, epoch: u64) -> Summary {
     let mut tree = FlowTree::new(Schema::five_feature(), Config::with_budget(4_096));
     for h in hosts {
         let key: FlowKey =
@@ -41,10 +42,12 @@ fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) ->
             start_ms: window * SPAN,
             span_ms: SPAN,
         },
-        seq,
+        seq: epoch,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: Some(Lineage {
+            provenance: vec![site],
+            epoch: EpochHeader { epoch, base: None },
+        }),
         tree,
     }
 }
@@ -167,6 +170,46 @@ fn serving_loop_survives_hostile_control_frames() {
     assert_eq!(guard.collector().window_seq(0, 0), 1);
 }
 
+/// A frame without an epoch (version 1) is refused and never acked:
+/// the next control frame on the stream answers the version-3 frame
+/// sent after it.
+#[test]
+fn a_frame_without_an_epoch_gets_no_ack() {
+    let relay = Arc::new(Mutex::new(relay("up", 200, &[0])));
+    let addr = spawn_server(Arc::clone(&relay));
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let hello = ControlFrame::Hello {
+        features: FEATURE_ACKS,
+    };
+    write_frame(&mut stream, &hello.encode()).unwrap();
+    let reply = read_frame(&mut reader).unwrap().expect("hello reply");
+    assert!(matches!(
+        ControlFrame::decode(&reply),
+        Ok(ControlFrame::Hello { .. })
+    ));
+
+    let v1 = Summary {
+        lineage: None,
+        ..site_summary(0, 0, 0..3, 1)
+    };
+    write_frame(&mut stream, &v1.encode()).unwrap();
+    write_frame(&mut stream, &site_summary(0, 1, 0..3, 1).encode()).unwrap();
+    let ack = read_frame(&mut reader).unwrap().expect("an ack");
+    assert_eq!(
+        ControlFrame::decode(&ack).unwrap(),
+        ControlFrame::Ack(SlotPos {
+            window_start_ms: SPAN,
+            span_ms: SPAN,
+            exporter: 0,
+            epoch: 1,
+        })
+    );
+    let guard = relay.lock().unwrap();
+    assert_eq!((guard.ledger().rejected, guard.ledger().frames), (1, 1));
+    assert!(guard.collector().window_tree(0, 0).is_none());
+}
+
 /// A legacy sender that never says hello gets pure one-way silence —
 /// no unexpected frames appear on its stream.
 #[test]
@@ -223,7 +266,7 @@ fn shipper_rejects_lying_acks_from_a_scripted_upstream() {
         .unwrap();
         let data = read_frame(&mut reader).unwrap().expect("the export frame");
         let s = Summary::decode(&data, Config::with_budget(100_000)).unwrap();
-        let epoch = s.epoch.unwrap().epoch;
+        let epoch = s.epoch().unwrap().epoch;
         let pos = |w: u64, e: u64| SlotPos {
             window_start_ms: w,
             span_ms: SPAN,

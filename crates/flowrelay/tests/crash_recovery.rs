@@ -15,7 +15,9 @@
 mod common;
 
 use common::Rng;
-use flowdist::{FsyncPolicy, SpillConfig, SpillQueue, Summary, SummaryKind, WindowId};
+use flowdist::{
+    EpochHeader, FsyncPolicy, Lineage, SpillConfig, SpillQueue, Summary, SummaryKind, WindowId,
+};
 use flowkey::{FlowKey, Schema};
 use flowrelay::{ExportConfig, FrameOutcome, JournalConfig, Relay, RelayConfig};
 use flowtree_core::{Config, FlowTree, Popularity};
@@ -32,7 +34,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn site_summary(site: u16, window: u64, hosts: u8, seq: u64) -> Summary {
+fn site_summary(site: u16, window: u64, hosts: u8, epoch: u64) -> Summary {
     let mut tree = FlowTree::new(Schema::five_feature(), Config::with_budget(4_096));
     for h in 0..hosts {
         let key: FlowKey =
@@ -47,10 +49,12 @@ fn site_summary(site: u16, window: u64, hosts: u8, seq: u64) -> Summary {
             start_ms: window * SPAN,
             span_ms: SPAN,
         },
-        seq,
+        seq: epoch,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: Some(Lineage {
+            provenance: vec![site],
+            epoch: EpochHeader { epoch, base: None },
+        }),
         tree,
     }
 }
@@ -96,11 +100,7 @@ fn open_tier(dir: &Path, crashed: bool) -> Tier {
         let s = Summary::decode(&rec.bytes, Config::with_budget(100_000)).unwrap();
         meta.insert(
             rec.seq,
-            (
-                s.window.start_ms,
-                s.site,
-                s.epoch.map(|e| e.epoch).unwrap_or(0),
-            ),
+            (s.window.start_ms, s.site, s.epoch().unwrap().epoch),
         );
     }
     let mut tier = Tier { relay, spill, meta };
@@ -125,11 +125,7 @@ fn open_root(dir: &Path) -> Relay {
 /// Drain the tier's exports into its spill, shipper-style.
 fn drain(tier: &mut Tier) {
     for e in tier.relay.flush_exports() {
-        let m = (
-            e.window.start_ms,
-            e.site,
-            e.epoch.map(|h| h.epoch).unwrap_or(0),
-        );
+        let m = (e.window.start_ms, e.site, e.epoch().unwrap().epoch);
         let seq = tier.spill.next_seq();
         tier.spill.push(e.encode());
         tier.meta.insert(seq, m);
@@ -147,27 +143,9 @@ fn deliver(tier: &mut Tier, root: &mut Relay) {
     for (_, bytes) in pending {
         match root.ingest_classified(&bytes) {
             FrameOutcome::Applied(pos) | FrameOutcome::Replayed(pos) => {
-                let candidates: Vec<u64> = tier
-                    .meta
-                    .iter()
-                    .filter(|(_, m)| m.0 == pos.window_start_ms && m.1 == pos.exporter)
-                    .map(|(s, _)| *s)
-                    .collect();
-                if pos.epoch == 0 {
-                    if let Some(seq) = candidates
-                        .iter()
-                        .copied()
-                        .find(|s| tier.meta.get(s).is_some_and(|m| m.2 == 0))
-                    {
-                        tier.meta.remove(&seq);
-                    }
-                } else {
-                    for seq in candidates {
-                        if tier.meta.get(&seq).is_some_and(|m| m.2 <= pos.epoch) {
-                            tier.meta.remove(&seq);
-                        }
-                    }
-                }
+                tier.meta.retain(|_, m| {
+                    !(m.0 == pos.window_start_ms && m.1 == pos.exporter && m.2 <= pos.epoch)
+                });
                 tier.relay.note_shipped(pos.window_start_ms, pos.epoch);
                 let floor = tier
                     .meta
@@ -227,7 +205,7 @@ fn fingerprint(root: &mut Relay) -> Vec<(String, Vec<u8>)> {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Site frame into the tier (site, window, hosts, per-slot seq).
+    /// Site frame into the tier (site, window, hosts, per-slot epoch).
     Ingest(u16, u64, u8, u64),
     Drain,
     Deliver,
@@ -238,7 +216,7 @@ enum Op {
 /// content (so the export stream mixes deltas and fulls).
 fn schedule(seed: u64, ops: usize) -> Vec<Op> {
     let mut rng = Rng::new(seed);
-    let mut seqs: BTreeMap<(u16, u64), u64> = BTreeMap::new();
+    let mut epochs: BTreeMap<(u16, u64), u64> = BTreeMap::new();
     let mut hosts: BTreeMap<(u16, u64), u8> = BTreeMap::new();
     let mut out = Vec::with_capacity(ops);
     for _ in 0..ops {
@@ -246,11 +224,11 @@ fn schedule(seed: u64, ops: usize) -> Vec<Op> {
             0..=2 => {
                 let site = rng.below(2) as u16;
                 let window = rng.below(3);
-                let seq = seqs.entry((site, window)).or_insert(0);
-                *seq += 1;
+                let epoch = epochs.entry((site, window)).or_insert(0);
+                *epoch += 1;
                 let h = hosts.entry((site, window)).or_insert(0);
                 *h = (*h + 1 + rng.below(3) as u8).min(20);
-                out.push(Op::Ingest(site, window, *h, *seq));
+                out.push(Op::Ingest(site, window, *h, *epoch));
             }
             3 => out.push(Op::Drain),
             _ => out.push(Op::Deliver),
@@ -261,8 +239,8 @@ fn schedule(seed: u64, ops: usize) -> Vec<Op> {
 
 fn apply_op(op: Op, tier: &mut Tier, root: &mut Relay) {
     match op {
-        Op::Ingest(site, window, hosts, seq) => {
-            let frame = site_summary(site, window, hosts, seq).encode();
+        Op::Ingest(site, window, hosts, epoch) => {
+            let frame = site_summary(site, window, hosts, epoch).encode();
             match tier.relay.ingest_classified(&frame) {
                 FrameOutcome::Applied(_) | FrameOutcome::Replayed(_) => {}
                 other => panic!("site frame bounced at the tier: {other:?}"),
@@ -443,7 +421,7 @@ fn shorter_retention_at_the_root_heals_via_rebase() {
         shipped.iter().any(|s| s.kind == SummaryKind::Delta),
         "the steady state ships a delta"
     );
-    let delta_epoch = shipped.last().unwrap().epoch.unwrap().epoch;
+    let delta_epoch = shipped.last().unwrap().epoch().unwrap().epoch;
 
     // Delivery bounces (rebase-request), the tier rewinds, and the
     // rebasing full frame heals the window at the same epoch.

@@ -5,7 +5,7 @@
 //! upstream fed the same relay's **full re-export stream**. Deltas
 //! change what crosses the wire, never what the receiver holds.
 
-use flowdist::{Collector, Summary, SummaryKind, WindowId};
+use flowdist::{Collector, EpochHeader, Lineage, Summary, SummaryKind, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowrelay::{ExportConfig, ExportMode, Relay, RelayConfig};
 use flowtree_core::{Config, FlowTree, Popularity};
@@ -69,7 +69,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
     })
 }
 
-fn site_summary(site: u16, window: u64, seq: u64, inserts: &[(FlowKey, Popularity)]) -> Summary {
+fn site_summary(site: u16, window: u64, epoch: u64, inserts: &[(FlowKey, Popularity)]) -> Summary {
     let mut tree = FlowTree::new(Schema::five_feature(), CFG());
     for (k, p) in inserts {
         tree.insert(k, *p);
@@ -80,10 +80,12 @@ fn site_summary(site: u16, window: u64, seq: u64, inserts: &[(FlowKey, Popularit
             start_ms: window * SPAN,
             span_ms: SPAN,
         },
-        seq,
+        seq: epoch,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: Some(Lineage {
+            provenance: vec![site],
+            epoch: EpochHeader { epoch, base: None },
+        }),
         tree,
     }
 }
@@ -122,10 +124,10 @@ fn export_stream(case: &Case, mode: ExportMode) -> Vec<Vec<u8>> {
             }
             r.apply(site_summary(s, w, w + 1, cell)).unwrap();
             if replace {
-                // The site restarts and re-sends the window with
-                // different content — a non-monotone change.
+                // The downstream replaces the window with different
+                // content at a higher epoch — a non-monotone change.
                 let shrunk: Vec<_> = cell.iter().take(1 + cell.len() / 2).cloned().collect();
-                r.apply(site_summary(s, w, w + 1, &shrunk)).unwrap();
+                r.apply(site_summary(s, w, w + 2, &shrunk)).unwrap();
             }
             if drain {
                 out.extend(

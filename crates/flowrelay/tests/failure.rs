@@ -2,12 +2,12 @@
 //! downstreams degrade coverage instead of wedging the planner, and
 //! the TCP surfaces survive garbage.
 
-use flowdist::{Summary, SummaryKind, WindowId};
+use flowdist::{DistError, EpochHeader, Lineage, Summary, SummaryKind, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowquery::parse;
 use flowquery::QueryOutput;
 use flowrelay::server::{query_remote, receive_frames, serve_queries, ship_summaries};
-use flowrelay::{QueryRouter, Relay, RelayError, RelaySpec, RelayTopology, Route};
+use flowrelay::{FrameOutcome, QueryRouter, Relay, RelayError, RelaySpec, RelayTopology, Route};
 use flowtree_core::{Config, FlowTree, Popularity};
 
 const SPAN: u64 = 1_000;
@@ -16,7 +16,7 @@ fn schema() -> Schema {
     Schema::five_feature()
 }
 
-fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) -> Summary {
+fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, epoch: u64) -> Summary {
     let mut tree = FlowTree::new(schema(), Config::with_budget(4_096));
     for h in hosts {
         let key: FlowKey =
@@ -31,13 +31,29 @@ fn site_summary(site: u16, window: u64, hosts: std::ops::Range<u8>, seq: u64) ->
             start_ms: window * SPAN,
             span_ms: SPAN,
         },
-        seq,
+        seq: epoch,
         kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
+        lineage: Some(Lineage {
+            provenance: vec![site],
+            epoch: EpochHeader { epoch, base: None },
+        }),
         tree,
     }
 }
+
+/// `s` re-labelled as an aggregate claiming `sites` at `epoch`.
+fn claiming(mut s: Summary, sites: Vec<u16>, epoch: EpochHeader) -> Summary {
+    s.lineage = Some(Lineage {
+        provenance: sites,
+        epoch,
+    });
+    s
+}
+
+const EPOCH_1: EpochHeader = EpochHeader {
+    epoch: 1,
+    base: None,
+};
 
 fn two_group_topology() -> RelayTopology {
     RelayTopology {
@@ -93,8 +109,7 @@ fn truncated_and_hostile_provenance_frames_are_rejected_and_counted() {
     let topo = two_group_topology();
     let mut root = Relay::from_topology(&topo, 0, schema(), Config::with_budget(4_096));
 
-    let mut agg = site_summary(101, 0, 0..3, 1);
-    agg.provenance = Some(vec![0, 1]);
+    let agg = claiming(site_summary(101, 0, 0..3, 1), vec![0, 1], EPOCH_1);
     let good = agg.encode();
     root.ingest_frame(&good).unwrap();
 
@@ -107,16 +122,14 @@ fn truncated_and_hostile_provenance_frames_are_rejected_and_counted() {
     // Garbage and a frame claiming a site outside root coverage.
     assert!(root.ingest_frame(b"\xff\xff\xff\xff hostile").is_err());
     rejected += 1;
-    let mut foreign = site_summary(102, 0, 0..3, 1);
-    foreign.provenance = Some(vec![2, 3, 9]);
+    let foreign = claiming(site_summary(102, 0, 0..3, 1), vec![2, 3, 9], EPOCH_1);
     assert!(matches!(
         root.apply(foreign),
         Err(RelayError::CoverageViolation { site: 9 })
     ));
     rejected += 1;
     // A second downstream claiming site 0 again.
-    let mut overlap = site_summary(102, 0, 0..3, 1);
-    overlap.provenance = Some(vec![0, 2]);
+    let overlap = claiming(site_summary(102, 0, 0..3, 1), vec![0, 2], EPOCH_1);
     assert!(matches!(
         root.apply(overlap),
         Err(RelayError::OverlappingProvenance { site: 0 })
@@ -127,6 +140,46 @@ fn truncated_and_hostile_provenance_frames_are_rejected_and_counted() {
     assert_eq!(root.ledger().frames, 1, "only the good frame landed");
     // The stored data is untouched by the hostile attempts.
     assert_eq!(root.collector().stored_windows(), 1);
+}
+
+#[test]
+fn frames_without_an_epoch_are_refused_on_every_entry_point() {
+    let topo = two_group_topology();
+    let mut west = Relay::from_topology(&topo, 1, schema(), Config::with_budget(4_096));
+    let v1 = Summary {
+        lineage: None,
+        ..site_summary(0, 0, 0..3, 1)
+    };
+    let bytes = v1.encode();
+    assert!(matches!(
+        west.apply(v1),
+        Err(RelayError::Dist(DistError::BadFrame(
+            "summary without epoch"
+        )))
+    ));
+    assert_eq!(west.ledger().rejected, 1);
+    assert!(west.ingest_frame(&bytes).is_err());
+    assert_eq!(west.ledger().rejected, 2);
+    assert_eq!(west.ingest_classified(&bytes), FrameOutcome::Rejected);
+    assert_eq!(west.ledger().rejected, 3);
+    assert_eq!(west.ledger().frames, 0);
+    assert!(west.collector().window_keys().is_empty());
+    assert!(west.flush_exports().is_empty());
+}
+
+#[test]
+fn site_and_aggregate_frames_are_counted_by_provenance() {
+    let topo = two_group_topology();
+    let mut root = Relay::from_topology(&topo, 0, schema(), Config::with_budget(4_096));
+    root.apply(site_summary(0, 0, 0..2, 1)).unwrap();
+    // A one-site aggregate is still an aggregate: its exporter is not
+    // the site it claims.
+    root.apply(claiming(site_summary(101, 0, 0..2, 1), vec![1], EPOCH_1))
+        .unwrap();
+    root.apply(claiming(site_summary(102, 0, 0..2, 1), vec![2, 3], EPOCH_1))
+        .unwrap();
+    let l = root.ledger();
+    assert_eq!((l.frames, l.site_frames, l.agg_frames), (3, 1, 2));
 }
 
 #[test]
@@ -237,8 +290,9 @@ fn relay_survives_downstream_restarts_with_replacement_windows() {
     let mut west = Relay::from_topology(&topo, 1, schema(), Config::with_budget(4_096));
     west.ingest_frame(&site_summary(0, 0, 0..3, 1).encode())
         .unwrap();
-    // The site restarts and re-sends window 0 with different content.
-    west.ingest_frame(&site_summary(0, 0, 0..5, 1).encode())
+    // The downstream replaces window 0 with different content at a
+    // higher epoch.
+    west.ingest_frame(&site_summary(0, 0, 0..5, 2).encode())
         .unwrap();
     assert_eq!(west.collector().stored_windows(), 1);
     let exports = west.flush_exports();
@@ -320,29 +374,21 @@ fn per_window_missing_is_reported_for_exactly_the_gap_window() {
 
 #[test]
 fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
-    use flowdist::EpochHeader;
-
     let topo = two_group_topology();
     let mut root = Relay::from_topology(&topo, 0, schema(), Config::with_budget(4_096));
 
     // Establish a healthy v3 slot: full at epoch 1.
-    let mut full = site_summary(101, 0, 0..3, 1);
-    full.provenance = Some(vec![0, 1]);
-    full.epoch = Some(EpochHeader {
-        epoch: 1,
-        base: None,
-    });
+    let full = claiming(site_summary(101, 0, 0..3, 1), vec![0, 1], EPOCH_1);
     root.ingest_frame(&full.encode()).unwrap();
 
     let mut rejected = 0u64;
     // A delta declaring a base the root does not hold (bad base epoch).
-    let mut orphan = site_summary(101, 0, 0..2, 2);
-    orphan.kind = flowdist::SummaryKind::Delta;
-    orphan.provenance = Some(vec![0, 1]);
-    orphan.epoch = Some(EpochHeader {
+    let bad_base = EpochHeader {
         epoch: 9,
         base: Some(7),
-    });
+    };
+    let mut orphan = claiming(site_summary(101, 0, 0..2, 2), vec![0, 1], bad_base);
+    orphan.kind = flowdist::SummaryKind::Delta;
     let err = root.ingest_frame(&orphan.encode());
     assert!(
         matches!(
@@ -358,13 +404,12 @@ fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
     rejected += 1;
 
     // Truncated v3 delta frames fail cleanly at every cut.
-    let mut delta = site_summary(101, 0, 0..2, 2);
-    delta.kind = flowdist::SummaryKind::Delta;
-    delta.provenance = Some(vec![0, 1]);
-    delta.epoch = Some(EpochHeader {
+    let on_base = EpochHeader {
         epoch: 2,
         base: Some(1),
-    });
+    };
+    let mut delta = claiming(site_summary(101, 0, 0..2, 2), vec![0, 1], on_base);
+    delta.kind = flowdist::SummaryKind::Delta;
     let good = delta.encode();
     for cut in 0..good.len() {
         assert!(root.ingest_frame(&good[..cut]).is_err(), "cut at {cut}");
@@ -372,12 +417,7 @@ fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
     }
 
     // A v3 frame claiming a foreign site in its per-window provenance.
-    let mut foreign = site_summary(102, 0, 0..2, 1);
-    foreign.provenance = Some(vec![2, 3, 9]);
-    foreign.epoch = Some(EpochHeader {
-        epoch: 1,
-        base: None,
-    });
+    let foreign = claiming(site_summary(102, 0, 0..2, 1), vec![2, 3, 9], EPOCH_1);
     assert!(matches!(
         root.ingest_frame(&foreign.encode()),
         Err(RelayError::CoverageViolation { site: 9 })
@@ -385,12 +425,7 @@ fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
     rejected += 1;
 
     // A v3 delta claiming a site another downstream owns (overlap).
-    let mut overlap = site_summary(102, 0, 0..2, 1);
-    overlap.provenance = Some(vec![0, 2]);
-    overlap.epoch = Some(EpochHeader {
-        epoch: 1,
-        base: None,
-    });
+    let overlap = claiming(site_summary(102, 0, 0..2, 1), vec![0, 2], EPOCH_1);
     assert!(matches!(
         root.ingest_frame(&overlap.encode()),
         Err(RelayError::OverlappingProvenance { site: 0 })

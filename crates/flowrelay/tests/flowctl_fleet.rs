@@ -326,7 +326,7 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn flowctl_spawn_mode_restarts_a_killed_relay_and_recovers_its_state() {
-    use flowdist::{Summary, SummaryKind, WindowId};
+    use flowdist::{Summary, WindowId};
     use flowkey::{FlowKey, Schema};
     use flowrelay::server::ship_summaries;
     use flowtree_core::{Config, FlowTree, Popularity};
@@ -389,15 +389,7 @@ fn flowctl_spawn_mode_restarts_a_killed_relay_and_recovers_its_state() {
                 .unwrap();
                 tree.insert(&key, Popularity::new(1 + h as i64, 100, 1));
             }
-            Summary {
-                site,
-                window,
-                seq: 1,
-                kind: SummaryKind::Full,
-                provenance: None,
-                epoch: None,
-                tree,
-            }
+            Summary::site_full(site, window, 1, tree)
         })
         .collect();
     let mut conn = TcpStream::connect(&west_ingest).expect("connect west ingest");

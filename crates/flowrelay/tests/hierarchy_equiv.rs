@@ -3,7 +3,7 @@
 //! to a flat collector fed the same site windows. Aggregation moves
 //! merges down the tree; it never changes what they produce.
 
-use flowdist::{Collector, Summary, SummaryKind, WindowId};
+use flowdist::{Collector, Summary, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowquery::{parse, QueryEngine, QueryOutput};
 use flowrelay::{QueryRouter, Relay, RelayTopology, Route};
@@ -64,18 +64,11 @@ fn summary(schema: Schema, site: u16, window: u64, inserts: &[(FlowKey, Populari
     for (k, p) in inserts {
         tree.insert(k, *p);
     }
-    Summary {
-        site,
-        window: WindowId {
-            start_ms: window * SPAN,
-            span_ms: SPAN,
-        },
-        seq: window + 1,
-        kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
-        tree,
-    }
+    let id = WindowId {
+        start_ms: window * SPAN,
+        span_ms: SPAN,
+    };
+    Summary::site_full(site, id, window + 1, tree)
 }
 
 /// Builds the hierarchy and the flat reference from one grid.
@@ -154,7 +147,7 @@ proptest! {
             prop_assert_eq!(e.tree.encode(), reference.encode(), "window {}", e.window);
             // Provenance names every site.
             prop_assert_eq!(
-                e.provenance.clone().unwrap(),
+                e.provenance().unwrap().to_vec(),
                 (0..sites).collect::<Vec<_>>()
             );
         }

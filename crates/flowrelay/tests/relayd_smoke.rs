@@ -1,13 +1,16 @@
 //! End-to-end smoke of the `relayd` binary: real process, real
 //! sockets — frames in over TCP, a routed query answer out.
 
-use flowdist::{Summary, SummaryKind, WindowId};
+use flowdist::{Summary, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowrelay::server::{query_remote, ship_summaries};
 use flowtree_core::{Config, FlowTree, Popularity};
 use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn site_summary(site: u16, window: u64) -> Summary {
@@ -19,17 +22,46 @@ fn site_summary(site: u16, window: u64) -> Summary {
                 .unwrap();
         tree.insert(&key, Popularity::new(1 + h as i64, 100, 1));
     }
-    Summary {
-        site,
-        window: WindowId {
-            start_ms: window * 1_000,
-            span_ms: 1_000,
-        },
-        seq: window + 1,
-        kind: SummaryKind::Full,
-        provenance: None,
-        epoch: None,
-        tree,
+    let id = WindowId {
+        start_ms: window * 1_000,
+        span_ms: 1_000,
+    };
+    Summary::site_full(site, id, window + 1, tree)
+}
+
+/// An upstream whose port stays bound for the whole test, so no other
+/// socket can draw it from the ephemeral range: until [`Upstream::up`]
+/// it is down (every connection is closed before the hello), then
+/// [`Upstream::accept`] hands out the next connection.
+struct Upstream {
+    addr: String,
+    up: Arc<AtomicBool>,
+    conns: Receiver<TcpStream>,
+}
+
+impl Upstream {
+    fn down() -> Upstream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let up = Arc::new(AtomicBool::new(false));
+        let (tx, conns) = channel();
+        let is_up = Arc::clone(&up);
+        std::thread::spawn(move || {
+            for conn in listener.incoming().flatten() {
+                if is_up.load(Ordering::SeqCst) && tx.send(conn).is_err() {
+                    return;
+                }
+            }
+        });
+        Upstream { addr, up, conns }
+    }
+
+    fn up(&self) {
+        self.up.store(true, Ordering::SeqCst);
+    }
+
+    fn accept(&self) -> TcpStream {
+        self.conns.recv().expect("the upstream listener runs")
     }
 }
 
@@ -151,16 +183,10 @@ fn first_export_after_hello(mut conn: TcpStream) -> Vec<u8> {
 /// frames pending and delivers them once the upstream appears.
 #[test]
 fn relayd_retries_pending_exports_across_an_upstream_outage() {
-    use std::net::TcpListener;
-
-    // Reserve a port for the not-yet-running upstream, then free it.
-    let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
-    let upstream_addr = placeholder.local_addr().unwrap().to_string();
-    drop(placeholder);
-
+    let upstream = Upstream::down();
     let (tier1, t1_ingest, _q) = spawn_relayd(
         "west",
-        &["--agg-site", "1000", "--upstream", &upstream_addr],
+        &["--agg-site", "1000", "--upstream", &upstream.addr],
     );
     let now_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -174,18 +200,14 @@ fn relayd_retries_pending_exports_across_an_upstream_outage() {
     // Let several drain ticks pass with the upstream down.
     std::thread::sleep(Duration::from_millis(400));
 
-    // The upstream comes up on the reserved port; the pending export
-    // must arrive on a later tick.
-    let upstream = TcpListener::bind(&upstream_addr).expect("rebind reserved port");
-    upstream
-        .set_nonblocking(false)
-        .expect("blocking accept is fine");
-    let (conn, _) = upstream.accept().expect("tier-1 reconnects");
-    let frame = first_export_after_hello(conn);
+    // The upstream comes up; the pending export must arrive on a
+    // later tick.
+    upstream.up();
+    let frame = first_export_after_hello(upstream.accept());
     let summary = Summary::decode(&frame, Config::with_budget(1 << 20)).expect("valid v3 frame");
     assert_eq!(summary.site, 1000);
     assert_eq!(summary.tree.total().packets, 10);
-    assert_eq!(summary.provenance.as_deref(), Some(&[0u16][..]));
+    assert_eq!(summary.provenance(), Some(&[0u16][..]));
     drop(tier1);
 }
 
@@ -279,11 +301,13 @@ fn relayd_resumes_from_state_dir_after_kill_dash_nine() {
         body.contains("popularity: 20 packets"),
         "the journal restored both site windows across kill -9: {body}"
     );
-    // A late superset frame for site 0 composes onto recovered state
-    // (replacement semantics: 6 hosts → 1+…+6 = 21, plus site 1's 10).
+    // A late superset frame for site 0 at a higher epoch composes onto
+    // recovered state (it replaces: 6 hosts → 1+…+6 = 21, plus site
+    // 1's 10).
     let mut late = site_summary(0, 0);
     late.window = window;
     late.seq = 2;
+    late.lineage.as_mut().unwrap().epoch.epoch = 2;
     late.tree = {
         let mut tree = FlowTree::new(Schema::five_feature(), Config::with_budget(4_096));
         for h in 0..6u8 {
@@ -376,16 +400,13 @@ fn relayd_drain_flushes_unexported_windows_upstream_before_exit() {
 #[test]
 fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
     use std::io::Write as _;
-    use std::net::TcpListener;
 
     let dir = std::env::temp_dir().join(format!("relayd-drain-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap().to_string();
 
-    // Reserve a port for the never-up upstream, then free it.
-    let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
-    let upstream_addr = placeholder.local_addr().unwrap().to_string();
-    drop(placeholder);
+    let upstream = Upstream::down();
+    let upstream_addr = upstream.addr.clone();
 
     let (mut west, west_ingest, west_query) = spawn_relayd(
         "west",
@@ -426,7 +447,7 @@ fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
 
     // Restart on the same state dir with the upstream now alive: the
     // journaled window and spilled export must come back and ship.
-    let upstream = TcpListener::bind(&upstream_addr).expect("rebind reserved port");
+    upstream.up();
     let (_d2, _i2, _q2) = spawn_relayd(
         "west",
         &[
@@ -438,8 +459,7 @@ fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
             &dir_s,
         ],
     );
-    let (conn, _) = upstream.accept().expect("restarted west reconnects");
-    let frame = first_export_after_hello(conn);
+    let frame = first_export_after_hello(upstream.accept());
     let summary = Summary::decode(&frame, Config::with_budget(1 << 20)).expect("valid v3 frame");
     assert_eq!(
         summary.site, 1000,
@@ -450,7 +470,7 @@ fn relayd_killed_mid_drain_recovers_pending_exports_on_restart() {
         10,
         "the recovered export is byte-built from the journaled window"
     );
-    assert_eq!(summary.provenance.as_deref(), Some(&[0u16][..]));
+    assert_eq!(summary.provenance(), Some(&[0u16][..]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

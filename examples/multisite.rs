@@ -129,18 +129,11 @@ fn main() {
             .window_tree(start, site)
             .expect("listed")
             .clone();
-        let summary = flowdist::Summary {
-            site,
-            window: flowdist::WindowId {
-                start_ms: start,
-                span_ms: 1_000,
-            },
-            seq: start / 1_000 + 1,
-            kind: flowdist::SummaryKind::Full,
-            provenance: None,
-            epoch: None,
-            tree,
+        let window = flowdist::WindowId {
+            start_ms: start,
+            span_ms: 1_000,
         };
+        let summary = flowdist::Summary::site_full(site, window, start / 1_000 + 1, tree);
         store.put(&summary).expect("persist");
         persisted += 1;
     }
