@@ -32,7 +32,16 @@
 //!   and a secondary [`VIEW_CACHE_MAX_ENTRIES`] cap bounds per-entry
 //!   overhead against floods of tiny distinct scopes.
 //!   [`Collector::view_cache_stats`] exposes the budget and the
-//!   hit/extend/rebuild/eviction counters.
+//!   hit/extend/rebuild/eviction/relayout counters.
+//! * **Layout**: a view whose compaction ran — in its build, in an
+//!   extend, or while it absorbed a delta — is re-laid out in
+//!   pre-order ([`FlowTree::relayout_preorder`]) once, on the read
+//!   path, before `merged_view` returns it. Compaction frees slots all
+//!   over the view's arena and later merges refill them at random, so
+//!   without it every tree-order walk of a query misses the cache on
+//!   nearly every node. A view that did not compact keeps its layout,
+//!   and nothing on the ingest path ([`Collector::apply`]) ever re-lays
+//!   out a view.
 //!
 //! Views are handed out as `Arc<FlowTree>` snapshots: a query keeps
 //! reading its snapshot even if the cache refreshes behind it (the
@@ -104,6 +113,9 @@ pub struct ViewCacheStats {
     pub rebuilds: u64,
     /// Entries dropped to fit the node budget or the entry cap.
     pub evictions: u64,
+    /// Views re-laid out in pre-order after a compaction (see the
+    /// module docs).
+    pub relayouts: u64,
 }
 
 /// Cache key: a normalized query scope.
@@ -125,6 +137,8 @@ struct ViewEntry {
     epoch: u64,
     /// LRU clock of the last hit.
     touch: u64,
+    /// A compaction ran since the tree was last laid out in pre-order.
+    scattered: bool,
 }
 
 #[derive(Debug, Default)]
@@ -136,6 +150,7 @@ struct ViewCache {
     delta_extends: u64,
     rebuilds: u64,
     evictions: u64,
+    relayouts: u64,
 }
 
 impl ViewCache {
@@ -189,6 +204,9 @@ pub struct Collector {
     tree_cfg: Config,
     /// (window start, site) → reconstructed tree.
     windows: BTreeMap<(u64, u16), FlowTree>,
+    /// Per site: how many slots of `windows` it keys, so the per-query
+    /// scope bookkeeping never walks every stored key.
+    site_slots: BTreeMap<u16, usize>,
     /// The epoch ledger: per stored slot, the content epoch and the
     /// per-window provenance (see [`WindowMeta`]). Gate for version-3
     /// increments: a delta only applies when its declared base equals
@@ -213,6 +231,7 @@ impl Collector {
             schema,
             tree_cfg,
             windows: BTreeMap::new(),
+            site_slots: BTreeMap::new(),
             meta: BTreeMap::new(),
             last: BTreeMap::new(),
             ledger: TransferLedger::default(),
@@ -249,6 +268,7 @@ impl Collector {
             delta_extends: cache.delta_extends,
             rebuilds: cache.rebuilds,
             evictions: cache.evictions,
+            relayouts: cache.relayouts,
         }
     }
 
@@ -257,12 +277,14 @@ impl Collector {
         self.windows.len()
     }
 
-    /// The sites seen so far.
+    /// The sites with at least one stored window, ascending.
     pub fn sites(&self) -> Vec<u16> {
-        let mut s: Vec<u16> = self.windows.keys().map(|(_, site)| *site).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
+        self.site_slots.keys().copied().collect()
+    }
+
+    /// Whether any window of `site` is stored.
+    pub fn stores_site(&self, site: u16) -> bool {
+        self.site_slots.contains_key(&site)
     }
 
     /// Decodes and applies one summary frame from the wire.
@@ -359,6 +381,8 @@ impl Collector {
             // A stored window was replaced: cached views that merged
             // the old tree are stale beyond repair — invalidate all.
             self.invalidate_views();
+        } else {
+            *self.site_slots.entry(slot.1).or_default() += 1;
         }
     }
 
@@ -438,8 +462,11 @@ impl Collector {
         for e in cache.entries.values_mut() {
             if e.epoch == self.epoch && e.applied.binary_search(&slot).is_ok() {
                 let tree = Arc::make_mut(&mut e.tree);
+                let compactions = tree.stats().compactions;
                 tree.merge(delta).expect("uniform schema in collector");
                 tree.prune_zeros();
+                // Re-laid out by the next read, not here on ingest.
+                e.scattered |= tree.stats().compactions > compactions;
                 touched += 1;
             }
         }
@@ -454,7 +481,15 @@ impl Collector {
     /// invalidates all cached merged views (epoch bump).
     pub fn evict_windows_before(&mut self, cutoff_ms: u64) -> usize {
         let keep = self.windows.split_off(&(cutoff_ms, u16::MIN));
-        let dropped = std::mem::replace(&mut self.windows, keep).len();
+        let dropped = std::mem::replace(&mut self.windows, keep);
+        for (_, site) in dropped.keys() {
+            let slots = self.site_slots.get_mut(site).expect("stored site");
+            *slots -= 1;
+            if *slots == 0 {
+                self.site_slots.remove(site);
+            }
+        }
+        let dropped = dropped.len();
         let meta_keep = self.meta.split_off(&(cutoff_ms, u16::MIN));
         self.meta = meta_keep;
         if dropped > 0 {
@@ -479,6 +514,17 @@ impl Collector {
     /// All stored `(window start ms, site)` pairs, in time order.
     pub fn window_keys(&self) -> Vec<(u64, u16)> {
         self.windows.keys().copied().collect()
+    }
+
+    /// The stored `(window start ms, site)` pairs whose window starts
+    /// in `[from_ms, to_ms)`, in time order, read off the store's range
+    /// rather than every key.
+    pub fn window_keys_in(
+        &self,
+        from_ms: u64,
+        to_ms: u64,
+    ) -> impl Iterator<Item = (u64, u16)> + '_ {
+        self.scoped(None, from_ms, to_ms).map(|(k, _)| k)
     }
 
     /// The content epoch of one stored `(window, exporter)` slot (0 =
@@ -605,18 +651,24 @@ impl Collector {
                         .iter()
                         .map(|p| self.windows.get(p).expect("scoped pair is stored"))
                         .collect();
-                    Arc::make_mut(&mut e.tree)
-                        .merge_many(&add)
-                        .expect("uniform schema in collector");
+                    let tree = Arc::make_mut(&mut e.tree);
+                    let compactions = tree.stats().compactions;
+                    tree.merge_many(&add).expect("uniform schema in collector");
+                    e.scattered |= tree.stats().compactions > compactions;
                     e.applied = in_scope;
                 }
                 e.touch = clock;
+                let relaid = std::mem::take(&mut e.scattered);
+                if relaid {
+                    Arc::make_mut(&mut e.tree).relayout_preorder();
+                }
                 let out = Arc::clone(&e.tree);
                 if extended {
                     cache.extends += 1;
                 } else {
                     cache.hits += 1;
                 }
+                cache.relayouts += u64::from(relaid);
                 cache.enforce_budget(self.view_node_budget, Some(&key));
                 return out;
             }
@@ -626,7 +678,12 @@ impl Collector {
             .iter()
             .map(|p| self.windows.get(p).expect("scoped pair is stored"))
             .collect();
-        let arc = Arc::new(self.merge_of(&trees));
+        let mut tree = self.merge_of(&trees);
+        if tree.stats().compactions > 0 {
+            tree.relayout_preorder();
+            cache.relayouts += 1;
+        }
+        let arc = Arc::new(tree);
         cache.rebuilds += 1;
         cache.entries.insert(
             key.clone(),
@@ -635,6 +692,7 @@ impl Collector {
                 applied: in_scope,
                 epoch: self.epoch,
                 touch: clock,
+                scattered: false,
             },
         );
         cache.enforce_budget(self.view_node_budget, Some(&key));

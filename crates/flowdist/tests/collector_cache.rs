@@ -243,6 +243,55 @@ fn cache_stats_count_hits_and_extends() {
     assert!(s.cached_nodes > 0);
 }
 
+/// A collector whose merged views must compact: a view node budget
+/// far below what the scope holds.
+fn tight_collector(windows: u64, sites: u16) -> Collector {
+    let mut c = Collector::new(Schema::five_feature(), Config::with_budget(48));
+    for w in 0..windows {
+        for s in 0..sites {
+            c.apply(summary(s, w, 0, 20 + (w % 4) as u8, 1)).unwrap();
+        }
+    }
+    c
+}
+
+#[test]
+fn a_view_is_relaid_out_once_per_compaction_and_never_on_a_hit() {
+    let mut c = tight_collector(4, 2);
+    let view = c.merged_view(None, 0, u64::MAX); // rebuild, compacted
+    assert!(view.stats().compactions > 0);
+    assert_eq!(c.view_cache_stats().relayouts, 1);
+    // The build's answer is the uncached merge's, laid out differently.
+    assert_eq!(view.encode(), c.merged(None, 0, u64::MAX).encode());
+    view.validate();
+    drop(view);
+    for _ in 0..3 {
+        let _ = c.merged_view(None, 0, u64::MAX); // hits
+    }
+    let s = c.view_cache_stats();
+    assert_eq!((s.rebuilds, s.hits, s.relayouts), (1, 3, 1), "{s:?}");
+
+    // An extend that compacts again is re-laid out once more.
+    c.apply(summary(0, 4, 0, 30, 5)).unwrap();
+    let view = c.merged_view(None, 0, u64::MAX);
+    view.validate();
+    drop(view);
+    let _ = c.merged_view(None, 0, u64::MAX); // hit
+    let s = c.view_cache_stats();
+    assert_eq!((s.extends, s.hits, s.relayouts), (1, 4, 2), "{s:?}");
+
+    // A view that never compacts is never re-laid out.
+    let mut roomy = collector_with(4, 2);
+    for _ in 0..3 {
+        let _ = roomy.merged_view(None, 0, u64::MAX);
+    }
+    roomy.apply(summary(0, 4, 0, 30, 5)).unwrap();
+    let _ = roomy.merged_view(None, 0, u64::MAX);
+    let s = roomy.view_cache_stats();
+    assert_eq!((s.rebuilds, s.hits, s.extends), (1, 2, 1), "{s:?}");
+    assert_eq!(s.relayouts, 0, "{s:?}");
+}
+
 mod v3_increments {
     use super::*;
     use flowdist::{DistError, EpochHeader, Lineage};
@@ -338,6 +387,28 @@ mod v3_increments {
                 "only the cancel delta prunes"
             );
         }
+    }
+
+    /// A delta that makes a cached view compact marks it; the ingest
+    /// path never re-lays it out, the next read does, once.
+    #[test]
+    fn a_delta_that_compacts_a_view_is_relaid_out_on_the_next_read() {
+        let mut c = Collector::new(Schema::five_feature(), Config::with_budget(48));
+        c.apply(v3(0, 0, 1, None, tree_of(0, 0, 20, 1))).unwrap();
+        c.apply(v3(1, 0, 1, None, tree_of(1, 0, 20, 1))).unwrap();
+        let _ = c.merged_view(None, 0, u64::MAX);
+        assert_eq!(c.view_cache_stats().relayouts, 1);
+
+        c.apply(v3(0, 0, 2, Some(1), tree_of(0, 20, 60, 3)))
+            .unwrap();
+        let s = c.view_cache_stats();
+        assert_eq!((s.delta_extends, s.relayouts), (1, 1), "{s:?}");
+        let view = c.merged_view(None, 0, u64::MAX);
+        view.validate();
+        assert_eq!(view.total(), c.merged(None, 0, u64::MAX).total());
+        let _ = c.merged_view(None, 0, u64::MAX);
+        let s = c.view_cache_stats();
+        assert_eq!((s.rebuilds, s.hits, s.relayouts), (1, 2, 2), "{s:?}");
     }
 
     #[test]

@@ -162,10 +162,8 @@ impl<'a> QueryEngine<'a> {
     pub fn coverage_gaps(&self, scope: &Scope) -> Vec<CoverageGap> {
         let mut starts: Vec<u64> = self
             .collector
-            .window_keys()
-            .into_iter()
+            .window_keys_in(scope.from_ms, scope.to_ms)
             .map(|(start, _)| start)
-            .filter(|&s| s >= scope.from_ms && s < scope.to_ms)
             .collect();
         starts.dedup();
         let mut lifetime: std::collections::BTreeSet<u16> = std::collections::BTreeSet::new();
@@ -570,5 +568,139 @@ mod bysite_tests {
         };
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].est.packets, 20.0);
+    }
+
+    /// Coverage gaps by their definition: a sweep over every stored key.
+    fn swept_gaps(c: &Collector, scope: &Scope) -> Vec<CoverageGap> {
+        use std::collections::BTreeSet;
+        let mut starts: Vec<u64> = c
+            .window_keys()
+            .into_iter()
+            .map(|(start, _)| start)
+            .filter(|&s| s >= scope.from_ms && s < scope.to_ms)
+            .collect();
+        starts.dedup();
+        let lifetime: BTreeSet<u16> = starts.iter().flat_map(|&s| c.window_coverage(s)).collect();
+        let wanted: BTreeSet<u16> = match &scope.sites {
+            Some(sites) => sites
+                .iter()
+                .copied()
+                .filter(|s| lifetime.contains(s))
+                .collect(),
+            None => lifetime,
+        };
+        starts
+            .into_iter()
+            .filter_map(|start| {
+                let cov = c.window_coverage(start);
+                let missing: Vec<u16> = wanted.difference(&cov).copied().collect();
+                (!missing.is_empty()).then_some(CoverageGap {
+                    window_start_ms: start,
+                    missing,
+                })
+            })
+            .collect()
+    }
+
+    /// The per-query scope bookkeeping reads the collector's per-site
+    /// slot counts and the store's range over `[from, to)`; stored
+    /// sites, window starts, `bysite` rows and coverage gaps equal a
+    /// sweep over every stored key across store, replace and evict.
+    #[test]
+    fn scope_bookkeeping_follows_store_replace_and_evict() {
+        use flowdist::{Summary, SummaryKind, WindowId};
+        use flowtree_core::Popularity;
+        let frame = |site: u16, window: u64, hosts: u8| {
+            let mut tree = FlowTree::new(Schema::five_feature(), Config::with_budget(4096));
+            for h in 0..hosts {
+                let key: FlowKey = format!("src=10.{site}.0.{h}/32").parse().unwrap();
+                tree.insert(&key, Popularity::packet(100));
+            }
+            Summary {
+                site,
+                window: WindowId {
+                    start_ms: window * 1_000,
+                    span_ms: 1_000,
+                },
+                seq: window,
+                kind: SummaryKind::Full,
+                lineage: None,
+                tree,
+            }
+        };
+        let scopes: Vec<Scope> = [
+            (None, 0, u64::MAX),
+            (Some(vec![0, 2]), 1_000, 4_000),
+            (Some(vec![1, 2, 9]), 0, 3_000),
+            (None, 2_500, 6_000),
+            (None, 4_000, 2_000),
+        ]
+        .into_iter()
+        .map(|(sites, from_ms, to_ms)| Scope {
+            sites,
+            from_ms,
+            to_ms,
+        })
+        .collect();
+        let check = |c: &Collector, stage: &str| {
+            let keys = c.window_keys();
+            let mut sites: Vec<u16> = keys.iter().map(|&(_, site)| site).collect();
+            sites.sort_unstable();
+            sites.dedup();
+            assert_eq!(c.sites(), sites, "{stage}");
+            for site in 0..5 {
+                assert_eq!(
+                    c.stores_site(site),
+                    sites.contains(&site),
+                    "{stage}: {site}"
+                );
+            }
+            let e = QueryEngine::new(c);
+            for scope in &scopes {
+                let in_range: Vec<(u64, u16)> = keys
+                    .iter()
+                    .copied()
+                    .filter(|&(s, _)| s >= scope.from_ms && s < scope.to_ms)
+                    .collect();
+                assert_eq!(
+                    c.window_keys_in(scope.from_ms, scope.to_ms)
+                        .collect::<Vec<_>>(),
+                    in_range,
+                    "{stage}: {scope:?}"
+                );
+                assert_eq!(
+                    e.coverage_gaps(scope),
+                    swept_gaps(c, scope),
+                    "{stage}: {scope:?}"
+                );
+            }
+            let QueryOutput::Table(rows) = e.run(&parse("bysite", u64::MAX - 1).unwrap()) else {
+                panic!()
+            };
+            let mut row_sites: Vec<String> = rows.iter().map(|r| r.key.to_string()).collect();
+            row_sites.sort();
+            let mut want: Vec<String> = sites.iter().map(|s| format!("site={s}")).collect();
+            want.sort();
+            assert_eq!(row_sites, want, "{stage}");
+        };
+        let mut c = Collector::new(Schema::five_feature(), Config::with_budget(4096));
+        check(&c, "empty");
+        // Sites 0–2 over windows 0–5; site 2 skips the odd windows.
+        for window in 0..6 {
+            for site in 0..3 {
+                if site != 2 || window % 2 == 0 {
+                    c.apply(frame(site, window, 3 + site as u8)).unwrap();
+                }
+            }
+        }
+        check(&c, "store");
+        c.apply(frame(1, 3, 9)).unwrap();
+        check(&c, "replace");
+        c.evict_windows_before(2_000);
+        check(&c, "evict some");
+        c.evict_windows_before(5_000);
+        check(&c, "evict site 2");
+        c.evict_windows_before(u64::MAX);
+        check(&c, "evict all");
     }
 }

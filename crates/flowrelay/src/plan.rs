@@ -169,16 +169,13 @@ impl<'a> QueryRouter<'a> {
                 to_ms: scope.to_ms,
             });
         }
-        let in_range = |start: u64| start >= scope.from_ms && start < scope.to_ms;
         let mut starts: BTreeSet<u64> = BTreeSet::new();
         for (idx, _) in parts {
             starts.extend(
                 self.relays[*idx]
                     .collector()
-                    .window_keys()
-                    .into_iter()
-                    .map(|(start, _)| start)
-                    .filter(|&s| in_range(s)),
+                    .window_keys_in(scope.from_ms, scope.to_ms)
+                    .map(|(start, _)| start),
             );
         }
         let mut gaps: BTreeMap<u64, BTreeSet<u16>> = BTreeMap::new();

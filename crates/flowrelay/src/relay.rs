@@ -372,10 +372,9 @@ impl Relay {
     /// dead downstream simply never enters this set — coverage
     /// degrades, queries keep routing.
     pub fn live_coverage(&self) -> BTreeSet<u16> {
-        let stored: BTreeSet<u16> = self.collector.sites().into_iter().collect();
         self.provenance
             .iter()
-            .filter(|(k, _)| stored.contains(k))
+            .filter(|(k, _)| self.collector.stores_site(**k))
             .flat_map(|(_, sites)| sites.iter().copied())
             .collect()
     }
@@ -549,11 +548,10 @@ impl Relay {
             }
             Some(sites) => {
                 let scope: BTreeSet<u16> = sites.iter().copied().collect();
-                let stored: BTreeSet<u16> = self.collector.sites().into_iter().collect();
                 let mut keys = Vec::new();
                 let mut covered: BTreeSet<u16> = BTreeSet::new();
                 for (key, claimed) in &self.provenance {
-                    if stored.contains(key) && claimed.is_subset(&scope) {
+                    if self.collector.stores_site(*key) && claimed.is_subset(&scope) {
                         keys.push(*key);
                         covered.extend(claimed.iter().copied());
                     }

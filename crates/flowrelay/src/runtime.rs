@@ -45,7 +45,7 @@ use flowdist::ops::{
 };
 use flowdist::{
     epoch_ms, shipper_stats, BackoffConfig, ExportShipper, FsyncPolicy, ShipperConfig, ShipperView,
-    SpillConfig, SpillQueue, SteadyClock, Summary,
+    SpillConfig, SpillQueue, SteadyClock, Summary, ViewCacheStats,
 };
 use flowmetrics::{EventRing, Stats, Stopwatch};
 use std::net::{SocketAddr, TcpListener};
@@ -955,6 +955,7 @@ struct ObsSnap {
     stored_windows: usize,
     lag_ms: u64,
     ship: Option<ShipperView>,
+    views: ViewCacheStats,
 }
 
 fn observe(
@@ -963,7 +964,7 @@ fn observe(
     params: &Arc<Mutex<SchedParams>>,
 ) -> ObsSnap {
     let now_ms = epoch_ms();
-    let (ledger, export, journal_degraded, stored_windows, lag_ms) = {
+    let (ledger, export, journal_degraded, stored_windows, lag_ms, views) = {
         let guard = relay.lock().expect("relay lock");
         (
             *guard.ledger(),
@@ -971,6 +972,7 @@ fn observe(
             guard.journal_error().is_some(),
             guard.stored_window_count(),
             guard.export_watermark_lag_ms(now_ms),
+            guard.collector().view_cache_stats(),
         )
     };
     let p = *params.lock().expect("params lock");
@@ -989,6 +991,7 @@ fn observe(
         // A root never exports, so nothing it stores is "unexported".
         lag_ms: if ship.is_some() { lag_ms } else { 0 },
         ship,
+        views,
     }
 }
 
@@ -1104,6 +1107,36 @@ fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &O
         "Payload bytes the pending exports hold in the spill queue.",
     );
     s.kv("max_base_nodes", o.export.max_base_nodes);
+    // The merged-view cache: why a query cost what it did.
+    let v = &o.views;
+    s.kv("view_hits", v.hits).counter(
+        "flowtree_view_hits_total",
+        "Queries answered from a cached merged view as it was.",
+    );
+    s.kv("view_extends", v.extends).counter(
+        "flowtree_view_extends_total",
+        "Cached views extended with newly stored windows on a query.",
+    );
+    s.kv("view_delta_extends", v.delta_extends).counter(
+        "flowtree_view_delta_extends_total",
+        "Cached views that absorbed an applied delta frame in place.",
+    );
+    s.kv("view_rebuilds", v.rebuilds).counter(
+        "flowtree_view_rebuilds_total",
+        "Merged views built from the stored windows (first use or after invalidation).",
+    );
+    s.kv("view_evictions", v.evictions).counter(
+        "flowtree_view_evictions_total",
+        "Cached views dropped to fit the view node budget or entry cap.",
+    );
+    s.kv("view_cached_nodes", v.cached_nodes as u64).gauge(
+        "flowtree_view_cached_nodes",
+        "Tree nodes held across the cached merged views.",
+    );
+    s.kv("view_relayouts", v.relayouts).counter(
+        "flowtree_view_relayouts_total",
+        "Cached views re-laid out in pre-order after a compaction.",
+    );
     s
 }
 

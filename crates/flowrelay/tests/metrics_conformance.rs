@@ -345,8 +345,11 @@ fn stats_pages_keep_their_exact_ordered_keys() {
          spill_pushed_frames spill_pushed_bytes spill_acked_floor
          spill_recovered_frames spill_torn_bytes spill_io_errors",
     );
-    let relay_tail =
-        words("stored_windows export_watermark_lag_ms export_pending_bytes max_base_nodes");
+    let relay_tail = words(
+        "stored_windows export_watermark_lag_ms export_pending_bytes max_base_nodes
+         view_hits view_extends view_delta_extends view_rebuilds view_evictions
+         view_cached_nodes view_relayouts",
+    );
     let leaf_keys = [&relay_head[..], &shipper, &relay_tail].concat();
     let root_keys = [&relay_head[..], &relay_tail].concat();
 

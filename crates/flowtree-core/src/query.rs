@@ -18,7 +18,7 @@
 //! candidate.
 
 use crate::pop::{Metric, PopEst, Popularity};
-use crate::tree::{FlowTree, NIL};
+use crate::tree::{FlowTree, Node, NIL};
 use crate::Estimator;
 use core::cmp::Ordering;
 use flowkey::{DepthProfile, Dim, FlowKey};
@@ -279,21 +279,26 @@ impl FlowTree {
 
     /// The `k` most popular retained flows by subtree popularity
     /// (root excluded), deepest-first on ties.
+    ///
+    /// Like [`Self::hhh`], it reads the arena in slot order, never in
+    /// tree order. The ranking is a total order (keys are unique) on
+    /// integer sums, so the answer does not depend on the order either.
     pub fn top_k(&self, k: usize, metric: Metric) -> Vec<(FlowKey, Popularity)> {
         if k == 0 {
             return Vec::new();
         }
-        let sums = self.all_subtree_sums();
-        // `(mass, depth, index into sums)`: selection moves 16-byte
-        // rows and reads a node only to break a full tie by key.
+        let sums = self.subtree_sums();
+        // `(mass, depth, id)`: selection moves 16-byte rows and reads a
+        // node only to break a full tie by key.
         type Row = (i64, u32, u32);
-        let mut rows: Vec<Row> = sums
+        let mut rows: Vec<Row> = self
+            .nodes
             .iter()
             .enumerate()
-            .filter(|(_, (id, _))| *id != self.root)
-            .map(|(i, (id, pop))| (pop.get(metric), self.node(*id).depth, i as u32))
+            .filter(|(id, n)| n.alive && *id as u32 != self.root)
+            .map(|(id, n)| (sums[id].get(metric), n.depth, id as u32))
             .collect();
-        let key_of = |row: &Row| &self.node(sums[row.2 as usize].0).key;
+        let key_of = |row: &Row| &self.node(row.2).key;
         // A total order (keys are unique), so the `k` selected rows,
         // sorted, are the head of the full sort.
         let by_rank = |a: &Row, b: &Row| {
@@ -307,15 +312,20 @@ impl FlowTree {
         }
         rows.sort_unstable_by(by_rank);
         rows.iter()
-            .map(|row| (*key_of(row), sums[row.2 as usize].1))
+            .map(|row| (*key_of(row), sums[row.2 as usize]))
             .collect()
     }
 
     /// Hierarchical heavy hitters with threshold `phi` (fraction of the
     /// total mass, e.g. `0.01` for the paper's "flows above 1 % of
     /// packets"): every node whose subtree mass *not covered by deeper
-    /// heavy hitters* reaches `phi × total`, computed in one post-order
-    /// pass.
+    /// heavy hitters* reaches `phi × total`.
+    ///
+    /// One pass over the arena slots, then a fold from the deepest
+    /// nodes up, like the subtree sums of [`Self::top_k`]. Nodes of
+    /// one depth never feed each other and the masses are integers, so
+    /// every node's sums are those of a walk in tree order, and the
+    /// output is sorted by a total order.
     pub fn hhh(&self, phi: f64, metric: Metric) -> Vec<HhhItem> {
         let total = self.total().get(metric).max(0) as f64;
         let threshold = (phi * total).ceil() as i64;
@@ -323,28 +333,29 @@ impl FlowTree {
         if threshold <= 0 {
             return out;
         }
-        let order = self.preorder();
         let n = self.capacity();
+        // Per id: the mass not yet covered by a deeper heavy hitter,
+        // and the subtree mass.
         let mut carry: Vec<Popularity> = vec![Popularity::ZERO; n];
         let mut subtree: Vec<Popularity> = vec![Popularity::ZERO; n];
-        // Children appear after parents in pre-order; walk backwards so
-        // every node is finalized before its parent.
-        for &id in order.iter().rev() {
-            let node = self.node(id);
-            let disc = carry[id as usize] + node.comp;
-            let sub = subtree[id as usize] + node.comp;
-            if node.parent != NIL {
-                subtree[node.parent as usize] += sub;
+        let up = self.deepest_first(|id, node| {
+            carry[id] = node.comp;
+            subtree[id] = node.comp;
+        });
+        for (_, id, parent) in up {
+            let (disc, sub) = (carry[id as usize], subtree[id as usize]);
+            if parent != NIL {
+                subtree[parent as usize] += sub;
             }
             if disc.get(metric) >= threshold {
                 out.push(HhhItem {
-                    key: node.key,
+                    key: self.node(id).key,
                     discounted: disc,
                     subtree: sub,
                 });
                 // Covered mass does not propagate upward.
-            } else if node.parent != NIL {
-                carry[node.parent as usize] += disc;
+            } else if parent != NIL {
+                carry[parent as usize] += disc;
             }
         }
         out.sort_by(|a, b| {
@@ -383,41 +394,39 @@ impl FlowTree {
         out
     }
 
-    /// Subtree sums for every live node in `O(n)`, in pre-order.
-    pub(crate) fn all_subtree_sums(&self) -> Vec<(u32, Popularity)> {
-        let sums = self.subtree_sums();
-        self.preorder()
-            .into_iter()
-            .map(|id| (id, sums[id as usize]))
-            .collect()
-    }
-
     /// The subtree sum of every node, indexed by node id (zero at free
     /// slots), in `O(n)`.
     ///
     /// It reads the arena in slot order, never in tree order: a walk
-    /// down the tree misses the cache on nearly every node, a pass over
-    /// the slots does not. Sums then move from child to parent, deepest
-    /// node first (a parent is always shallower than its children), which
-    /// touches only the sums themselves.
+    /// down a scattered arena misses the cache on nearly every node, a
+    /// pass over the slots does not. Sums then move from child to
+    /// parent, deepest node first, which touches only the sums
+    /// themselves.
     pub(crate) fn subtree_sums(&self) -> Vec<Popularity> {
         let mut sums = vec![Popularity::ZERO; self.capacity()];
-        // `(depth, id, parent)` of every live non-root node.
-        let mut up: Vec<(u32, u32, u32)> = Vec::with_capacity(self.live);
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.alive {
-                sums[id] = node.comp;
-                if node.parent != NIL {
-                    up.push((node.depth, id as u32, node.parent));
-                }
+        for (_, id, parent) in self.deepest_first(|id, node| sums[id] = node.comp) {
+            if parent != NIL {
+                let s = sums[id as usize];
+                sums[parent as usize] += s;
             }
         }
-        up.sort_unstable_by_key(|&(depth, ..)| core::cmp::Reverse(depth));
-        for (_, id, parent) in up {
-            let s = sums[id as usize];
-            sums[parent as usize] += s;
-        }
         sums
+    }
+
+    /// `(depth, id, parent)` of every live node, deepest first, from
+    /// one pass over the arena slots that also calls `each(id, node)`.
+    /// A parent is always shallower than its children, so a fold over
+    /// the rows finishes a node before it reaches the node's parent.
+    fn deepest_first(&self, mut each: impl FnMut(usize, &Node)) -> Vec<(u32, u32, u32)> {
+        let mut rows: Vec<(u32, u32, u32)> = Vec::with_capacity(self.live);
+        for (id, node) in self.nodes.iter().enumerate() {
+            if node.alive {
+                each(id, node);
+                rows.push((node.depth, id as u32, node.parent));
+            }
+        }
+        rows.sort_unstable_by_key(|&(depth, ..)| core::cmp::Reverse(depth));
+        rows
     }
 
     #[inline]

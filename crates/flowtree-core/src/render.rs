@@ -14,8 +14,10 @@ impl FlowTree {
     pub fn to_dot(&self) -> String {
         let mut out =
             String::from("digraph flowtree {\n  node [shape=box, fontname=\"monospace\"];\n");
-        for (id, sum) in self.all_subtree_sums() {
+        let sums = self.subtree_sums();
+        for id in self.preorder() {
             let node = self.node(id);
+            let sum = sums[id as usize];
             let label = format!(
                 "{}\\n[{} | comp {}]",
                 escape(&node.key.to_string()),

@@ -138,6 +138,16 @@ impl KeyIndex {
         }
     }
 
+    /// Renumbers every entry in place, `id → remap[id]`: the arena was
+    /// permuted and the hashes, so every probe chain, stay as they are.
+    pub(crate) fn remap_ids(&mut self, remap: &[u32]) {
+        for s in &mut self.slots {
+            if s.id != EMPTY && s.id != TOMB {
+                s.id = remap[s.id as usize];
+            }
+        }
+    }
+
     fn grow(&mut self) {
         // Double only when live entries genuinely fill the table;
         // otherwise rebuild at the same size to flush tombstones.

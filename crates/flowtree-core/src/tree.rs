@@ -113,6 +113,41 @@
 //!   merge/diff *destination* — rebuilds it in one arena sweep (the
 //!   tree is then thawed again, arena still exact until it grows).
 //!
+//! ## Arena order
+//!
+//! A node's id is its slot in the arena. No answer depends on it:
+//! sibling lists are linked in a canonical order, and queries, the
+//! encoding and a merge/diff into the tree are functions of the node
+//! set, the masses and the `touch` stamps. Arena order decides where
+//! nodes sit in memory, and so what a walk costs:
+//!
+//! * Inserts and merges append new nodes or refill freed slots, and a
+//!   join lands after the children it joins. Compaction frees slots
+//!   all over the arena. A tree that compacted and then grew again is
+//!   **scattered**: a walk in tree order misses the cache on nearly
+//!   every node, at ≈ 208 B a node.
+//! * [`FlowTree::relayout_preorder`] renumbers the arena into the
+//!   pre-order every tree-order walk takes ([`FlowTree::estimate_pattern`],
+//!   [`FlowTree::estimate_refinements`], the codec), in place. A
+//!   decoded tree is in that order already (row `i` is node `i`), and
+//!   [`FlowTree::shrink_to_fit`] keeps whatever order the arena has.
+//!   `flowdist::Collector` re-lays out a cached merged view once after
+//!   each compaction ("Merged-view cache" there).
+//! * Whole-tree folds (subtree sums, [`FlowTree::hhh`],
+//!   [`FlowTree::top_k`]) read the slots front to back, whatever the
+//!   order, and then fold child into parent deepest first.
+//!
+//! Two things do read the arena order. As a merge/diff **source**, a
+//! tree's nodes are visited in slot order, and the destination stamps
+//! its hits in that order: re-laying out a source can change which of
+//! two equal-weight leaves a later compaction of the destination
+//! folds. As a **destination** the order never shows. Compaction ranks
+//! leaves by `(weight, touch)` and breaks a tie by id, but no tie can
+//! arise: a merge gives every node it hits or creates a tick of its
+//! own, and while an insert gives a fork's join the tick of the leaf
+//! it was made for, the join is a chain ancestor of that leaf for as
+//! long as both live, so the two are never leaves at the same time.
+//!
 //! ## Structural merge
 //!
 //! Whole summaries combine without the insert path:
@@ -616,7 +651,9 @@ impl FlowTree {
     /// Nothing observable changes — encodings, query answers and the
     /// tree's behaviour as a merge/diff source or destination are
     /// those of the unfrozen tree; the first operation that needs the
-    /// index rebuilds it (module docs, "What a tree costs").
+    /// index rebuilds it (module docs, "What a tree costs"). Keeping
+    /// the arena order is what keeps the tree's behaviour as a merge
+    /// source (module docs, "Arena order").
     pub fn shrink_to_fit(&mut self) {
         if !self.free.is_empty() {
             let mut remap = vec![NIL; self.nodes.len()];
@@ -640,6 +677,63 @@ impl FlowTree {
         self.nodes.shrink_to_fit();
         self.free = Vec::new();
         self.index = OnceLock::new();
+    }
+
+    /// Renumbers the arena **in place** so that id order is the tree's
+    /// pre-order — the order the codec and every tree-order query walk
+    /// ([`FlowTree::estimate_pattern`],
+    /// [`FlowTree::estimate_refinements`]) visit nodes in — and squeezes
+    /// out the free slots. A walk down the tree then reads the arena
+    /// front to back instead of jumping around it (module docs, "Arena
+    /// order").
+    ///
+    /// Only ids change. Links and key-index entries are remapped in
+    /// place, and no second arena is allocated (a few words per slot
+    /// are, while it runs). Sibling order, masses, `touch`,
+    /// `generation`, the clock and [`Stats`] stay as they are, so
+    /// encodings, query answers and the tree's behaviour as a merge/diff
+    /// destination do not change. The arena keeps its capacity, and the
+    /// index stays as built or unset.
+    pub fn relayout_preorder(&mut self) {
+        // The walk reads the links from one pass over the slots: on a
+        // scattered arena it then jumps around 8 B per node, not 208.
+        let links: Vec<(u32, u32)> = self
+            .nodes
+            .iter()
+            .map(|n| (n.first_child, n.next_sibling))
+            .collect();
+        let order = self.preorder_by(|id| links[id as usize]);
+        drop(links);
+        let mut remap = vec![NIL; self.nodes.len()];
+        for (new, &old) in order.iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        let moved = |id: u32| if id == NIL { NIL } else { remap[id as usize] };
+        for n in self.nodes.iter_mut().filter(|n| n.alive) {
+            n.parent = moved(n.parent);
+            n.first_child = moved(n.first_child);
+            n.next_sibling = moved(n.next_sibling);
+            n.prev_sibling = moved(n.prev_sibling);
+        }
+        if let Some(index) = self.index.get_mut() {
+            index.remap_ids(&remap);
+        }
+        // Follow each cycle of the permutation: every swap moves one
+        // live node into its final slot, and a freed node stops the
+        // cycle it lands in, so the freed ones end up past `live`.
+        for at in 0..self.nodes.len() {
+            loop {
+                let to = remap[at];
+                if to == NIL || to as usize == at {
+                    break;
+                }
+                self.nodes.swap(at, to as usize);
+                remap.swap(at, to as usize);
+            }
+        }
+        self.nodes.truncate(self.live);
+        self.free.clear();
+        self.root = 0;
     }
 
     /// The key index, rebuilt from the arena if the tree is frozen.
@@ -1832,6 +1926,15 @@ impl FlowTree {
     /// Ids of live nodes in an order where parents precede children
     /// (pre-order DFS from the root) — used by the codec and analytics.
     pub(crate) fn preorder(&self) -> Vec<u32> {
+        self.preorder_by(|id| {
+            let n = &self.nodes[id as usize];
+            (n.first_child, n.next_sibling)
+        })
+    }
+
+    /// [`FlowTree::preorder`] over `links(id) = (first_child,
+    /// next_sibling)`, wherever the caller keeps them.
+    fn preorder_by(&self, links: impl Fn(u32) -> (u32, u32)) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.live);
         DFS_STACK.with(|cell| {
             let mut stack = cell.borrow_mut();
@@ -1839,10 +1942,10 @@ impl FlowTree {
             stack.push(self.root);
             while let Some(id) = stack.pop() {
                 out.push(id);
-                let mut c = self.nodes[id as usize].first_child;
+                let mut c = links(id).0;
                 while c != NIL {
                     stack.push(c);
-                    c = self.nodes[c as usize].next_sibling;
+                    c = links(c).1;
                 }
             }
         });
@@ -1953,5 +2056,99 @@ fn rank(node: &Node, cfg: &Config) -> (u64, u64) {
     match cfg.eviction {
         EvictionPolicy::SmallestFirst => (weight, node.touch),
         EvictionPolicy::ColdFirst => (node.touch, weight),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn host_key(i: u64) -> FlowKey {
+        let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        format!(
+            "src=10.{}.{}.{}/32 dst=192.0.2.{}/32",
+            x % 4,
+            (x >> 2) % 16,
+            (x >> 6) % 64,
+            (x >> 12) % 8
+        )
+        .parse()
+        .unwrap()
+    }
+
+    /// A tree that compacted and grew again: free slots, refilled
+    /// slots, joins placed after their children.
+    fn scattered() -> FlowTree {
+        let mut t = FlowTree::new(Schema::two_feature(), Config::with_budget(96));
+        for i in 0..900 {
+            t.insert(&host_key(i), Popularity::packet(40 + (i % 7) as u32 * 100));
+        }
+        // A few inserts after the last compaction leave the free list
+        // partly refilled.
+        for i in 0..5 {
+            t.insert(&host_key(5_000 + i), Popularity::packet(64));
+        }
+        assert!(t.stats().compactions > 0);
+        assert!(!t.free.is_empty(), "the fixture must have free slots");
+        t
+    }
+
+    /// Per key: `(touch, generation, comp)`.
+    fn stamps(t: &FlowTree) -> Vec<(FlowKey, u64, u32, Popularity)> {
+        let mut v: Vec<_> = t
+            .nodes
+            .iter()
+            .filter(|n| n.alive)
+            .map(|n| (n.key, n.touch, n.generation, n.comp))
+            .collect();
+        v.sort_by_key(|s| s.0);
+        v
+    }
+
+    fn identity(t: &FlowTree) -> Vec<u32> {
+        (0..t.len() as u32).collect()
+    }
+
+    #[test]
+    fn relayout_numbers_ids_in_preorder_and_drops_free_slots() {
+        let mut t = scattered();
+        assert_ne!(t.preorder(), identity(&t), "compaction scattered the arena");
+        let (bytes, before, stats, clock) = (t.encode(), stamps(&t), t.stats, t.clock);
+        t.relayout_preorder();
+        assert_eq!(t.preorder(), identity(&t));
+        assert!(t.free.is_empty());
+        assert_eq!(t.nodes.len(), t.len());
+        assert_eq!(t.root, 0);
+        t.validate();
+        assert_eq!(t.encode(), bytes);
+        assert_eq!(stamps(&t), before);
+        assert_eq!((t.stats, t.clock), (stats, clock));
+        // The tree keeps working: inserts, compactions, a second relayout.
+        for i in 900..1_400 {
+            t.insert(&host_key(i), Popularity::packet(100));
+        }
+        t.validate();
+        t.relayout_preorder();
+        assert_eq!(t.preorder(), identity(&t));
+        t.validate();
+    }
+
+    #[test]
+    fn relayout_of_a_frozen_tree_builds_no_index() {
+        let mut t = scattered();
+        t.shrink_to_fit();
+        let bytes = t.encode();
+        t.relayout_preorder();
+        assert!(t.index.get().is_none(), "still frozen");
+        assert_eq!(t.preorder(), identity(&t));
+        assert_eq!(t.encode(), bytes);
+        t.validate();
+    }
+
+    #[test]
+    fn a_decoded_tree_is_already_in_preorder() {
+        let t = scattered();
+        let d = FlowTree::decode(&t.encode(), *t.config()).unwrap();
+        assert_eq!(d.preorder(), identity(&d));
     }
 }
