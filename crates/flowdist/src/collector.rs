@@ -498,6 +498,14 @@ impl Collector {
         dropped
     }
 
+    /// The start of the oldest window anything is stored for (a tree
+    /// or its epoch ledger entry) — what retention evicts first.
+    pub fn oldest_window_start(&self) -> Option<u64> {
+        let tree = self.windows.keys().next().map(|&(start, _)| start);
+        let meta = self.meta.keys().next().map(|&(start, _)| start);
+        tree.into_iter().chain(meta).min()
+    }
+
     /// Bumps the epoch and drops every cached view eagerly — they are
     /// all stale, and holding them until the same scopes happen to be
     /// re-queried would pin up to a full node budget of merged trees.

@@ -21,17 +21,21 @@
 //!
 //! A dedicated reader thread per connection decodes control frames
 //! into a channel — the pump never does a blocking read mid-frame, so
-//! a slow upstream cannot desynchronize the stream.
+//! a slow upstream cannot desynchronize the stream — and rings the
+//! owner's [`Wake`] (see [`ExportShipper::set_waker`]) after each one
+//! and when the connection closes. The owner needs no tick: it pumps
+//! when rung, and otherwise sleeps until
+//! [`ExportShipper::next_deadline`].
 
 use crate::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
 use crate::framing::{read_frame, write_frame};
 use crate::summary::SummaryHeader;
-use crate::{DistError, SpillQueue, SpillStats};
+use crate::{DistError, SpillQueue, SpillStats, Wake};
 use flowmetrics::Stats;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -59,6 +63,12 @@ impl SteadyClock {
     /// Milliseconds since the epoch, monotonically non-decreasing.
     pub fn now_ms(&self) -> u64 {
         self.wall0_ms + self.t0.elapsed().as_millis() as u64
+    }
+
+    /// The instant at which [`SteadyClock::now_ms`] reads `ms` — how a
+    /// deadline computed in clock milliseconds becomes a sleep.
+    pub fn instant_at(&self, ms: u64) -> Instant {
+        self.t0 + Duration::from_millis(ms.saturating_sub(self.wall0_ms))
     }
 }
 
@@ -278,6 +288,8 @@ pub struct ExportShipper {
     stats: ShipperStats,
     /// Ship→ack round-trip latency, when the node wired one in.
     rtt: Option<flowmetrics::Histogram>,
+    /// Rung by each connection's reader thread (see the module docs).
+    waker: Option<Wake>,
 }
 
 impl ExportShipper {
@@ -302,7 +314,16 @@ impl ExportShipper {
             backoff,
             stats: ShipperStats::default(),
             rtt: None,
+            waker: None,
         }
+    }
+
+    /// Wires in the owner's wake-up: every later connection's reader
+    /// thread rings it after each control frame it queues (ack,
+    /// rebase-request) and when the connection closes, so an owner
+    /// sleeping until [`ExportShipper::next_deadline`] pumps promptly.
+    pub fn set_waker(&mut self, wake: Wake) {
+        self.waker = Some(wake);
     }
 
     /// Wires in a ship→ack RTT histogram: observed once per acked
@@ -390,8 +411,38 @@ impl ExportShipper {
         }
     }
 
+    /// When this shipper next needs a [`ExportShipper::pump`], as a
+    /// function of its state and `now_ms`:
+    ///
+    /// * `None` while nothing is pending — only new frames or an
+    ///   arriving control frame (which rings the waker) make work;
+    /// * disconnected: when the reconnect backoff allows the next
+    ///   attempt;
+    /// * connected with everything sent: when the ack stall recycles
+    ///   the connection, unless an ack (which rings the waker) comes
+    ///   first;
+    /// * connected with frames not yet sent: `now_ms`.
+    ///
+    /// A time at or before `now_ms` means a pump is due now.
+    pub fn next_deadline(&self, now_ms: u64) -> Option<u64> {
+        if self.spill.is_empty() {
+            return None;
+        }
+        Some(match &self.conn {
+            None => self.backoff.next_at_ms,
+            Some(conn) if conn.send_from >= self.spill.next_seq() => conn
+                .last_progress_ms
+                .saturating_add(self.cfg.stall_ms)
+                .saturating_add(1),
+            Some(_) => now_ms,
+        })
+    }
+
     /// Pumps until nothing is pending or `deadline` passes — a node's
-    /// graceful drain. Returns the frames still pending.
+    /// graceful drain. Between pumps it sleeps on the connection's ack
+    /// channel (or, disconnected, until the backoff allows a retry),
+    /// never past [`ExportShipper::next_deadline`] or the drain
+    /// deadline. Returns the frames still pending.
     pub fn flush<H: ShipperHost>(
         &mut self,
         host: &Mutex<H>,
@@ -401,8 +452,18 @@ impl ExportShipper {
         let limit = Instant::now() + deadline;
         while self.pending_len() > 0 && Instant::now() < limit {
             self.pump(host, clock.now_ms());
-            if self.pending_len() > 0 {
-                std::thread::sleep(Duration::from_millis(20));
+            let Some(due) = self.next_deadline(clock.now_ms()) else {
+                break;
+            };
+            let wait = clock
+                .instant_at(due)
+                .min(limit)
+                .saturating_duration_since(Instant::now());
+            match self.conn.as_ref().map(|c| c.rx.recv_timeout(wait)) {
+                Some(Ok(frame)) => self.on_control(frame, host, clock.now_ms()),
+                Some(Err(RecvTimeoutError::Timeout)) => {}
+                Some(Err(RecvTimeoutError::Disconnected)) => self.conn = None,
+                None => std::thread::sleep(wait),
             }
         }
         self.pending_len()
@@ -414,7 +475,8 @@ impl ExportShipper {
         let stream = crate::framing::connect(&self.cfg.upstream)?;
         let reader_stream = stream.try_clone()?;
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || reader_loop(reader_stream, tx));
+        let waker = self.waker.clone();
+        std::thread::spawn(move || reader_loop(reader_stream, tx, waker));
         let mut conn = Conn {
             stream,
             rx,
@@ -481,24 +543,31 @@ impl ExportShipper {
                 None => return true,
             };
             match frame {
-                Ok(ControlFrame::Ack(slot)) => {
-                    if self.handle_ack(slot, host, now_ms) > 0 {
-                        if let Some(conn) = self.conn.as_mut() {
-                            conn.last_progress_ms = now_ms;
-                        }
-                    }
-                }
-                Ok(ControlFrame::RebaseRequest(slot)) => {
-                    if lock(host).request_rebase(slot.window_start_ms) {
-                        self.stats.rebase_honored += 1;
-                    } else {
-                        self.stats.rebase_unknown += 1;
-                    }
-                }
-                Ok(ControlFrame::Hello { .. }) => {}
+                Ok(frame) => self.on_control(frame, host, now_ms),
                 Err(TryRecvError::Empty) => return true,
                 Err(TryRecvError::Disconnected) => return false,
             }
+        }
+    }
+
+    /// Acts on one control frame from the upstream.
+    fn on_control<H: ShipperHost>(&mut self, frame: ControlFrame, host: &Mutex<H>, now_ms: u64) {
+        match frame {
+            ControlFrame::Ack(slot) => {
+                if self.handle_ack(slot, host, now_ms) > 0 {
+                    if let Some(conn) = self.conn.as_mut() {
+                        conn.last_progress_ms = now_ms;
+                    }
+                }
+            }
+            ControlFrame::RebaseRequest(slot) => {
+                if lock(host).request_rebase(slot.window_start_ms) {
+                    self.stats.rebase_honored += 1;
+                } else {
+                    self.stats.rebase_unknown += 1;
+                }
+            }
+            ControlFrame::Hello { .. } => {}
         }
     }
 
@@ -693,7 +762,12 @@ pub fn shipper_stats(s: &mut Stats, view: Option<&ShipperView>) {
     );
 }
 
-fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>) {
+fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>, waker: Option<Wake>) {
+    let ring = || {
+        if let Some(w) = &waker {
+            w.notify();
+        }
+    };
     let mut reader = BufReader::new(stream);
     while let Ok(Some(frame)) = read_frame(&mut reader) {
         if is_control(&frame) {
@@ -701,9 +775,14 @@ fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>) {
                 if tx.send(cf).is_err() {
                     return;
                 }
+                ring();
             }
         }
     }
+    // The connection closed: the owner's next pump sees the reader gone
+    // and reconnects.
+    drop(tx);
+    ring();
 }
 
 #[cfg(test)]
@@ -888,6 +967,68 @@ mod tests {
         );
         assert_eq!(s.stats().hostile_acks, 1);
         assert_eq!(s.pending_len(), 1);
+    }
+
+    /// The shipper's deadline as a pure function of its state and
+    /// `now_ms`: nothing pending, backoff, ack stall, unsent frames.
+    #[test]
+    fn next_deadline_follows_backoff_and_ack_stall() {
+        let mut s = shipper();
+        let host = Mutex::new(Recorder::default());
+        assert_eq!(s.next_deadline(7), None, "nothing pending");
+        s.enqueue(export(0, 1)).unwrap();
+        // Disconnected, never failed: the first attempt is due at once.
+        assert!(s.next_deadline(7).unwrap() <= 7);
+        // A failed attempt at t = 1000 defers the next one by the
+        // jittered backoff, [base/2, base] after the failure.
+        let delay = s.backoff.failure(1_000);
+        assert_eq!(s.next_deadline(1_000), Some(1_000 + delay));
+        assert!((50..=100).contains(&delay), "{delay}");
+
+        // Connected with the frame sent: due when the ack stall would
+        // recycle the connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_tx, rx) = std::sync::mpsc::channel();
+        s.conn = Some(Conn {
+            stream,
+            rx,
+            send_from: s.spill.next_seq(),
+            last_progress_ms: 5_000,
+        });
+        let stall = s.cfg.stall_ms;
+        assert_eq!(s.next_deadline(5_001), Some(5_000 + stall + 1));
+        // A frame queued but not yet written: due now.
+        s.enqueue(export(1, 1)).unwrap();
+        assert_eq!(s.next_deadline(5_002), Some(5_002));
+        // Both acked: nothing pending, no deadline.
+        for w in 0..2 {
+            s.handle_ack(
+                SlotPos {
+                    window_start_ms: w * 1_000,
+                    span_ms: 1_000,
+                    exporter: 100,
+                    epoch: 1,
+                },
+                &host,
+                5_003,
+            );
+        }
+        assert_eq!(s.pending_len(), 0);
+        assert_eq!(s.next_deadline(5_003), None);
+    }
+
+    #[test]
+    fn steady_clock_instant_at_inverts_now_ms() {
+        let c = SteadyClock::new();
+        let now = c.now_ms();
+        assert!(c.instant_at(now) <= Instant::now());
+        assert_eq!(
+            c.instant_at(now + 250) - c.instant_at(now),
+            Duration::from_millis(250)
+        );
+        // Times before the clock's anchor clamp to it.
+        assert_eq!(c.instant_at(0), c.instant_at(c.wall0_ms));
     }
 
     #[test]

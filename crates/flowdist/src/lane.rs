@@ -84,7 +84,7 @@ use crate::pipeline::{IngestPipeline, PipelineStats};
 use crate::ring;
 use crate::summary::Summary;
 use crate::window::WindowId;
-use crate::DistError;
+use crate::{DistError, Wake};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use flowmetrics::Histogram;
 use flownet::DecoderStats;
@@ -139,6 +139,11 @@ pub struct LaneOptions {
     /// docs on watermark discipline). 0 = never exclude: idle lanes
     /// then hold every window open until shutdown.
     pub idle_lane_ms: u64,
+    /// Rung after every frame the merger ships into the frames
+    /// channel, and once more when the merger exits (the channel then
+    /// disconnects): a consumer that also waits on other events sleeps
+    /// on this [`Wake`] instead of polling the channel.
+    pub frames_wake: Option<Wake>,
 }
 
 impl Default for LaneOptions {
@@ -153,6 +158,7 @@ impl Default for LaneOptions {
             telemetry: IngestTelemetry::default(),
             batch_hist: None,
             idle_lane_ms: DEFAULT_IDLE_LANE_MS,
+            frames_wake: None,
         }
     }
 }
@@ -523,9 +529,25 @@ where
         let stop = Arc::clone(&stop);
         let gauges = Arc::clone(&merger_gauges);
         let idle_lane_ms = opts.idle_lane_ms;
+        let wake = opts.frames_wake.clone();
         std::thread::Builder::new()
             .name("lane-merger".into())
-            .spawn(move || merger_loop(events_rx, cfg, lanes, idle_lane_ms, frames, stop, gauges))
+            .spawn(move || {
+                merger_loop(
+                    events_rx,
+                    cfg,
+                    lanes,
+                    idle_lane_ms,
+                    frames,
+                    wake.as_ref(),
+                    stop,
+                    gauges,
+                );
+                // `frames` is gone with the merger: tell the consumer.
+                if let Some(w) = wake {
+                    w.notify();
+                }
+            })
             .map_err(DistError::Io)?
     };
 
@@ -894,12 +916,19 @@ fn fanout_loop(
 /// merged via the paper's structural `merge_many` — once every lane
 /// the merger is still hearing from has closed it (see the module
 /// docs on idle-lane exclusion), and ships the encoded frames.
+///
+/// It sleeps until a lane event arrives. Only while a buffered window
+/// waits on lanes that are still counted does it also wake when the
+/// first of them would age out, since that can move the horizon with
+/// no event at all; with one lane nothing ever ages out usefully.
+#[allow(clippy::too_many_arguments)]
 fn merger_loop(
     events: Receiver<LaneEvent>,
     cfg: DaemonConfig,
     lanes: usize,
     idle_lane_ms: u64,
     frames: Sender<Vec<u8>>,
+    wake: Option<&Wake>,
     stop: Arc<AtomicBool>,
     gauges: Arc<MergerGauges>,
 ) {
@@ -950,6 +979,9 @@ fn merger_loop(
             match frames.try_send(frame) {
                 Ok(()) => {
                     bump(&gauges.frames_sent, 1);
+                    if let Some(w) = wake {
+                        w.notify();
+                    }
                     break;
                 }
                 Err(TrySendError::Disconnected(_)) => {
@@ -969,11 +1001,31 @@ fn merger_loop(
         }
     };
 
+    // When the first lane still counted in the watermark minimum ages
+    // out, if anything is buffered for it to hold back.
+    let age_out = |wins: &BTreeMap<u64, Vec<FlowTree>>, last_ev: &[std::time::Instant]| {
+        if lanes == 1 || idle_lane_ms == 0 || wins.is_empty() {
+            return None;
+        }
+        let now = std::time::Instant::now();
+        last_ev
+            .iter()
+            .map(|&t| t + idle)
+            .filter(|&until| until > now)
+            .min()
+    };
+
     loop {
-        // A timeout tick (no event) still falls through to the
-        // emission pass below: that is what lets windows close once
-        // idle lanes age out even though nothing new arrives.
-        let ev = match events.recv_timeout(Duration::from_millis(100)) {
+        // A timeout (no event) still falls through to the emission
+        // pass below: that is what lets windows close once idle lanes
+        // age out even though nothing new arrives.
+        let ev = match age_out(&wins, &last_ev) {
+            None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(until) => {
+                events.recv_timeout(until.saturating_duration_since(std::time::Instant::now()))
+            }
+        };
+        let ev = match ev {
             Ok(ev) => Some(ev),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,

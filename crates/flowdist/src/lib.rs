@@ -58,6 +58,9 @@
 //! * [`spill`] — disk-backed queue of unacked export frames
 //!   (append-only CRC-checked segments with an acked-floor ledger), so
 //!   pending exports survive process death.
+//! * [`wake`] — the doorbell every fleet control thread sleeps on:
+//!   it wakes on an event or a deadline computed from state, never on
+//!   a fixed tick.
 
 // `deny` rather than `forbid`: the exceptions are the scoped
 // `#[allow(unsafe_code)]` seams in `sockopt` (raw setsockopt /
@@ -88,6 +91,7 @@ pub mod sockopt;
 pub mod spill;
 pub mod store;
 pub mod summary;
+pub mod wake;
 pub mod window;
 
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionKnobs, AdmissionStats};
@@ -110,6 +114,7 @@ pub use sim::{SimConfig, SimReport, SiteRun};
 pub use spill::{FsyncPolicy, SpillConfig, SpillQueue, SpillStats};
 pub use store::{LoadReport, SummaryStore};
 pub use summary::{EpochHeader, Lineage, Summary, SummaryHeader, SummaryKind};
+pub use wake::Wake;
 pub use window::WindowId;
 
 use flowtree_core::CodecError;

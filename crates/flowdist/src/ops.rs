@@ -9,11 +9,14 @@
 //! offline dependency set has no HTTP stack and none is needed for a
 //! stats page.
 //!
-//! The server itself is node-agnostic: [`spawn_ops`] parks an
-//! accept-poll loop on a thread and hands every parsed request to the
-//! node's handler closure. [`OpsHandle::stop`] is cooperative and
-//! frees the port (the loop polls a nonblocking listener instead of
-//! parking in `accept`), so a drained node releases its endpoint.
+//! The server itself is node-agnostic: [`spawn_ops`] parks a thread in
+//! a blocking `accept` ([`spawn_accept_loop`], the one listener loop
+//! every fleet TCP endpoint runs), answers a request that arrived
+//! whole right there, gives any other connection a thread of its own,
+//! and hands every parsed request to the node's handler closure. An
+//! idle endpoint costs no wakeup at all; [`OpsHandle::stop`] wakes the
+//! parked `accept` with a loopback connection, joins the thread and
+//! frees the port, so a drained node releases its endpoint.
 //!
 //! What every node serves the same way lives here too: a node builds
 //! its one [`Stats`] list per scrape and [`NodeTelemetry::serve`]
@@ -22,9 +25,9 @@
 //! A node's own handler answers only `/health` and `/reload`.
 
 use flowmetrics::{EventRing, Registry, Stats};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,8 +79,9 @@ impl OpsResponse {
 }
 
 /// Shared observability state of one node: the metric registry behind
-/// `GET /metrics`, the event ring behind `GET /events`, and the boot
-/// instant behind `/health`'s `uptime_ms`.
+/// `GET /metrics`, the event ring behind `GET /events`, the boot
+/// instant behind `/health`'s `uptime_ms`, and the count of requests
+/// the endpoint answered.
 #[derive(Debug, Clone)]
 pub struct NodeTelemetry {
     /// Registry-native instruments (latency histograms, gauges the hot
@@ -87,6 +91,9 @@ pub struct NodeTelemetry {
     pub events: EventRing,
     /// When the node booted.
     started: Instant,
+    /// Requests answered by [`NodeTelemetry::serve`] (every request
+    /// the node's endpoint parsed).
+    requests: Arc<AtomicU64>,
 }
 
 impl Default for NodeTelemetry {
@@ -95,6 +102,7 @@ impl Default for NodeTelemetry {
             registry: Registry::new(),
             events: EventRing::new(256),
             started: Instant::now(),
+            requests: Arc::default(),
         }
     }
 }
@@ -115,6 +123,12 @@ impl NodeTelemetry {
             "flowtree_events_total",
             "Operational events recorded (including ones the ring evicted).",
         );
+        // A `/metrics` series only: a `/stats` line would move between
+        // the plaintext and JSON reads of one scrape pair.
+        s.metric(self.requests.load(Ordering::Relaxed)).counter(
+            "flowtree_ops_requests_total",
+            "Requests this node's ops endpoint answered (scrapes included).",
+        );
         s
     }
 
@@ -130,12 +144,19 @@ impl NodeTelemetry {
         )
     }
 
-    /// Answers the pages every node renders the same way: `/stats` (and
-    /// `/`), `/stats.json` and `/metrics` from the node's one `stats`
-    /// list, and `/events`. `None` for anything else.
-    pub fn serve(&self, req: &OpsRequest, stats: impl FnOnce() -> Stats) -> Option<OpsResponse> {
+    /// Answers one request to the node's endpoint, and counts it: the
+    /// pages every node renders the same way — `/stats` (and `/`),
+    /// `/stats.json` and `/metrics` from the node's one `stats` list,
+    /// and `/events` — and anything else from the node's `own` routes.
+    pub fn serve(
+        &self,
+        req: &OpsRequest,
+        stats: impl FnOnce() -> Stats,
+        own: impl FnOnce() -> OpsResponse,
+    ) -> OpsResponse {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         if req.method != "GET" {
-            return None;
+            return own();
         }
         let body = match req.path.as_str() {
             "/stats" | "/" => stats().render_text(),
@@ -145,9 +166,9 @@ impl NodeTelemetry {
                 self.registry.render_prometheus()
             }
             "/events" => self.events.render_text(),
-            _ => return None,
+            _ => return own(),
         };
-        Some(OpsResponse::ok(body))
+        OpsResponse::ok(body)
     }
 
     /// Answers a `POST /reload` with the outcome of applying it; an
@@ -201,32 +222,18 @@ pub fn reload_u64(key: &str, value: &str) -> Result<u64, String> {
 /// A running ops endpoint (see [`spawn_ops`]).
 #[derive(Debug)]
 pub struct OpsHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
+    listener: AcceptLoop,
 }
 
 impl OpsHandle {
     /// The bound address (useful with a `:0` bind).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Stops the loop and frees the port.
+    /// Stops the endpoint and frees the port.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for OpsHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.listener.stop();
     }
 }
 
@@ -236,54 +243,122 @@ impl Drop for OpsHandle {
 /// hostile peer that must not hold resources.
 const CONN_TIMEOUT: Duration = Duration::from_millis(2_000);
 
-/// Binds `addr` and serves ops requests on a background thread. Each
-/// accepted connection is handed to a short-lived thread with read
-/// *and* write timeouts, so one slow or stalled scraper can't block
-/// `/health` for the whole node; the handler itself must be
-/// thread-safe and cheap (snapshot counters, flip a flag) — this is a
-/// stats page, not an API gateway.
+/// Binds `addr` and serves ops requests on a background thread. A
+/// request that is complete when its connection is accepted — a
+/// scraper's usually lands right behind its connect — is answered on
+/// the listener thread itself. Any other connection is handed to a
+/// short-lived thread with read *and* write timeouts, so one slow or
+/// stalled scraper can't block `/health` for the whole node; the
+/// handler itself must be thread-safe and cheap (snapshot counters,
+/// flip a flag) — this is a stats page, not an API gateway.
 pub fn spawn_ops<F>(addr: &str, handler: F) -> std::io::Result<OpsHandle>
 where
     F: Fn(&OpsRequest) -> OpsResponse + Send + Sync + 'static,
 {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
     let handler = Arc::new(handler);
+    let listener = spawn_accept_loop("ops", TcpListener::bind(addr)?, move |stream| {
+        // Answering inline spares the thread a scrape would otherwise
+        // cost: spawning one costs about as much CPU as the answer.
+        if request_ready(&stream) {
+            let _ = serve_one(stream, &*handler);
+            return;
+        }
+        // A thread of its own: the accept loop goes right back to
+        // `accept`, so a scraper that stalls mid-request only ties up
+        // its own thread until the timeout fires. Thread exhaustion
+        // sheds the connection rather than wedging the loop.
+        let handler = Arc::clone(&handler);
+        let _ = std::thread::Builder::new()
+            .name("ops-conn".into())
+            .spawn(move || {
+                let _ = serve_one(stream, &*handler);
+            });
+    })?;
+    Ok(OpsHandle { listener })
+}
+
+/// A listener thread parked in a blocking `accept` (see
+/// [`spawn_accept_loop`]). Dropping it stops it.
+#[derive(Debug)]
+pub struct AcceptLoop {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    join: Option<std::thread::JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, joins the thread and frees the port: raises the
+    /// stop flag, then wakes the parked `accept` with a loopback
+    /// connection the loop recognizes and drops. Idempotent.
+    pub fn stop(&mut self) {
+        let Some(join) = self.join.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // A loop that is not parked (busy with a backlog) sees the flag
+        // on its next accept, so a failed wake connect is harmless.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), CONN_TIMEOUT);
+        let _ = join.join();
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Where a stop's wake connection goes: the bound address, with a
+/// wildcard bind (`0.0.0.0`, `[::]`) reached over its loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// The one listener loop of every fleet TCP endpoint (ops pages, relay
+/// ingest and queries): a thread named `name` parks in a blocking
+/// `accept` on `listener` and hands each connection to `on_conn`. It
+/// wakes only when a peer connects; [`AcceptLoop::stop`] ends it.
+pub fn spawn_accept_loop<F>(
+    name: &str,
+    listener: TcpListener,
+    mut on_conn: F,
+) -> std::io::Result<AcceptLoop>
+where
+    F: FnMut(TcpStream) + Send + 'static,
+{
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(false)?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopping = Arc::clone(&stop);
     let join = std::thread::Builder::new()
-        .name("ops".into())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // One short-lived thread per connection: the
-                        // accept loop goes right back to listening, so
-                        // a scraper that stalls mid-request only ties
-                        // up its own thread until the timeout fires.
-                        let handler = Arc::clone(&handler);
-                        let spawned =
-                            std::thread::Builder::new()
-                                .name("ops-conn".into())
-                                .spawn(move || {
-                                    let _ = serve_one(stream, &*handler);
-                                });
-                        if spawned.is_err() {
-                            // Thread exhaustion: shed the connection
-                            // rather than wedge the accept loop.
-                            continue;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                }
+        .name(name.into())
+        .spawn(move || loop {
+            let accepted = listener.accept();
+            if stopping.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
+                Ok((conn, _)) => on_conn(conn),
+                // A failed accept (the process is out of descriptors,
+                // a peer reset mid-handshake) returns at once; back off
+                // before retrying rather than spin on it.
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         })?;
-    Ok(OpsHandle {
-        addr: local,
+    Ok(AcceptLoop {
+        addr,
         stop,
         join: Some(join),
     })
@@ -295,7 +370,6 @@ where
 {
     stream.set_read_timeout(Some(CONN_TIMEOUT))?;
     stream.set_write_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
     let req = match read_request(&mut stream) {
         Ok(Some(r)) => r,
         Ok(None) => return Ok(()),
@@ -325,23 +399,25 @@ where
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<OpsRequest>> {
     const MAX_HEAD: usize = 16 * 1024;
     const MAX_BODY: usize = 64 * 1024;
+    // Buffered: a scrape's whole request arrives in one segment, so it
+    // costs one read, not one per byte. The body is read through the
+    // same buffer; a connection carries one request.
+    let mut reader = BufReader::new(&*stream);
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // Read byte-wise until the blank line; head sizes here are tiny
-    // and this keeps any body bytes out of a read-ahead buffer.
     loop {
-        match stream.read(&mut byte)? {
-            0 => return Ok(None),
-            _ => head.push(byte[0]),
-        }
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break;
-        }
+        let room = (MAX_HEAD + 1).saturating_sub(head.len()) as u64;
+        let n = (&mut reader).take(room).read_until(b'\n', &mut head)?;
         if head.len() > MAX_HEAD {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "request head too large",
             ));
+        }
+        if n == 0 {
+            return Ok(None);
+        }
+        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
+            break;
         }
     }
     let head = String::from_utf8_lossy(&head).into_owned();
@@ -356,15 +432,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<OpsRequest>> {
             "bad request line",
         ));
     }
-    let mut content_length = 0usize;
-    for line in lines {
-        let Some((k, v)) = line.split_once(':') else {
-            continue;
-        };
-        if k.trim().eq_ignore_ascii_case("content-length") {
-            content_length = v.trim().parse().unwrap_or(0);
-        }
-    }
+    let content_length = content_length(lines);
     if content_length > MAX_BODY {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -373,13 +441,63 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<OpsRequest>> {
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        stream.read_exact(&mut body)?;
+        reader.read_exact(&mut body)?;
     }
     Ok(Some(OpsRequest {
         method,
         path,
         body: String::from_utf8_lossy(&body).into_owned(),
     }))
+}
+
+/// The `Content-Length` a request head's header lines declare (the
+/// last one wins; 0 when absent or malformed).
+fn content_length<'a>(header_lines: impl Iterator<Item = &'a str>) -> usize {
+    let mut len = 0;
+    for line in header_lines {
+        if let Some((k, v)) = line.split_once(':') {
+            if k.trim().eq_ignore_ascii_case("content-length") {
+                len = v.trim().parse().unwrap_or(0);
+            }
+        }
+    }
+    len
+}
+
+/// How long the listener waits for a new connection's request before
+/// handing the connection to a thread of its own.
+const INLINE_WAIT: Duration = Duration::from_millis(2);
+
+/// Whether a new connection's whole request — head and declared body —
+/// is already readable (or the peer already hung up), so the listener
+/// can serve it without blocking on the peer. Waits at most
+/// [`INLINE_WAIT`] for the first bytes.
+fn request_ready(stream: &TcpStream) -> bool {
+    let mut buf = [0u8; 4096];
+    if stream.set_read_timeout(Some(INLINE_WAIT)).is_err() {
+        return false;
+    }
+    let Ok(n) = stream.peek(&mut buf) else {
+        return false;
+    };
+    let seen = &buf[..n];
+    let head_end = (0..n).find_map(|i| {
+        let rest = &seen[i..];
+        if rest.starts_with(b"\r\n\r\n") {
+            Some(i + 4)
+        } else if rest.starts_with(b"\n\n") {
+            Some(i + 2)
+        } else {
+            None
+        }
+    });
+    match head_end {
+        None => n == 0,
+        Some(end) => {
+            let head = String::from_utf8_lossy(&seen[..end]);
+            n >= end + content_length(head.lines().skip(1))
+        }
+    }
 }
 
 fn write_response(stream: &mut TcpStream, resp: &OpsResponse) -> std::io::Result<()> {
@@ -465,6 +583,87 @@ mod tests {
         // The port is released: a new bind on the same address works.
         let rebind = std::net::TcpListener::bind(&addr);
         assert!(rebind.is_ok(), "port not freed: {rebind:?}");
+    }
+
+    /// A listener parked in `accept` wakes on stop on every kind of
+    /// bind — loopback, wildcard, IPv6 — promptly, and frees the port.
+    #[test]
+    fn stop_wakes_the_parked_accept_on_any_bind() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0", "[::]:0"] {
+            let handle = spawn_ops(bind, |_| OpsResponse::ok("ok")).unwrap();
+            let addr = handle.local_addr();
+            let (status, _) = ops_request(&wake_addr(addr).to_string(), "GET", "/", "").unwrap();
+            assert_eq!(status, 200, "{bind} serves");
+            let start = std::time::Instant::now();
+            handle.stop();
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "{bind}: stop took {:?}",
+                start.elapsed()
+            );
+            let rebind = TcpListener::bind(addr);
+            assert!(rebind.is_ok(), "{bind}: port not freed: {rebind:?}");
+        }
+    }
+
+    /// A request whose head arrives in pieces misses the inline path
+    /// and is still answered, from a thread of its own.
+    #[test]
+    fn a_request_split_across_segments_is_answered() {
+        let handle = spawn_ops("127.0.0.1:0", |req| OpsResponse::ok(req.body.clone())).unwrap();
+        let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        s.write_all(b"POST /reload HTTP/1.0\r\nContent-Length: 5\r\n")
+            .unwrap();
+        std::thread::sleep(INLINE_WAIT * 5);
+        s.write_all(b"\r\nhello").unwrap();
+        let mut raw = String::new();
+        s.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.0 200"), "{raw}");
+        assert!(raw.ends_with("hello\n"), "{raw}");
+        handle.stop();
+    }
+
+    #[test]
+    fn request_ready_needs_the_whole_head_and_body() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        assert!(!request_ready(&server), "nothing sent yet");
+        client
+            .write_all(b"POST /reload HTTP/1.0\r\nContent-Length: 3\r\n\r\nab")
+            .unwrap();
+        while server.peek(&mut [0u8; 64]).unwrap_or(0) < 46 {}
+        assert!(!request_ready(&server), "one body byte short");
+        client.write_all(b"c").unwrap();
+        while server.peek(&mut [0u8; 64]).unwrap_or(0) < 47 {}
+        assert!(request_ready(&server));
+        drop(client);
+    }
+
+    #[test]
+    fn every_request_is_counted_once() {
+        let tel = NodeTelemetry::default();
+        let count = |tel: &NodeTelemetry| tel.requests.load(Ordering::Relaxed);
+        let get = |path: &str| OpsRequest {
+            method: "GET".into(),
+            path: path.into(),
+            body: String::new(),
+        };
+        let own = || OpsResponse::not_found();
+        assert_eq!(tel.serve(&get("/stats"), Stats::new, own).status, 200);
+        assert_eq!(tel.serve(&get("/health"), Stats::new, own).status, 404);
+        let post = OpsRequest {
+            method: "POST".into(),
+            ..get("/reload")
+        };
+        assert_eq!(tel.serve(&post, Stats::new, own).status, 404);
+        assert_eq!(count(&tel), 3);
+        // The scrape that reads the counter has already been counted.
+        assert!(tel
+            .serve(&get("/metrics"), || tel.stats("site", "s"), own)
+            .body
+            .contains("flowtree_ops_requests_total 4"));
     }
 
     /// The satellite fix this PR pins: a scraper that connects and

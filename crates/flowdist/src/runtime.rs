@@ -11,11 +11,15 @@
 //! `flowrelay::runtime::NodeRuntime`.
 //!
 //! One shipper thread takes the lane merger's frames off its channel
-//! into an in-memory [`SpillQueue`] and pumps on every frame and on a
-//! fixed idle tick, so acks and stalls are handled while no frames
-//! arrive. A frame stays queued until the relay acknowledges applying
-//! it; a reset connection or a restarted relay gets the unacked frames
-//! again, and the relay deduplicates them. During an upstream outage
+//! into an in-memory [`SpillQueue`] and pumps. It sleeps on one
+//! [`Wake`] that the lane merger rings for every frame and the
+//! shipper's reader thread rings for every ack and when the
+//! connection closes, or until [`ExportShipper::next_deadline`] (a
+//! reconnect backoff or an ack stall) comes due; a quiet site's
+//! shipper does not wake at all. A frame stays queued until the relay
+//! acknowledges applying it; a reset connection or a restarted relay
+//! gets the unacked frames again, and the relay deduplicates them.
+//! During an upstream outage
 //! the frames wait in the spill, which bounds them by bytes and sheds
 //! the oldest with accounting (`spill_*`, `flowtree_spill_shed_*`)
 //! rather than blocking the merger. The site uses the shipper's
@@ -45,7 +49,7 @@ use crate::ops::{
 };
 use crate::pipeline::IngestPipeline;
 use crate::{
-    DaemonConfig, DistError, SiteDaemon, SpillConfig, SpillQueue, SteadyClock, TransferMode,
+    DaemonConfig, DistError, SiteDaemon, SpillConfig, SpillQueue, SteadyClock, TransferMode, Wake,
 };
 use flowkey::Schema;
 use flowmetrics::Stats;
@@ -53,10 +57,6 @@ use flownet::DecoderLimits;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// How often the shipper thread pumps while no frame arrives, so acks,
-/// reconnects and stalls are handled on a quiet site too.
-const SHIP_TICK: Duration = Duration::from_millis(50);
 
 /// Everything one site node needs, as a value (superseding ad-hoc
 /// wiring): where to listen, where to ship, and the daemon knobs.
@@ -149,6 +149,8 @@ struct Uplink {
     shipper: ExportShipper,
     reconnects: Mutex<Reconnects>,
     clock: SteadyClock,
+    /// Pumps the shipper thread ran (`ship_pumps`): one per wakeup.
+    pumps: u64,
 }
 
 /// What [`SiteRuntime::drain`] hands back.
@@ -201,6 +203,7 @@ impl SiteRuntime {
             p
         };
         let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(256);
+        let wake = Wake::new();
         let knobs = Arc::new(AdmissionKnobs::new(cfg.admission, cfg.max_open_windows));
         knobs.set_pin_cores(cfg.pin_cores);
         let opts = LaneOptions {
@@ -222,24 +225,28 @@ impl SiteRuntime {
                 "Datagrams delivered per receive batch (recvmmsg syscall or ring burst).",
                 &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
             )),
+            frames_wake: Some(wake.clone()),
             ..LaneOptions::default()
         };
         let ingest = spawn_multi_lane_ingest(&cfg.listen, pipeline_for, tx, opts)?;
         let gauges = ingest.view();
+        let mut shipper = ExportShipper::new(
+            ShipperConfig::new(cfg.upstream.clone()),
+            SpillQueue::in_memory(SpillConfig::default()),
+            u64::from(cfg.site) ^ (u64::from(std::process::id()) << 17),
+        );
+        shipper.set_waker(wake.clone());
         let uplink = Arc::new(Mutex::new(Uplink {
-            shipper: ExportShipper::new(
-                ShipperConfig::new(cfg.upstream.clone()),
-                SpillQueue::in_memory(SpillConfig::default()),
-                u64::from(cfg.site) ^ (u64::from(std::process::id()) << 17),
-            ),
+            shipper,
             reconnects: Mutex::new(Reconnects::default()),
             clock: SteadyClock::new(),
+            pumps: 0,
         }));
         let ship = {
             let uplink = Arc::clone(&uplink);
             std::thread::Builder::new()
                 .name(format!("site{}-ship", cfg.site))
-                .spawn(move || ship_loop(&rx, &uplink))
+                .spawn(move || ship_loop(&rx, &uplink, &wake))
                 .map_err(DistError::Io)?
         };
         let ops = match &cfg.stats {
@@ -250,8 +257,11 @@ impl SiteRuntime {
                 let k = Arc::clone(&knobs);
                 let tel = telemetry;
                 let handler = move |req: &OpsRequest| {
-                    tel.serve(req, || site_stats(site, &tel, &view, &up, &k))
-                        .unwrap_or_else(|| site_ops(site, &k, &tel, req))
+                    tel.serve(
+                        req,
+                        || site_stats(site, &tel, &view, &up, &k),
+                        || site_ops(site, &k, &tel, req),
+                    )
                 };
                 Some(spawn_ops(addr, handler).map_err(DistError::Io)?)
             }
@@ -319,22 +329,35 @@ impl SiteRuntime {
     }
 }
 
-/// The shipper thread: queues each merged frame and pumps, and pumps
-/// on every idle tick, until the ingest engine drops the channel.
-fn ship_loop(rx: &crossbeam::channel::Receiver<Vec<u8>>, uplink: &Mutex<Uplink>) {
+/// The shipper thread: on every wakeup it queues the merged frames
+/// that arrived and pumps, then sleeps on `wake` until the next frame,
+/// control frame or shipper deadline, until the ingest engine drops
+/// the channel.
+fn ship_loop(rx: &crossbeam::channel::Receiver<Vec<u8>>, uplink: &Mutex<Uplink>, wake: &Wake) {
+    use crossbeam::channel::TryRecvError;
     loop {
-        let first = match rx.recv_timeout(SHIP_TICK) {
-            Ok(frame) => Some(frame),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+        let (open, due) = {
+            let mut guard = uplink.lock().expect("uplink lock");
+            let up = &mut *guard;
+            let open = loop {
+                match rx.try_recv() {
+                    Ok(frame) => {
+                        let queued = up.shipper.enqueue(frame);
+                        debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
+                    }
+                    Err(TryRecvError::Empty) => break true,
+                    Err(TryRecvError::Disconnected) => break false,
+                }
+            };
+            up.shipper.pump(&up.reconnects, up.clock.now_ms());
+            up.pumps += 1;
+            let due = up.shipper.next_deadline(up.clock.now_ms());
+            (open, due.map(|ms| up.clock.instant_at(ms)))
         };
-        let mut guard = uplink.lock().expect("uplink lock");
-        let up = &mut *guard;
-        for frame in first.into_iter().chain(rx.try_iter()) {
-            let queued = up.shipper.enqueue(frame);
-            debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
+        if !open {
+            return;
         }
-        up.shipper.pump(&up.reconnects, up.clock.now_ms());
+        wake.wait(due);
     }
 }
 
@@ -434,10 +457,10 @@ fn site_stats(
         "flowtree_frames_dropped_total",
         "Frames dropped (receiver gone or full channel while stopping).",
     );
-    let (ship, rc) = {
+    let (ship, rc, pumps) = {
         let up = uplink.lock().expect("uplink lock");
         let rc = *up.reconnects.lock().expect("reconnects lock");
-        (up.shipper.view(), rc)
+        (up.shipper.view(), rc, up.pumps)
     };
     s.kv("reconnect_attempts", rc.attempts).counter(
         "flowtree_ship_reconnect_attempts_total",
@@ -509,6 +532,10 @@ fn site_stats(
             )
             .label("lane", i.to_string());
     }
+    s.kv("ship_pumps", pumps).counter(
+        "flowtree_ship_pumps_total",
+        "Wakeups of the shipper thread (each queues what arrived and pumps once).",
+    );
     s
 }
 

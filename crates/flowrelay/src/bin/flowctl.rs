@@ -38,9 +38,10 @@ use flowrelay::{ExportMode, NodeRuntime};
 use std::collections::HashMap;
 use std::io::{BufRead, Write as _};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
@@ -469,14 +470,80 @@ fn apply_reload(targets: &[&NodeRuntime], kvs: &[&str]) -> Result<usize, String>
 // Spawned fleet (relayd child processes, supervised)
 // ---------------------------------------------------------------------------
 
-/// One supervised relayd child.
+/// One supervised relayd child. A waiter thread owns the process and
+/// blocks in `wait`; its exit is the supervisor's event.
 struct ChildNode {
     name: String,
     /// Args pinned to the first boot's resolved ports, so a restarted
     /// child comes back where its peers expect it.
     args: Vec<String>,
-    child: Child,
+    /// Where control commands go; closing it asks relayd to drain.
+    stdin: Option<ChildStdin>,
+    pid: u32,
+    /// Joins with the child's exit status.
+    waiter: JoinHandle<std::io::Result<ExitStatus>>,
     restarts: u32,
+}
+
+/// What the spawn-mode supervisor thread sleeps on.
+enum SupEvent {
+    /// Child `idx` exited; the text says how.
+    Exited(usize, String),
+    /// The fleet is draining: stop supervising.
+    Stop,
+}
+
+/// How long a failed restart (ports still in TIME_WAIT) waits before
+/// the next attempt.
+const RESTART_RETRY: Duration = Duration::from_millis(250);
+
+/// Hands a spawned child to a waiter thread that reports its exit to
+/// the supervisor as [`SupEvent::Exited`]`(idx, …)`.
+fn watch(
+    idx: usize,
+    mut child: Child,
+    events: Sender<SupEvent>,
+) -> (
+    Option<ChildStdin>,
+    u32,
+    JoinHandle<std::io::Result<ExitStatus>>,
+) {
+    let stdin = child.stdin.take();
+    let pid = child.id();
+    let waiter = std::thread::spawn(move || {
+        let status = child.wait();
+        let how = match &status {
+            Ok(s) => s.to_string(),
+            Err(e) => format!("wait failed: {e}"),
+        };
+        let _ = events.send(SupEvent::Exited(idx, how));
+        status
+    });
+    (stdin, pid, waiter)
+}
+
+/// Spawns a fresh relayd for an exited child in place. Returns whether
+/// it came up.
+fn restart(c: &mut ChildNode, idx: usize, relayd: &str, events: &Sender<SupEvent>) -> bool {
+    match spawn_relayd(relayd, &c.name, &c.args) {
+        Ok((child, _, _)) => {
+            let (stdin, pid, waiter) = watch(idx, child, events.clone());
+            let _ = std::mem::replace(&mut c.waiter, waiter).join();
+            c.stdin = stdin;
+            c.pid = pid;
+            c.restarts += 1;
+            log(format_args!(
+                "flowctl: relay {} restarted (pid {pid}, restart #{})",
+                c.name, c.restarts
+            ));
+            true
+        }
+        Err(e) => {
+            // Ports may still be in TIME_WAIT; retried shortly.
+            log(format_args!("flowctl: restart of {} failed: {e}", c.name));
+            false
+        }
+    }
 }
 
 /// The spawn-mode fleet state shared between the stdin loop and the
@@ -653,6 +720,7 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
     let relayd = relayd_path(args);
     let mut ingest_addrs: HashMap<String, SocketAddr> = HashMap::new();
     let mut children = Vec::new();
+    let (events, exits) = std::sync::mpsc::channel::<SupEvent>();
     for name in spec.boot_order() {
         let r = spec.relay(&name).expect("boot_order names spec relays");
         let upstream = r.parent.as_ref().map(|p| ingest_addrs[p]);
@@ -663,14 +731,14 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
         pin_arg(&mut cargs, "--ingest", ingest.to_string());
         pin_arg(&mut cargs, "--query", query.to_string());
         ingest_addrs.insert(name.clone(), ingest);
-        println!(
-            "flowctl: relay {name} ingest={ingest} query={query} pid={}",
-            child.id()
-        );
+        let (stdin, pid, waiter) = watch(children.len(), child, events.clone());
+        println!("flowctl: relay {name} ingest={ingest} query={query} pid={pid}");
         children.push(ChildNode {
             name,
             args: cargs,
-            child,
+            stdin,
+            pid,
+            waiter,
             restarts: 0,
         });
     }
@@ -700,52 +768,40 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
         sites.len()
     );
 
-    let draining = Arc::new(AtomicBool::new(false));
     let fleet = Arc::new(Mutex::new(SpawnedFleet { relayd, children }));
-    // Supervisor: restart any child that exits while we are not
-    // draining. The restarted process recovers its journal and spill
-    // under the same state dir and rebinds its pinned ports (retrying
-    // until the OS releases them).
+    // Supervisor: sleeps until a child exits, then restarts it. The
+    // restarted process recovers its journal and spill under the same
+    // state dir and rebinds its pinned ports, retried every
+    // RESTART_RETRY while the OS still holds them.
     let sup = {
         let fleet = Arc::clone(&fleet);
-        let draining = Arc::clone(&draining);
-        std::thread::spawn(move || loop {
-            if draining.load(Ordering::Relaxed) {
-                return;
-            }
-            {
-                let mut guard = fleet.lock().expect("fleet lock");
-                let relayd = guard.relayd.clone();
-                for c in guard.children.iter_mut() {
-                    if let Ok(Some(status)) = c.child.try_wait() {
-                        if draining.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        log(format_args!(
-                            "flowctl: relay {} exited ({status}); restarting",
-                            c.name
-                        ));
-                        match spawn_relayd(&relayd, &c.name, &c.args) {
-                            Ok((child, _, _)) => {
-                                c.child = child;
-                                c.restarts += 1;
-                                log(format_args!(
-                                    "flowctl: relay {} restarted (pid {}, restart #{})",
-                                    c.name,
-                                    c.child.id(),
-                                    c.restarts
-                                ));
-                            }
-                            Err(e) => {
-                                // Ports may still be in TIME_WAIT; the
-                                // next supervisor pass retries.
-                                log(format_args!("flowctl: restart of {} failed: {e}", c.name));
-                            }
-                        }
+        let events = events.clone();
+        std::thread::spawn(move || {
+            let mut down: Vec<usize> = Vec::new();
+            loop {
+                let event = if down.is_empty() {
+                    exits.recv().ok()
+                } else {
+                    match exits.recv_timeout(RESTART_RETRY) {
+                        Ok(ev) => Some(ev),
+                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
+                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
                     }
+                };
+                if let Some(SupEvent::Stop) = event {
+                    return;
                 }
+                let mut guard = fleet.lock().expect("fleet lock");
+                let guard = &mut *guard;
+                if let Some(SupEvent::Exited(idx, how)) = event {
+                    let name = &guard.children[idx].name;
+                    log(format_args!(
+                        "flowctl: relay {name} exited ({how}); restarting"
+                    ));
+                    down.push(idx);
+                }
+                down.retain(|&idx| !restart(&mut guard.children[idx], idx, &guard.relayd, &events));
             }
-            std::thread::sleep(Duration::from_millis(250));
         })
     };
 
@@ -802,29 +858,30 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
         }
     }
 
-    draining.store(true, Ordering::Relaxed);
+    let _ = events.send(SupEvent::Stop);
     let _ = sup.join();
     drain_sites(sites, deadline);
     // Leaves-first: closing a child's stdin (or sending `drain`) makes
     // relayd flush pending exports to its still-running parent (each
     // child bounds its own drain via --drain-deadline-ms).
-    let mut guard = fleet.lock().expect("fleet lock");
-    for c in guard.children.iter_mut().rev() {
-        send_line(c, "drain");
-        drop(c.child.stdin.take());
-        match c.child.wait() {
-            Ok(status) => log(format_args!(
+    let children = std::mem::take(&mut fleet.lock().expect("fleet lock").children);
+    for mut c in children.into_iter().rev() {
+        send_line(&mut c, "drain");
+        drop(c.stdin.take());
+        match c.waiter.join() {
+            Ok(Ok(status)) => log(format_args!(
                 "flowctl: relay {} drained and exited ({status})",
                 c.name
             )),
-            Err(e) => log(format_args!("flowctl: wait on {} failed: {e}", c.name)),
+            Ok(Err(e)) => log(format_args!("flowctl: wait on {} failed: {e}", c.name)),
+            Err(_) => log(format_args!("flowctl: the waiter of {} panicked", c.name)),
         }
     }
     println!("flowctl: fleet down");
 }
 
 fn send_line(c: &mut ChildNode, line: &str) {
-    if let Some(stdin) = c.child.stdin.as_mut() {
+    if let Some(stdin) = c.stdin.as_mut() {
         let _ = writeln!(stdin, "{line}");
         let _ = stdin.flush();
     }

@@ -43,7 +43,7 @@ FLAGS:
     --upstream ADDR       ship exports to this TCP peer     [default: none — exports are logged and dropped]
     --mode full|delta     re-export whole windows or deltas [default: delta]
     --linger-ms N         wall-clock grace past a window's end before it exports [default: 2000]
-    --drain-every-ms N    export-scheduler tick             [default: 1000]
+    --drain-every-ms N    export coalescing grid            [default: 1000]
     --max-bases N         pinned re-aggregation bases kept  [default: 64]
     --max-base-nodes N    total tree nodes the pinned bases may hold
                           together (memory-honest base bound) [default: 1048576]
@@ -201,7 +201,7 @@ fn main() {
 
     // No control channel: the runtime's threads do all the work; park.
     loop {
-        std::thread::sleep(Duration::from_secs(3_600));
+        std::thread::park();
     }
 }
 

@@ -591,7 +591,22 @@ impl Relay {
     /// silently diverging from the upstream.
     pub fn drain_exports_at(&mut self, now_ms: u64) -> Vec<Summary> {
         let linger = self.cfg.export.linger_ms;
-        self.export_ready(|start, span| start.saturating_add(span).saturating_add(linger) <= now_ms)
+        self.export_ready(|start, span| export_due_at(start, span, linger) <= now_ms)
+    }
+
+    /// When [`Relay::drain_exports_at`] next has something to export:
+    /// the earliest end-plus-linger among windows whose content moved
+    /// past their last export. A time at or before now means a window
+    /// is due already (content that arrived after its window became
+    /// due, or a rewound window); `None` when nothing waits to export.
+    pub fn next_export_due(&self) -> Option<u64> {
+        let span = self.span_ms?;
+        let linger = self.cfg.export.linger_ms;
+        self.windows
+            .iter()
+            .filter(|(_, st)| st.content_epoch > st.exported_epoch)
+            .map(|(&start, _)| export_due_at(start, span, linger))
+            .min()
     }
 
     /// Exports every window with unshipped content, regardless of
@@ -625,7 +640,13 @@ impl Relay {
     /// content (the evicted trees are gone); an upstream with longer
     /// retention is replaced wholesale — the relay is authoritative
     /// for its subtree.
+    ///
+    /// A cutoff that evicts nothing changes nothing and journals
+    /// nothing.
     pub fn evict_windows_before(&mut self, cutoff_ms: u64) -> usize {
+        if self.oldest_window().is_none_or(|start| start >= cutoff_ms) {
+            return 0;
+        }
         let keep = self.windows.split_off(&cutoff_ms);
         for (start, st) in std::mem::replace(&mut self.windows, keep) {
             self.evicted_epochs.insert(start, st.content_epoch);
@@ -636,6 +657,28 @@ impl Relay {
         let dropped = self.collector.evict_windows_before(cutoff_ms);
         self.journal_append(crate::journal::Record::Evict(cutoff_ms));
         dropped
+    }
+
+    /// When retention with horizon `retention_ms` next evicts
+    /// something: the first time the oldest stored window starts more
+    /// than `retention_ms` in the past. `None` when nothing is stored
+    /// or retention is off (0).
+    pub fn next_eviction_due(&self, retention_ms: u64) -> Option<u64> {
+        if retention_ms == 0 {
+            return None;
+        }
+        self.oldest_window()
+            .map(|start| start.saturating_add(retention_ms).saturating_add(1))
+    }
+
+    /// The oldest window with any state here: export state, a stored
+    /// tree, or an epoch ledger entry.
+    fn oldest_window(&self) -> Option<u64> {
+        let export = self.windows.keys().next().copied();
+        export
+            .into_iter()
+            .chain(self.collector.oldest_window_start())
+            .min()
     }
 
     /// Tells the relay that previously drained exports for a window
@@ -1053,6 +1096,12 @@ pub(crate) struct RelayState {
     pub(crate) ledger: RelayLedger,
 }
 
+/// The wall-clock time a window becomes exportable under
+/// [`Relay::drain_exports_at`]: its end plus the linger.
+fn export_due_at(start: u64, span: u64, linger_ms: u64) -> u64 {
+    start.saturating_add(span).saturating_add(linger_ms)
+}
+
 /// Whether every node mass of a diff tree is non-negative — i.e. the
 /// window's content only grew since the base. A delta with negative
 /// masses means a downstream replaced or shrank a window; shipping it
@@ -1334,6 +1383,57 @@ mod tests {
         assert!(r.drain_exports_at(SPAN + 499).is_empty());
         let out = r.drain_exports_at(SPAN + 500);
         assert_eq!(out.len(), 1);
+    }
+
+    /// The scheduler's export deadline, as a pure function of state:
+    /// `drain_exports_at(now)` exports exactly when `now` reached it.
+    #[test]
+    fn next_export_due_tracks_linger_and_late_content() {
+        let mut r = relay_with(
+            "a",
+            100,
+            &[0, 1],
+            ExportConfig {
+                linger_ms: 500,
+                ..ExportConfig::default()
+            },
+        );
+        assert_eq!(r.next_export_due(), None, "nothing stored");
+        r.apply(site_summary(0, 0, 0..2, 1)).unwrap();
+        r.apply(site_summary(0, 2, 0..2, 1)).unwrap();
+        // Linger not yet due: window 0 ends at SPAN, plus 500.
+        let due = r.next_export_due().expect("window 0 pending");
+        assert_eq!(due, SPAN + 500);
+        assert!(r.drain_exports_at(due - 1).is_empty());
+        assert_eq!(r.drain_exports_at(due).len(), 1);
+        // Window 0 is exported; window 2 is next.
+        assert_eq!(r.next_export_due(), Some(3 * SPAN + 500));
+        // Content that arrives after its window became due is due at
+        // once: the deadline lies in the past.
+        let now = 3 * SPAN;
+        r.apply(site_summary(1, 0, 0..2, 1)).unwrap();
+        assert_eq!(r.next_export_due(), Some(SPAN + 500));
+        assert!(r.next_export_due().unwrap() <= now);
+        assert_eq!(r.drain_exports_at(now).len(), 1, "the late content ships");
+        assert_eq!(r.next_export_due(), Some(3 * SPAN + 500));
+        r.flush_exports();
+        assert_eq!(r.next_export_due(), None, "nothing pending");
+    }
+
+    #[test]
+    fn next_eviction_due_is_just_past_the_oldest_window_plus_retention() {
+        let mut r = relay("a", 100, &[0]);
+        assert_eq!(r.next_eviction_due(10 * SPAN), None, "nothing stored");
+        r.apply(site_summary(0, 2, 0..2, 1)).unwrap();
+        r.apply(site_summary(0, 5, 0..2, 1)).unwrap();
+        assert_eq!(r.next_eviction_due(0), None, "retention off");
+        let due = r.next_eviction_due(10 * SPAN).unwrap();
+        assert_eq!(due, 2 * SPAN + 10 * SPAN + 1);
+        // The scheduler's cutoff at `due - 1` evicts nothing; at `due`
+        // it evicts window 2, and the deadline moves to window 5.
+        assert_eq!(r.evict_windows_before((due - 1) - 10 * SPAN), 0);
+        assert_eq!(r.evict_windows_before(due - 10 * SPAN), 1);
+        assert_eq!(r.next_eviction_due(10 * SPAN), Some(15 * SPAN + 1));
     }
 
     #[test]

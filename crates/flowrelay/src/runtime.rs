@@ -16,8 +16,18 @@
 //!   result back from the addr accessors), recovers journal and spill
 //!   state, rewinds unacked exports when an upstream exists, and
 //!   spawns the scheduler.
+//! * The **scheduler** sleeps until something happens — a downstream
+//!   frame applied, an ack, rebase-request or closed connection on the
+//!   upstream link, a reload, stop — or until the earliest deadline
+//!   its state computes: the next window export
+//!   ([`Relay::next_export_due`]), the shipper's reconnect backoff or
+//!   ack stall ([`ExportShipper::next_deadline`]), the next retention
+//!   eviction ([`Relay::next_eviction_due`]). It then runs one pass on
+//!   the `drain-every-ms` grid (the first multiple at or after the
+//!   wake), so exports coalesce exactly as they would on a fixed tick
+//!   while an idle node never wakes.
 //! * **`reload`** applies a [`NodeReload`] — export mode, linger,
-//!   retention, scheduler tick — live, without dropping a socket or a
+//!   retention, scheduler grid — live, without dropping a socket or a
 //!   window. The same deltas arrive over the stats endpoint as
 //!   `POST /reload` with `key=value` lines.
 //! * **`drain`** is the graceful exit: stop accepting downstreams,
@@ -41,17 +51,17 @@ use crate::relay::{ExportConfig, ExportMode, Relay, RelayConfig, RelayLedger};
 use crate::server::{answer_query, serve_acked_ingest_timed};
 use crate::topology::{RelaySpec, RelayTopology};
 use flowdist::ops::{
-    parse_reload, reload_u64, spawn_ops, NodeTelemetry, OpsHandle, OpsRequest, OpsResponse,
+    parse_reload, reload_u64, spawn_accept_loop, spawn_ops, AcceptLoop, NodeTelemetry, OpsHandle,
+    OpsRequest, OpsResponse,
 };
 use flowdist::{
     epoch_ms, shipper_stats, BackoffConfig, ExportShipper, FsyncPolicy, ShipperConfig, ShipperView,
-    SpillConfig, SpillQueue, SteadyClock, Summary, ViewCacheStats,
+    SpillConfig, SpillQueue, SteadyClock, Summary, ViewCacheStats, Wake,
 };
 use flowmetrics::{EventRing, Stats, Stopwatch};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Everything one relay node needs, as a value. Field-for-field this
@@ -78,7 +88,8 @@ pub struct NodeConfig {
     pub mode: ExportMode,
     /// Wall-clock grace past a window's end before it exports (ms).
     pub linger_ms: u64,
-    /// Export-scheduler tick (ms).
+    /// The export scheduler's coalescing grid (ms): passes run only at
+    /// multiples of it. Not a poll period — an idle node never wakes.
     pub drain_every_ms: u64,
     /// Pinned re-aggregation bases kept.
     pub max_bases: usize,
@@ -146,7 +157,7 @@ pub struct NodeReload {
     pub linger_ms: u64,
     /// Retention horizon (ms; 0 = keep forever).
     pub retention_ms: u64,
-    /// Scheduler tick (ms).
+    /// Scheduler coalescing grid (ms).
     pub drain_every_ms: u64,
     /// Pinned re-aggregation bases kept.
     pub max_bases: usize,
@@ -214,7 +225,7 @@ fn log(msg: core::fmt::Arguments<'_>) {
     let _ = writeln!(std::io::stderr(), "{msg}");
 }
 
-/// Parameters the scheduler re-reads every tick (reload targets that
+/// Parameters the scheduler re-reads every pass (reload targets that
 /// do not live inside [`Relay`]'s own export config).
 #[derive(Debug, Clone, Copy)]
 struct SchedParams {
@@ -226,6 +237,8 @@ struct SchedParams {
 /// endpoint.
 struct SchedState {
     shipper: Option<ExportShipper>,
+    /// Scheduler passes run (`sched_passes`).
+    passes: u64,
     journal_fault_logged: bool,
     /// Where scheduler-detected operational events land (`/events`).
     events: EventRing,
@@ -265,12 +278,10 @@ pub struct NodeRuntime {
     sched: Arc<Mutex<SchedState>>,
     params: Arc<Mutex<SchedParams>>,
     clock: SteadyClock,
-    /// `(stopping, wake)` — the scheduler parks on the condvar with
-    /// the tick as timeout, so shutdown and reload wake it instantly.
-    run: Arc<(Mutex<bool>, Condvar)>,
-    accept_stop: Arc<AtomicBool>,
-    ingest_join: Option<std::thread::JoinHandle<()>>,
-    query_join: Option<std::thread::JoinHandle<()>>,
+    /// What the scheduler sleeps on (see the module docs); stop ends it.
+    run: Wake,
+    ingest_listener: AcceptLoop,
+    query_listener: AcceptLoop,
     sched_join: Option<std::thread::JoinHandle<()>>,
     ops: Option<OpsHandle>,
     recovery: Option<RecoveryReport>,
@@ -374,6 +385,7 @@ impl NodeRuntime {
             "One query planned, routed over the stored windows, and rendered.",
         );
         let relay = Arc::new(Mutex::new(relay));
+        let run = Wake::new();
 
         // The durable shipper (only with an upstream).
         let shipper = match &cfg.upstream {
@@ -413,6 +425,7 @@ impl NodeRuntime {
                     "flowtree_export_rtt_seconds",
                     "Ship-to-ack round trip of one export frame (first wire write to releasing ack).",
                 ));
+                shipper.set_waker(run.clone());
                 Some(shipper)
             }
             None => None,
@@ -423,6 +436,7 @@ impl NodeRuntime {
         let seen = LedgerSeen::of(relay.lock().expect("relay lock").ledger());
         let sched = Arc::new(Mutex::new(SchedState {
             shipper,
+            passes: 0,
             journal_fault_logged: false,
             events: telemetry.events.clone(),
             seen,
@@ -432,8 +446,7 @@ impl NodeRuntime {
             drain_every_ms: cfg.drain_every_ms.max(1),
         }));
 
-        // --- ingest listener (accept-poll, so drain can close it) ----
-        let accept_stop = Arc::new(AtomicBool::new(false));
+        // --- ingest listener ----------------------------------------
         let ingest = TcpListener::bind(&cfg.ingest).map_err(|err| RuntimeError::Bind {
             what: "ingest",
             addr: cfg.ingest.clone(),
@@ -444,13 +457,14 @@ impl NodeRuntime {
             addr: cfg.ingest.clone(),
             err,
         })?;
-        let ingest_join = {
+        let ingest_listener = {
             let relay = Arc::clone(&relay);
-            let stop = Arc::clone(&accept_stop);
             let update_hist = update_hist.clone();
-            spawn_accept_loop("relay-ingest", ingest, stop, move |mut conn| {
+            let run = run.clone();
+            spawn_accept_loop("relay-ingest", ingest, move |mut conn| {
                 let relay = Arc::clone(&relay);
                 let update_hist = update_hist.clone();
+                let run = run.clone();
                 let _ = std::thread::Builder::new()
                     .name("relay-ingest-conn".into())
                     .spawn(move || {
@@ -458,8 +472,14 @@ impl NodeRuntime {
                         // rebase-request replies once the peer says
                         // hello (every shipper does); a sender that
                         // never does gets one-way silence. Locks the
-                        // relay per frame, not per connection.
-                        let _ = serve_acked_ingest_timed(&mut conn, &relay, Some(&update_hist));
+                        // relay per frame, not per connection; every
+                        // applied frame rings the scheduler.
+                        let _ = serve_acked_ingest_timed(
+                            &mut conn,
+                            &relay,
+                            Some(&update_hist),
+                            Some(&run),
+                        );
                     });
             })
             .map_err(|err| RuntimeError::Bind {
@@ -480,12 +500,11 @@ impl NodeRuntime {
             addr: cfg.query.clone(),
             err,
         })?;
-        let query_join = {
+        let query_listener = {
             let relay = Arc::clone(&relay);
             let topo = topo.clone();
-            let stop = Arc::clone(&accept_stop);
             let query_hist = query_hist.clone();
-            spawn_accept_loop("relay-query", queries, stop, move |conn| {
+            spawn_accept_loop("relay-query", queries, move |conn| {
                 let relay = Arc::clone(&relay);
                 let topo = topo.clone();
                 let query_hist = query_hist.clone();
@@ -519,39 +538,43 @@ impl NodeRuntime {
 
         // --- export scheduler ----------------------------------------
         let clock = SteadyClock::new();
-        let run = Arc::new((Mutex::new(false), Condvar::new()));
         let sched_join = {
             let relay = Arc::clone(&relay);
             let sched = Arc::clone(&sched);
             let params = Arc::clone(&params);
-            let run = Arc::clone(&run);
+            let run = run.clone();
             let clock = clock.clone();
             let tag = tag.clone();
             std::thread::Builder::new()
                 .name("relay-sched".into())
-                .spawn(move || {
-                    let (stop_lock, wake) = &*run;
-                    loop {
-                        let tick = params.lock().expect("params lock").drain_every_ms;
-                        let stopped = {
-                            let guard = stop_lock.lock().expect("run lock");
-                            let (guard, _) = wake
-                                .wait_timeout(guard, Duration::from_millis(tick))
-                                .expect("run lock");
-                            *guard
-                        };
-                        if stopped {
-                            return;
-                        }
-                        let p = *params.lock().expect("params lock");
-                        scheduler_pass(
+                .spawn(move || loop {
+                    let p = *params.lock().expect("params lock");
+                    let due = {
+                        let sched = sched.lock().expect("sched lock");
+                        let relay = relay.lock().expect("relay lock");
+                        next_pass_due(
                             &relay,
-                            &mut sched.lock().expect("sched lock"),
-                            &p,
-                            &clock,
-                            &tag,
-                        );
+                            sched.shipper.as_ref(),
+                            p.retention_ms,
+                            clock.now_ms(),
+                        )
+                    };
+                    if !run.wait(due.map(|ms| clock.instant_at(ms))) {
+                        return;
                     }
+                    let tick = params.lock().expect("params lock").drain_every_ms;
+                    let at = pass_at(clock.now_ms(), tick);
+                    if !run.sleep_until(clock.instant_at(at)) {
+                        return;
+                    }
+                    let p = *params.lock().expect("params lock");
+                    scheduler_pass(
+                        &relay,
+                        &mut sched.lock().expect("sched lock"),
+                        &p,
+                        &clock,
+                        &tag,
+                    );
                 })
                 .map_err(RuntimeError::Spawn)?
         };
@@ -562,7 +585,7 @@ impl NodeRuntime {
                 let relay = Arc::clone(&relay);
                 let sched = Arc::clone(&sched);
                 let params = Arc::clone(&params);
-                let run = Arc::clone(&run);
+                let run = run.clone();
                 let name = cfg.name.clone();
                 let role = if cfg.upstream.is_none() {
                     "root"
@@ -574,16 +597,19 @@ impl NodeRuntime {
                 let tel = telemetry.clone();
                 Some(
                     spawn_ops(addr, move |req| {
-                        tel.serve(req, || {
-                            relay_stats(
-                                &tel,
-                                role,
-                                &name,
-                                agg_site,
-                                &observe(&relay, &sched, &params),
-                            )
-                        })
-                        .unwrap_or_else(|| relay_ops(&identity, &relay, &params, &run, &tel, req))
+                        tel.serve(
+                            req,
+                            || {
+                                relay_stats(
+                                    &tel,
+                                    role,
+                                    &name,
+                                    agg_site,
+                                    &observe(&relay, &sched, &params),
+                                )
+                            },
+                            || relay_ops(&identity, &relay, &params, &run, &tel, req),
+                        )
                     })
                     .map_err(|err| RuntimeError::Bind {
                         what: "stats",
@@ -605,9 +631,8 @@ impl NodeRuntime {
             params,
             clock,
             run,
-            accept_stop,
-            ingest_join: Some(ingest_join),
-            query_join: Some(query_join),
+            ingest_listener,
+            query_listener,
             sched_join: Some(sched_join),
             ops,
             recovery,
@@ -680,7 +705,7 @@ impl NodeRuntime {
     }
 
     /// Applies a live reconfiguration: export mode/linger/base bound
-    /// through [`Relay::set_export_config`], retention and tick
+    /// through [`Relay::set_export_config`], retention and grid
     /// through the scheduler. Takes effect on the next pass (the
     /// scheduler is woken immediately).
     pub fn reload(&self, r: NodeReload) {
@@ -699,15 +724,15 @@ impl NodeRuntime {
             p.retention_ms = r.retention_ms;
             p.drain_every_ms = r.drain_every_ms.max(1);
         }
-        self.run.1.notify_all();
+        self.run.notify();
         log(format_args!(
-            "{}: reloaded — mode {:?}, linger {}ms, retention {}ms, tick {}ms, max-bases {}",
+            "{}: reloaded — mode {:?}, linger {}ms, retention {}ms, grid {}ms, max-bases {}",
             self.tag, r.mode, r.linger_ms, r.retention_ms, r.drain_every_ms, r.max_bases
         ));
     }
 
     /// Runs one scheduler pass synchronously (what `--oneshot` and
-    /// tests use instead of waiting out a tick).
+    /// tests use instead of waiting for the scheduler).
     pub fn tick_now(&self) {
         let p = *self.params.lock().expect("params lock");
         scheduler_pass(
@@ -746,7 +771,6 @@ impl NodeRuntime {
         };
         drop(sched);
         let ledger = *self.relay.lock().expect("relay lock").ledger();
-        self.join_listeners();
         if let Some(ops) = self.ops.take() {
             ops.stop();
         }
@@ -766,7 +790,6 @@ impl NodeRuntime {
     pub fn shutdown(mut self) {
         self.stop_accepting();
         self.stop_scheduler();
-        self.join_listeners();
         if let Some(ops) = self.ops.take() {
             ops.stop();
         }
@@ -777,23 +800,16 @@ impl NodeRuntime {
         self.upstream.is_some()
     }
 
+    /// Stops both listeners and frees their ports (new downstream and
+    /// query connections are refused; open ones keep being served).
     fn stop_accepting(&mut self) {
-        self.accept_stop.store(true, Ordering::Relaxed);
+        self.ingest_listener.stop();
+        self.query_listener.stop();
     }
 
     fn stop_scheduler(&mut self) {
-        *self.run.0.lock().expect("run lock") = true;
-        self.run.1.notify_all();
+        self.run.stop();
         if let Some(j) = self.sched_join.take() {
-            let _ = j.join();
-        }
-    }
-
-    fn join_listeners(&mut self) {
-        for j in [self.ingest_join.take(), self.query_join.take()]
-            .into_iter()
-            .flatten()
-        {
             let _ = j.join();
         }
     }
@@ -803,42 +819,35 @@ impl Drop for NodeRuntime {
     fn drop(&mut self) {
         self.stop_accepting();
         self.stop_scheduler();
-        self.join_listeners();
         if let Some(ops) = self.ops.take() {
             ops.stop();
         }
     }
 }
 
-/// Accept-poll loop: a nonblocking listener polled against a stop
-/// flag, so stopping a node actually releases its ports (a thread
-/// parked in `accept` would hold them until process exit).
-fn spawn_accept_loop<F>(
-    name: &str,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    on_conn: F,
-) -> std::io::Result<std::thread::JoinHandle<()>>
-where
-    F: Fn(std::net::TcpStream) + Send + 'static,
-{
-    listener.set_nonblocking(true)?;
-    std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        let _ = conn.set_nonblocking(false);
-                        on_conn(conn);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-        })
+/// When the scheduler next has work, from state alone: the earliest of
+/// the next window export (only on a node that ships — a root exports
+/// nothing), the shipper's own deadline (reconnect backoff, ack stall)
+/// and the next retention eviction. `None`: nothing until an event.
+fn next_pass_due(
+    relay: &Relay,
+    shipper: Option<&ExportShipper>,
+    retention_ms: u64,
+    now_ms: u64,
+) -> Option<u64> {
+    let export = shipper.and_then(|_| relay.next_export_due());
+    let ship = shipper.and_then(|s| s.next_deadline(now_ms));
+    let evict = relay.next_eviction_due(retention_ms);
+    [export, ship, evict].into_iter().flatten().min()
+}
+
+/// When the pass a wake at `wake_ms` calls for runs: the first multiple
+/// of `grid_ms` (`drain-every-ms`) at or after the wake. Work that
+/// comes due within one grid step shares a pass, exactly as on a fixed
+/// tick of that period.
+fn pass_at(wake_ms: u64, grid_ms: u64) -> u64 {
+    let grid = grid_ms.max(1);
+    wake_ms.div_ceil(grid).saturating_mul(grid)
 }
 
 /// One scheduler pass: drain due windows and ship them (a root has no
@@ -851,6 +860,7 @@ fn scheduler_pass(
     clock: &SteadyClock,
     tag: &str,
 ) {
+    sched.passes += 1;
     let now = clock.now_ms();
     // A root exports to nobody: no merge, no diff, no encode and no
     // pinned delta base per window.
@@ -950,6 +960,7 @@ fn enqueue_exports(
 struct ObsSnap {
     export: ExportConfig,
     params: SchedParams,
+    passes: u64,
     journal_degraded: bool,
     ledger: RelayLedger,
     stored_windows: usize,
@@ -976,15 +987,17 @@ fn observe(
         )
     };
     let p = *params.lock().expect("params lock");
-    let ship = sched
-        .lock()
-        .expect("sched lock")
-        .shipper
-        .as_ref()
-        .map(ExportShipper::view);
+    let (ship, passes) = {
+        let sched = sched.lock().expect("sched lock");
+        (
+            sched.shipper.as_ref().map(ExportShipper::view),
+            sched.passes,
+        )
+    };
     ObsSnap {
         export,
         params: p,
+        passes,
         journal_degraded,
         ledger,
         stored_windows,
@@ -1137,6 +1150,10 @@ fn relay_stats(tel: &NodeTelemetry, role: &str, name: &str, agg_site: u16, o: &O
         "flowtree_view_relayouts_total",
         "Cached views re-laid out in pre-order after a compaction.",
     );
+    s.kv("sched_passes", o.passes).counter(
+        "flowtree_sched_passes_total",
+        "Export-scheduler passes run (each follows an event or a deadline).",
+    );
     s
 }
 
@@ -1147,7 +1164,7 @@ fn relay_ops(
     identity: &str,
     relay: &Arc<Mutex<Relay>>,
     params: &Arc<Mutex<SchedParams>>,
-    run: &Arc<(Mutex<bool>, Condvar)>,
+    run: &Wake,
     tel: &NodeTelemetry,
     req: &OpsRequest,
 ) -> OpsResponse {
@@ -1159,7 +1176,7 @@ fn relay_ops(
         ("POST", "/reload") => {
             let outcome = relay_reload(&req.body, relay, params);
             if outcome.is_ok() {
-                run.1.notify_all();
+                run.notify();
             }
             tel.reloaded(outcome)
         }
@@ -1199,4 +1216,141 @@ fn relay_reload(
     relay_guard.set_export_config(export);
     *params.lock().expect("params lock") = p;
     Ok(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowdist::{EpochHeader, Lineage, SummaryKind, WindowId};
+    use flowtree_core::{FlowTree, Popularity};
+
+    const SPAN: u64 = 1_000;
+
+    fn site_frame(site: u16, window: u64) -> Summary {
+        let mut tree = FlowTree::new(
+            flowkey::Schema::five_feature(),
+            flowtree_core::Config::with_budget(4_096),
+        );
+        let key: flowkey::FlowKey =
+            format!("src=10.{site}.0.1/32 dst=192.0.2.1/32 sport=40000 dport=443 proto=tcp")
+                .parse()
+                .unwrap();
+        tree.insert(&key, Popularity::new(3, 300, 1));
+        Summary {
+            site,
+            window: WindowId {
+                start_ms: window * SPAN,
+                span_ms: SPAN,
+            },
+            seq: 1,
+            kind: SummaryKind::Full,
+            lineage: Some(Lineage {
+                provenance: vec![site],
+                epoch: EpochHeader {
+                    epoch: 1,
+                    base: None,
+                },
+            }),
+            tree,
+        }
+    }
+
+    fn relay(linger_ms: u64) -> Relay {
+        Relay::new(RelayConfig {
+            name: "r".into(),
+            agg_site: 1_000,
+            expected: vec![0, 1],
+            schema: flowkey::Schema::five_feature(),
+            tree: flowtree_core::Config::with_budget(4_096),
+            export: ExportConfig {
+                linger_ms,
+                ..ExportConfig::default()
+            },
+        })
+    }
+
+    fn shipper() -> ExportShipper {
+        ExportShipper::new(
+            ShipperConfig::new("127.0.0.1:1"),
+            SpillQueue::in_memory(SpillConfig::default()),
+            1,
+        )
+    }
+
+    #[test]
+    fn pass_at_rounds_a_wake_up_to_the_grid() {
+        assert_eq!(pass_at(0, 10), 0);
+        assert_eq!(pass_at(1, 10), 10);
+        assert_eq!(pass_at(10, 10), 10, "a wake on the grid runs at once");
+        assert_eq!(pass_at(1_234_567, 10), 1_234_570);
+        assert_eq!(pass_at(1_234_567, 1), 1_234_567);
+        assert_eq!(pass_at(5, 0), 5, "a zero grid is one millisecond");
+        assert_eq!(pass_at(u64::MAX - 3, 10), u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn next_pass_due_is_the_earliest_deadline() {
+        let mut r = relay(200);
+        let mut ship = shipper();
+        // Nothing stored, nothing pending: sleep until an event.
+        assert_eq!(next_pass_due(&r, Some(&ship), 86_400_000, 0), None);
+        assert_eq!(next_pass_due(&r, None, 0, 0), None);
+
+        r.apply(site_frame(0, 4)).unwrap();
+        // A shipping node wakes for the export (window end + linger); a
+        // root exports nothing and wakes only for retention.
+        assert_eq!(
+            next_pass_due(&r, Some(&ship), 86_400_000, 0),
+            Some(5 * SPAN + 200)
+        );
+        assert_eq!(next_pass_due(&r, None, 0, 0), None);
+        assert_eq!(next_pass_due(&r, None, 60_000, 0), Some(4 * SPAN + 60_001));
+        // Retention shorter than the linger wins.
+        assert_eq!(
+            next_pass_due(&r, Some(&ship), 1_000, 0),
+            Some(4 * SPAN + 1_001)
+        );
+
+        // A pending frame the shipper has not tried to send yet is
+        // due at once, ahead of any export or eviction.
+        ship.enqueue(r.flush_exports()[0].encode()).unwrap();
+        assert_eq!(next_pass_due(&r, Some(&ship), 0, 0), Some(0));
+    }
+
+    /// The scheduler's retention step used to journal an `Evict` record
+    /// on every pass, evicting or not (and fsync it under `--fsync
+    /// always`). A pass that evicts nothing now writes nothing.
+    #[test]
+    fn idle_passes_of_a_journaled_relay_write_nothing() {
+        let dir = std::env::temp_dir().join(format!("flowrelay-idle-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = NodeConfig::new("idle");
+        cfg.state_dir = Some(dir.clone());
+        cfg.sites = vec![0, 1];
+        cfg.fsync = FsyncPolicy::Always;
+        let node = NodeRuntime::start(cfg).unwrap();
+        let now_window = node.clock.now_ms() / SPAN;
+        node.relay
+            .lock()
+            .unwrap()
+            .apply(site_frame(0, now_window))
+            .unwrap();
+        let wal_bytes = || -> u64 {
+            std::fs::read_dir(dir.join("journal"))
+                .unwrap()
+                .map(|e| e.unwrap())
+                .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+                .map(|e| e.metadata().unwrap().len())
+                .sum()
+        };
+        let before = wal_bytes();
+        assert!(before > 0, "the applied frame is journaled");
+        for _ in 0..5 {
+            node.tick_now();
+        }
+        assert_eq!(wal_bytes(), before, "idle passes appended to the WAL");
+        assert_eq!(node.ledger().frames, 1);
+        node.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -16,7 +16,7 @@ use crate::relay::{FrameOutcome, Relay};
 use crate::RelayError;
 use flowdist::control::{is_control, ControlFrame, FEATURE_ACKS};
 use flowdist::framing::{write_frame, FramedConn};
-use flowdist::DistError;
+use flowdist::{DistError, Wake};
 use flowquery::ast::Query;
 use flowtree_core::Metric;
 use std::net::TcpStream;
@@ -63,19 +63,22 @@ pub fn serve_acked_ingest(
     stream: &mut TcpStream,
     relay: &Mutex<Relay>,
 ) -> Result<(usize, usize), RelayError> {
-    serve_acked_ingest_timed(stream, relay, None)
+    serve_acked_ingest_timed(stream, relay, None, None)
 }
 
 /// [`serve_acked_ingest`] with an optional tree-update latency
 /// histogram: each summary frame's lock-classify-apply is timed (the
 /// merge of one downstream frame into the windowed trees — the relay's
-/// hot path). Control frames are not timed.
+/// hot path). Control frames are not timed. `applied`, when given, is
+/// rung after every frame that applied (the export scheduler sleeps on
+/// it).
 pub fn serve_acked_ingest_timed(
     stream: &mut TcpStream,
     relay: &Mutex<Relay>,
     update_hist: Option<&flowmetrics::Histogram>,
+    applied: Option<&Wake>,
 ) -> Result<(usize, usize), RelayError> {
-    let (mut applied, mut rejected) = (0usize, 0usize);
+    let (mut applied_frames, mut rejected) = (0usize, 0usize);
     let mut acks_negotiated = false;
     let owned = stream.try_clone().map_err(io_err)?;
     flowdist::framing::serve_framed(owned, |frame| {
@@ -104,9 +107,12 @@ pub fn serve_acked_ingest_timed(
         if let (Some(sw), Some(h)) = (sw, update_hist) {
             sw.observe(h);
         }
+        if let (FrameOutcome::Applied(_), Some(wake)) = (outcome, applied) {
+            wake.notify();
+        }
         match outcome {
             FrameOutcome::Applied(pos) | FrameOutcome::Replayed(pos) => {
-                applied += 1;
+                applied_frames += 1;
                 acks_negotiated.then(|| ControlFrame::Ack(pos).encode())
             }
             FrameOutcome::NeedsRebase(pos) => {
@@ -120,7 +126,7 @@ pub fn serve_acked_ingest_timed(
         }
     })
     .map_err(io_err)?;
-    Ok((applied, rejected))
+    Ok((applied_frames, rejected))
 }
 
 /// Ships summaries upstream as length-prefixed frames.

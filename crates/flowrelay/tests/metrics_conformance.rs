@@ -331,6 +331,7 @@ fn stats_pages_keep_their_exact_ordered_keys() {
             site_keys.push(format!("lane{i}_{k}"));
         }
     }
+    site_keys.push("ship_pumps".into());
     let relay_head = words(
         "role name agg_site mode linger_ms retention_ms drain_every_ms max_bases
          journal_degraded frames site_frames agg_frames rejected replayed exported
@@ -348,7 +349,7 @@ fn stats_pages_keep_their_exact_ordered_keys() {
     let relay_tail = words(
         "stored_windows export_watermark_lag_ms export_pending_bytes max_base_nodes
          view_hits view_extends view_delta_extends view_rebuilds view_evictions
-         view_cached_nodes view_relayouts",
+         view_cached_nodes view_relayouts sched_passes",
     );
     let leaf_keys = [&relay_head[..], &shipper, &relay_tail].concat();
     let root_keys = [&relay_head[..], &relay_tail].concat();

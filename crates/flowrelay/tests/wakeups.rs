@@ -1,0 +1,237 @@
+//! What an idle fleet costs, and how promptly it stops.
+//!
+//! Every fleet control thread sleeps until an event or a deadline its
+//! state computes: a quiet fleet runs no export-scheduler pass and no
+//! shipper pump at all (`sched_passes`, `ship_pumps` on `/stats`).
+//! Listeners park in a blocking `accept`, so stopping a node wakes
+//! them with a loopback connection — on a wildcard or IPv6 bind as
+//! well — and drain and shutdown return promptly with every port free
+//! to bind again.
+
+use flowdist::ops::ops_request;
+use flowdist::runtime::{SiteNodeConfig, SiteRuntime};
+use flownet::FlowRecord;
+use flowrelay::spec::FleetSpec;
+use flowrelay::{NodeConfig, NodeRuntime};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::time::{Duration, Instant};
+
+const SPEC: &str = "\
+[defaults]
+linger-ms = 50
+drain-every-ms = 10
+window-ms = 1000
+batch = 32
+stats = 127.0.0.1:0
+
+[site 0]
+upstream = leaf
+[site 1]
+upstream = leaf
+
+[relay leaf]
+agg-site = 1001
+sites = 0,1
+parent = root
+[relay root]
+agg-site = 2000
+";
+
+/// How long a stop or drain of a quiet node may take.
+const PROMPT: Duration = Duration::from_secs(2);
+
+struct Fleet {
+    relays: Vec<NodeRuntime>,
+    sites: Vec<SiteRuntime>,
+}
+
+fn boot() -> Fleet {
+    let spec = FleetSpec::parse(SPEC).expect("spec parses");
+    let relays = spec.boot_relays().expect("relays boot");
+    let ingest: HashMap<String, SocketAddr> = relays
+        .iter()
+        .map(|rt| (rt.name().to_string(), rt.ingest_addr()))
+        .collect();
+    let sites = spec
+        .sites
+        .iter()
+        .map(|s| {
+            let mut cfg = SiteNodeConfig::new(s.site, ingest[&s.upstream].to_string());
+            cfg.stats = s.stats.clone();
+            cfg.window_ms = s.window_ms;
+            cfg.batch = s.batch;
+            SiteRuntime::start(cfg).expect("site boots")
+        })
+        .collect();
+    Fleet { relays, sites }
+}
+
+/// Records over three site windows ending just behind the wall clock:
+/// the oldest window closes at each site and climbs to the root.
+fn send_traffic(fleet: &Fleet) {
+    let sender = UdpSocket::bind("127.0.0.1:0").expect("udp bind");
+    let now_ms = flowdist::epoch_ms();
+    let w0 = (now_ms / 1_000).saturating_sub(3) * 1_000;
+    for site in &fleet.sites {
+        let recs: Vec<FlowRecord> = (0..60u64)
+            .map(|i| {
+                let mut r = FlowRecord::v4(
+                    [10, site.site() as u8, i as u8, 1],
+                    [192, 0, 2, 1],
+                    1024,
+                    443,
+                    6,
+                    1,
+                    64,
+                );
+                r.first_ms = w0 + (i / 20) * 1_000 + 10;
+                r.last_ms = r.first_ms;
+                r
+            })
+            .collect();
+        flowdist::net::export_netflow(&sender, site.ingest_addr(), &recs, now_ms)
+            .expect("udp send");
+    }
+}
+
+fn stat(addr: &str, key: &str) -> u64 {
+    let (status, body) = ops_request(addr, "GET", "/stats", "").expect("stats");
+    assert_eq!(status, 200);
+    body.lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{addr}: no {key} in\n{body}"))
+        .trim()
+        .parse()
+        .expect("numeric stat")
+}
+
+/// Every node's wakeup counter: `sched_passes` on relays, `ship_pumps`
+/// on sites.
+fn wakeups(fleet: &Fleet) -> Vec<u64> {
+    let relays = fleet
+        .relays
+        .iter()
+        .map(|r| stat(&r.stats_addr().unwrap().to_string(), "sched_passes"));
+    let sites = fleet
+        .sites
+        .iter()
+        .map(|s| stat(&s.stats_addr().unwrap().to_string(), "ship_pumps"));
+    relays.chain(sites).collect()
+}
+
+#[test]
+fn a_quiet_fleet_does_not_wake() {
+    let fleet = boot();
+    send_traffic(&fleet);
+    let root = fleet.relays.iter().find(|r| r.name() == "root").unwrap();
+    let root_stats = root.stats_addr().unwrap().to_string();
+    // Work happens: both sites' first windows reach the root, every
+    // shipper is acked, and the counters stop moving.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut last = wakeups(&fleet);
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let pending: u64 = fleet
+            .relays
+            .iter()
+            .filter(|r| r.has_upstream())
+            .map(|r| r.pending_len() as u64)
+            .chain(
+                fleet
+                    .sites
+                    .iter()
+                    .map(|s| stat(&s.stats_addr().unwrap().to_string(), "export_pending")),
+            )
+            .sum();
+        let now = wakeups(&fleet);
+        if stat(&root_stats, "frames") > 0 && pending == 0 && now == last {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the fleet never went quiet: wakeups {last:?} → {now:?}, pending {pending}"
+        );
+        last = now;
+    }
+    assert!(
+        last.iter().all(|&n| n > 0),
+        "every node woke for the traffic: {last:?}"
+    );
+    // Quiet now: 300 ms without one scheduler pass or shipper pump (a
+    // 10 ms tick would have run about 30 passes per relay).
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(wakeups(&fleet), last, "a quiet fleet woke up");
+
+    for site in fleet.sites {
+        let report = site.drain(Duration::from_secs(10));
+        assert_eq!(report.pending_at_exit, 0);
+    }
+    for rt in fleet.relays.into_iter().rev() {
+        let report = rt.drain(Duration::from_secs(10));
+        assert_eq!(report.pending_at_exit, 0);
+    }
+}
+
+/// Binds must succeed again on every address a stopped node held.
+fn assert_tcp_free(addrs: &[SocketAddr]) {
+    for a in addrs {
+        let rebind = TcpListener::bind(a);
+        assert!(rebind.is_ok(), "port {a} not freed: {rebind:?}");
+    }
+}
+
+fn node_on(name: &str, ingest: &str, query: &str, stats: &str) -> NodeRuntime {
+    let mut cfg = NodeConfig::new(name);
+    cfg.ingest = ingest.into();
+    cfg.query = query.into();
+    cfg.stats = Some(stats.into());
+    NodeRuntime::start(cfg).expect("node boots")
+}
+
+fn addrs_of(n: &NodeRuntime) -> Vec<SocketAddr> {
+    vec![n.ingest_addr(), n.query_addr(), n.stats_addr().unwrap()]
+}
+
+/// Loopback, wildcard and IPv6 listeners all wake on stop.
+#[test]
+fn drain_and_shutdown_are_prompt_and_free_every_port() {
+    for (ingest, query, stats) in [
+        ("127.0.0.1:0", "0.0.0.0:0", "[::1]:0"),
+        ("[::1]:0", "127.0.0.1:0", "0.0.0.0:0"),
+        ("0.0.0.0:0", "[::1]:0", "127.0.0.1:0"),
+    ] {
+        let node = node_on("drained", ingest, query, stats);
+        let addrs = addrs_of(&node);
+        let t = Instant::now();
+        let report = node.drain(Duration::from_secs(5));
+        assert!(t.elapsed() < PROMPT, "drain took {:?}", t.elapsed());
+        assert_eq!(report.pending_at_exit, 0);
+        assert_tcp_free(&addrs);
+
+        let node = node_on("shut", ingest, query, stats);
+        let addrs = addrs_of(&node);
+        let t = Instant::now();
+        node.shutdown();
+        assert!(t.elapsed() < PROMPT, "shutdown took {:?}", t.elapsed());
+        assert_tcp_free(&addrs);
+    }
+}
+
+#[test]
+fn site_drain_is_prompt_and_frees_its_ports() {
+    let relay = node_on("up", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0");
+    for stats in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0"] {
+        let mut cfg = SiteNodeConfig::new(0, relay.ingest_addr().to_string());
+        cfg.stats = Some(stats.into());
+        let site = SiteRuntime::start(cfg).expect("site boots");
+        let (udp, tcp) = (site.ingest_addr(), site.stats_addr().unwrap());
+        let t = Instant::now();
+        let report = site.drain(Duration::from_secs(5));
+        assert!(t.elapsed() < PROMPT, "site drain took {:?}", t.elapsed());
+        assert_eq!(report.pending_at_exit, 0);
+        assert_tcp_free(&[tcp]);
+        assert!(UdpSocket::bind(udp).is_ok(), "UDP port {udp} not freed");
+    }
+    relay.shutdown();
+}
