@@ -41,7 +41,10 @@
 //!   without it every tree-order walk of a query misses the cache on
 //!   nearly every node. A view that did not compact keeps its layout,
 //!   and nothing on the ingest path ([`Collector::apply`]) ever re-lays
-//!   out a view.
+//!   out a view. Stored windows need no such step: a decoded window
+//!   is in pre-order already, and freezing a slot after a delta merge
+//!   that compacted or pruned squeezes it into pre-order
+//!   ([`FlowTree::shrink_to_fit`]).
 //!
 //! Views are handed out as `Arc<FlowTree>` snapshots: a query keeps
 //! reading its snapshot even if the cache refreshes behind it (the

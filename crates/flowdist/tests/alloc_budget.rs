@@ -238,3 +238,41 @@ fn a_window_reserved_from_its_predecessor_fills_without_allocating() {
         cost.requested
     );
 }
+
+#[test]
+fn freezing_a_compacted_tree_is_in_place() {
+    // Compactions leave dead slots all over the arena; the last few
+    // inserts refill some of them.
+    let budget = 2_000;
+    let mut tree = FlowTree::new(Schema::five_feature(), Config::with_budget(budget));
+    for i in 0..12_000u32 {
+        tree.insert(
+            &key(i.wrapping_mul(2_654_435_761)),
+            Popularity::new(1, 100, 1),
+        );
+    }
+    assert!(tree.stats().compactions > 1);
+    let len = tree.len();
+    let bytes = tree.encode();
+    let (_, cost) = measure(|| tree.shrink_to_fit());
+    // The squeeze is a relayout in place: links, remap and walk stack,
+    // a few words per slot (at most `budget + 1` slots), plus the one
+    // realloc that trims the arena to `len` nodes. A second arena
+    // would add another `len × 208 B`.
+    let slots = budget + 1;
+    let limit = len * NODE_BYTES + slots * 16 + 1_024;
+    assert!(
+        cost.requested as usize <= limit,
+        "freezing {len} nodes requested {} B in {} allocations, limit {limit} B",
+        cost.requested,
+        cost.events
+    );
+    assert_eq!(tree.encode(), bytes);
+    // What stays is exactly the arena.
+    let (_, cost) = measure(|| drop(tree));
+    assert_eq!(
+        -cost.retained,
+        (len * NODE_BYTES) as i64,
+        "a frozen tree of {len} nodes"
+    );
+}

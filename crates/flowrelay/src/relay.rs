@@ -33,15 +33,13 @@
 //!
 //! Every accepted frame advances its window's **content epoch**; a
 //! window is re-exported whenever its content moved past what was last
-//! shipped. Three drain entry points share the machinery:
+//! shipped. Two drain entry points share the machinery:
 //!
 //! * [`Relay::drain_exports_at`] — the wall-clock path: a window
 //!   exports once `now` passes its end plus the configured linger, and
 //!   **re-exports incrementally** on later drains if late downstream
 //!   frames kept arriving (late data used to be stored but never
 //!   re-shipped);
-//! * [`Relay::drain_exports`] — the content-watermark path (every
-//!   reporting downstream moved past the window);
 //! * [`Relay::flush_exports`] — everything with unshipped content
 //!   (shutdown / end of trace).
 //!
@@ -562,25 +560,6 @@ impl Relay {
                 }
             }
         }
-    }
-
-    /// Exports every complete window with unshipped content: a window
-    /// is complete once **every** reporting downstream has moved past
-    /// it (the minimum over stored keys of their newest window). A
-    /// downstream that never reported does not hold the watermark
-    /// back; a window that gained late frames after a previous export
-    /// **re-exports incrementally**. Use [`Relay::flush_exports`] at
-    /// end of stream.
-    pub fn drain_exports(&mut self) -> Vec<Summary> {
-        let mut newest_per_key: BTreeMap<u16, u64> = BTreeMap::new();
-        for (start, key) in self.collector.window_keys() {
-            let e = newest_per_key.entry(key).or_insert(start);
-            *e = (*e).max(start);
-        }
-        let Some(&watermark) = newest_per_key.values().min() else {
-            return Vec::new();
-        };
-        self.export_ready(|start, _span| start < watermark)
     }
 
     /// The wall-clock export scheduler: exports every window whose end
@@ -1178,8 +1157,8 @@ mod tests {
                 r.apply(site_summary(s, w, 0..4, w + 1)).unwrap();
             }
         }
-        // Watermark: every key reached window 2 → windows 0 and 1 export.
-        let exports = r.drain_exports();
+        // At the end of window 1 (no linger) windows 0 and 1 are due.
+        let exports = r.drain_exports_at(2 * SPAN);
         assert_eq!(exports.len(), 2);
         for (i, e) in exports.iter().enumerate() {
             assert_eq!(e.site, 100);
@@ -1191,7 +1170,7 @@ mod tests {
             assert_eq!(e.tree.encode(), local.encode());
         }
         // Nothing re-exports; the last window flushes at shutdown.
-        assert!(r.drain_exports().is_empty());
+        assert!(r.drain_exports_at(2 * SPAN).is_empty());
         let rest = r.flush_exports();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].window.start_ms, 2 * SPAN);

@@ -1,5 +1,5 @@
-//! TCP plumbing for relays: downstream frame ingest and a
-//! line-oriented query protocol, both over [`flowdist::net`]'s
+//! TCP plumbing for relays: acknowledged downstream frame ingest and a
+//! line-oriented query protocol, both over [`flowdist::framing`]'s
 //! length-prefixed framing.
 //!
 //! ## Query protocol
@@ -26,28 +26,6 @@ fn io_err(e: std::io::Error) -> RelayError {
     RelayError::Dist(DistError::Io(e))
 }
 
-/// Reads length-prefixed summary frames from one downstream TCP
-/// connection until EOF, applying each to the relay. Returns
-/// `(applied, rejected)`; a malformed or violating frame is counted
-/// and skipped, not fatal — one bad downstream cannot take the relay
-/// down.
-pub fn receive_frames(
-    stream: &mut TcpStream,
-    relay: &mut Relay,
-) -> Result<(usize, usize), RelayError> {
-    let (mut applied, mut rejected) = (0usize, 0usize);
-    let owned = stream.try_clone().map_err(io_err)?;
-    flowdist::framing::serve_framed(owned, |frame| {
-        match relay.ingest_frame(&frame) {
-            Ok(()) => applied += 1,
-            Err(_) => rejected += 1,
-        }
-        None
-    })
-    .map_err(io_err)?;
-    Ok((applied, rejected))
-}
-
 /// Serves one downstream connection with the acknowledged-ingest
 /// protocol ([`flowdist::control`]): summary frames are classified by
 /// [`Relay::ingest_classified`] and answered per frame — an ack for
@@ -57,8 +35,10 @@ pub fn receive_frames(
 /// never says hello sees no unexpected frame on what it believes is a
 /// one-way stream. Locks the relay per frame, never per connection.
 ///
-/// Returns `(applied, rejected)` like [`receive_frames`]; replayed
-/// frames count as applied (the peer converged, nothing was lost).
+/// Returns `(applied, rejected)`: a malformed or violating frame is
+/// counted and skipped, not fatal — one bad downstream cannot take the
+/// relay down. Replayed frames count as applied (the peer converged,
+/// nothing was lost).
 pub fn serve_acked_ingest(
     stream: &mut TcpStream,
     relay: &Mutex<Relay>,
@@ -140,26 +120,12 @@ pub fn ship_summaries(
     Ok(())
 }
 
-/// Serves text queries on one connection until the client closes it;
-/// returns how many were answered (including errors).
-pub fn serve_queries(
-    stream: &mut TcpStream,
-    router: &QueryRouter<'_>,
-) -> Result<usize, RelayError> {
-    let owned = stream.try_clone().map_err(io_err)?;
-    flowdist::framing::serve_framed(owned, |frame| Some(answer(router, &frame))).map_err(io_err)
-}
-
-/// One request frame → one response frame (status byte + text). The
-/// one-shot building block of [`serve_queries`], public so a daemon
-/// can scope its relay lock to a single request instead of holding it
-/// for a connection's lifetime (an idle client must not stall ingest
-/// or the export scheduler).
+/// One request frame → one response frame (status byte + text; module
+/// docs, "Query protocol"). A daemon serves a connection with
+/// [`flowdist::framing::serve_framed`] and takes its relay lock around
+/// each call, never for a connection's lifetime (an idle client must
+/// not stall ingest or the export scheduler).
 pub fn answer_query(router: &QueryRouter<'_>, frame: &[u8]) -> Vec<u8> {
-    answer(router, frame)
-}
-
-fn answer(router: &QueryRouter<'_>, frame: &[u8]) -> Vec<u8> {
     let fail = |msg: String| {
         let mut out = vec![1u8];
         out.extend_from_slice(msg.as_bytes());

@@ -2,15 +2,23 @@
 //! downstreams degrade coverage instead of wedging the planner, and
 //! the TCP surfaces survive garbage.
 
+use flowdist::framing::serve_framed;
 use flowdist::{DistError, EpochHeader, Lineage, Summary, SummaryKind, WindowId};
 use flowkey::{FlowKey, Schema};
 use flowquery::parse;
 use flowquery::QueryOutput;
-use flowrelay::server::{query_remote, receive_frames, serve_queries, ship_summaries};
+use flowrelay::server::{answer_query, query_remote, serve_acked_ingest, ship_summaries};
 use flowrelay::{FrameOutcome, QueryRouter, Relay, RelayError, RelaySpec, RelayTopology, Route};
 use flowtree_core::{Config, FlowTree, Popularity};
+use std::sync::Mutex;
 
 const SPAN: u64 = 1_000;
+
+/// Answers the queries of one connection until the client closes it;
+/// returns how many were answered (including errors).
+fn serve_queries(conn: std::net::TcpStream, router: &QueryRouter<'_>) -> std::io::Result<usize> {
+    serve_framed(conn, |frame| Some(answer_query(router, &frame)))
+}
 
 fn schema() -> Schema {
     Schema::five_feature()
@@ -247,10 +255,16 @@ fn frames_and_queries_flow_over_tcp() {
         flowdist::framing::write_frame(&mut stream, b"garbage frame").unwrap();
     });
 
-    let mut west = Relay::from_topology(&topo, 1, schema(), Config::with_budget(4_096));
+    let west = Mutex::new(Relay::from_topology(
+        &topo,
+        1,
+        schema(),
+        Config::with_budget(4_096),
+    ));
     let (mut conn, _) = listener.accept().unwrap();
-    let (applied, rejected) = receive_frames(&mut conn, &mut west).unwrap();
+    let (applied, rejected) = serve_acked_ingest(&mut conn, &west).unwrap();
     sender.join().unwrap();
+    let west = west.into_inner().unwrap();
     assert_eq!((applied, rejected), (2, 1));
     assert_eq!(west.ledger().rejected, 1);
 
@@ -277,9 +291,9 @@ fn frames_and_queries_flow_over_tcp() {
         let ok = query_remote(&mut stream, "drill src").unwrap();
         assert!(ok.expect("valid query").contains("src="));
     });
-    let (mut conn, _) = listener.accept().unwrap();
+    let (conn, _) = listener.accept().unwrap();
     let router = QueryRouter::new(&solo, &relays);
-    let served = serve_queries(&mut conn, &router).unwrap();
+    let served = serve_queries(conn, &router).unwrap();
     client.join().unwrap();
     assert_eq!(served, 3);
 }
@@ -473,9 +487,9 @@ mod tcp_error_paths {
             stream.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
             stream.write_all(b"junk").unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
+        let (conn, _) = listener.accept().unwrap();
         let router = QueryRouter::new(&topo, &relays);
-        let served = serve_queries(&mut conn, &router);
+        let served = serve_queries(conn, &router);
         client.join().unwrap();
         assert!(served.is_err(), "oversized frame must surface an error");
     }
@@ -491,9 +505,9 @@ mod tcp_error_paths {
             stream.write_all(&100u32.to_be_bytes()).unwrap();
             stream.write_all(b"pop ").unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
+        let (conn, _) = listener.accept().unwrap();
         let router = QueryRouter::new(&topo, &relays);
-        let served = serve_queries(&mut conn, &router);
+        let served = serve_queries(conn, &router);
         client.join().unwrap();
         assert!(
             served.is_err(),
@@ -511,12 +525,17 @@ mod tcp_error_paths {
             stream.write_all(&1_000u32.to_be_bytes()).unwrap();
             stream.write_all(b"FSUM").unwrap();
         });
-        let mut west = Relay::from_topology(&topo, 1, schema(), Config::with_budget(4_096));
+        let west = Mutex::new(Relay::from_topology(
+            &topo,
+            1,
+            schema(),
+            Config::with_budget(4_096),
+        ));
         let (mut conn, _) = listener.accept().unwrap();
-        let res = receive_frames(&mut conn, &mut west);
+        let res = serve_acked_ingest(&mut conn, &west);
         sender.join().unwrap();
         assert!(res.is_err());
-        assert_eq!(west.ledger().frames, 0);
+        assert_eq!(west.lock().unwrap().ledger().frames, 0);
     }
 
     #[test]
@@ -578,9 +597,9 @@ mod tcp_error_paths {
                 "{body}"
             );
         });
-        let (mut conn, _) = listener.accept().unwrap();
+        let (conn, _) = listener.accept().unwrap();
         let router = QueryRouter::new(&topo, &relays);
-        serve_queries(&mut conn, &router).unwrap();
+        serve_queries(conn, &router).unwrap();
         client.join().unwrap();
     }
 }
@@ -624,9 +643,9 @@ fn pipelined_query_frames_survive_the_readers_read_ahead() {
         assert_eq!(second[0], 0, "drill succeeded");
         assert!(String::from_utf8_lossy(&second).contains("src="));
     });
-    let (mut conn, _) = listener.accept().unwrap();
+    let (conn, _) = listener.accept().unwrap();
     let router = QueryRouter::new(&topo, &relays);
-    let served = serve_queries(&mut conn, &router).unwrap();
+    let served = serve_queries(conn, &router).unwrap();
     client.join().unwrap();
     assert_eq!(served, 2, "both pipelined queries answered");
 }

@@ -38,6 +38,10 @@
 //! no index, see [`crate::tree`]) and builds its index on the first
 //! point lookup, like any stored window.
 //!
+//! A frame this module wrote leaves the arena in pre-order, and the
+//! tree knows it ([`crate::tree`], "Arena order"): encoding it again or
+//! merging from it reads the slots front to back, with no walk.
+//!
 //! The two checks are all validity needs. Distinct sibling steps make
 //! any two nodes of which one is a chain ancestor of the other (or
 //! which hold the same key) tree relatives: below their lowest common
@@ -174,28 +178,6 @@ fn schema_from_byte(b: u8) -> Option<SchemaKind> {
 }
 
 impl FlowTree {
-    /// The canonical pre-order framing shared by [`FlowTree::encode`]
-    /// and [`FlowTree::encoded_size`]: calls `row(parent_pos, node)`
-    /// for every node in stream order — one definition of what a frame
-    /// row is, so the writer and the size predictor cannot drift.
-    fn for_each_frame_row(&self, mut row: impl FnMut(u64, &crate::tree::Node)) {
-        let order = self.preorder();
-        // Position of each node id in the emitted stream.
-        let mut pos = vec![0u32; self.capacity()];
-        for (i, &id) in order.iter().enumerate() {
-            pos[id as usize] = i as u32;
-        }
-        for (i, &id) in order.iter().enumerate() {
-            let node = self.node(id);
-            let parent_pos = if i == 0 {
-                0
-            } else {
-                pos[node.parent as usize] as u64
-            };
-            row(parent_pos, node);
-        }
-    }
-
     /// Encodes the tree into the compact wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.len() * 16);
@@ -203,8 +185,9 @@ impl FlowTree {
         out.push(VERSION);
         out.push(schema_byte(self.schema().kind()));
         write_varint(&mut out, self.len() as u64);
-        self.for_each_frame_row(|parent_pos, node| {
-            write_varint(&mut out, parent_pos);
+        self.for_each_preorder(|_, id, parent_pos| {
+            let node = self.node(id);
+            write_varint(&mut out, parent_pos as u64);
             pack_key(&mut out, &node.key);
             write_varint_signed(&mut out, node.comp.packets);
             write_varint_signed(&mut out, node.comp.bytes);
@@ -215,12 +198,14 @@ impl FlowTree {
 
     /// Size in bytes of the encoded tree (what a site would transfer),
     /// computed arithmetically — varint widths plus packed key sizes
-    /// over one pre-order walk — without allocating and encoding a
-    /// throwaway frame. Always equals `self.encode().len()`.
+    /// over the rows `encode` writes, in the same walk — without
+    /// allocating and encoding a throwaway frame. Always equals
+    /// `self.encode().len()`.
     pub fn encoded_size(&self) -> usize {
         let mut len = 6 + varint_len(self.len() as u64);
-        self.for_each_frame_row(|parent_pos, node| {
-            len += varint_len(parent_pos)
+        self.for_each_preorder(|_, id, parent_pos| {
+            let node = self.node(id);
+            len += varint_len(parent_pos as u64)
                 + packed_key_len(&node.key)
                 + varint_signed_len(node.comp.packets)
                 + varint_signed_len(node.comp.bytes)
@@ -583,6 +568,56 @@ mod tests {
             FlowTree::decode(&bytes, Config::paper()).unwrap_err(),
             CodecError::BadStructure("parent not a chain ancestor")
         );
+    }
+
+    #[test]
+    fn rows_out_of_preorder_decode_to_the_same_tree() {
+        let tree = sample_tree();
+        let bytes = tree.encode();
+        let d = FlowTree::decode(&bytes, Config::paper()).unwrap();
+        // Row `i` is node `i`: subtree sizes, deepest rows first.
+        let mut size = vec![1usize; d.len()];
+        for id in (1..d.len()).rev() {
+            size[d.node(id as u32).parent as usize] += size[id];
+        }
+        // An inner node whose subtree is not the tail of the stream:
+        // moving its descendants to the end keeps every parent before
+        // its children and every sibling list in order, but is not a
+        // pre-order any more.
+        let x = (1..d.len())
+            .find(|&id| size[id] > 1 && id + size[id] < d.len())
+            .expect("the sample has such a node");
+        let moved = |id: usize| id > x && id < x + size[x];
+        let order: Vec<usize> = (0..d.len())
+            .filter(|&id| !moved(id))
+            .chain((0..d.len()).filter(|&id| moved(id)))
+            .collect();
+        let mut pos_of = vec![0u64; d.len()];
+        for (pos, &id) in order.iter().enumerate() {
+            pos_of[id] = pos as u64;
+        }
+        let mut frame = bytes[..6].to_vec();
+        write_varint(&mut frame, d.len() as u64);
+        for &id in &order {
+            let n = d.node(id as u32);
+            let parent_pos = if id == 0 {
+                0
+            } else {
+                pos_of[n.parent as usize]
+            };
+            write_varint(&mut frame, parent_pos);
+            pack_key(&mut frame, &n.key);
+            write_varint_signed(&mut frame, n.comp.packets);
+            write_varint_signed(&mut frame, n.comp.bytes);
+            write_varint_signed(&mut frame, n.comp.flows);
+        }
+        let back = FlowTree::decode(&frame, Config::paper()).unwrap();
+        // `validate` holds the tree to the order it claims to be in.
+        back.validate();
+        let ids: Vec<u32> = (0..back.len() as u32).collect();
+        assert_ne!(back.preorder(), ids, "the arena is in stream order");
+        assert_eq!(back.encode(), bytes);
+        assert_eq!(back.encoded_size(), bytes.len());
     }
 
     #[test]

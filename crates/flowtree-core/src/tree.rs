@@ -106,7 +106,10 @@
 //!   be stored and mostly read — a collector's stored window, a
 //!   relay's pinned delta base, a closed window queued for the
 //!   encoder: the arena is squeezed to exactly the live nodes and the
-//!   free list and the index are dropped.
+//!   free list and the index are dropped. The squeeze is
+//!   [`FlowTree::relayout_preorder`], in place, so a tree that
+//!   compacted rests in pre-order (below); a tree without dead slots
+//!   keeps its arena as it is.
 //!   Merge/diff *sources*, `encode`, `hhh`, `top_k` and every other
 //!   whole-tree walk read a frozen tree as it is. The first operation
 //!   that needs the index — a point lookup, an insert, being a
@@ -115,48 +118,42 @@
 //!
 //! ## Arena order
 //!
-//! A node's id is its slot in the arena. No answer depends on it:
-//! sibling lists are linked in a canonical order, and queries, the
-//! encoding and a merge/diff into the tree are functions of the node
-//! set, the masses and the `touch` stamps. Arena order decides where
-//! nodes sit in memory, and so what a walk costs:
+//! A node's id is its slot in the arena. Arena order decides what a
+//! walk costs, never a result: sibling lists are linked in a canonical
+//! order, and queries, the encoding and a merge/diff, with the tree as
+//! source or as destination, are functions of the node set, the
+//! masses and the `touch` stamps.
 //!
 //! * Inserts and merges append new nodes or refill freed slots, and a
 //!   join lands after the children it joins. Compaction frees slots
 //!   all over the arena. A tree that compacted and then grew again is
 //!   **scattered**: a walk in tree order misses the cache on nearly
 //!   every node, at ≈ 208 B a node.
-//! * [`FlowTree::relayout_preorder`] renumbers the arena into the
-//!   pre-order every tree-order walk takes ([`FlowTree::estimate_pattern`],
-//!   [`FlowTree::estimate_refinements`], the codec), in place. A
-//!   decoded tree is in that order already (row `i` is node `i`), and
-//!   [`FlowTree::shrink_to_fit`] keeps whatever order the arena has.
-//!   `flowdist::Collector` re-lays out a cached merged view once after
-//!   each compaction ("Merged-view cache" there).
+//! * Every walk in tree order — the codec, a merge/diff reading its
+//!   source, [`FlowTree::estimate_pattern`],
+//!   [`FlowTree::estimate_refinements`] — takes one pre-order, the
+//!   order of the encoding. [`FlowTree::relayout_preorder`] renumbers
+//!   the arena into it in place. A decoded tree is in it already (row
+//!   `i` is node `i`), and so is a tree that
+//!   [`FlowTree::shrink_to_fit`] squeezed. Such a tree knows it, until
+//!   a node is allocated, freed or relinked, and the codec and a merge
+//!   then read its slots front to back instead of walking down from
+//!   the root. `flowdist::Collector` re-lays out a cached merged view
+//!   once after each compaction ("Merged-view cache" there).
 //! * Whole-tree folds (subtree sums, [`FlowTree::hhh`],
 //!   [`FlowTree::top_k`]) read the slots front to back, whatever the
 //!   order, and then fold child into parent deepest first.
 //!
-//! Two things do read the arena order. As a merge/diff **source**, a
-//! tree's nodes are visited in slot order, and the destination stamps
-//! its hits in that order: re-laying out a source can change which of
-//! two equal-weight leaves a later compaction of the destination
-//! folds. As a **destination** the order never shows. Compaction ranks
-//! leaves by `(weight, touch)` and breaks a tie by id, but no tie can
-//! arise: a merge gives every node it hits or creates a tick of its
-//! own, and while an insert gives a fork's join the tick of the leaf
-//! it was made for, the join is a chain ancestor of that leaf for as
-//! long as both live, so the two are never leaves at the same time.
-//!
 //! ## Structural merge
 //!
 //! Whole summaries combine without the insert path:
-//! [`FlowTree::merge`] and the k-way [`FlowTree::merge_many`] run a
-//! hash-join sweep over the source arena (one stored-hash probe per
-//! node; matches add masses node-wise) and then place only the missed
-//! nodes, each attached directly under its already-placed source
-//! parent at its stored sibling step — splices and joins are computed
-//! by the same analytic profile arithmetic as the insert path. Sibling
+//! [`FlowTree::merge`] and the k-way [`FlowTree::merge_many`] read the
+//! source in pre-order, the order of its encoding: a hash-join sweep
+//! (one stored-hash probe per node; matches add masses node-wise),
+//! then placement of only the missed nodes, each attached directly
+//! under its already-placed source parent at its stored sibling step
+//! — splices and joins are computed by the same analytic profile
+//! arithmetic as the insert path. Sibling
 //! lists are kept in a canonical order, so the wire encoding of a tree
 //! depends only on its node masses: any merge order, sharded fold, or
 //! batch schedule that produces the same masses produces the same
@@ -184,9 +181,13 @@ const LINEAR_PROBES: usize = 4;
 const ORDER_MEMO_CAP: usize = 8;
 
 thread_local! {
-    /// Reusable DFS stack for subtree sums and pre-order walks, so
-    /// point queries and codec traversals do not allocate per call.
+    /// Reusable DFS stack for subtree sums, so point queries do not
+    /// allocate per call.
     static DFS_STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+
+    /// Reusable stack of [`FlowTree::walk_by`]: `(node, parent's
+    /// position)` pairs, so encodes and merges do not allocate one.
+    static WALK_STACK: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 
     /// Working memory of [`FlowTree::insert_batch_prehashed`]'s second
     /// pass. It belongs to the ingesting thread, not to a tree: a site
@@ -505,6 +506,12 @@ pub struct FlowTree {
     pub(crate) clock: u64,
     pub(crate) total: Popularity,
     pub(crate) stats: Stats,
+    /// Node `i` is the `i`-th of the pre-order and no slot is dead
+    /// (module docs, "Arena order"). Set by decoding and by
+    /// [`FlowTree::relayout_preorder`]; cleared by everything that
+    /// allocates, frees or relinks a node, all of which goes through
+    /// [`FlowTree::index_mut`].
+    preordered: bool,
 }
 
 impl FlowTree {
@@ -528,6 +535,7 @@ impl FlowTree {
             clock: 0,
             total: Popularity::ZERO,
             stats: Stats::default(),
+            preordered: true,
         }
     }
 
@@ -568,6 +576,7 @@ impl FlowTree {
             clock: 0,
             total: Popularity::ZERO,
             stats: Stats::default(),
+            preordered: true,
         }
     }
 
@@ -587,7 +596,9 @@ impl FlowTree {
     ///
     /// Counts one insert and one miss and advances the clock, like the
     /// insert that creates a node. Only for a frozen tree that has not
-    /// lost a node (the index is unset, ids are arena positions).
+    /// lost a node (the index is unset, ids are arena positions). The
+    /// arena stays in pre-order while every node hangs under the node
+    /// before it or one of that node's ancestors.
     pub(crate) fn push_first_child(
         &mut self,
         parent: u32,
@@ -603,6 +614,16 @@ impl FlowTree {
             return false;
         }
         let id = self.nodes.len() as u32;
+        if self.preordered {
+            // In pre-order an ancestor's id is below its descendants':
+            // climb from the previous node until at or below `parent`.
+            // A node climbed past is never climbed past again.
+            let mut at = id - 1;
+            while at > parent {
+                at = self.nodes[at as usize].parent;
+            }
+            self.preordered = at == parent;
+        }
         self.clock += 1;
         self.stats.inserts += 1;
         self.stats.misses += 1;
@@ -646,55 +667,44 @@ impl FlowTree {
     }
 
     /// Freezes the tree for storage: squeezes the arena to exactly
-    /// the live nodes (ids are renumbered, arena order kept) and
-    /// drops the free list and the key index.
+    /// the live nodes and drops the free list and the key index.
+    /// Dead slots are squeezed out by [`FlowTree::relayout_preorder`],
+    /// so a tree that compacted rests in pre-order; a tree without
+    /// dead slots keeps its arena as it is.
     /// Nothing observable changes — encodings, query answers and the
     /// tree's behaviour as a merge/diff source or destination are
     /// those of the unfrozen tree; the first operation that needs the
-    /// index rebuilds it (module docs, "What a tree costs"). Keeping
-    /// the arena order is what keeps the tree's behaviour as a merge
-    /// source (module docs, "Arena order").
+    /// index rebuilds it (module docs, "What a tree costs").
     pub fn shrink_to_fit(&mut self) {
+        self.index = OnceLock::new();
         if !self.free.is_empty() {
-            let mut remap = vec![NIL; self.nodes.len()];
-            let mut next = 0u32;
-            for (old, n) in self.nodes.iter().enumerate() {
-                if n.alive {
-                    remap[old] = next;
-                    next += 1;
-                }
-            }
-            let moved = |id: u32| if id == NIL { NIL } else { remap[id as usize] };
-            self.nodes.retain(|n| n.alive);
-            for n in &mut self.nodes {
-                n.parent = moved(n.parent);
-                n.first_child = moved(n.first_child);
-                n.next_sibling = moved(n.next_sibling);
-                n.prev_sibling = moved(n.prev_sibling);
-            }
-            self.root = moved(self.root);
+            self.relayout_preorder();
         }
         self.nodes.shrink_to_fit();
         self.free = Vec::new();
-        self.index = OnceLock::new();
     }
 
     /// Renumbers the arena **in place** so that id order is the tree's
-    /// pre-order — the order the codec and every tree-order query walk
+    /// pre-order — the order the codec, a merge reading its source and
+    /// every tree-order query walk
     /// ([`FlowTree::estimate_pattern`],
     /// [`FlowTree::estimate_refinements`]) visit nodes in — and squeezes
     /// out the free slots. A walk down the tree then reads the arena
-    /// front to back instead of jumping around it (module docs, "Arena
-    /// order").
+    /// front to back instead of jumping around it, and the codec and
+    /// merges read it without walking at all (module docs, "Arena
+    /// order"). A tree known to be in pre-order already is left alone.
     ///
     /// Only ids change. Links and key-index entries are remapped in
     /// place, and no second arena is allocated (a few words per slot
     /// are, while it runs). Sibling order, masses, `touch`,
     /// `generation`, the clock and [`Stats`] stay as they are, so
     /// encodings, query answers and the tree's behaviour as a merge/diff
-    /// destination do not change. The arena keeps its capacity, and the
-    /// index stays as built or unset.
+    /// source or destination do not change. The arena keeps its
+    /// capacity, and the index stays as built or unset.
     pub fn relayout_preorder(&mut self) {
+        if self.preordered {
+            return;
+        }
         // The walk reads the links from one pass over the slots: on a
         // scattered arena it then jumps around 8 B per node, not 208.
         let links: Vec<(u32, u32)> = self
@@ -702,12 +712,12 @@ impl FlowTree {
             .iter()
             .map(|n| (n.first_child, n.next_sibling))
             .collect();
-        let order = self.preorder_by(|id| links[id as usize]);
-        drop(links);
         let mut remap = vec![NIL; self.nodes.len()];
-        for (new, &old) in order.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
+        self.walk_by(
+            |id| links[id as usize],
+            |pos, id, _| remap[id as usize] = pos,
+        );
+        drop(links);
         let moved = |id: u32| if id == NIL { NIL } else { remap[id as usize] };
         for n in self.nodes.iter_mut().filter(|n| n.alive) {
             n.parent = moved(n.parent);
@@ -734,6 +744,7 @@ impl FlowTree {
         self.nodes.truncate(self.live);
         self.free.clear();
         self.root = 0;
+        self.preordered = true;
     }
 
     /// The key index, rebuilt from the arena if the tree is frozen.
@@ -750,9 +761,12 @@ impl FlowTree {
         })
     }
 
-    /// [`FlowTree::index`] for the paths that add or remove entries.
+    /// [`FlowTree::index`] for the paths that add or remove entries:
+    /// every path that allocates, frees or relinks a node, so it also
+    /// forgets that the arena was in pre-order.
     #[inline]
     fn index_mut(&mut self) -> &mut KeyIndex {
+        self.preordered = false;
         self.index();
         self.index.get_mut().expect("initialised on the line above")
     }
@@ -1311,17 +1325,19 @@ impl FlowTree {
     }
 
     /// One structural merge pass (schema already checked, no budget
-    /// check): a **hash-join phase** — one sequential sweep of the
-    /// source arena, one index probe per node with its stored hash;
-    /// hits add masses node-wise, exactly the work an element-wise hit
-    /// pays — followed by a **placement phase** that visits only the
-    /// missed nodes in topological order and attaches each directly
-    /// under its already-placed parent at the stored sibling step hash:
-    /// no longest-matching-parent search, no probe-and-descend, and
-    /// splice/join restructures computed with the analytic profile
-    /// arithmetic of [`classify_step`]. A merge between similar trees
-    /// degenerates to the probe sweep; a merge of disjoint trees
-    /// degenerates to a linear copy.
+    /// check) over the source in pre-order, the order of its encoding:
+    /// a **hash-join phase** — one index probe per source node with its
+    /// stored hash; hits add masses node-wise, exactly the work an
+    /// element-wise hit pays — followed by a **placement phase** over
+    /// only the missed nodes, in the same order, that attaches each
+    /// directly under its already-placed parent at the stored sibling
+    /// step hash: no longest-matching-parent search, no
+    /// probe-and-descend, and splice/join restructures computed with
+    /// the analytic profile arithmetic of [`classify_step`]. A merge
+    /// between similar trees degenerates to the probe sweep; a merge of
+    /// disjoint trees degenerates to a linear copy. Both phases stamp
+    /// in that order, so the stamps a source leaves are a function of
+    /// its encoding.
     ///
     /// With `negate` set the same pass *subtracts* every source mass —
     /// the structural twin of the element-wise diff loop, shared by
@@ -1332,15 +1348,13 @@ impl FlowTree {
         } else {
             self.total += o.total;
         }
-        let n = o.nodes.len();
-        // A-node id holding each source node's key (pass 1 hits and
-        // pass 2 creations).
-        let mut placed: Vec<u32> = vec![NIL; n];
-        let mut misses = 0usize;
-        for (i, b) in o.nodes.iter().enumerate() {
-            if !b.alive {
-                continue;
-            }
+        // By source position: the A-node id holding the node's key
+        // (phase 1 hits and phase 2 creations).
+        let mut placed: Vec<u32> = vec![NIL; o.live];
+        // `(position, id, parent's position)` of each missed node.
+        let mut misses: Vec<(u32, u32, u32)> = Vec::new();
+        o.for_each_preorder(|pos, i, parent_pos| {
+            let b = &o.nodes[i as usize];
             if let Some(id) = self.lookup(&b.key, b.key_hash) {
                 self.clock += 1;
                 let touch = self.clock;
@@ -1351,12 +1365,12 @@ impl FlowTree {
                     node.comp += b.comp;
                 }
                 node.touch = touch;
-                placed[i] = id;
+                placed[pos as usize] = id;
             } else {
-                misses += 1;
+                misses.push((pos, i, parent_pos));
             }
-        }
-        if misses == 0 {
+        });
+        if misses.is_empty() {
             return;
         }
 
@@ -1364,53 +1378,28 @@ impl FlowTree {
         // For a source node that was neither matched nor created
         // (zero-mass or pass-through), the anchor its children inherit,
         // and the step they use there (the skipped node's own step:
-        // their chains all pass through it). A non-NIL anchor doubles
-        // as the "resolved but skipped" marker.
-        let mut anchor_of: Vec<u32> = vec![NIL; n];
-        let mut step_of: Vec<u64> = vec![0; n];
-        // Placement needs parents resolved first, but arena order is
-        // not topological (joins allocate after their children), so
-        // resolve on demand: climb the chain of unresolved ancestors
-        // and place it top-down. Each node is pushed exactly once
-        // across the sweep — amortized linear, no DFS pass.
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if !o.nodes[i].alive || placed[i] != NIL || anchor_of[i] != NIL {
-                continue;
-            }
-            let mut j = i as u32;
-            loop {
-                // The root always hits (every tree retains the root
-                // key), so a missed node has a parent.
-                let p = o.nodes[j as usize].parent;
-                debug_assert_ne!(p, NIL);
-                stack.push(j);
-                if placed[p as usize] != NIL || anchor_of[p as usize] != NIL {
-                    break;
-                }
-                j = p;
-            }
-            while let Some(k) = stack.pop() {
-                let b = &o.nodes[k as usize];
-                let p = b.parent as usize;
-                let (anchor, step) = if placed[p] != NIL {
-                    (placed[p], b.step_hash)
-                } else {
-                    (anchor_of[p], step_of[p])
-                };
-                // Materialize the node iff the element-wise loop
-                // would: it carries mass, or it is a join of ≥ 2 massy
-                // subtrees (which re-inserting the masses would
-                // recreate at the same key). Everything else is
-                // skipped and its children inherit the anchor.
-                if b.comp.is_zero() && !Self::is_surviving_join(o, &mask, k) {
-                    anchor_of[k as usize] = anchor;
-                    step_of[k as usize] = step;
-                } else {
-                    let comp = if negate { -b.comp } else { b.comp };
-                    placed[k as usize] =
-                        self.place_single(anchor, b.key, b.key_hash, b.depth, comp, step);
-                }
+        // their chains all pass through it).
+        let mut anchor_of: Vec<(u32, u64)> = vec![(NIL, 0); o.live];
+        for (pos, k, parent_pos) in misses {
+            // The root always hits (every tree retains the root key),
+            // and pre-order settles a parent before its children.
+            let b = &o.nodes[k as usize];
+            let (anchor, step) = match placed[parent_pos as usize] {
+                NIL => anchor_of[parent_pos as usize],
+                p => (p, b.step_hash),
+            };
+            debug_assert_ne!(anchor, NIL);
+            // Materialize the node iff the element-wise loop would: it
+            // carries mass, or it is a join of ≥ 2 massy subtrees
+            // (which re-inserting the masses would recreate at the
+            // same key). Everything else is skipped and its children
+            // inherit the anchor.
+            if b.comp.is_zero() && !Self::is_surviving_join(o, &mask, k) {
+                anchor_of[pos as usize] = (anchor, step);
+            } else {
+                let comp = if negate { -b.comp } else { b.comp };
+                placed[pos as usize] =
+                    self.place_single(anchor, b.key, b.key_hash, b.depth, comp, step);
             }
         }
     }
@@ -1923,33 +1912,56 @@ impl FlowTree {
         Some(out)
     }
 
-    /// Ids of live nodes in an order where parents precede children
-    /// (pre-order DFS from the root) — used by the codec and analytics.
+    /// Ids of live nodes in pre-order, walked down from the root.
     pub(crate) fn preorder(&self) -> Vec<u32> {
-        self.preorder_by(|id| {
-            let n = &self.nodes[id as usize];
-            (n.first_child, n.next_sibling)
-        })
+        let mut out = Vec::with_capacity(self.live);
+        self.walk_by(|id| self.links(id), |_, id, _| out.push(id));
+        out
     }
 
-    /// [`FlowTree::preorder`] over `links(id) = (first_child,
-    /// next_sibling)`, wherever the caller keeps them.
-    fn preorder_by(&self, links: impl Fn(u32) -> (u32, u32)) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.live);
-        DFS_STACK.with(|cell| {
-            let mut stack = cell.borrow_mut();
-            stack.clear();
-            stack.push(self.root);
-            while let Some(id) = stack.pop() {
-                out.push(id);
-                let mut c = links(id).0;
-                while c != NIL {
-                    stack.push(c);
-                    c = links(c).1;
-                }
+    /// `(first_child, next_sibling)` of node `id`.
+    fn links(&self, id: u32) -> (u32, u32) {
+        let n = &self.nodes[id as usize];
+        (n.first_child, n.next_sibling)
+    }
+
+    /// Visits every live node in pre-order, the order of the encoding,
+    /// as `visit(pos, id, parent_pos)`: `pos` is the node's place in the
+    /// order, `parent_pos` its parent's (0 for the root). A tree whose
+    /// arena is in pre-order already is read slot by slot; any other is
+    /// walked down from the root (module docs, "Arena order").
+    pub(crate) fn for_each_preorder(&self, mut visit: impl FnMut(u32, u32, u32)) {
+        if self.preordered {
+            for (id, n) in self.nodes.iter().enumerate() {
+                let id = id as u32;
+                visit(id, id, if id == 0 { 0 } else { n.parent });
             }
-        });
-        out
+        } else {
+            self.walk_by(|id| self.links(id), visit);
+        }
+    }
+
+    /// The pre-order walk down from the root over `links(id) =
+    /// (first_child, next_sibling)`, wherever the caller keeps them,
+    /// calling `visit` as [`FlowTree::for_each_preorder`] does. Siblings
+    /// are pushed in list order and so visited in descending step
+    /// order, the order the codec emits.
+    fn walk_by(&self, links: impl Fn(u32) -> (u32, u32), mut visit: impl FnMut(u32, u32, u32)) {
+        // Taken, not borrowed: a `visit` that walks again gets a fresh
+        // stack instead of a borrow panic.
+        let mut stack = WALK_STACK.take();
+        stack.push((self.root, 0));
+        let mut pos = 0;
+        while let Some((id, parent_pos)) = stack.pop() {
+            visit(pos, id, parent_pos);
+            let mut c = links(id).0;
+            while c != NIL {
+                stack.push((c, pos));
+                c = links(c).1;
+            }
+            pos += 1;
+        }
+        WALK_STACK.set(stack);
     }
 
     /// Validates every structural invariant; panics with a description on
@@ -2018,6 +2030,21 @@ impl FlowTree {
             }
         }
         assert_eq!(seen, self.live, "live count drift");
+        if self.preordered {
+            assert_eq!(self.root, 0, "a pre-ordered arena starts at the root");
+            assert_eq!(
+                self.nodes.len(),
+                self.live,
+                "dead slot in a pre-ordered arena"
+            );
+            assert!(
+                self.preorder()
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &id)| i == id as usize),
+                "arena marked pre-ordered is not"
+            );
+        }
         assert_eq!(
             self.index().len(),
             self.live,
@@ -2149,6 +2176,30 @@ mod tests {
     fn a_decoded_tree_is_already_in_preorder() {
         let t = scattered();
         let d = FlowTree::decode(&t.encode(), *t.config()).unwrap();
+        assert!(d.preordered);
         assert_eq!(d.preorder(), identity(&d));
+    }
+
+    #[test]
+    fn freezing_squeezes_dead_slots_into_preorder() {
+        let mut t = scattered();
+        let (bytes, before) = (t.encode(), stamps(&t));
+        t.shrink_to_fit();
+        assert!(t.preordered);
+        assert_eq!(t.preorder(), identity(&t));
+        assert_eq!((t.encode(), stamps(&t)), (bytes, before));
+        t.validate();
+        // Relinking a node forgets the order; a hit does not.
+        t.insert(&host_key(5_000), Popularity::packet(1));
+        assert!(t.preordered);
+        t.insert(&host_key(9_999), Popularity::packet(1));
+        assert!(!t.preordered);
+        t.validate();
+        // Without dead slots the arena is kept as it is.
+        let order = t.preorder();
+        t.shrink_to_fit();
+        assert_eq!(t.preorder(), order);
+        assert!(!t.preordered);
+        t.validate();
     }
 }

@@ -6,6 +6,12 @@
 //! run under a roomy budget and under a tight one, so both the
 //! no-free-list path and the arena squeeze (dead slots from compaction
 //! and pruning) are exercised.
+//!
+//! The last check is wider: equal bytes mean equal behaviour. Every
+//! twin of one encoding — thawed, frozen, decoded and re-laid out —
+//! leaves a destination in the same state as a merge/diff source,
+//! under a budget tight enough, and weights equal enough, that
+//! compaction breaks ties by the stamps the source's visit order gave.
 
 use flowkey::{FlowKey, Schema};
 use flowtree_core::{Config, FlowTree, Metric, Popularity};
@@ -80,6 +86,20 @@ fn frozen(t: &FlowTree) -> FlowTree {
     f
 }
 
+fn relaid(t: &FlowTree) -> FlowTree {
+    let mut r = t.clone();
+    r.relayout_preorder();
+    r
+}
+
+/// `batch` with every weight the same.
+fn flat(batch: &[(FlowKey, Popularity)]) -> Vec<(FlowKey, Popularity)> {
+    batch
+        .iter()
+        .map(|(k, _)| (*k, Popularity::new(1, 100, 1)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -88,6 +108,7 @@ proptest! {
         history in arb_history(),
         other in arb_inserts(),
         tight in any::<bool>(),
+        ties in arb_inserts(),
     ) {
         // Tight: histories compact, so the twin carries dead slots and
         // a free list and freezing has an arena to squeeze.
@@ -154,5 +175,37 @@ proptest! {
         dst.shrink_to_fit();
         dst.shrink_to_fit();
         prop_assert_eq!(dst.encode(), reference.encode());
+
+        // Equal bytes, equal behaviour: the same history at equal
+        // weights under budget 48, and its twins beside a thawed side
+        // tree as merge_many / diff_many sources.
+        let cfg = Config::with_budget(48);
+        let thawed = replay(
+            cfg,
+            &history
+                .iter()
+                .map(|(op, b)| (op.clone(), flat(b)))
+                .collect::<Vec<_>>(),
+        );
+        let side = build(cfg, &flat(&ties));
+        let decoded = FlowTree::decode(&thawed.encode(), cfg).unwrap();
+        let twins = [
+            ("frozen", frozen(&thawed)),
+            ("decoded", decoded),
+            ("relaid out", relaid(&thawed)),
+        ];
+        let via = |src: &FlowTree| {
+            let (mut merged, mut diffed) = (side.clone(), side.clone());
+            merged.merge_many(&[src, &side]).unwrap();
+            diffed.diff_many(&[src]).unwrap();
+            merged.validate();
+            diffed.validate();
+            (merged.encode(), diffed.encode())
+        };
+        let want = via(&thawed);
+        for (name, twin) in &twins {
+            prop_assert_eq!(twin.encode(), thawed.encode());
+            prop_assert!(via(twin) == want, "thawed vs {} source", name);
+        }
     }
 }

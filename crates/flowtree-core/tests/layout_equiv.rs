@@ -6,14 +6,6 @@
 //! the bit, and — as a merge destination under budget pressure — ends
 //! in the same encoding as the tree it came from.
 //!
-//! Why the merge check holds: compaction ranks leaves by
-//! `(weight, touch)` and only then by id, and relayout keeps every
-//! `touch`. A merge gives each node it hits or creates a tick of its
-//! own. An insert gives a fork's join the tick of the leaf it was made
-//! for, but the join stays a chain ancestor of that leaf while both
-//! live, so the two are never eviction candidates together. Ids never
-//! break a tie, on insert-built trees either.
-//!
 //! The suite also pins the slot-order `hhh` and `top_k` to reference
 //! definitions that walk the tree through its public API.
 
