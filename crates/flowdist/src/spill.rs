@@ -1,4 +1,5 @@
-//! Disk-backed spill queue for unacknowledged export frames.
+//! Disk-backed spill queue for unacknowledged export frames, and the
+//! one home of the workspace's on-disk record format.
 //!
 //! `relayd` used to keep pending exports in a bounded in-memory `Vec`:
 //! an upstream outage longer than the buffer simply lost the chain,
@@ -6,14 +7,13 @@
 //! durable and the shed policy explicit:
 //!
 //! * Every enqueued frame is appended to an **append-only segment
-//!   file** (`spill-<firstseq>.seg`) as a `[u32 LE len][u32 LE
-//!   crc32][bytes]` record before it counts as pending. A torn tail
-//!   (crash mid-append) is detected by length/CRC and truncated on
-//!   recovery — everything before it is intact.
+//!   file** (`spill-<firstseq>.seg`) as one record before it counts as
+//!   pending. A torn tail (crash mid-append) is detected by length/CRC
+//!   and truncated on recovery — everything before it is intact.
 //! * A tiny **ledger file** records the acked floor: the sequence
 //!   number below which every frame has been acknowledged upstream.
-//!   It is replaced atomically (tmp + rename) so recovery always sees
-//!   a consistent floor. Segments entirely below the floor are
+//!   It is replaced atomically ([`replace_file`]) so recovery always
+//!   sees a consistent floor. Segments entirely below the floor are
 //!   deleted.
 //! * Total on-disk bytes are **bounded** ([`SpillConfig::max_bytes`]);
 //!   overflow sheds the *oldest* unacked frames first and accounts for
@@ -22,19 +22,27 @@
 //!   the caller so it can rewind the relay's export state
 //!   (`mark_unshipped`) and re-export later.
 //! * The **fsync policy** is a knob: [`FsyncPolicy::Always`] makes
-//!   each append power-loss durable; [`FsyncPolicy::Never`] still
-//!   survives `kill -9` (completed `write`s live in the page cache,
-//!   which outlives the process) and is the right default for the
-//!   kill-restart crash model the fault-injection suite pins.
+//!   each append, each new file and each replace power-loss durable;
+//!   [`FsyncPolicy::Never`] still survives `kill -9` (completed
+//!   `write`s live in the page cache, which outlives the process) and
+//!   is the right default for the kill-restart crash model the
+//!   fault-injection suite pins.
 //!
 //! The in-memory front (`VecDeque`) mirrors the unacked suffix so the
 //! hot path never re-reads disk; recovery rebuilds it by scanning the
 //! segments from the ledger floor.
+//!
+//! ## Records
+//!
+//! A record is `[u32 LE len][u32 LE crc32][payload]`. Only
+//! [`write_record`] writes one and only [`scan_records`] reads them
+//! back, for spill segments and for the relay journal
+//! (`flowrelay::journal`) alike.
 
 use crate::DistError;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// When segment appends reach the disk platter.
@@ -58,7 +66,8 @@ pub struct SpillConfig {
     /// Rotate to a new segment file once the active one reaches this
     /// many bytes.
     pub segment_bytes: u64,
-    /// Fsync policy for segment appends and ledger updates.
+    /// Fsync policy for segment appends, segment creation and ledger
+    /// updates.
     pub fsync: FsyncPolicy,
 }
 
@@ -191,7 +200,8 @@ impl SpillQueue {
             File::open(&path)
                 .and_then(|mut f| f.read_to_end(&mut data))
                 .map_err(DistError::Io)?;
-            let (records, good_len) = scan_segment(&data);
+            let records: Vec<(usize, &[u8])> = scan_records(&data).collect();
+            let good_len = records.last().map_or(0, |&(end, _)| end);
             let next_seq = first + records.len() as u64;
             if next_seq <= self.floor {
                 // Entirely acked: drop the file.
@@ -211,11 +221,14 @@ impl SpillQueue {
                     f.sync_all().map_err(DistError::Io)?;
                 }
             }
-            for (i, bytes) in records.into_iter().enumerate() {
+            for (i, (_, bytes)) in records.into_iter().enumerate() {
                 let seq = first + i as u64;
                 if seq >= self.floor {
                     self.stats.recovered_frames += 1;
-                    self.pending.push_back(SpillRecord { seq, bytes });
+                    self.pending.push_back(SpillRecord {
+                        seq,
+                        bytes: bytes.to_vec(),
+                    });
                 }
             }
             self.segments.push(Segment {
@@ -276,12 +289,7 @@ impl SpillQueue {
         if need_new {
             let dir = self.dir.as_ref().expect("disk queue");
             let path = dir.join(format!("spill-{seq:020}.seg"));
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(DistError::Io)?;
-            self.active = Some(file);
+            self.active = Some(open_append(&path, self.cfg.fsync).map_err(DistError::Io)?);
             self.segments.push(Segment {
                 path,
                 next_seq: seq,
@@ -291,18 +299,10 @@ impl SpillQueue {
             // Recovery left a tail segment with room: reopen it for
             // append instead of fragmenting into a new file.
             let seg = self.segments.last().expect("nonempty");
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&seg.path)
-                .map_err(DistError::Io)?;
-            self.active = Some(file);
+            self.active = Some(open_append(&seg.path, self.cfg.fsync).map_err(DistError::Io)?);
         }
-        let mut buf = Vec::with_capacity(REC_HEADER + bytes.len());
-        buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(bytes).to_le_bytes());
-        buf.extend_from_slice(bytes);
         let file = self.active.as_mut().expect("active segment");
-        file.write_all(&buf).map_err(DistError::Io)?;
+        write_record(file, bytes).map_err(DistError::Io)?;
         if self.cfg.fsync == FsyncPolicy::Always {
             file.sync_all().map_err(DistError::Io)?;
         }
@@ -339,20 +339,11 @@ impl SpillQueue {
     }
 
     fn persist_floor(&mut self) -> Result<(), DistError> {
-        let Some(dir) = self.dir.clone() else {
+        let Some(dir) = self.dir.as_ref() else {
             return Ok(());
         };
-        let tmp = dir.join("ledger.tmp");
-        let path = dir.join("ledger");
-        let mut f = File::create(&tmp).map_err(DistError::Io)?;
-        f.write_all(format!("{}\n", self.floor).as_bytes())
-            .map_err(DistError::Io)?;
-        if self.cfg.fsync == FsyncPolicy::Always {
-            f.sync_all().map_err(DistError::Io)?;
-        }
-        drop(f);
-        fs::rename(&tmp, &path).map_err(DistError::Io)?;
-        Ok(())
+        let floor = format!("{}\n", self.floor);
+        replace_file(&dir.join("ledger"), floor.as_bytes(), self.cfg.fsync).map_err(DistError::Io)
     }
 
     fn drop_acked_segments(&mut self) -> Result<(), DistError> {
@@ -433,28 +424,78 @@ impl SpillQueue {
     }
 }
 
-/// Scans a segment's bytes into records, returning them plus the byte
-/// length of the intact prefix (anything after is a torn tail).
-fn scan_segment(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
-    let mut records = Vec::new();
+/// Appends one `[u32 LE len][u32 LE crc32][payload]` record to `out`
+/// in a single write; returns the bytes written, header included.
+/// Syncing is the caller's: a file under [`FsyncPolicy::Always`]
+/// calls `sync_all` after the records it must make durable.
+pub fn write_record(out: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
+    let mut buf = Vec::with_capacity(REC_HEADER + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    out.write_all(&buf)?;
+    Ok(buf.len() as u64)
+}
+
+/// Scans the records [`write_record`] wrote from the front of `data`,
+/// yielding each one's payload with the byte offset just past it. The
+/// scan stops at the first torn or CRC-bad record, so the last offset
+/// yielded (0 if none) is the length of the intact prefix; anything
+/// after it is a torn tail.
+pub fn scan_records(data: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
     let mut pos = 0usize;
-    while data.len() - pos >= REC_HEADER {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-        let Some(end) = pos.checked_add(REC_HEADER + len) else {
-            break;
-        };
-        if end > data.len() {
-            break;
-        }
-        let payload = &data[pos + REC_HEADER..end];
+    std::iter::from_fn(move || {
+        let header = data.get(pos..pos.checked_add(REC_HEADER)?)?;
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+        let end = (pos + REC_HEADER).checked_add(len)?;
+        let payload = data.get(pos + REC_HEADER..end)?;
         if crc32(payload) != crc {
-            break;
+            return None;
         }
-        records.push(payload.to_vec());
         pos = end;
+        Some((end, payload))
+    })
+}
+
+/// Replaces `path` with `contents` atomically: the bytes go to
+/// `<path>.tmp`, which is renamed over `path`, so a reader sees the
+/// old file or the new one, never a mix. Under
+/// [`FsyncPolicy::Always`] the file is synced before the rename and
+/// its directory after it, so the replace also survives power loss.
+pub fn replace_file(path: &Path, contents: &[u8], fsync: FsyncPolicy) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(contents)?;
+    if fsync == FsyncPolicy::Always {
+        f.sync_all()?;
     }
-    (records, pos)
+    drop(f);
+    fs::rename(&tmp, path)?;
+    if fsync == FsyncPolicy::Always {
+        sync_parent(path)?;
+    }
+    Ok(())
+}
+
+/// Opens `path` for append, creating it if needed. Under
+/// [`FsyncPolicy::Always`] its directory is synced too, so a newly
+/// created file's name survives power loss.
+pub fn open_append(path: &Path, fsync: FsyncPolicy) -> io::Result<File> {
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    if fsync == FsyncPolicy::Always {
+        sync_parent(path)?;
+    }
+    Ok(file)
+}
+
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 fn read_ledger(path: &Path) -> Result<u64, DistError> {
@@ -689,6 +730,45 @@ mod tests {
         q.ack_through(1);
         assert_eq!(q.len(), 2, "stale acks change nothing");
         assert_eq!(q.acked_floor(), 3);
+    }
+
+    #[test]
+    fn replace_file_swaps_content_and_leaves_no_temp_file() {
+        let dir = tmpdir("replace");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pointer");
+        for (i, fsync) in [FsyncPolicy::Always, FsyncPolicy::Never, FsyncPolicy::Always]
+            .into_iter()
+            .enumerate()
+        {
+            let text = format!("{i}\n");
+            replace_file(&path, text.as_bytes(), fsync).unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), text);
+            let names: Vec<String> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert_eq!(names, vec!["pointer".to_string()], "no .tmp left behind");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_scan_to_the_intact_prefix() {
+        let mut data = Vec::new();
+        for payload in [&b"one"[..], b"", b"three"] {
+            write_record(&mut data, payload).unwrap();
+        }
+        let intact = data.len();
+        write_record(&mut data, b"torn").unwrap();
+        data.truncate(data.len() - 1);
+        let records: Vec<(usize, &[u8])> = scan_records(&data).collect();
+        let payloads: Vec<&[u8]> = records.iter().map(|&(_, p)| p).collect();
+        assert_eq!(payloads, vec![&b"one"[..], b"", b"three"]);
+        assert_eq!(records.last().unwrap().0, intact);
+        // A flipped payload byte stops the scan before that record.
+        data[REC_HEADER + 1] ^= 0xFF;
+        assert_eq!(scan_records(&data).count(), 0);
     }
 
     // The degrade tests force I/O errors by planting a *directory*

@@ -13,18 +13,26 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! <dir>/CURRENT            the live generation number (tmp+rename)
-//! <dir>/snap-<gen>/        SummaryStore of reconstructed slot frames
-//! <dir>/snap-<gen>.state   relay-side state (CRC-framed record)
-//! <dir>/wal-<gen>.log      CRC-framed operation records
+//! <dir>/CURRENT            the live generation number (atomic replace)
+//! <dir>/wal-<gen>.log      the generation: snapshot, then operations
 //! ```
 //!
-//! Records share the spill queue's `[u32 LE len][u32 LE crc][payload]`
-//! framing; a torn tail (crash mid-append) stops replay at the last
-//! intact record and is truncated. Compaction writes the **next**
-//! generation completely, flips `CURRENT`, then deletes the old one —
-//! a crash at any point leaves exactly one consistent generation
-//! reachable (the stale one's files are swept on the next compact).
+//! A generation is one file of [`flowdist::spill`] records. A
+//! compacted generation opens with its snapshot: one `Slot` record per
+//! stored window (the version-3 `Full` frame that restores the slot
+//! exactly), then one `State` record (the relay's export state, epoch
+//! chains, provenance and ledger). Operation records follow.
+//! Generation 0 has no snapshot. Recovery is one scan: snapshot
+//! records restore, operation records replay.
+//!
+//! A torn tail (crash mid-append) stops replay at the last intact
+//! operation record and is truncated. A snapshot is written whole
+//! before `CURRENT` names it, so a torn or corrupt record before the
+//! `State` record fails the open instead. Compaction writes the
+//! **next** generation completely, flips `CURRENT`, then deletes every
+//! other generation's log — a crash at any point leaves exactly one
+//! consistent generation reachable. `compact_wal_bytes` counts only
+//! the operation bytes after the snapshot.
 //!
 //! Pinned delta bases are deliberately **not** persisted: after a
 //! restart the first change of an affected window re-exports one full
@@ -33,20 +41,19 @@
 
 use crate::relay::{Relay, RelayLedger, RelayState};
 use crate::RelayError;
-use flowdist::spill::crc32;
-use flowdist::{
-    DistError, EpochHeader, FsyncPolicy, Lineage, Summary, SummaryKind, SummaryStore, WindowId,
-};
+use flowdist::spill::{open_append, replace_file, scan_records, write_record};
+use flowdist::{DistError, EpochHeader, FsyncPolicy, Lineage, Summary, SummaryKind, WindowId};
 use flowkey::pack::{read_varint, write_varint};
-use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Read, Write};
+use std::fs::{self, File};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 /// Journal tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct JournalConfig {
-    /// Compact (snapshot + fresh WAL) once the WAL exceeds this many
-    /// bytes. 0 = never auto-compact.
+    /// Compact (snapshot + fresh WAL) once the operation records
+    /// after the snapshot exceed this many bytes. 0 = never
+    /// auto-compact.
     pub compact_wal_bytes: u64,
     /// Fsync policy for WAL appends and snapshot writes. The default
     /// ([`FsyncPolicy::Never`]) survives `kill -9`; `Always` also
@@ -68,9 +75,9 @@ impl Default for JournalConfig {
 pub struct RecoveryReport {
     /// The generation recovered from (`CURRENT`).
     pub generation: u64,
-    /// Slot frames restored from the snapshot store.
+    /// Slot frames restored from the snapshot's `Slot` records.
     pub snapshot_slots: usize,
-    /// WAL records replayed.
+    /// WAL operation records replayed (after the snapshot).
     pub wal_records: u64,
     /// Torn/corrupt trailing WAL bytes truncated.
     pub torn_bytes: u64,
@@ -104,8 +111,10 @@ const REC_MARK_UNSHIPPED: u8 = 4;
 const REC_EVICT: u8 = 5;
 const REC_SHIPPED: u8 = 6;
 const REC_DROP_BASES: u8 = 7;
-
-const FRAME_HEADER: usize = 8;
+/// Snapshot: one stored slot as a version-3 `Full` frame.
+const REC_SLOT: u8 = 8;
+/// Snapshot: the relay state; the last snapshot record.
+const REC_STATE: u8 = 9;
 
 /// The append half of an attached journal (owned by the relay).
 #[derive(Debug)]
@@ -113,6 +122,8 @@ pub struct JournalWriter {
     dir: PathBuf,
     generation: u64,
     file: File,
+    /// Operation bytes after the snapshot (what `compact_wal_bytes`
+    /// bounds).
     wal_bytes: u64,
     cfg: JournalConfig,
     error: Option<String>,
@@ -151,11 +162,16 @@ impl JournalWriter {
             }
             Record::DropBases => payload.push(REC_DROP_BASES),
         }
-        if let Err(e) = write_record(&mut self.file, &payload, self.cfg.fsync) {
-            self.error = Some(format!("wal append: {e}"));
-            return;
+        let written = write_record(&mut self.file, &payload).and_then(|n| {
+            if self.cfg.fsync == FsyncPolicy::Always {
+                self.file.sync_all()?;
+            }
+            Ok(n)
+        });
+        match written {
+            Ok(n) => self.wal_bytes += n,
+            Err(e) => self.error = Some(format!("wal append: {e}")),
         }
-        self.wal_bytes += (FRAME_HEADER + payload.len()) as u64;
     }
 
     pub(crate) fn wants_compact(&self) -> bool {
@@ -169,47 +185,34 @@ impl JournalWriter {
     }
 }
 
-fn write_record(file: &mut File, payload: &[u8], fsync: FsyncPolicy) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    file.write_all(&buf)?;
-    if fsync == FsyncPolicy::Always {
-        file.sync_all()?;
-    }
-    Ok(())
-}
-
 fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal-{generation}.log"))
 }
 
-fn snap_dir(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("snap-{generation}"))
+/// An open-time error that names the journal file at fault.
+fn bad_file(path: &Path, what: &str) -> RelayError {
+    let msg = format!("{}: {what}", path.display());
+    RelayError::Dist(DistError::Io(std::io::Error::new(
+        ErrorKind::InvalidData,
+        msg,
+    )))
 }
 
-fn state_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("snap-{generation}.state"))
+fn io_err(e: std::io::Error) -> RelayError {
+    RelayError::Dist(DistError::Io(e))
 }
 
-fn read_current(dir: &Path) -> Result<u64, DistError> {
-    match fs::read_to_string(dir.join("CURRENT")) {
-        Ok(text) => Ok(text.trim().parse::<u64>().unwrap_or(0)),
+/// The generation `CURRENT` names; 0 when there is no `CURRENT` yet.
+fn read_current(dir: &Path) -> Result<u64, RelayError> {
+    let path = dir.join("CURRENT");
+    match fs::read_to_string(&path) {
+        Ok(text) => text
+            .trim()
+            .parse::<u64>()
+            .map_err(|_| bad_file(&path, "garbled generation pointer")),
         Err(e) if e.kind() == ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(DistError::Io(e)),
+        Err(e) => Err(io_err(e)),
     }
-}
-
-fn write_current(dir: &Path, generation: u64, fsync: FsyncPolicy) -> std::io::Result<()> {
-    let tmp = dir.join("CURRENT.tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(format!("{generation}\n").as_bytes())?;
-    if fsync == FsyncPolicy::Always {
-        f.sync_all()?;
-    }
-    drop(f);
-    fs::rename(tmp, dir.join("CURRENT"))
 }
 
 impl Relay {
@@ -224,69 +227,76 @@ impl Relay {
         dir: &Path,
         jcfg: JournalConfig,
     ) -> Result<(Relay, RecoveryReport), RelayError> {
-        fs::create_dir_all(dir).map_err(|e| RelayError::Dist(DistError::Io(e)))?;
+        fs::create_dir_all(dir).map_err(io_err)?;
         let generation = read_current(dir)?;
-        let tree_cfg = cfg.tree;
+        // An older relay kept its snapshot beside the log.
+        for old in [
+            dir.join(format!("snap-{generation}.state")),
+            dir.join(format!("snap-{generation}")),
+        ] {
+            if old.exists() {
+                return Err(bad_file(&old, "snapshot of an older relay; drain it first"));
+            }
+        }
+        let wpath = wal_path(dir, generation);
+        let data = match fs::read(&wpath) {
+            Ok(data) => data,
+            Err(e) if e.kind() == ErrorKind::NotFound && !dir.join("CURRENT").exists() => {
+                Vec::new()
+            }
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                return Err(bad_file(&wpath, "missing; CURRENT names it"))
+            }
+            Err(e) => return Err(io_err(e)),
+        };
         let mut relay = Relay::new(cfg);
         let mut report = RecoveryReport {
             generation,
             ..RecoveryReport::default()
         };
 
-        // Snapshot: slot frames into the collector, relay state on top.
-        // Every relay slot carries an epoch; one that does not is a
-        // state dir written by an older relay and fails the open.
-        let spath = state_path(dir, generation);
-        if spath.exists() {
-            let state = read_state_file(&spath)?;
-            let store = SummaryStore::open(snap_dir(dir, generation))?;
-            for (site, start) in store.list()? {
-                let summary = store.get(site, start, tree_cfg)?;
-                if summary.lineage.is_none() {
-                    return Err(DistError::BadFrame("summary without epoch").into());
+        // One scan. Snapshot records restore the collector's slots
+        // (no relay coverage checks) and then the relay state; every
+        // later record replays an operation, up to the intact prefix.
+        let mut in_snapshot = generation > 0;
+        let (mut snapshot_end, mut good) = (0, 0);
+        for (end, payload) in scan_records(&data) {
+            if in_snapshot {
+                match payload.split_first() {
+                    Some((&REC_SLOT, frame)) => {
+                        relay.collector_mut().apply_bytes(frame)?;
+                        report.snapshot_slots += 1;
+                    }
+                    Some((&REC_STATE, state)) => {
+                        let state = decode_state(state)
+                            .ok_or_else(|| bad_file(&wpath, "corrupt snapshot state"))?;
+                        relay.restore_state(state);
+                        in_snapshot = false;
+                        snapshot_end = end;
+                    }
+                    _ => return Err(bad_file(&wpath, "corrupt snapshot record")),
                 }
-                relay
-                    .collector_mut()
-                    .apply_bytes(&summary.encode())
-                    .map_err(RelayError::Dist)?;
-                report.snapshot_slots += 1;
+            } else if replay_record(&mut relay, payload) {
+                report.wal_records += 1;
+            } else {
+                break;
             }
-            relay.restore_state(state);
+            good = end;
+        }
+        if in_snapshot {
+            return Err(bad_file(&wpath, "torn or corrupt snapshot"));
         }
 
-        // WAL: replay the intact prefix, truncate anything torn.
-        let wpath = wal_path(dir, generation);
-        if wpath.exists() {
-            let mut data = Vec::new();
-            File::open(&wpath)
-                .and_then(|mut f| f.read_to_end(&mut data))
-                .map_err(|e| RelayError::Dist(DistError::Io(e)))?;
-            let good = replay_wal(&mut relay, &data, &mut report);
-            if good < data.len() {
-                report.torn_bytes = (data.len() - good) as u64;
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(&wpath)
-                    .map_err(|e| RelayError::Dist(DistError::Io(e)))?;
-                f.set_len(good as u64)
-                    .map_err(|e| RelayError::Dist(DistError::Io(e)))?;
-            }
+        let file = open_append(&wpath, jcfg.fsync).map_err(io_err)?;
+        if good < data.len() {
+            report.torn_bytes = (data.len() - good) as u64;
+            file.set_len(good as u64).map_err(io_err)?;
         }
-
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&wpath)
-            .map_err(|e| RelayError::Dist(DistError::Io(e)))?;
-        let wal_bytes = file
-            .metadata()
-            .map_err(|e| RelayError::Dist(DistError::Io(e)))?
-            .len();
         *relay.journal_mut() = Some(JournalWriter {
             dir: dir.to_path_buf(),
             generation,
             file,
-            wal_bytes,
+            wal_bytes: (good - snapshot_end) as u64,
             cfg: jcfg,
             error: None,
         });
@@ -294,176 +304,145 @@ impl Relay {
     }
 }
 
-/// Replays every intact WAL record; returns the byte length of the
-/// intact prefix.
-fn replay_wal(relay: &mut Relay, data: &[u8], report: &mut RecoveryReport) -> usize {
-    let mut pos = 0usize;
-    while data.len() - pos >= FRAME_HEADER {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-        let Some(end) = pos.checked_add(FRAME_HEADER + len) else {
-            break;
-        };
-        if end > data.len() {
-            break;
-        }
-        let payload = &data[pos + FRAME_HEADER..end];
-        if crc32(payload) != crc || payload.is_empty() {
-            break;
-        }
-        if !replay_record(relay, payload) {
-            break;
-        }
-        report.wal_records += 1;
-        pos = end;
+/// A forward reader over a record body.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn varint(&mut self) -> Option<u64> {
+        let (v, n) = read_varint(self.0).ok()?;
+        self.0 = &self.0[n..];
+        Some(v)
     }
-    pos
+
+    fn u16(&mut self) -> Option<u16> {
+        let (head, rest) = self.0.split_first_chunk::<2>()?;
+        self.0 = rest;
+        Some(u16::from_be_bytes(*head))
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let (&b, rest) = self.0.split_first()?;
+        self.0 = rest;
+        Some(b)
+    }
 }
 
-/// Applies one decoded WAL record through the relay's normal entry
+/// Applies one WAL operation record through the relay's normal entry
 /// points (the journal is not yet attached, so nothing re-logs).
 /// Returns false on a structurally invalid record — treated like a
 /// torn tail.
 fn replay_record(relay: &mut Relay, payload: &[u8]) -> bool {
-    let body = &payload[1..];
-    let mut pos = 0usize;
-    let mut next = |body: &[u8]| -> Option<u64> {
-        let (v, n) = read_varint(&body[pos..]).ok()?;
-        pos += n;
-        Some(v)
+    let Some((&kind, body)) = payload.split_first() else {
+        return false;
     };
-    match payload[0] {
+    let mut cur = Cursor(body);
+    match kind {
         REC_FRAME => {
             // Applied once before the crash; outcome is deterministic.
             let _ = relay.ingest_frame(body);
-            true
         }
         REC_EXPORT_BATCH => {
-            let Some(count) = next(body) else {
+            let starts = cur
+                .varint()
+                .and_then(|count| (0..count).map(|_| cur.varint()).collect::<Option<Vec<_>>>());
+            let Some(starts) = starts else {
                 return false;
             };
-            let mut starts = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let Some(s) = next(body) else {
-                    return false;
-                };
-                starts.push(s);
-            }
             relay.replay_export_batch(&starts);
-            true
         }
-        REC_MARK_UNSHIPPED => match next(body) {
-            Some(start) => {
-                relay.mark_unshipped(start);
-                true
-            }
-            None => false,
+        REC_MARK_UNSHIPPED => match cur.varint() {
+            Some(start) => relay.mark_unshipped(start),
+            None => return false,
         },
-        REC_EVICT => match next(body) {
+        REC_EVICT => match cur.varint() {
             Some(cutoff) => {
                 relay.evict_windows_before(cutoff);
-                true
             }
-            None => false,
+            None => return false,
         },
-        REC_SHIPPED => match (next(body), next(body)) {
-            (Some(start), Some(epoch)) => {
-                relay.note_shipped(start, epoch);
-                true
-            }
-            _ => false,
+        REC_SHIPPED => match (cur.varint(), cur.varint()) {
+            (Some(start), Some(epoch)) => relay.note_shipped(start, epoch),
+            _ => return false,
         },
-        REC_DROP_BASES => {
-            relay.drop_export_bases();
-            true
-        }
-        _ => false,
+        REC_DROP_BASES => relay.drop_export_bases(),
+        _ => return false,
     }
+    true
 }
 
-/// Compacts the attached journal: writes the next generation's
-/// snapshot (slot frames + relay state), flips `CURRENT`, starts a
-/// fresh WAL, and sweeps the previous generation. On error the
-/// journal is marked broken (the relay keeps serving; crash-safety is
-/// void until an operator intervenes).
+/// Compacts the attached journal: writes the next generation's log
+/// (snapshot first), flips `CURRENT`, and sweeps every other
+/// generation. On error the journal is marked broken (the relay keeps
+/// serving; crash-safety is void until an operator intervenes).
 pub(crate) fn compact(relay: &mut Relay) {
-    let Some(writer) = relay.journal_mut().take() else {
+    let Some(mut writer) = relay.journal_mut().take() else {
         return;
     };
-    let dir = writer.dir.clone();
-    let cfg = writer.cfg;
-    let old_gen = writer.generation;
-    let next_gen = old_gen + 1;
-    drop(writer);
-
-    match write_snapshot(relay, &dir, next_gen, &cfg) {
+    let next_gen = writer.generation + 1;
+    match write_generation(relay, &writer.dir, next_gen, writer.cfg.fsync) {
         Ok(file) => {
-            // Sweep the previous generation — `CURRENT` already points
-            // past it, so a crash mid-sweep just leaves garbage the
-            // next compact removes.
-            let _ = fs::remove_file(wal_path(&dir, old_gen));
-            let _ = fs::remove_file(state_path(&dir, old_gen));
-            let _ = fs::remove_dir_all(snap_dir(&dir, old_gen));
-            *relay.journal_mut() = Some(JournalWriter {
-                dir,
-                generation: next_gen,
-                file,
-                wal_bytes: 0,
-                cfg,
-                error: None,
-            });
+            // `CURRENT` already points past every other log, so a crash
+            // mid-sweep just leaves garbage the next compact removes.
+            sweep_logs(&writer.dir, next_gen);
+            writer.generation = next_gen;
+            writer.file = file;
+            writer.wal_bytes = 0;
         }
-        Err(e) => {
-            // Reattach a broken writer so journal_error() surfaces it.
-            if let Ok(file) = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(wal_path(&dir, old_gen))
-            {
-                *relay.journal_mut() = Some(JournalWriter {
-                    dir,
-                    generation: old_gen,
-                    file,
-                    wal_bytes: 0,
-                    cfg,
-                    error: Some(format!("compaction: {e}")),
-                });
-            }
-        }
+        Err(e) => writer.error = Some(format!("compaction: {e}")),
     }
+    *relay.journal_mut() = Some(writer);
 }
 
-/// Writes generation `gen`'s complete snapshot and fresh WAL, then
-/// flips `CURRENT`. Returns the new WAL's append handle.
-fn write_snapshot(
+/// Writes generation `generation`'s log — one `Slot` record per stored
+/// window, then the `State` record — and flips `CURRENT` to it.
+/// Returns the log's append handle.
+fn write_generation(
     relay: &Relay,
     dir: &Path,
     generation: u64,
-    cfg: &JournalConfig,
-) -> Result<File, DistError> {
-    // A leftover half-written snapshot of this generation (crashed
-    // compact) is overwritten from scratch.
-    let sdir = snap_dir(dir, generation);
-    let _ = fs::remove_dir_all(&sdir);
-    let store = SummaryStore::open(&sdir)?;
-    let span = relay.span_ms();
-    for (start, site) in relay.collector().window_keys() {
-        let Some(span) = span else { break };
-        store.put(&reconstruct_slot(relay, start, site, span))?;
+    fsync: FsyncPolicy,
+) -> std::io::Result<File> {
+    // A leftover log of this generation (a compaction that crashed
+    // before its flip) is rewritten from scratch.
+    let path = wal_path(dir, generation);
+    let _ = fs::remove_file(&path);
+    let mut file = open_append(&path, fsync)?;
+    if let Some(span) = relay.span_ms() {
+        for (start, site) in relay.collector().window_keys() {
+            let mut payload = vec![REC_SLOT];
+            payload.extend_from_slice(&reconstruct_slot(relay, start, site, span).encode());
+            write_record(&mut file, &payload)?;
+        }
     }
-    let state = relay.snapshot_state();
-    write_state_file(&state_path(dir, generation), &state, cfg.fsync).map_err(DistError::Io)?;
-    // Fresh WAL before the flip: once CURRENT points here, every file
-    // of the generation exists.
-    let wpath = wal_path(dir, generation);
-    let _ = fs::remove_file(&wpath);
-    let file = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&wpath)
-        .map_err(DistError::Io)?;
-    write_current(dir, generation, cfg.fsync).map_err(DistError::Io)?;
+    write_record(&mut file, &encode_state(&relay.snapshot_state()))?;
+    if fsync == FsyncPolicy::Always {
+        file.sync_all()?;
+    }
+    replace_file(
+        &dir.join("CURRENT"),
+        format!("{generation}\n").as_bytes(),
+        fsync,
+    )?;
     Ok(file)
+}
+
+/// Deletes every generation log but `keep`'s.
+fn sweep_logs(dir: &Path, keep: u64) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let generation = name.to_str().and_then(|n| {
+            n.strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse::<u64>()
+                .ok()
+        });
+        if generation.is_some_and(|g| g != keep) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Rebuilds the frame that restores one stored slot exactly: its
@@ -493,10 +472,9 @@ fn reconstruct_slot(relay: &Relay, start: u64, site: u16, span: u64) -> Summary 
     }
 }
 
-const STATE_VERSION: u8 = 1;
-
-fn write_state_file(path: &Path, state: &RelayState, fsync: FsyncPolicy) -> std::io::Result<()> {
-    let mut payload = vec![STATE_VERSION];
+/// The `State` record's payload.
+fn encode_state(state: &RelayState) -> Vec<u8> {
+    let mut payload = vec![REC_STATE];
     match state.span_ms {
         Some(span) => {
             payload.push(1);
@@ -515,127 +493,65 @@ fn write_state_file(path: &Path, state: &RelayState, fsync: FsyncPolicy) -> std:
     }
     write_varint(&mut payload, state.windows.len() as u64);
     for &(start, content, exported, shipped) in &state.windows {
-        write_varint(&mut payload, start);
-        write_varint(&mut payload, content);
-        write_varint(&mut payload, exported);
-        write_varint(&mut payload, shipped);
+        for v in [start, content, exported, shipped] {
+            write_varint(&mut payload, v);
+        }
     }
     write_varint(&mut payload, state.evicted.len() as u64);
     for &(start, epoch) in &state.evicted {
         write_varint(&mut payload, start);
         write_varint(&mut payload, epoch);
     }
-    // The version-1 delta-chain positions: always none, since a relay
-    // refuses frames without an epoch. The empty section keeps the
-    // format.
-    write_varint(&mut payload, 0);
-    let counters = ledger_counters(&state.ledger);
-    write_varint(&mut payload, counters.len() as u64);
-    for c in counters {
+    for c in ledger_counters(&state.ledger) {
         write_varint(&mut payload, c);
     }
-
-    let tmp = path.with_extension("state.tmp");
-    let mut f = File::create(&tmp)?;
-    write_record(&mut f, &payload, fsync)?;
-    drop(f);
-    fs::rename(tmp, path)
+    payload
 }
 
-fn read_state_file(path: &Path) -> Result<RelayState, RelayError> {
-    let mut data = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(|e| RelayError::Dist(DistError::Io(e)))?;
-    let bad = || RelayError::Dist(DistError::BadFrame("corrupt journal state file"));
-    if data.len() < FRAME_HEADER {
-        return Err(bad());
-    }
-    let len = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    if FRAME_HEADER + len != data.len() || crc32(&data[FRAME_HEADER..]) != crc {
-        return Err(bad());
-    }
-    let payload = &data[FRAME_HEADER..];
-    if payload.first() != Some(&STATE_VERSION) {
-        return Err(bad());
-    }
-    let mut pos = 1usize;
-    let next = |payload: &[u8], pos: &mut usize| -> Result<u64, RelayError> {
-        let (v, n) = read_varint(&payload[*pos..]).map_err(|_| bad())?;
-        *pos += n;
-        Ok(v)
+/// Decodes a `State` record's body (the payload after its kind byte);
+/// `None` if it is malformed.
+fn decode_state(body: &[u8]) -> Option<RelayState> {
+    let mut cur = Cursor(body);
+    let span_ms = match cur.byte()? {
+        0 => None,
+        1 => Some(cur.varint()?),
+        _ => return None,
     };
-    let next_u16 = |payload: &[u8], pos: &mut usize| -> Result<u16, RelayError> {
-        if *pos + 2 > payload.len() {
-            return Err(bad());
-        }
-        let v = u16::from_be_bytes([payload[*pos], payload[*pos + 1]]);
-        *pos += 2;
-        Ok(v)
-    };
-    let span_ms = match payload.get(pos) {
-        Some(0) => {
-            pos += 1;
-            None
-        }
-        Some(1) => {
-            pos += 1;
-            Some(next(payload, &mut pos)?)
-        }
-        _ => return Err(bad()),
-    };
-    let seq = next(payload, &mut pos)?;
-    let mut provenance = Vec::new();
-    for _ in 0..next(payload, &mut pos)? {
-        let key = next_u16(payload, &mut pos)?;
-        let n = next(payload, &mut pos)?;
-        let mut sites = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            sites.push(next_u16(payload, &mut pos)?);
-        }
-        provenance.push((key, sites));
+    let seq = cur.varint()?;
+    let provenance = (0..cur.varint()?)
+        .map(|_| {
+            let key = cur.u16()?;
+            let sites = (0..cur.varint()?)
+                .map(|_| cur.u16())
+                .collect::<Option<_>>()?;
+            Some((key, sites))
+        })
+        .collect::<Option<_>>()?;
+    let windows = (0..cur.varint()?)
+        .map(|_| Some((cur.varint()?, cur.varint()?, cur.varint()?, cur.varint()?)))
+        .collect::<Option<_>>()?;
+    let evicted = (0..cur.varint()?)
+        .map(|_| Some((cur.varint()?, cur.varint()?)))
+        .collect::<Option<_>>()?;
+    let mut counters = [0u64; 21];
+    for c in &mut counters {
+        *c = cur.varint()?;
     }
-    let mut windows = Vec::new();
-    for _ in 0..next(payload, &mut pos)? {
-        windows.push((
-            next(payload, &mut pos)?,
-            next(payload, &mut pos)?,
-            next(payload, &mut pos)?,
-            next(payload, &mut pos)?,
-        ));
+    if !cur.0.is_empty() {
+        return None;
     }
-    let mut evicted = Vec::new();
-    for _ in 0..next(payload, &mut pos)? {
-        evicted.push((next(payload, &mut pos)?, next(payload, &mut pos)?));
-    }
-    // Version-1 delta-chain positions: parsed and dropped.
-    for _ in 0..next(payload, &mut pos)? {
-        next_u16(payload, &mut pos)?;
-        next(payload, &mut pos)?;
-        next(payload, &mut pos)?;
-    }
-    let n = next(payload, &mut pos)? as usize;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push(next(payload, &mut pos)?);
-    }
-    let ledger = ledger_from_counters(&counters).ok_or_else(bad)?;
-    if pos != payload.len() {
-        return Err(bad());
-    }
-    Ok(RelayState {
+    Some(RelayState {
         span_ms,
         seq,
         provenance,
         windows,
         evicted,
-        ledger,
+        ledger: ledger_from_counters(counters),
     })
 }
 
-fn ledger_counters(l: &RelayLedger) -> Vec<u64> {
-    vec![
+fn ledger_counters(l: &RelayLedger) -> [u64; 21] {
+    [
         l.frames,
         l.site_frames,
         l.agg_frames,
@@ -660,13 +576,8 @@ fn ledger_counters(l: &RelayLedger) -> Vec<u64> {
     ]
 }
 
-fn ledger_from_counters(c: &[u64]) -> Option<RelayLedger> {
-    // 19 counters = a snapshot from before the spill-shed ledger
-    // fields existed; those recover as zero.
-    if c.len() != 19 && c.len() != 21 {
-        return None;
-    }
-    Some(RelayLedger {
+fn ledger_from_counters(c: [u64; 21]) -> RelayLedger {
+    RelayLedger {
         frames: c[0],
         site_frames: c[1],
         agg_frames: c[2],
@@ -686,9 +597,9 @@ fn ledger_from_counters(c: &[u64]) -> Option<RelayLedger> {
         reconnect_attempts: c[16],
         reconnect_failures: c[17],
         backoff_ms_total: c[18],
-        spill_sheds: c.get(19).copied().unwrap_or(0),
-        spill_shed_bytes: c.get(20).copied().unwrap_or(0),
-    })
+        spill_sheds: c[19],
+        spill_shed_bytes: c[20],
+    }
 }
 
 #[cfg(test)]
@@ -837,6 +748,59 @@ mod tests {
         assert_eq!(r2.collector().window_seq(0, 0), 1);
         assert_eq!(r2.collector().window_epoch(0, 0), 1);
         assert!(r2.collector().window_tree(0, 0).is_some());
+        drop(r2);
+
+        // Past a snapshot the same holds: one more frame compacts into
+        // generation 1, whose torn tail is truncated as before.
+        let jcfg = JournalConfig {
+            compact_wal_bytes: 1,
+            ..JournalConfig::default()
+        };
+        let (mut r3, _) = Relay::open_journaled(cfg(), &dir, jcfg).unwrap();
+        let bytes = site_summary(1, 0, 0..3, 1).encode();
+        assert!(matches!(
+            r3.ingest_classified(&bytes),
+            FrameOutcome::Applied(_)
+        ));
+        drop(r3);
+        assert_eq!(read_current(&dir).unwrap(), 1);
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(wal_path(&dir, 1))
+            .unwrap();
+        f.write_all(&[0x55; 11]).unwrap();
+        drop(f);
+        let (r4, report) = Relay::open_journaled(cfg(), &dir, jcfg).unwrap();
+        assert_eq!(report.snapshot_slots, 2);
+        assert_eq!(report.wal_records, 0);
+        assert_eq!(report.torn_bytes, 11);
+        assert_eq!(r4.collector().window_epoch(0, 1), 1);
+        drop(r4);
+
+        // A snapshot record is never a torn tail: a flipped byte in
+        // the first slot frame fails the open and truncates nothing.
+        let mut data = fs::read(wal_path(&dir, 1)).unwrap();
+        data[12] ^= 0xFF;
+        fs::write(wal_path(&dir, 1), &data).unwrap();
+        let err = Relay::open_journaled(cfg(), &dir, jcfg)
+            .expect_err("a corrupt snapshot fails the open");
+        assert!(err.to_string().contains("wal-1.log"), "{err}");
+        assert_eq!(fs::read(wal_path(&dir, 1)).unwrap(), data);
+        // So does a snapshot cut short before its state record.
+        data[12] ^= 0xFF;
+        data.truncate(data.len() - 3);
+        fs::write(wal_path(&dir, 1), &data).unwrap();
+        assert!(Relay::open_journaled(cfg(), &dir, jcfg).is_err());
+    }
+
+    /// The journal directory holds `CURRENT` and one generation log.
+    fn journal_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     /// A tiny WAL bound forces compaction (snapshot + generation
@@ -863,6 +827,13 @@ mod tests {
             read_current(&dir).unwrap() > 0,
             "the WAL bound must have forced at least one compaction"
         );
+        let generation = read_current(&dir).unwrap();
+        assert!(generation > 2, "every append compacted");
+        assert_eq!(
+            journal_files(&dir),
+            vec!["CURRENT".to_string(), format!("wal-{generation}.log")],
+            "each compaction sweeps the generation before it"
+        );
         let (r2, report) = Relay::open_journaled(cfg(), &dir, jcfg).unwrap();
         assert!(report.generation > 0);
         assert!(
@@ -880,6 +851,86 @@ mod tests {
                     twin.collector().window_epoch(w * SPAN, s)
                 );
             }
+        }
+    }
+
+    /// `compact_wal_bytes` bounds the operations after the snapshot,
+    /// not the snapshot: a snapshot larger than the bound and one
+    /// append after it do not compact again, before or after a reopen.
+    #[test]
+    fn a_snapshot_over_the_bound_does_not_compact_again() {
+        let dir = tmpdir("bound");
+        let frame_len = site_summary(0, 0, 0..3, 1).encode().len() as u64;
+        let jcfg = JournalConfig {
+            compact_wal_bytes: 4 * frame_len,
+            ..JournalConfig::default()
+        };
+        let (mut r, _) = Relay::open_journaled(cfg(), &dir, jcfg).unwrap();
+        let mut w = 0;
+        while read_current(&dir).unwrap() == 0 {
+            let _ = r.ingest_classified(&site_summary(0, w, 0..3, 1).encode());
+            w += 1;
+        }
+        let snapshot = fs::metadata(wal_path(&dir, 1)).unwrap().len();
+        assert!(snapshot > jcfg.compact_wal_bytes, "{snapshot} bytes");
+        let _ = r.ingest_classified(&site_summary(0, w, 0..3, 1).encode());
+        assert_eq!(
+            read_current(&dir).unwrap(),
+            1,
+            "one append past the snapshot"
+        );
+        drop(r);
+        let (mut r2, report) = Relay::open_journaled(cfg(), &dir, jcfg).unwrap();
+        assert_eq!(report.snapshot_slots as u64, w);
+        assert_eq!(report.wal_records, 1);
+        let _ = r2.ingest_classified(&site_summary(0, w + 1, 0..3, 1).encode());
+        assert_eq!(read_current(&dir).unwrap(), 1, "two appends after a reopen");
+        assert!(r2.journal_error().is_none());
+    }
+
+    /// A `CURRENT` that is not a number fails the open instead of
+    /// recovering generation 0.
+    #[test]
+    fn a_garbled_current_fails_the_open() {
+        let dir = tmpdir("garbled");
+        let (r, _) = Relay::open_journaled(cfg(), &dir, JournalConfig::default()).unwrap();
+        drop(r);
+        fs::write(dir.join("CURRENT"), "x7\n").unwrap();
+        let err = Relay::open_journaled(cfg(), &dir, JournalConfig::default())
+            .expect_err("a garbled CURRENT fails the open");
+        assert!(err.to_string().contains("CURRENT"), "{err}");
+    }
+
+    /// A `CURRENT` naming a generation whose log is gone fails the
+    /// open instead of starting an empty relay.
+    #[test]
+    fn a_current_without_its_log_fails_the_open() {
+        let dir = tmpdir("nolog");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("CURRENT"), "3\n").unwrap();
+        let err = Relay::open_journaled(cfg(), &dir, JournalConfig::default())
+            .expect_err("a missing generation log fails the open");
+        assert!(err.to_string().contains("wal-3.log"), "{err}");
+    }
+
+    /// A state dir of an older relay (its snapshot beside the log)
+    /// fails the open and names the file; a generation-0 dir with only
+    /// its log replays as before.
+    #[test]
+    fn an_old_layout_fails_the_open_naming_the_file() {
+        for old in ["snap-3.state", "snap-3"] {
+            let dir = tmpdir("old");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("CURRENT"), "3\n").unwrap();
+            fs::write(wal_path(&dir, 3), b"").unwrap();
+            if old.ends_with(".state") {
+                fs::write(dir.join(old), b"state").unwrap();
+            } else {
+                fs::create_dir_all(dir.join(old)).unwrap();
+            }
+            let err = Relay::open_journaled(cfg(), &dir, JournalConfig::default())
+                .expect_err("an old layout fails the open");
+            assert!(err.to_string().contains(old), "{err}");
         }
     }
 

@@ -80,13 +80,10 @@ struct Tier {
     meta: BTreeMap<u64, (u64, u16, u64)>,
 }
 
-fn open_tier(dir: &Path, crashed: bool) -> Tier {
-    let (relay, _report) = Relay::open_journaled(
-        tier_cfg("t1", 100, &[0, 1]),
-        &dir.join("journal"),
-        JournalConfig::default(),
-    )
-    .expect("open tier journal");
+fn open_tier(dir: &Path, crashed: bool, jcfg: JournalConfig) -> Tier {
+    let (relay, _report) =
+        Relay::open_journaled(tier_cfg("t1", 100, &[0, 1]), &dir.join("journal"), jcfg)
+            .expect("open tier journal");
     let spill = SpillQueue::open(
         &dir.join("spill"),
         SpillConfig {
@@ -112,14 +109,10 @@ fn open_tier(dir: &Path, crashed: bool) -> Tier {
     tier
 }
 
-fn open_root(dir: &Path) -> Relay {
-    Relay::open_journaled(
-        tier_cfg("root", 200, &[0, 1]),
-        &dir.join("journal"),
-        JournalConfig::default(),
-    )
-    .expect("open root journal")
-    .0
+fn open_root(dir: &Path, jcfg: JournalConfig) -> Relay {
+    Relay::open_journaled(tier_cfg("root", 200, &[0, 1]), &dir.join("journal"), jcfg)
+        .expect("open root journal")
+        .0
 }
 
 /// Drain the tier's exports into its spill, shipper-style.
@@ -268,21 +261,26 @@ fn quiesce(tier: &mut Tier, root: &mut Relay) {
 }
 
 /// One run of a schedule. `crashes` maps op index → which node dies
-/// **before** that op executes.
-fn run(tag: &str, ops: &[Op], crashes: &BTreeMap<usize, u8>) -> Vec<(String, Vec<u8>)> {
+/// **before** that op executes; both nodes journal under `jcfg`.
+fn run(
+    tag: &str,
+    ops: &[Op],
+    crashes: &BTreeMap<usize, u8>,
+    jcfg: JournalConfig,
+) -> Vec<(String, Vec<u8>)> {
     let tdir = tmpdir(&format!("{tag}-tier"));
     let rdir = tmpdir(&format!("{tag}-root"));
-    let mut tier = open_tier(&tdir, false);
-    let mut root = open_root(&rdir);
+    let mut tier = open_tier(&tdir, false, jcfg);
+    let mut root = open_root(&rdir, jcfg);
     for (i, op) in ops.iter().enumerate() {
         match crashes.get(&i) {
             Some(0) => {
                 drop(tier);
-                tier = open_tier(&tdir, true);
+                tier = open_tier(&tdir, true, jcfg);
             }
             Some(_) => {
                 drop(root);
-                root = open_root(&rdir);
+                root = open_root(&rdir, jcfg);
             }
             None => {}
         }
@@ -297,39 +295,55 @@ fn run(tag: &str, ops: &[Op], crashes: &BTreeMap<usize, u8>) -> Vec<(String, Vec
     print
 }
 
-/// The tentpole property: for a spread of seeds, kill the tier or the
+/// The central property: for a spread of seeds, kill the tier or the
 /// root at random points mid-stream and the root's final state is
-/// byte-identical to the uninterrupted run.
+/// byte-identical to the uninterrupted run. The second input compacts
+/// on every append (`compact_wal_bytes: 1`), so every reopen restores
+/// from a snapshot instead of replaying operations.
 #[test]
 fn crashed_runs_are_byte_identical_to_clean_runs() {
-    for seed in 0..10u64 {
-        let ops = schedule(seed, 40);
-        let clean = run(&format!("clean-{seed}"), &ops, &BTreeMap::new());
+    let snapshot_every_append = JournalConfig {
+        compact_wal_bytes: 1,
+        ..JournalConfig::default()
+    };
+    for (input, jcfg) in [
+        ("wal", JournalConfig::default()),
+        ("snap", snapshot_every_append),
+    ] {
+        for seed in 0..10u64 {
+            let ops = schedule(seed, 40);
+            let clean = run(
+                &format!("clean-{input}-{seed}"),
+                &ops,
+                &BTreeMap::new(),
+                jcfg,
+            );
 
-        let mut rng = Rng::new(seed ^ 0xC4A5);
-        let mut crashes = BTreeMap::new();
-        for i in 0..ops.len() {
-            if rng.chance(20) {
-                crashes.insert(i, (rng.below(2)) as u8);
+            let mut rng = Rng::new(seed ^ 0xC4A5);
+            let mut crashes = BTreeMap::new();
+            for i in 0..ops.len() {
+                if rng.chance(20) {
+                    crashes.insert(i, (rng.below(2)) as u8);
+                }
             }
-        }
-        assert!(!crashes.is_empty(), "seed {seed} scheduled no crashes");
-        let crashed = run(&format!("crash-{seed}"), &ops, &crashes);
-        let clean_names: Vec<&String> = clean.iter().map(|(n, _)| n).collect();
-        let crashed_names: Vec<&String> = crashed.iter().map(|(n, _)| n).collect();
-        assert_eq!(
-            clean_names,
-            crashed_names,
-            "seed {seed}: observable sections differ after {} crashes",
-            crashes.len()
-        );
-        for ((name, want), (_, got)) in clean.iter().zip(crashed.iter()) {
+            assert!(!crashes.is_empty(), "seed {seed} scheduled no crashes");
+            let crashed = run(&format!("crash-{input}-{seed}"), &ops, &crashes, jcfg);
+            let clean_names: Vec<&String> = clean.iter().map(|(n, _)| n).collect();
+            let crashed_names: Vec<&String> = crashed.iter().map(|(n, _)| n).collect();
             assert_eq!(
-                want,
-                got,
-                "seed {seed}: `{name}` diverged after {} crashes",
+                clean_names,
+                crashed_names,
+                "{input} seed {seed}: observable sections differ after {} crashes",
                 crashes.len()
             );
+            for ((name, want), (_, got)) in clean.iter().zip(crashed.iter()) {
+                assert_eq!(
+                    want,
+                    got,
+                    "{input} seed {seed}: `{name}` diverged after {} crashes",
+                    crashes.len()
+                );
+            }
         }
     }
 }
@@ -340,7 +354,7 @@ fn crashed_runs_are_byte_identical_to_clean_runs() {
 fn spill_redelivery_is_in_order_and_idempotent() {
     let tdir = tmpdir("redeliver-tier");
     let rdir = tmpdir("redeliver-root");
-    let mut tier = open_tier(&tdir, false);
+    let mut tier = open_tier(&tdir, false, JournalConfig::default());
     for seq in 1..=3u64 {
         let frame = site_summary(0, seq - 1, 3, 1).encode();
         tier.relay.ingest_classified(&frame);
@@ -351,13 +365,13 @@ fn spill_redelivery_is_in_order_and_idempotent() {
 
     // Crash before anything ships.
     drop(tier);
-    let mut tier = open_tier(&tdir, true);
+    let mut tier = open_tier(&tdir, true, JournalConfig::default());
     let after: Vec<Vec<u8>> = tier.spill.pending().map(|r| r.bytes.clone()).collect();
     assert_eq!(before, after, "spill recovered byte-identically, in order");
 
     // First delivery applies in window order; a forced second delivery
     // of the same bytes only replays.
-    let mut root = open_root(&rdir);
+    let mut root = open_root(&rdir, JournalConfig::default());
     let mut outcomes = Vec::new();
     for bytes in &after {
         outcomes.push(root.ingest_classified(bytes));
@@ -395,8 +409,8 @@ fn spill_redelivery_is_in_order_and_idempotent() {
 fn shorter_retention_at_the_root_heals_via_rebase() {
     let tdir = tmpdir("retention-tier");
     let rdir = tmpdir("retention-root");
-    let mut tier = open_tier(&tdir, false);
-    let mut root = open_root(&rdir);
+    let mut tier = open_tier(&tdir, false, JournalConfig::default());
+    let mut root = open_root(&rdir, JournalConfig::default());
 
     // Epoch 1 ships and applies.
     tier.relay
@@ -434,9 +448,9 @@ fn shorter_retention_at_the_root_heals_via_rebase() {
     // The healed window matches a root that never evicted anything,
     // fed the same logical content through a fresh tier.
     let reference_dir = tmpdir("retention-ref");
-    let mut reference = open_root(&reference_dir);
+    let mut reference = open_root(&reference_dir, JournalConfig::default());
     let ref_tier_dir = tmpdir("retention-ref-tier");
-    let mut ref_tier = open_tier(&ref_tier_dir, false);
+    let mut ref_tier = open_tier(&ref_tier_dir, false, JournalConfig::default());
     ref_tier
         .relay
         .ingest_classified(&site_summary(0, 0, 3, 1).encode());
