@@ -12,20 +12,22 @@
 //!   **applying** it; a reconnect resends the whole unacked suffix and
 //!   the receiver deduplicates idempotently;
 //! * reconnects use exponential [`Backoff`] with jitter instead of a
-//!   tight retry loop, and report each attempt to the node's
-//!   [`ShipperHost`];
-//! * rebase-requests from the receiver go to
-//!   [`ShipperHost::request_rebase`]: a relay rewinds the named window
-//!   so its next drain ships a full rebasing frame; a site ships each
-//!   window once, whole, and refuses.
+//!   tight retry loop, and the node hears of each attempt;
+//! * a rebase-request goes to the node: a relay rewinds the window so
+//!   its next drain ships a full rebasing frame; a site refuses.
 //!
-//! A dedicated reader thread per connection decodes control frames
-//! into a channel — the pump never does a blocking read mid-frame, so
-//! a slow upstream cannot desynchronize the stream — and rings the
-//! owner's [`Wake`] (see [`ExportShipper::set_waker`]) after each one
-//! and when the connection closes. The owner needs no tick: it pumps
-//! when rung, and otherwise sleeps until
-//! [`ExportShipper::next_deadline`].
+//! [`ShipperCore`] is the contract as a state machine with no socket,
+//! thread, lock or clock: it takes frames, connect outcomes, writes,
+//! control frames and closed links, each with the time, and answers
+//! with the next [`Step`] and [`ShipEvent`]s for the node.
+//! [`ExportShipper`] is the one TCP driver over it. Its reader thread
+//! per connection feeds control frames to a channel and rings the
+//! owner's [`Wake`] after each one and on close; the owner pumps when
+//! rung, else sleeps until [`ShipperCore::next_deadline`]. A pump hands
+//! the events to the owner after its socket calls, each bounded: a dial
+//! per address and the hello reply by [`ShipperConfig::handshake_ms`],
+//! a write by [`ShipperConfig::stall_ms`] (no progress for that long
+//! ends the connection as an ack stall does).
 
 use crate::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
 use crate::framing::{read_frame, write_frame};
@@ -33,10 +35,9 @@ use crate::summary::SummaryHeader;
 use crate::{DistError, SpillQueue, SpillStats, Wake};
 use flowmetrics::Stats;
 use std::collections::BTreeMap;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A wall-anchored **monotonic** clock for the export scheduler: the
@@ -174,13 +175,14 @@ pub struct ShipperConfig {
     /// Upstream address (`host:port`).
     pub upstream: String,
     /// How long to wait for the upstream's hello reply before counting
-    /// the connect as failed.
+    /// the connect as failed, and the dial timeout per address.
     pub handshake_ms: u64,
     /// How long a connection may sit fully-sent with pending frames
     /// and no ack progress before it is recycled. TCP only loses
     /// frames by losing the connection, but a half-dead path (or a
     /// peer that stopped acking) looks healthy forever — recycling
-    /// forces the resend-all-unacked reconnect path.
+    /// forces the resend-all-unacked reconnect path. It is also the
+    /// write timeout: an upstream that stops reading is a stall too.
     pub stall_ms: u64,
     /// Reconnect backoff tuning.
     pub backoff: BackoffConfig,
@@ -199,21 +201,21 @@ impl ShipperConfig {
     }
 }
 
-/// What a shipper reports to, and asks of, the node it ships for. The
-/// shipper locks the node (`&Mutex<H>`) only for these calls.
-pub trait ShipperHost {
-    /// One connection attempt finished: whether it succeeded, and how
-    /// long the shipper backed off before it.
-    fn note_reconnect(&mut self, ok: bool, waited_ms: u64);
-
-    /// The upstream acknowledged applying the window at `epoch`.
-    fn note_shipped(&mut self, _window_start_ms: u64, _epoch: u64) {}
-
+/// What the shipper reports to, and asks of, the node it ships for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShipEvent {
+    /// One connection attempt finished.
+    Reconnect {
+        /// The upstream answered the hello with acks.
+        ok: bool,
+        /// How long the shipper backed off before the attempt.
+        waited_ms: u64,
+    },
+    /// The upstream acknowledged applying the window at this position.
+    Shipped(SlotPos),
     /// The upstream asked for a full rebasing re-export of the window.
-    /// Returns whether the node honors it; the default refuses.
-    fn request_rebase(&mut self, _window_start_ms: u64) -> bool {
-        false
-    }
+    /// The host answers whether it honors it.
+    Rebase(SlotPos),
 }
 
 /// Shipper counters.
@@ -241,7 +243,8 @@ pub struct ShipperStats {
     /// Completed hello handshakes (one per established connection).
     pub handshakes: u64,
     /// Connections recycled because acks stopped arriving while
-    /// frames were pending (see [`ShipperConfig::stall_ms`]).
+    /// frames were pending, or a write made no progress for as long
+    /// (see [`ShipperConfig::stall_ms`]).
     pub stall_recycles: u64,
 }
 
@@ -258,9 +261,24 @@ struct PendingMeta {
     sent_at_ms: u64,
 }
 
-struct Conn {
-    stream: TcpStream,
-    rx: Receiver<ControlFrame>,
+/// What the driver does next ([`ShipperCore::step`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Step<'a> {
+    /// Dial and complete the hello; report [`ShipperCore::on_connect`].
+    Connect,
+    /// Write this pending frame (its spill seq, its bytes); report
+    /// [`ShipperCore::on_sent`] or [`ShipperCore::on_write_error`].
+    Send(u64, &'a [u8]),
+    /// Drop the connection: everything is sent and the acks went silent
+    /// for [`ShipperConfig::stall_ms`].
+    Recycle,
+    /// Nothing to do before [`ShipperCore::next_deadline`] or an input.
+    Wait,
+}
+
+/// The connection as the core sees it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
     /// Next spill seq to send on this connection (everything unacked
     /// below it was already sent here).
     send_from: u64,
@@ -269,61 +287,41 @@ struct Conn {
     last_progress_ms: u64,
 }
 
-impl Drop for Conn {
-    fn drop(&mut self) {
-        // Unblocks the reader thread, which exits on the read error.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// The durable acknowledged export pipeline of one node (see the
-/// module docs).
-pub struct ExportShipper {
-    cfg: ShipperConfig,
+/// The delivery contract as a state machine (see the module docs).
+pub struct ShipperCore {
+    stall_ms: u64,
     spill: SpillQueue,
     /// spill seq → what the frame is waiting on.
     meta: BTreeMap<u64, PendingMeta>,
-    conn: Option<Conn>,
+    link: Option<Link>,
     backoff: Backoff,
     stats: ShipperStats,
     /// Ship→ack round-trip latency, when the node wired one in.
     rtt: Option<flowmetrics::Histogram>,
-    /// Rung by each connection's reader thread (see the module docs).
-    waker: Option<Wake>,
+    events: Vec<ShipEvent>,
 }
 
-impl ExportShipper {
+impl ShipperCore {
     /// Wraps a spill queue (fresh or recovered). Metadata for
     /// recovered frames is rebuilt from their headers; records whose
     /// header does not parse or carries no epoch are dropped from
     /// tracking (they will be shed by acks never matching — counted,
     /// not resent forever).
-    pub fn new(cfg: ShipperConfig, spill: SpillQueue, seed: u64) -> ExportShipper {
-        let mut meta = BTreeMap::new();
-        for rec in spill.pending() {
-            if let Ok(m) = meta_of(&rec.bytes) {
-                meta.insert(rec.seq, m);
-            }
-        }
-        let backoff = Backoff::new(cfg.backoff, seed);
-        ExportShipper {
-            cfg,
+    pub fn new(cfg: &ShipperConfig, spill: SpillQueue, seed: u64) -> ShipperCore {
+        let meta = spill
+            .pending()
+            .filter_map(|rec| Some((rec.seq, meta_of(&rec.bytes).ok()?)))
+            .collect();
+        ShipperCore {
+            stall_ms: cfg.stall_ms,
             spill,
             meta,
-            conn: None,
-            backoff,
+            link: None,
+            backoff: Backoff::new(cfg.backoff, seed),
             stats: ShipperStats::default(),
             rtt: None,
-            waker: None,
+            events: Vec::new(),
         }
-    }
-
-    /// Wires in the owner's wake-up: every later connection's reader
-    /// thread rings it after each control frame it queues (ack,
-    /// rebase-request) and when the connection closes, so an owner
-    /// sleeping until [`ExportShipper::next_deadline`] pumps promptly.
-    pub fn set_waker(&mut self, wake: Wake) {
-        self.waker = Some(wake);
     }
 
     /// Wires in a ship→ack RTT histogram: observed once per acked
@@ -357,228 +355,111 @@ impl ExportShipper {
         Ok(rewind)
     }
 
-    /// One delivery round: process any arrived control frames, then
-    /// (re)connect and send the unacked suffix. Never blocks beyond
-    /// the connect and handshake timeouts. Call with the host
-    /// **unlocked** — the shipper takes the lock itself for the
-    /// host's bookkeeping.
-    pub fn pump<H: ShipperHost>(&mut self, host: &Mutex<H>, now_ms: u64) {
-        if self.conn.is_some() && !self.process_control(host, now_ms) {
-            self.conn = None;
-        }
+    /// What to do at `now_ms`: connect once the backoff allows, send
+    /// the next frame not yet sent on this connection, recycle a
+    /// fully-sent connection gone silent (the reconnect resends
+    /// everything unacked), or wait.
+    pub fn step(&mut self, now_ms: u64) -> Step<'_> {
         if self.spill.is_empty() {
-            return;
+            return Step::Wait;
         }
-        // A fully-sent connection that has gone silent is not
-        // delivering: recycle it so the reconnect resends everything
-        // unacked.
-        if let Some(conn) = &self.conn {
-            if conn.send_from >= self.spill.next_seq()
-                && now_ms.saturating_sub(conn.last_progress_ms) > self.cfg.stall_ms
-            {
-                self.stats.stall_recycles += 1;
-                self.conn = None;
-                self.backoff.failure(now_ms);
-                return;
-            }
+        let Some(link) = self.link else {
+            let ready = self.backoff.ready(now_ms);
+            return if ready { Step::Connect } else { Step::Wait };
+        };
+        if link.send_from < self.spill.next_seq() {
+            let mut unsent = self.spill.pending().filter(|r| r.seq >= link.send_from);
+            let rec = unsent.next().expect("the pending suffix ends at next_seq");
+            return Step::Send(rec.seq, &rec.bytes);
         }
-        if self.conn.is_none() {
-            if !self.backoff.ready(now_ms) {
-                return;
-            }
-            let waited = self.backoff.last_delay_ms;
-            let conn = self.connect(now_ms);
-            lock(host).note_reconnect(conn.is_ok(), waited);
-            match conn {
-                Ok(conn) => {
-                    self.backoff.success();
-                    self.stats.handshakes += 1;
-                    self.conn = Some(conn);
-                }
-                Err(_) => {
-                    self.backoff.failure(now_ms);
-                    return;
-                }
-            }
+        if now_ms.saturating_sub(link.last_progress_ms) <= self.stall_ms {
+            return Step::Wait;
         }
-        if !self.send_pending(now_ms) {
-            self.conn = None;
+        self.stats.stall_recycles += 1;
+        self.link = None;
+        self.backoff.failure(now_ms);
+        Step::Recycle
+    }
+
+    /// A connection attempt finished: `ok` when the upstream answered
+    /// the hello with acks. A new connection sends from the acked
+    /// floor — the whole unacked suffix; a failed one backs off.
+    pub fn on_connect(&mut self, ok: bool, now_ms: u64) {
+        let waited_ms = self.backoff.last_delay_ms;
+        self.events.push(ShipEvent::Reconnect { ok, waited_ms });
+        if !ok {
             self.backoff.failure(now_ms);
             return;
         }
-        if !self.process_control(host, now_ms) {
-            self.conn = None;
-        }
-    }
-
-    /// When this shipper next needs a [`ExportShipper::pump`], as a
-    /// function of its state and `now_ms`:
-    ///
-    /// * `None` while nothing is pending — only new frames or an
-    ///   arriving control frame (which rings the waker) make work;
-    /// * disconnected: when the reconnect backoff allows the next
-    ///   attempt;
-    /// * connected with everything sent: when the ack stall recycles
-    ///   the connection, unless an ack (which rings the waker) comes
-    ///   first;
-    /// * connected with frames not yet sent: `now_ms`.
-    ///
-    /// A time at or before `now_ms` means a pump is due now.
-    pub fn next_deadline(&self, now_ms: u64) -> Option<u64> {
-        if self.spill.is_empty() {
-            return None;
-        }
-        Some(match &self.conn {
-            None => self.backoff.next_at_ms,
-            Some(conn) if conn.send_from >= self.spill.next_seq() => conn
-                .last_progress_ms
-                .saturating_add(self.cfg.stall_ms)
-                .saturating_add(1),
-            Some(_) => now_ms,
-        })
-    }
-
-    /// Pumps until nothing is pending or `deadline` passes — a node's
-    /// graceful drain. Between pumps it sleeps on the connection's ack
-    /// channel (or, disconnected, until the backoff allows a retry),
-    /// never past [`ExportShipper::next_deadline`] or the drain
-    /// deadline. Returns the frames still pending.
-    pub fn flush<H: ShipperHost>(
-        &mut self,
-        host: &Mutex<H>,
-        clock: &SteadyClock,
-        deadline: Duration,
-    ) -> usize {
-        let limit = Instant::now() + deadline;
-        while self.pending_len() > 0 && Instant::now() < limit {
-            self.pump(host, clock.now_ms());
-            let Some(due) = self.next_deadline(clock.now_ms()) else {
-                break;
-            };
-            let wait = clock
-                .instant_at(due)
-                .min(limit)
-                .saturating_duration_since(Instant::now());
-            match self.conn.as_ref().map(|c| c.rx.recv_timeout(wait)) {
-                Some(Ok(frame)) => self.on_control(frame, host, clock.now_ms()),
-                Some(Err(RecvTimeoutError::Timeout)) => {}
-                Some(Err(RecvTimeoutError::Disconnected)) => self.conn = None,
-                None => std::thread::sleep(wait),
-            }
-        }
-        self.pending_len()
-    }
-
-    /// Connects and completes the hello handshake; an upstream that
-    /// does not answer with an ack-capable hello is a failed connect.
-    fn connect(&mut self, now_ms: u64) -> std::io::Result<Conn> {
-        let stream = crate::framing::connect(&self.cfg.upstream)?;
-        let reader_stream = stream.try_clone()?;
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waker = self.waker.clone();
-        std::thread::spawn(move || reader_loop(reader_stream, tx, waker));
-        let mut conn = Conn {
-            stream,
-            rx,
+        self.backoff.success();
+        self.stats.handshakes += 1;
+        self.link = Some(Link {
             send_from: self.spill.acked_floor(),
             last_progress_ms: now_ms,
-        };
-        write_frame(
-            &mut conn.stream,
-            &ControlFrame::Hello {
-                features: FEATURE_ACKS,
+        });
+    }
+
+    /// The frame at spill seq `seq`, `bytes` long, was written.
+    pub fn on_sent(&mut self, seq: u64, bytes: u64, now_ms: u64) {
+        if let Some(link) = self.link.as_mut() {
+            link.send_from = seq + 1;
+            link.last_progress_ms = now_ms;
+        }
+        self.stats.sent_frames += 1;
+        self.stats.sent_bytes += bytes;
+        if let Some(m) = self.meta.get_mut(&seq) {
+            if m.sent_at_ms == 0 {
+                m.sent_at_ms = now_ms;
             }
-            .encode(),
-        )?;
-        match conn
-            .rx
-            .recv_timeout(Duration::from_millis(self.cfg.handshake_ms))
-        {
-            Ok(ControlFrame::Hello { features }) if features & FEATURE_ACKS != 0 => Ok(conn),
-            _ => Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "upstream did not answer the hello with acks",
-            )),
         }
     }
 
-    /// Sends every pending frame not yet sent on this connection.
-    /// Returns false when the connection died.
-    fn send_pending(&mut self, now_ms: u64) -> bool {
-        let Some(conn) = self.conn.as_mut() else {
-            return true;
-        };
-        let mut sent = 0u64;
-        let mut sent_bytes = 0u64;
-        for rec in self.spill.pending() {
-            if rec.seq < conn.send_from {
-                continue;
-            }
-            if write_frame(&mut conn.stream, &rec.bytes).is_err() {
-                return false;
-            }
-            conn.send_from = rec.seq + 1;
-            sent += 1;
-            sent_bytes += rec.bytes.len() as u64;
-            if let Some(m) = self.meta.get_mut(&rec.seq) {
-                if m.sent_at_ms == 0 {
-                    m.sent_at_ms = now_ms;
-                }
-            }
-        }
-        if sent > 0 {
-            conn.last_progress_ms = now_ms;
-        }
-        self.stats.sent_frames += sent;
-        self.stats.sent_bytes += sent_bytes;
-        true
+    /// A write failed and the connection is gone: the next connect
+    /// backs off. `stalled`: it made no progress for
+    /// [`ShipperConfig::stall_ms`], which counts as an ack stall.
+    pub fn on_write_error(&mut self, stalled: bool, now_ms: u64) {
+        self.stats.stall_recycles += u64::from(stalled);
+        self.link = None;
+        self.backoff.failure(now_ms);
     }
 
-    /// Drains arrived control frames. Returns false when the reader
-    /// thread is gone (connection closed).
-    fn process_control<H: ShipperHost>(&mut self, host: &Mutex<H>, now_ms: u64) -> bool {
-        loop {
-            let frame = match self.conn.as_ref() {
-                Some(conn) => conn.rx.try_recv(),
-                None => return true,
-            };
-            match frame {
-                Ok(frame) => self.on_control(frame, host, now_ms),
-                Err(TryRecvError::Empty) => return true,
-                Err(TryRecvError::Disconnected) => return false,
-            }
-        }
+    /// The upstream closed the connection: reconnect when next due.
+    pub fn on_closed(&mut self) {
+        self.link = None;
     }
 
     /// Acts on one control frame from the upstream.
-    fn on_control<H: ShipperHost>(&mut self, frame: ControlFrame, host: &Mutex<H>, now_ms: u64) {
+    pub fn on_control(&mut self, frame: ControlFrame, now_ms: u64) {
         match frame {
-            ControlFrame::Ack(slot) => {
-                if self.handle_ack(slot, host, now_ms) > 0 {
-                    if let Some(conn) = self.conn.as_mut() {
-                        conn.last_progress_ms = now_ms;
-                    }
-                }
-            }
-            ControlFrame::RebaseRequest(slot) => {
-                if lock(host).request_rebase(slot.window_start_ms) {
-                    self.stats.rebase_honored += 1;
-                } else {
-                    self.stats.rebase_unknown += 1;
-                }
-            }
+            ControlFrame::Ack(slot) => self.handle_ack(slot, now_ms),
+            ControlFrame::RebaseRequest(slot) => self.events.push(ShipEvent::Rebase(slot)),
             ControlFrame::Hello { .. } => {}
         }
     }
 
+    /// The host's answer to a [`ShipEvent::Rebase`]: whether it
+    /// rewound the window.
+    pub fn on_rebase_answer(&mut self, honored: bool) {
+        if honored {
+            self.stats.rebase_honored += 1;
+        } else {
+            self.stats.rebase_unknown += 1;
+        }
+    }
+
+    /// The events for the host since the last call, oldest first.
+    pub fn take_events(&mut self) -> Vec<ShipEvent> {
+        std::mem::take(&mut self.events)
+    }
+
     /// Non-positional ack matching: an ack for `(window, exporter)` at
     /// epoch `e` releases every pending frame of that slot with epoch
-    /// ≤ `e`. An ack at epoch 0 releases nothing and counts as hostile.
-    /// Returns the number of frames released.
-    fn handle_ack<H: ShipperHost>(&mut self, slot: SlotPos, host: &Mutex<H>, now_ms: u64) -> u64 {
+    /// ≤ `e`, which is progress on the connection. An ack at epoch 0
+    /// releases nothing and counts as hostile.
+    fn handle_ack(&mut self, slot: SlotPos, now_ms: u64) {
         if slot.epoch == 0 {
             self.stats.hostile_acks += 1;
-            return 0;
+            return;
         }
         let released: Vec<PendingMeta> = self
             .meta
@@ -591,16 +472,15 @@ impl ExportShipper {
             .collect();
         if released.is_empty() {
             self.stats.stale_acks += 1;
-            return 0;
+            return;
         }
         if let Some(h) = &self.rtt {
             for m in released.iter().filter(|m| m.sent_at_ms > 0) {
                 h.observe_secs(now_ms.saturating_sub(m.sent_at_ms) as f64 / 1_000.0);
             }
         }
-        let released = released.len() as u64;
-        self.stats.acked_frames += released;
-        lock(host).note_shipped(slot.window_start_ms, slot.epoch);
+        self.stats.acked_frames += released.len() as u64;
+        self.events.push(ShipEvent::Shipped(slot));
         let floor = self
             .meta
             .keys()
@@ -608,7 +488,36 @@ impl ExportShipper {
             .copied()
             .unwrap_or_else(|| self.spill.next_seq());
         self.spill.ack_through(floor);
-        released
+        if let Some(link) = self.link.as_mut() {
+            link.last_progress_ms = now_ms;
+        }
+    }
+
+    /// When the core next needs a [`ShipperCore::step`], as a function
+    /// of its state and `now_ms`:
+    ///
+    /// * `None` while nothing is pending — only new frames or an
+    ///   arriving control frame (which rings the waker) make work;
+    /// * disconnected: when the reconnect backoff allows the next
+    ///   attempt;
+    /// * connected with everything sent: when the ack stall recycles
+    ///   the connection, unless an ack (which rings the waker) comes
+    ///   first;
+    /// * connected with frames not yet sent: `now_ms`.
+    ///
+    /// A time at or before `now_ms` means a step is due now.
+    pub fn next_deadline(&self, now_ms: u64) -> Option<u64> {
+        if self.spill.is_empty() {
+            return None;
+        }
+        Some(match self.link {
+            None => self.backoff.next_at_ms,
+            Some(link) if link.send_from >= self.spill.next_seq() => link
+                .last_progress_ms
+                .saturating_add(self.stall_ms)
+                .saturating_add(1),
+            Some(_) => now_ms,
+        })
     }
 
     /// Unacked frames currently pending.
@@ -622,7 +531,7 @@ impl ExportShipper {
         ShipperView {
             pending: self.spill.len(),
             pending_bytes: self.spill.pending_bytes(),
-            connected: self.conn.is_some(),
+            connected: self.link.is_some(),
             stats: self.stats,
             spill: self.spill.stats(),
         }
@@ -639,8 +548,208 @@ impl ExportShipper {
     }
 }
 
-fn lock<H>(host: &Mutex<H>) -> std::sync::MutexGuard<'_, H> {
-    host.lock().expect("shipper host lock")
+/// One live upstream connection of the driver.
+struct Conn {
+    stream: TcpStream,
+    rx: Receiver<ControlFrame>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        // Unblocks the reader thread, which exits on the read error.
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// The durable acknowledged export pipeline of one node: the TCP
+/// driver over a [`ShipperCore`], which every read goes straight to.
+pub struct ExportShipper {
+    core: ShipperCore,
+    cfg: ShipperConfig,
+    conn: Option<Conn>,
+    /// Rung by each connection's reader thread (see the module docs).
+    waker: Option<Wake>,
+}
+
+impl std::ops::Deref for ExportShipper {
+    type Target = ShipperCore;
+
+    fn deref(&self) -> &ShipperCore {
+        &self.core
+    }
+}
+
+impl ExportShipper {
+    /// A shipper to `cfg.upstream` over a spill queue (fresh or
+    /// recovered; see [`ShipperCore::new`]).
+    pub fn new(cfg: ShipperConfig, spill: SpillQueue, seed: u64) -> ExportShipper {
+        let core = ShipperCore::new(&cfg, spill, seed);
+        ExportShipper {
+            core,
+            cfg,
+            conn: None,
+            waker: None,
+        }
+    }
+
+    /// Wires in the owner's wake-up: every later connection's reader
+    /// thread rings it after each control frame it queues (ack,
+    /// rebase-request) and when the connection closes, so an owner
+    /// sleeping until [`ShipperCore::next_deadline`] pumps promptly.
+    pub fn set_waker(&mut self, wake: Wake) {
+        self.waker = Some(wake);
+    }
+
+    /// See [`ShipperCore::set_rtt_histogram`].
+    pub fn set_rtt_histogram(&mut self, hist: flowmetrics::Histogram) {
+        self.core.set_rtt_histogram(hist);
+    }
+
+    /// See [`ShipperCore::enqueue`].
+    pub fn enqueue(&mut self, frame: Vec<u8>) -> Result<Vec<u64>, DistError> {
+        self.core.enqueue(frame)
+    }
+
+    /// One delivery round: feed the arrived control frames to the core,
+    /// carry out its steps — (re)connect, send the unacked suffix —
+    /// until it waits, then hand each [`ShipEvent`] to `host`, whose
+    /// answer counts only for a [`ShipEvent::Rebase`] (honored or not).
+    /// Every socket call is bounded (see the module docs), and `host`
+    /// runs after them all.
+    pub fn pump(&mut self, now_ms: u64, mut host: impl FnMut(ShipEvent) -> bool) {
+        self.read_control(now_ms);
+        loop {
+            match self.core.step(now_ms) {
+                Step::Wait => break,
+                Step::Recycle => self.conn = None,
+                Step::Connect => {
+                    self.conn = connect(&self.cfg, self.waker.clone()).ok();
+                    self.core.on_connect(self.conn.is_some(), now_ms);
+                }
+                Step::Send(seq, frame) => {
+                    let conn = self.conn.as_ref().expect("the core sends only on a link");
+                    let len = frame.len() as u64;
+                    match write_frame(Stalling(&conn.stream), frame) {
+                        Ok(()) => self.core.on_sent(seq, len, now_ms),
+                        Err(e) => {
+                            let stalled =
+                                matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+                            self.core.on_write_error(stalled, now_ms);
+                            self.conn = None;
+                        }
+                    }
+                }
+            }
+        }
+        self.read_control(now_ms);
+        self.settle(&mut host);
+    }
+
+    /// Pumps until nothing is pending or `deadline` passes — a node's
+    /// graceful drain. Between pumps it sleeps on the connection's ack
+    /// channel (or, disconnected, until the backoff allows a retry),
+    /// never past [`ShipperCore::next_deadline`] or the drain
+    /// deadline. Returns the frames still pending.
+    pub fn flush(
+        &mut self,
+        clock: &SteadyClock,
+        deadline: Duration,
+        mut host: impl FnMut(ShipEvent) -> bool,
+    ) -> usize {
+        let limit = Instant::now() + deadline;
+        while self.pending_len() > 0 && Instant::now() < limit {
+            self.pump(clock.now_ms(), &mut host);
+            let Some(due) = self.core.next_deadline(clock.now_ms()) else {
+                break;
+            };
+            let wait = clock
+                .instant_at(due)
+                .min(limit)
+                .saturating_duration_since(Instant::now());
+            match self.conn.as_ref().map(|c| c.rx.recv_timeout(wait)) {
+                Some(Ok(frame)) => self.core.on_control(frame, clock.now_ms()),
+                Some(Err(RecvTimeoutError::Timeout)) => {}
+                Some(Err(RecvTimeoutError::Disconnected)) => self.close(),
+                None => std::thread::sleep(wait),
+            }
+        }
+        self.settle(&mut host);
+        self.pending_len()
+    }
+
+    /// Feeds the arrived control frames to the core; a reader thread
+    /// that is gone means the upstream closed the connection.
+    fn read_control(&mut self, now_ms: u64) {
+        while let Some(conn) = &self.conn {
+            match conn.rx.try_recv() {
+                Ok(frame) => self.core.on_control(frame, now_ms),
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => self.close(),
+            }
+        }
+    }
+
+    fn close(&mut self) {
+        self.core.on_closed();
+        self.conn = None;
+    }
+
+    /// Hands the core's events to `host`, and its rebase answers back.
+    fn settle(&mut self, host: &mut impl FnMut(ShipEvent) -> bool) {
+        for ev in self.core.take_events() {
+            let honored = host(ev);
+            if let ShipEvent::Rebase(_) = ev {
+                self.core.on_rebase_answer(honored);
+            }
+        }
+    }
+}
+
+/// Dials `cfg.upstream` and completes the hello handshake; an upstream
+/// that does not answer with an ack-capable hello is a failed connect.
+/// The stream's write timeout is the ack stall.
+fn connect(cfg: &ShipperConfig, waker: Option<Wake>) -> std::io::Result<Conn> {
+    let handshake = Duration::from_millis(cfg.handshake_ms.max(1));
+    let stream = crate::framing::connect(&cfg.upstream, handshake)?;
+    stream.set_write_timeout(Some(Duration::from_millis(cfg.stall_ms.max(1))))?;
+    let reader_stream = stream.try_clone()?;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || reader_loop(reader_stream, tx, waker));
+    let conn = Conn { stream, rx };
+    let hello = ControlFrame::Hello {
+        features: FEATURE_ACKS,
+    };
+    write_frame(&conn.stream, &hello.encode())?;
+    match conn.rx.recv_timeout(handshake) {
+        Ok(ControlFrame::Hello { features }) if features & FEATURE_ACKS != 0 => Ok(conn),
+        _ => Err(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "upstream did not answer the hello with acks",
+        )),
+    }
+}
+
+/// The shipper's write half: each `write` hands the kernel at most
+/// 64 KiB, little enough that a link still moving data takes it whole
+/// within the stream's write timeout, the ack stall. A blocking write
+/// returns short only after waiting that long for buffer space, so a
+/// short chunk made no progress for the stall and fails as
+/// [`ErrorKind::TimedOut`] rather than waiting the timeout out again.
+struct Stalling<'a>(&'a TcpStream);
+
+impl Write for Stalling<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let chunk = &buf[..buf.len().min(64 << 10)];
+        let mut stream = self.0;
+        match stream.write(chunk)? {
+            n if n == chunk.len() => Ok(n),
+            _ => Err(ErrorKind::TimedOut.into()),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// What a frame's header says it waits on; a frame without an epoch
@@ -658,7 +767,7 @@ fn meta_of(frame: &[u8]) -> Result<PendingMeta, DistError> {
     })
 }
 
-/// One shipper as a stats page sees it (see [`ExportShipper::view`]).
+/// One shipper as a stats page sees it (see [`ShipperCore::view`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShipperView {
     /// Frames awaiting acknowledgment.
@@ -853,26 +962,32 @@ mod tests {
         .encode()
     }
 
-    fn shipper() -> ExportShipper {
+    fn core() -> ShipperCore {
         let cfg = ShipperConfig {
             handshake_ms: 10,
             ..ShipperConfig::new("127.0.0.1:1")
         };
-        ExportShipper::new(cfg, SpillQueue::in_memory(SpillConfig::default()), 1)
+        ShipperCore::new(&cfg, SpillQueue::in_memory(SpillConfig::default()), 1)
     }
 
-    /// A host that records the acked windows.
-    #[derive(Default)]
-    struct Recorder {
-        shipped: Vec<(u64, u64)>,
+    fn ack(window: u64, epoch: u64) -> ControlFrame {
+        ControlFrame::Ack(SlotPos {
+            window_start_ms: window * 1_000,
+            span_ms: 1_000,
+            exporter: 100,
+            epoch,
+        })
     }
 
-    impl ShipperHost for Recorder {
-        fn note_reconnect(&mut self, _ok: bool, _waited_ms: u64) {}
-
-        fn note_shipped(&mut self, window_start_ms: u64, epoch: u64) {
-            self.shipped.push((window_start_ms, epoch));
+    /// Carries out every `Send` step at `now_ms`; returns the seqs sent.
+    fn send_all(s: &mut ShipperCore, now_ms: u64) -> Vec<u64> {
+        let mut sent = Vec::new();
+        while let Step::Send(seq, frame) = s.step(now_ms) {
+            let bytes = frame.len() as u64;
+            s.on_sent(seq, bytes, now_ms);
+            sent.push(seq);
         }
+        sent
     }
 
     #[test]
@@ -893,7 +1008,7 @@ mod tests {
         };
         let spill = SpillQueue::open(&dir, spill_cfg).unwrap();
         std::fs::create_dir_all(dir.join(format!("spill-{:020}.seg", 1))).unwrap();
-        let mut s = ExportShipper::new(cfg, spill, 1);
+        let mut s = ShipperCore::new(&cfg, spill, 1);
         assert!(s.enqueue(export(0, 1)).unwrap().is_empty());
         assert_eq!(s.spill_stats().io_errors, 0, "first segment is healthy");
         // The second enqueue survives the write failure: the frame
@@ -905,66 +1020,35 @@ mod tests {
         assert!(s.enqueue(export(2, 1)).unwrap().is_empty());
         assert_eq!(s.spill_stats().io_errors, 1, "degrade counted once");
         assert_eq!(s.pending_len(), 3);
-        let host = Mutex::new(Recorder::default());
-        s.handle_ack(
-            SlotPos {
-                window_start_ms: 0,
-                span_ms: 1_000,
-                exporter: 100,
-                epoch: 1,
-            },
-            &host,
-            0,
-        );
+        s.on_control(ack(0, 1), 0);
         assert_eq!(s.pending_len(), 2, "the window-0 frame released");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn acks_release_matching_epochs_and_advance_the_floor() {
-        let mut s = shipper();
-        let host = Mutex::new(Recorder::default());
+        let mut s = core();
         for e in 1..=3u64 {
             assert!(s.enqueue(export(0, e)).unwrap().is_empty());
         }
         assert_eq!(s.pending_len(), 3);
         // Ack at epoch 2 releases the first two frames.
-        s.handle_ack(
-            SlotPos {
-                window_start_ms: 0,
-                span_ms: 1_000,
-                exporter: 100,
-                epoch: 2,
-            },
-            &host,
-            0,
-        );
+        s.on_control(ack(0, 2), 0);
         assert_eq!(s.pending_len(), 1);
         assert_eq!(s.stats().acked_frames, 2);
-        assert_eq!(host.lock().unwrap().shipped, [(0, 2)]);
-        // Replayed ack: nothing matches any more.
-        s.handle_ack(
-            SlotPos {
+        assert!(matches!(
+            s.take_events()[..],
+            [ShipEvent::Shipped(SlotPos {
                 window_start_ms: 0,
-                span_ms: 1_000,
-                exporter: 100,
                 epoch: 2,
-            },
-            &host,
-            0,
-        );
+                ..
+            })]
+        ));
+        // Replayed ack: nothing matches any more.
+        s.on_control(ack(0, 2), 0);
         assert_eq!(s.stats().stale_acks, 1);
         // An ack at epoch 0 releases nothing.
-        s.handle_ack(
-            SlotPos {
-                window_start_ms: 0,
-                span_ms: 1_000,
-                exporter: 100,
-                epoch: 0,
-            },
-            &host,
-            0,
-        );
+        s.on_control(ack(0, 0), 0);
         assert_eq!(s.stats().hostile_acks, 1);
         assert_eq!(s.pending_len(), 1);
     }
@@ -973,49 +1057,116 @@ mod tests {
     /// `now_ms`: nothing pending, backoff, ack stall, unsent frames.
     #[test]
     fn next_deadline_follows_backoff_and_ack_stall() {
-        let mut s = shipper();
-        let host = Mutex::new(Recorder::default());
+        let mut s = core();
         assert_eq!(s.next_deadline(7), None, "nothing pending");
         s.enqueue(export(0, 1)).unwrap();
         // Disconnected, never failed: the first attempt is due at once.
         assert!(s.next_deadline(7).unwrap() <= 7);
         // A failed attempt at t = 1000 defers the next one by the
         // jittered backoff, [base/2, base] after the failure.
-        let delay = s.backoff.failure(1_000);
+        s.on_connect(false, 1_000);
+        let delay = s.backoff.last_delay_ms;
         assert_eq!(s.next_deadline(1_000), Some(1_000 + delay));
         assert!((50..=100).contains(&delay), "{delay}");
 
         // Connected with the frame sent: due when the ack stall would
         // recycle the connection.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (_tx, rx) = std::sync::mpsc::channel();
-        s.conn = Some(Conn {
-            stream,
-            rx,
-            send_from: s.spill.next_seq(),
-            last_progress_ms: 5_000,
-        });
-        let stall = s.cfg.stall_ms;
+        s.on_connect(true, 5_000);
+        assert_eq!(send_all(&mut s, 5_000), [0]);
+        let stall = s.stall_ms;
         assert_eq!(s.next_deadline(5_001), Some(5_000 + stall + 1));
         // A frame queued but not yet written: due now.
         s.enqueue(export(1, 1)).unwrap();
         assert_eq!(s.next_deadline(5_002), Some(5_002));
         // Both acked: nothing pending, no deadline.
         for w in 0..2 {
-            s.handle_ack(
-                SlotPos {
-                    window_start_ms: w * 1_000,
-                    span_ms: 1_000,
-                    exporter: 100,
-                    epoch: 1,
-                },
-                &host,
-                5_003,
-            );
+            s.on_control(ack(w, 1), 5_003);
         }
         assert_eq!(s.pending_len(), 0);
         assert_eq!(s.next_deadline(5_003), None);
+    }
+
+    /// After a closed link the next connection resends from the acked
+    /// floor — the whole unacked suffix — and a fully-sent link that
+    /// goes silent is recycled one millisecond past
+    /// `last_progress + stall_ms`.
+    #[test]
+    fn a_reconnect_resends_the_unacked_suffix_and_silence_recycles() {
+        let mut s = core();
+        for w in 0..3 {
+            s.enqueue(export(w, 1)).unwrap();
+        }
+        assert_eq!(s.step(0), Step::Connect);
+        s.on_connect(true, 0);
+        assert_eq!(send_all(&mut s, 0), [0, 1, 2]);
+        s.on_control(ack(0, 1), 10);
+        s.on_closed();
+        assert!(!s.view().connected);
+        assert_eq!(s.step(20), Step::Connect, "a close is not a failure");
+        s.on_connect(true, 20);
+        assert_eq!(send_all(&mut s, 20), [1, 2], "resent from the acked floor");
+        assert_eq!(s.stats().sent_frames, 5);
+
+        let stall = s.stall_ms;
+        assert_eq!(s.step(20 + stall), Step::Wait);
+        assert_eq!(s.step(20 + stall + 1), Step::Recycle);
+        assert_eq!(s.stats().stall_recycles, 1);
+        assert!(!s.view().connected);
+        assert_eq!(s.step(20 + stall + 1), Step::Wait, "the recycle backs off");
+        assert_eq!(s.pending_len(), 2, "nothing released without an ack");
+    }
+
+    /// An upstream that answers the hello and then never reads: once
+    /// the loopback buffers fill, the write makes no progress, and the
+    /// pump ends it within the ack stall instead of blocking until the
+    /// peer closes.
+    #[test]
+    fn a_wedged_upstream_ends_the_pump_within_the_stall() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap().to_string();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let wedged = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn).unwrap();
+            let hello = ControlFrame::Hello {
+                features: FEATURE_ACKS,
+            };
+            write_frame(&mut conn, &hello.encode()).unwrap();
+            // Hold the socket unread until the test is done with it.
+            let _ = held_rx.recv();
+        });
+        let cfg = ShipperConfig {
+            handshake_ms: 2_000,
+            stall_ms: 100,
+            ..ShipperConfig::new(upstream)
+        };
+        let spill = SpillQueue::in_memory(SpillConfig {
+            max_bytes: 0,
+            ..SpillConfig::default()
+        });
+        let mut s = ExportShipper::new(cfg, spill, 1);
+        // 48 MiB: more than the loopback send and receive buffers hold.
+        let mut frame = export(0, 1);
+        frame.resize(1 << 20, 0);
+        for _ in 0..48 {
+            s.enqueue(frame.clone()).unwrap();
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let pump = std::thread::spawn(move || {
+            s.pump(1_000, |_| false);
+            done_tx.send(()).unwrap();
+            s
+        });
+        let bound = Duration::from_millis(100 + 1_000);
+        let finished = done_rx.recv_timeout(bound);
+        held_tx.send(()).unwrap();
+        assert!(finished.is_ok(), "the pump blocked past stall_ms + 1 s");
+        let s = pump.join().unwrap();
+        wedged.join().unwrap();
+        assert!(s.stats().stall_recycles >= 1, "{:?}", s.stats());
+        assert_eq!(s.stats().acked_frames, 0);
+        assert_eq!(s.pending_len(), 48, "nothing released");
+        assert!(!s.view().connected);
     }
 
     #[test]
@@ -1041,7 +1192,7 @@ mod tests {
             max_bytes: 200,
             ..SpillConfig::default()
         });
-        let mut s = ExportShipper::new(cfg, spill, 1);
+        let mut s = ShipperCore::new(&cfg, spill, 1);
         let mut rewound = Vec::new();
         for e in 1..=6u64 {
             rewound.extend(s.enqueue(export(e, 1)).unwrap());

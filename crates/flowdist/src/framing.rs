@@ -25,6 +25,7 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Upper bound on a frame accepted from the network (16 MiB).
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -36,11 +37,16 @@ fn configure(stream: &TcpStream) -> std::io::Result<()> {
 }
 
 /// Dials `addr` with `TCP_NODELAY` set — how every framed connection
-/// in the system is opened.
-pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    configure(&stream)?;
-    Ok(stream)
+/// in the system is opened. Each resolved address gets `timeout`.
+pub fn connect<A: ToSocketAddrs>(addr: A, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address resolved");
+    for a in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&a, timeout) {
+            Ok(stream) => return configure(&stream).map(|()| stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
 }
 
 /// Writes `parts` back to back as **one** write (then flushes): a sink
@@ -221,7 +227,7 @@ mod tests {
     fn framed_streams_are_nodelay_on_both_sides() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let dialled = connect(addr).unwrap();
+        let dialled = connect(addr, Duration::from_secs(5)).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         assert!(dialled.nodelay().unwrap(), "framing::connect");
         let conn = FramedConn::new(accepted).unwrap();

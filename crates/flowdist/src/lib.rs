@@ -100,8 +100,8 @@ pub use collector::{Collector, TransferLedger, ViewCacheStats};
 pub use control::{ControlFrame, SlotPos, FEATURE_ACKS};
 pub use daemon::{DaemonConfig, DaemonStats, SiteDaemon, TransferMode};
 pub use export::{
-    shipper_stats, Backoff, BackoffConfig, ExportShipper, ShipperConfig, ShipperHost, ShipperStats,
-    ShipperView, SteadyClock,
+    shipper_stats, Backoff, BackoffConfig, ExportShipper, ShipEvent, ShipperConfig, ShipperCore,
+    ShipperStats, ShipperView, SteadyClock, Step,
 };
 pub use framing::{FramedConn, MAX_FRAME};
 pub use lane::{

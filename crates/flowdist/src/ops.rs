@@ -21,7 +21,7 @@
 //! What every node serves the same way lives here too: a node builds
 //! its one [`Stats`] list per scrape and [`NodeTelemetry::serve`]
 //! renders `/stats`, `/stats.json` and `/metrics` from it (plus
-//! `/events`), and [`parse_reload`] is the one `POST /reload` grammar.
+//! `/events`), and [`parse_reload`] is the one reload grammar.
 //! A node's own handler answers only `/health` and `/reload`.
 
 use flowmetrics::{EventRing, Registry, Stats};
@@ -184,23 +184,24 @@ impl NodeTelemetry {
     }
 }
 
-/// The `POST /reload` grammar every node speaks: `key=value` lines,
-/// trimmed, blank and `#` lines skipped. `set` stages one pair (the
-/// caller commits only on `Ok`), so a malformed line, an unknown key or
+/// The reload grammar every node speaks: `key=value` items (a
+/// `POST /reload` body's lines, or the words of a `reload` command),
+/// trimmed, blank and `#` items skipped. `set` stages one pair (the
+/// caller commits only on `Ok`), so a malformed item, an unknown key or
 /// a bad value fails the whole request and a typoed reload never
 /// half-applies. The reply is `applied k=v …` or `unchanged`.
-pub fn parse_reload(
-    body: &str,
+pub fn parse_reload<'a>(
+    items: impl IntoIterator<Item = &'a str>,
     mut set: impl FnMut(&str, &str) -> Result<(), String>,
 ) -> Result<String, String> {
     let mut applied = Vec::new();
-    for line in body.lines().map(str::trim) {
-        if line.is_empty() || line.starts_with('#') {
+    for item in items.into_iter().map(str::trim) {
+        if item.is_empty() || item.starts_with('#') {
             continue;
         }
-        let (key, value) = line
+        let (key, value) = item
             .split_once('=')
-            .ok_or_else(|| format!("malformed reload line (want key=value): {line:?}"))?;
+            .ok_or_else(|| format!("malformed reload item (want key=value): {item:?}"))?;
         let (key, value) = (key.trim(), value.trim());
         set(key, value)?;
         applied.push(format!("{key}={value}"));

@@ -10,20 +10,22 @@
 //! line instead of hand-assembling threads. The relay-side twin is
 //! `flowrelay::runtime::NodeRuntime`.
 //!
-//! One shipper thread takes the lane merger's frames off its channel
-//! into an in-memory [`SpillQueue`] and pumps. It sleeps on one
-//! [`Wake`] that the lane merger rings for every frame and the
-//! shipper's reader thread rings for every ack and when the
-//! connection closes, or until [`ExportShipper::next_deadline`] (a
-//! reconnect backoff or an ack stall) comes due; a quiet site's
-//! shipper does not wake at all. A frame stays queued until the relay
-//! acknowledges applying it; a reset connection or a restarted relay
-//! gets the unacked frames again, and the relay deduplicates them.
-//! During an upstream outage
-//! the frames wait in the spill, which bounds them by bytes and sheds
-//! the oldest with accounting (`spill_*`, `flowtree_spill_shed_*`)
-//! rather than blocking the merger. The site uses the shipper's
-//! defaults ([`ShipperConfig::new`], [`SpillConfig::default`]).
+//! One shipper thread owns the shipper: it takes the lane merger's
+//! frames off its channel into an in-memory [`SpillQueue`] and pumps.
+//! It sleeps on one [`Wake`] that the lane merger rings for every frame
+//! and the shipper's reader thread rings for every ack and when the
+//! connection closes, or until [`crate::ShipperCore::next_deadline`]
+//! (a reconnect backoff or an ack stall) comes due; a quiet site's
+//! shipper does not wake at all. After each pump it publishes the
+//! shipper's view for the stats endpoint, which never waits on a
+//! socket call. A frame stays queued until the relay acknowledges
+//! applying it; a reset connection or a restarted relay gets the
+//! unacked frames again, and the relay deduplicates them. During an
+//! upstream outage the frames wait in the spill, which bounds them by
+//! bytes and sheds the oldest with accounting (`spill_*`,
+//! `flowtree_spill_shed_*`) rather than blocking the merger. The site
+//! uses the shipper's defaults ([`ShipperConfig::new`],
+//! [`SpillConfig::default`]).
 //!
 //! The stats endpoint serves one list: `site_stats` declares every
 //! counter once — its `/stats` key, its `/metrics` series, or both —
@@ -36,10 +38,13 @@
 //! the UDP lanes (which themselves drain the socket buffers and flush
 //! every open window), lets the shipper thread queue the final frames,
 //! pumps until every frame is acked or the deadline passes, then frees
-//! the stats port.
+//! the stats port. Once the lanes have stopped, it returns within the
+//! deadline plus the ack stall, which bounds every shipper write.
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
-use crate::export::{shipper_stats, ExportShipper, ShipperConfig, ShipperHost, ShipperStats};
+use crate::export::{
+    shipper_stats, ExportShipper, ShipEvent, ShipperConfig, ShipperStats, ShipperView,
+};
 use crate::lane::{
     spawn_multi_lane_ingest, IngestReport, IngestTelemetry, LaneOptions, MultiGaugeView,
     MultiIngestHandle,
@@ -56,7 +61,7 @@ use flowmetrics::Stats;
 use flownet::DecoderLimits;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything one site node needs, as a value (superseding ad-hoc
 /// wiring): where to listen, where to ship, and the daemon knobs.
@@ -125,32 +130,31 @@ impl SiteNodeConfig {
     }
 }
 
-/// A site's [`ShipperHost`]: it counts reconnects, needs no ack
-/// bookkeeping, and refuses rebase-requests — a site ships each window
-/// once, whole, and keeps nothing to re-export.
-#[derive(Debug, Default, Clone, Copy)]
-struct Reconnects {
+/// What the stats endpoint reads of the site's upstream half: the
+/// shipper thread owns the shipper and publishes it here.
+#[derive(Clone, Copy)]
+struct Uplink {
+    /// The shipper as of its last pump.
+    ship: ShipperView,
+    /// Connection attempts, failed ones, and the backoff before them.
     attempts: u64,
     failures: u64,
     backoff_ms: u64,
-}
-
-impl ShipperHost for Reconnects {
-    fn note_reconnect(&mut self, ok: bool, waited_ms: u64) {
-        self.attempts += 1;
-        self.failures += u64::from(!ok);
-        self.backoff_ms += waited_ms;
-    }
-}
-
-/// The site's upstream half, shared by the shipper thread, the stats
-/// endpoint and [`SiteRuntime::drain`].
-struct Uplink {
-    shipper: ExportShipper,
-    reconnects: Mutex<Reconnects>,
-    clock: SteadyClock,
     /// Pumps the shipper thread ran (`ship_pumps`): one per wakeup.
     pumps: u64,
+}
+
+/// A site's host for its shipper's events: it counts reconnects, needs
+/// no ack bookkeeping, and refuses rebase-requests — a site ships each
+/// window once, whole, and keeps nothing to re-export.
+fn site_host(uplink: &Mutex<Uplink>, ev: ShipEvent) -> bool {
+    if let ShipEvent::Reconnect { ok, waited_ms } = ev {
+        let mut up = uplink.lock().expect("uplink lock");
+        up.attempts += 1;
+        up.failures += u64::from(!ok);
+        up.backoff_ms += waited_ms;
+    }
+    false
 }
 
 /// What [`SiteRuntime::drain`] hands back.
@@ -170,9 +174,10 @@ pub struct SiteDrainReport {
 pub struct SiteRuntime {
     site: u16,
     ingest: MultiIngestHandle,
-    ship: std::thread::JoinHandle<()>,
+    ship: std::thread::JoinHandle<ExportShipper>,
     gauges: MultiGaugeView,
     uplink: Arc<Mutex<Uplink>>,
+    clock: SteadyClock,
     knobs: Arc<AdmissionKnobs>,
     ops: Option<OpsHandle>,
 }
@@ -237,16 +242,19 @@ impl SiteRuntime {
         );
         shipper.set_waker(wake.clone());
         let uplink = Arc::new(Mutex::new(Uplink {
-            shipper,
-            reconnects: Mutex::new(Reconnects::default()),
-            clock: SteadyClock::new(),
+            ship: shipper.view(),
+            attempts: 0,
+            failures: 0,
+            backoff_ms: 0,
             pumps: 0,
         }));
+        let clock = SteadyClock::new();
         let ship = {
             let uplink = Arc::clone(&uplink);
+            let clock = clock.clone();
             std::thread::Builder::new()
                 .name(format!("site{}-ship", cfg.site))
-                .spawn(move || ship_loop(&rx, &uplink, &wake))
+                .spawn(move || ship_loop(&rx, shipper, &uplink, &clock, &wake))
                 .map_err(DistError::Io)?
         };
         let ops = match &cfg.stats {
@@ -273,6 +281,7 @@ impl SiteRuntime {
             ship,
             gauges,
             uplink,
+            clock,
             knobs,
             ops,
         })
@@ -312,52 +321,57 @@ impl SiteRuntime {
     /// [`SiteDrainReport::pending_at_exit`].
     pub fn drain(self, deadline: Duration) -> SiteDrainReport {
         let ingest = self.ingest.stop();
+        let stopped = Instant::now();
         // The ingest engine owned the channel sender; with it gone the
-        // shipper thread queues what is left and exits.
-        let _ = self.ship.join();
-        let mut up = self.uplink.lock().expect("uplink lock");
-        let up = &mut *up;
-        let pending_at_exit = up.shipper.flush(&up.reconnects, &up.clock, deadline);
+        // shipper thread queues what is left and hands the shipper back.
+        let mut shipper = self.ship.join().expect("site shipper thread");
+        let left = deadline.saturating_sub(stopped.elapsed());
+        let pending_at_exit = shipper.flush(&self.clock, left, |ev| site_host(&self.uplink, ev));
         if let Some(ops) = self.ops {
             ops.stop();
         }
         SiteDrainReport {
             ingest,
-            shipper: up.shipper.stats(),
+            shipper: shipper.stats(),
             pending_at_exit,
         }
     }
 }
 
 /// The shipper thread: on every wakeup it queues the merged frames
-/// that arrived and pumps, then sleeps on `wake` until the next frame,
-/// control frame or shipper deadline, until the ingest engine drops
-/// the channel.
-fn ship_loop(rx: &crossbeam::channel::Receiver<Vec<u8>>, uplink: &Mutex<Uplink>, wake: &Wake) {
+/// that arrived, pumps and publishes the shipper's view, then sleeps on
+/// `wake` until the next frame, control frame or shipper deadline. When
+/// the ingest engine drops the channel it hands the shipper back.
+fn ship_loop(
+    rx: &crossbeam::channel::Receiver<Vec<u8>>,
+    mut shipper: ExportShipper,
+    uplink: &Mutex<Uplink>,
+    clock: &SteadyClock,
+    wake: &Wake,
+) -> ExportShipper {
     use crossbeam::channel::TryRecvError;
     loop {
-        let (open, due) = {
-            let mut guard = uplink.lock().expect("uplink lock");
-            let up = &mut *guard;
-            let open = loop {
-                match rx.try_recv() {
-                    Ok(frame) => {
-                        let queued = up.shipper.enqueue(frame);
-                        debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
-                    }
-                    Err(TryRecvError::Empty) => break true,
-                    Err(TryRecvError::Disconnected) => break false,
+        let open = loop {
+            match rx.try_recv() {
+                Ok(frame) => {
+                    let queued = shipper.enqueue(frame);
+                    debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
                 }
-            };
-            up.shipper.pump(&up.reconnects, up.clock.now_ms());
-            up.pumps += 1;
-            let due = up.shipper.next_deadline(up.clock.now_ms());
-            (open, due.map(|ms| up.clock.instant_at(ms)))
+                Err(TryRecvError::Empty) => break true,
+                Err(TryRecvError::Disconnected) => break false,
+            }
         };
-        if !open {
-            return;
+        shipper.pump(clock.now_ms(), |ev| site_host(uplink, ev));
+        let due = shipper.next_deadline(clock.now_ms());
+        {
+            let mut up = uplink.lock().expect("uplink lock");
+            up.pumps += 1;
+            up.ship = shipper.view();
         }
-        wake.wait(due);
+        if !open {
+            return shipper;
+        }
+        wake.wait(due.map(|ms| clock.instant_at(ms)));
     }
 }
 
@@ -457,24 +471,20 @@ fn site_stats(
         "flowtree_frames_dropped_total",
         "Frames dropped (receiver gone or full channel while stopping).",
     );
-    let (ship, rc, pumps) = {
-        let up = uplink.lock().expect("uplink lock");
-        let rc = *up.reconnects.lock().expect("reconnects lock");
-        (up.shipper.view(), rc, up.pumps)
-    };
-    s.kv("reconnect_attempts", rc.attempts).counter(
+    let up = *uplink.lock().expect("uplink lock");
+    s.kv("reconnect_attempts", up.attempts).counter(
         "flowtree_ship_reconnect_attempts_total",
         "Upstream connection attempts by the shipper.",
     );
-    s.kv("reconnect_failures", rc.failures).counter(
+    s.kv("reconnect_failures", up.failures).counter(
         "flowtree_ship_reconnect_failures_total",
         "Failed connection attempts among them.",
     );
-    s.kv("backoff_ms_total", rc.backoff_ms).counter(
+    s.kv("backoff_ms_total", up.backoff_ms).counter(
         "flowtree_ship_backoff_ms_total",
         "Milliseconds the shipper backed off between attempts.",
     );
-    shipper_stats(&mut s, Some(&ship));
+    shipper_stats(&mut s, Some(&up.ship));
     s.kv("knob_packet_rate", cfg.packet_rate);
     s.kv("knob_packet_burst", cfg.packet_burst);
     s.kv("knob_record_rate", cfg.record_rate);
@@ -532,7 +542,7 @@ fn site_stats(
             )
             .label("lane", i.to_string());
     }
-    s.kv("ship_pumps", pumps).counter(
+    s.kv("ship_pumps", up.pumps).counter(
         "flowtree_ship_pumps_total",
         "Wakeups of the shipper thread (each queues what arrived and pumps once).",
     );
@@ -565,7 +575,7 @@ fn site_reload(body: &str, knobs: &AdmissionKnobs) -> Result<String, String> {
     let mut cfg = knobs.load();
     let mut windows = knobs.max_open_windows();
     let mut pin = knobs.pin_cores();
-    let reply = parse_reload(body, |key, value| {
+    let reply = parse_reload(body.lines(), |key, value| {
         let n = reload_u64(key, value)?;
         match key {
             "packet-rate" => cfg.packet_rate = n,

@@ -442,25 +442,14 @@ fn print_site_status(site: &SiteRuntime) {
     );
 }
 
-/// Parses `k=v` words into a [`flowrelay::NodeReload`] against each
-/// target's current knobs and applies it. All-or-nothing per call.
+/// Parses `k=v` words ([`flowrelay::NodeReload::parse`]) against each
+/// target's current knobs, then applies them. All-or-nothing per call.
 fn apply_reload(targets: &[&NodeRuntime], kvs: &[&str]) -> Result<usize, String> {
-    for rt in targets {
-        let mut r = rt.reloadable();
-        for kv in kvs {
-            let Some((k, v)) = kv.split_once('=') else {
-                return Err(format!("malformed reload arg: {kv}"));
-            };
-            match (k, v.parse::<u64>()) {
-                ("mode", _) if v == "full" => r.mode = ExportMode::Full,
-                ("mode", _) if v == "delta" => r.mode = ExportMode::Delta,
-                ("linger-ms", Ok(n)) => r.linger_ms = n,
-                ("retention-ms", Ok(n)) => r.retention_ms = n,
-                ("drain-every-ms", Ok(n)) => r.drain_every_ms = n,
-                ("max-bases", Ok(n)) => r.max_bases = n as usize,
-                _ => return Err(format!("bad reload arg: {kv}")),
-            }
-        }
+    let reloads = targets
+        .iter()
+        .map(|rt| Ok(rt.reloadable().parse(kvs.iter().copied())?.0))
+        .collect::<Result<Vec<_>, String>>()?;
+    for (rt, r) in targets.iter().zip(reloads) {
         rt.reload(r);
     }
     Ok(targets.len())
@@ -970,7 +959,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     };
 
     // The root must answer a query over the aggregated data.
-    let mut conn = flowdist::framing::connect(root_query)
+    let mut conn = flowdist::framing::connect(root_query, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(format_args!("root query connect: {e}")));
     let answer = flowrelay::server::query_remote(&mut conn, "pop")
         .unwrap_or_else(|e| fail(format_args!("root query: {e}")))

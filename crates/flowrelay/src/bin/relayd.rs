@@ -227,37 +227,13 @@ fn control_loop(name: &str, runtime: NodeRuntime, drain_deadline: Duration) {
                     l.spill_sheds
                 );
             }
-            "reload" => {
-                let mut r = runtime.reloadable();
-                let mut bad = None;
-                for kv in rest.split_whitespace() {
-                    let Some((k, v)) = kv.split_once('=') else {
-                        bad = Some(format!("malformed reload arg: {kv}"));
-                        break;
-                    };
-                    let parsed = v.parse::<u64>();
-                    match (k, parsed) {
-                        ("mode", _) if v == "full" => r.mode = ExportMode::Full,
-                        ("mode", _) if v == "delta" => r.mode = ExportMode::Delta,
-                        ("linger-ms", Ok(n)) => r.linger_ms = n,
-                        ("retention-ms", Ok(n)) => r.retention_ms = n,
-                        ("drain-every-ms", Ok(n)) => r.drain_every_ms = n,
-                        ("max-bases", Ok(n)) => r.max_bases = n as usize,
-                        ("max-base-nodes", Ok(n)) => r.max_base_nodes = n as usize,
-                        _ => {
-                            bad = Some(format!("bad reload arg: {kv}"));
-                            break;
-                        }
-                    }
+            "reload" => match runtime.reloadable().parse(rest.split_whitespace()) {
+                Ok((r, _)) => {
+                    runtime.reload(r);
+                    println!("reloaded");
                 }
-                match bad {
-                    Some(msg) => println!("error {msg}"),
-                    None => {
-                        runtime.reload(r);
-                        println!("reloaded");
-                    }
-                }
-            }
+                Err(msg) => println!("error {msg}"),
+            },
             "drain" => break,
             other => println!("error unknown command: {other}"),
         }

@@ -60,8 +60,7 @@
 
 use crate::RelayError;
 use flowdist::{
-    Collector, DistError, EpochHeader, Lineage, ShipperHost, SlotPos, Summary, SummaryKind,
-    WindowId,
+    Collector, DistError, EpochHeader, Lineage, ShipEvent, SlotPos, Summary, SummaryKind, WindowId,
 };
 use flowkey::Schema;
 use flowtree_core::{Config, FlowTree};
@@ -208,6 +207,31 @@ pub enum FrameOutcome {
     NeedsRebase(SlotPos),
     /// Malformed or violating: counted, no response.
     Rejected,
+}
+
+/// Which way the acknowledged path takes a decoded frame
+/// ([`admit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// The frame advances its slot: apply it.
+    Apply,
+    /// An epoch at or behind the slot's: a replay.
+    Replay,
+    /// A delta whose declared base is not the epoch the slot holds.
+    NeedsRebase,
+}
+
+/// Admits a frame with epoch header `eh` and kind `kind` into a slot
+/// holding epoch `held` (0 = nothing stored): the classification of
+/// [`Relay::ingest_classified`], as a pure function.
+pub(crate) fn admit(eh: EpochHeader, kind: SummaryKind, held: u64) -> Admission {
+    if eh.epoch <= held {
+        Admission::Replay
+    } else if kind == SummaryKind::Delta && eh.base != Some(held) {
+        Admission::NeedsRebase
+    } else {
+        Admission::Apply
+    }
 }
 
 /// How a site-set scope maps onto one relay's stored trees.
@@ -463,17 +487,19 @@ impl Relay {
             exporter: site,
             epoch,
         };
-        if eh.epoch <= have {
-            self.ledger.replayed += 1;
-            return FrameOutcome::Replayed(pos(have));
-        }
-        if summary.kind == SummaryKind::Delta && eh.base != Some(have) {
-            self.ledger.rebase_requests += 1;
-            return FrameOutcome::NeedsRebase(pos(have));
-        }
-        match self.apply_with_raw(summary, Some(bytes)) {
-            Ok(()) => FrameOutcome::Applied(pos(self.collector().window_epoch(start, site))),
-            Err(_) => FrameOutcome::Rejected,
+        match admit(eh, summary.kind, have) {
+            Admission::Replay => {
+                self.ledger.replayed += 1;
+                FrameOutcome::Replayed(pos(have))
+            }
+            Admission::NeedsRebase => {
+                self.ledger.rebase_requests += 1;
+                FrameOutcome::NeedsRebase(pos(have))
+            }
+            Admission::Apply => match self.apply_with_raw(summary, Some(bytes)) {
+                Ok(()) => FrameOutcome::Applied(pos(self.collector().window_epoch(start, site))),
+                Err(_) => FrameOutcome::Rejected,
+            },
         }
     }
 
@@ -703,6 +729,24 @@ impl Relay {
                 epoch,
             });
         }
+    }
+
+    /// Takes one event of the relay's export shipper: a connection
+    /// attempt into the ledger, an upstream ack as
+    /// [`Relay::note_shipped`], a rebase-request as
+    /// [`Relay::request_rebase`]. Returns whether a rebase-request was
+    /// honored (false for every other event).
+    pub fn on_ship_event(&mut self, ev: ShipEvent) -> bool {
+        match ev {
+            ShipEvent::Reconnect { ok, waited_ms } => {
+                self.ledger.reconnect_attempts += 1;
+                self.ledger.reconnect_failures += u64::from(!ok);
+                self.ledger.backoff_ms_total += waited_ms;
+            }
+            ShipEvent::Shipped(pos) => self.note_shipped(pos.window_start_ms, pos.epoch),
+            ShipEvent::Rebase(pos) => return self.request_rebase(pos.window_start_ms),
+        }
+        false
     }
 
     /// Rewinds every window whose drained exports were never
@@ -1038,28 +1082,6 @@ impl Relay {
             .collect();
         self.evicted_epochs = s.evicted.into_iter().collect();
         self.ledger = s.ledger;
-    }
-}
-
-/// A relay's export shipper reports into the ledger and the journaled
-/// window export state.
-impl ShipperHost for Relay {
-    /// One attempt, whether it failed, and how long the shipper backed
-    /// off before it, into the ledger.
-    fn note_reconnect(&mut self, ok: bool, waited_ms: u64) {
-        self.ledger.reconnect_attempts += 1;
-        if !ok {
-            self.ledger.reconnect_failures += 1;
-        }
-        self.ledger.backoff_ms_total += waited_ms;
-    }
-
-    fn note_shipped(&mut self, window_start_ms: u64, epoch: u64) {
-        Relay::note_shipped(self, window_start_ms, epoch);
-    }
-
-    fn request_rebase(&mut self, window_start_ms: u64) -> bool {
-        Relay::request_rebase(self, window_start_ms)
     }
 }
 
@@ -1750,5 +1772,35 @@ mod tests {
             );
         }
         assert!(r.ledger().base_losses >= 2);
+    }
+
+    /// The acknowledged path's admission over every case: epoch behind,
+    /// at and ahead of the held one; full and delta; a delta's base
+    /// matching, behind and ahead of what is held, and onto nothing.
+    #[test]
+    fn admission_table() {
+        use Admission::{Apply, NeedsRebase, Replay};
+        use SummaryKind::{Delta, Full};
+        let eh = |epoch, base| EpochHeader { epoch, base };
+        let table = [
+            // (header, kind, held) → admission
+            (eh(1, None), Full, 0, Apply),
+            (eh(3, None), Full, 2, Apply),
+            (eh(2, None), Full, 2, Replay),
+            (eh(1, None), Full, 2, Replay),
+            (eh(3, Some(2)), Delta, 2, Apply),
+            (eh(3, Some(2)), Delta, 3, Replay),
+            (eh(3, Some(2)), Delta, 5, Replay),
+            (eh(3, Some(1)), Delta, 2, NeedsRebase),
+            (eh(4, Some(3)), Delta, 2, NeedsRebase),
+            (eh(2, Some(1)), Delta, 0, NeedsRebase),
+        ];
+        for (header, kind, held, want) in table {
+            assert_eq!(
+                admit(header, kind, held),
+                want,
+                "{header:?} {kind:?} onto {held}"
+            );
+        }
     }
 }

@@ -21,21 +21,27 @@
 //!   upstream link, a reload, stop — or until the earliest deadline
 //!   its state computes: the next window export
 //!   ([`Relay::next_export_due`]), the shipper's reconnect backoff or
-//!   ack stall ([`ExportShipper::next_deadline`]), the next retention
-//!   eviction ([`Relay::next_eviction_due`]). It then runs one pass on
-//!   the `drain-every-ms` grid (the first multiple at or after the
-//!   wake), so exports coalesce exactly as they would on a fixed tick
-//!   while an idle node never wakes.
+//!   ack stall ([`flowdist::ShipperCore::next_deadline`]), the next
+//!   retention eviction ([`Relay::next_eviction_due`]). It then runs one
+//!   pass on the `drain-every-ms` grid (the first multiple at or after
+//!   the wake), so exports coalesce exactly as they would on a fixed
+//!   tick while an idle node never wakes. A pass takes the shipper out of
+//!   the shared scheduler state for its socket calls and locks the
+//!   relay once per shipper event after them, so neither `/stats` nor
+//!   ingest waits on the upstream.
 //! * **`reload`** applies a [`NodeReload`] — export mode, linger,
-//!   retention, scheduler grid — live, without dropping a socket or a
-//!   window. The same deltas arrive over the stats endpoint as
-//!   `POST /reload` with `key=value` lines.
+//!   retention, scheduler grid, base bounds — live, without dropping a
+//!   socket or a window. The same deltas arrive over the stats endpoint
+//!   as `POST /reload` with `key=value` lines, parsed by
+//!   [`NodeReload::parse`] like every other reload command.
 //! * **`drain`** is the graceful exit: stop accepting downstreams,
 //!   run the scheduler down, flush every window with unshipped
 //!   content, and push the pending queue through the acknowledged
-//!   shipper until it is empty or the deadline passes. A `kill -9`
-//!   anywhere in that sequence recovers byte-identical through the
-//!   journal — drain uses only the journaled paths.
+//!   shipper until it is empty or the deadline passes. It returns
+//!   within the deadline plus the ack stall, which bounds every
+//!   shipper write. A `kill -9` anywhere in that sequence recovers
+//!   byte-identical through the journal — drain uses only the
+//!   journaled paths.
 //! * **`shutdown`** exits without flushing (the journal still makes
 //!   it safe; it is just not graceful).
 //! * The **stats endpoint** (when configured) serves `GET /health`,
@@ -62,7 +68,7 @@ use flowmetrics::{EventRing, Stats, Stopwatch};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything one relay node needs, as a value. Field-for-field this
 /// supersedes `relayd`'s ad-hoc CLI flags; the defaults are the
@@ -236,7 +242,12 @@ struct SchedParams {
 /// State owned by the scheduler pass, shared with drain and the stats
 /// endpoint.
 struct SchedState {
+    /// Out of here while a pass ships with it, so no lock is held
+    /// across a socket call; a pass that finds it out ships nothing.
     shipper: Option<ExportShipper>,
+    /// The shipper as of the last pass (`None` on a root): what `/stats`
+    /// and [`NodeRuntime::pending_len`] read.
+    ship_view: Option<ShipperView>,
     /// Scheduler passes run (`sched_passes`).
     passes: u64,
     journal_fault_logged: bool,
@@ -435,6 +446,7 @@ impl NodeRuntime {
         // events.
         let seen = LedgerSeen::of(relay.lock().expect("relay lock").ledger());
         let sched = Arc::new(Mutex::new(SchedState {
+            ship_view: shipper.as_ref().map(|s| s.view()),
             shipper,
             passes: 0,
             journal_fault_logged: false,
@@ -568,13 +580,7 @@ impl NodeRuntime {
                         return;
                     }
                     let p = *params.lock().expect("params lock");
-                    scheduler_pass(
-                        &relay,
-                        &mut sched.lock().expect("sched lock"),
-                        &p,
-                        &clock,
-                        &tag,
-                    );
+                    scheduler_pass(&relay, &sched, &p, &clock, &tag);
                 })
                 .map_err(RuntimeError::Spawn)?
         };
@@ -677,31 +683,17 @@ impl NodeRuntime {
         *self.relay.lock().expect("relay lock").ledger()
     }
 
-    /// Export frames currently pending upstream acknowledgment.
+    /// Export frames pending upstream acknowledgment as of the last
+    /// scheduler pass.
     pub fn pending_len(&self) -> usize {
-        self.sched
-            .lock()
-            .expect("sched lock")
-            .shipper
-            .as_ref()
-            .map(|s| s.pending_len())
-            .unwrap_or(0)
+        let sched = self.sched.lock().expect("sched lock");
+        sched.ship_view.map_or(0, |v| v.pending)
     }
 
     /// The node's current reloadable knobs (the baseline to mutate
     /// for a [`NodeRuntime::reload`]).
     pub fn reloadable(&self) -> NodeReload {
-        let p = *self.params.lock().expect("params lock");
-        let relay = self.relay.lock().expect("relay lock");
-        let e = relay.export_config();
-        NodeReload {
-            mode: e.mode,
-            linger_ms: e.linger_ms,
-            retention_ms: p.retention_ms,
-            drain_every_ms: p.drain_every_ms,
-            max_bases: e.max_bases,
-            max_base_nodes: e.max_base_nodes,
-        }
+        reloadable(&self.relay, &self.params)
     }
 
     /// Applies a live reconfiguration: export mode/linger/base bound
@@ -709,21 +701,7 @@ impl NodeRuntime {
     /// through the scheduler. Takes effect on the next pass (the
     /// scheduler is woken immediately).
     pub fn reload(&self, r: NodeReload) {
-        {
-            let mut relay = self.relay.lock().expect("relay lock");
-            let export = ExportConfig {
-                mode: r.mode,
-                linger_ms: r.linger_ms,
-                max_bases: r.max_bases.max(1),
-                max_base_nodes: r.max_base_nodes.max(1),
-            };
-            relay.set_export_config(export);
-        }
-        {
-            let mut p = self.params.lock().expect("params lock");
-            p.retention_ms = r.retention_ms;
-            p.drain_every_ms = r.drain_every_ms.max(1);
-        }
+        apply_reload(&self.relay, &self.params, r);
         self.run.notify();
         log(format_args!(
             "{}: reloaded — mode {:?}, linger {}ms, retention {}ms, grid {}ms, max-bases {}",
@@ -733,15 +711,13 @@ impl NodeRuntime {
 
     /// Runs one scheduler pass synchronously (what `--oneshot` and
     /// tests use instead of waiting for the scheduler).
+    /// A scheduler pass that is shipping at the same time keeps the
+    /// shipper, and this one ships nothing.
     pub fn tick_now(&self) {
         let p = *self.params.lock().expect("params lock");
-        scheduler_pass(
-            &self.relay,
-            &mut self.sched.lock().expect("sched lock"),
-            &p,
-            &self.clock,
-            &self.tag,
-        );
+        scheduler_pass(&self.relay, &self.sched, &p, &self.clock, &self.tag);
+        // The scheduler may have slept without the shipper's deadline.
+        self.run.notify();
     }
 
     /// Gracefully drains and stops the node (see the module docs).
@@ -750,26 +726,30 @@ impl NodeRuntime {
     /// queue (journaled, recovered by the next start).
     pub fn drain(mut self, deadline: Duration) -> DrainReport {
         log(format_args!("{}: draining", self.tag));
+        let started = Instant::now();
         // 1. Stop intake: no new downstream (or query) connections.
         self.stop_accepting();
-        // 2. Stop the scheduler so this drain is the only export path.
+        // 2. Stop the scheduler so this drain is the only export path;
+        //    a pass stuck on a wedged upstream ends within the stall.
         self.stop_scheduler();
         // 3. Flush every window with unshipped content through the
         //    normal shipper path (spill-before-send, ack-to-release) —
         //    the same journaled code a crash recovers through. A root
         //    has nobody to flush to and builds no frames.
-        let mut sched = self.sched.lock().expect("sched lock");
-        let (flushed, pending_at_exit) = match sched.shipper.as_mut() {
-            Some(shipper) => {
+        let shipper = self.sched.lock().expect("sched lock").shipper.take();
+        let (flushed, pending_at_exit) = match shipper {
+            Some(mut shipper) => {
                 let due = self.relay.lock().expect("relay lock").flush_exports();
                 let flushed = due.len();
-                enqueue_exports(&self.relay, shipper, due, &self.tag);
-                let pending = shipper.flush(&*self.relay, &self.clock, deadline);
+                enqueue_exports(&self.relay, &mut shipper, due, &self.tag);
+                let left = deadline.saturating_sub(started.elapsed());
+                let pending = shipper.flush(&self.clock, left, |ev| {
+                    self.relay.lock().expect("relay lock").on_ship_event(ev)
+                });
                 (flushed, pending)
             }
             None => (0, 0),
         };
-        drop(sched);
         let ledger = *self.relay.lock().expect("relay lock").ledger();
         if let Some(ops) = self.ops.take() {
             ops.stop();
@@ -855,19 +835,28 @@ fn pass_at(wake_ms: u64, grid_ms: u64) -> u64 {
 /// journal once.
 fn scheduler_pass(
     relay: &Arc<Mutex<Relay>>,
-    sched: &mut SchedState,
+    sched: &Mutex<SchedState>,
     params: &SchedParams,
     clock: &SteadyClock,
     tag: &str,
 ) {
-    sched.passes += 1;
+    let shipper = {
+        let mut st = sched.lock().expect("sched lock");
+        st.passes += 1;
+        st.shipper.take()
+    };
     let now = clock.now_ms();
     // A root exports to nobody: no merge, no diff, no encode and no
     // pinned delta base per window.
-    if let Some(shipper) = sched.shipper.as_mut() {
+    if let Some(mut shipper) = shipper {
         let due = relay.lock().expect("relay lock").drain_exports_at(now);
-        enqueue_exports(relay, shipper, due, tag);
-        shipper.pump(&**relay, now);
+        enqueue_exports(relay, &mut shipper, due, tag);
+        shipper.pump(now, |ev| {
+            relay.lock().expect("relay lock").on_ship_event(ev)
+        });
+        let mut st = sched.lock().expect("sched lock");
+        st.ship_view = Some(shipper.view());
+        st.shipper = Some(shipper);
     }
     if params.retention_ms > 0 {
         let cutoff = now.saturating_sub(params.retention_ms);
@@ -881,15 +870,16 @@ fn scheduler_pass(
             ));
         }
     }
-    if !sched.journal_fault_logged {
+    let mut st = sched.lock().expect("sched lock");
+    if !st.journal_fault_logged {
         if let Some(err) = relay.lock().expect("relay lock").journal_error() {
             log(format_args!(
                 "{tag}: JOURNAL DEGRADED (still serving, no longer crash-safe): {err}"
             ));
-            sched.journal_fault_logged = true;
+            st.journal_fault_logged = true;
         }
     }
-    note_ledger_events(relay, sched, now);
+    note_ledger_events(relay, &mut st, now);
 }
 
 /// Turns ledger-counter movement since the last pass into `/events`
@@ -971,7 +961,7 @@ struct ObsSnap {
 
 fn observe(
     relay: &Arc<Mutex<Relay>>,
-    sched: &Arc<Mutex<SchedState>>,
+    sched: &Mutex<SchedState>,
     params: &Arc<Mutex<SchedParams>>,
 ) -> ObsSnap {
     let now_ms = epoch_ms();
@@ -988,11 +978,8 @@ fn observe(
     };
     let p = *params.lock().expect("params lock");
     let (ship, passes) = {
-        let sched = sched.lock().expect("sched lock");
-        (
-            sched.shipper.as_ref().map(ExportShipper::view),
-            sched.passes,
-        )
+        let st = sched.lock().expect("sched lock");
+        (st.ship_view, st.passes)
     };
     ObsSnap {
         export,
@@ -1184,38 +1171,81 @@ fn relay_ops(
     }
 }
 
-/// Applies a `POST /reload` body ([`parse_reload`]; keys `mode`,
-/// `linger-ms`, `retention-ms`, `drain-every-ms`, `max-bases`,
-/// `max-base-nodes`) to the live node.
+/// Applies a `POST /reload` body ([`NodeReload::parse`]) to the live
+/// node.
 fn relay_reload(
     body: &str,
     relay: &Arc<Mutex<Relay>>,
     params: &Arc<Mutex<SchedParams>>,
 ) -> Result<String, String> {
-    let mut relay_guard = relay.lock().expect("relay lock");
-    let mut export = *relay_guard.export_config();
-    let mut p = *params.lock().expect("params lock");
-    let reply = parse_reload(body, |k, v| {
-        match k {
-            "mode" => {
-                export.mode = match v {
-                    "full" => ExportMode::Full,
-                    "delta" => ExportMode::Delta,
-                    _ => return Err(format!("mode must be full or delta, got {v}")),
-                }
-            }
-            "linger-ms" => export.linger_ms = reload_u64(k, v)?,
-            "max-bases" => export.max_bases = reload_u64(k, v)?.max(1) as usize,
-            "max-base-nodes" => export.max_base_nodes = reload_u64(k, v)?.max(1) as usize,
-            "retention-ms" => p.retention_ms = reload_u64(k, v)?,
-            "drain-every-ms" => p.drain_every_ms = reload_u64(k, v)?.max(1),
-            _ => return Err(format!("unknown reload key: {k}")),
-        }
-        Ok(())
-    })?;
-    relay_guard.set_export_config(export);
-    *params.lock().expect("params lock") = p;
+    let (r, reply) = reloadable(relay, params).parse(body.lines())?;
+    apply_reload(relay, params, r);
     Ok(reply)
+}
+
+/// The node's current reloadable knobs.
+fn reloadable(relay: &Mutex<Relay>, params: &Mutex<SchedParams>) -> NodeReload {
+    let p = *params.lock().expect("params lock");
+    let e = *relay.lock().expect("relay lock").export_config();
+    NodeReload {
+        mode: e.mode,
+        linger_ms: e.linger_ms,
+        retention_ms: p.retention_ms,
+        drain_every_ms: p.drain_every_ms,
+        max_bases: e.max_bases,
+        max_base_nodes: e.max_base_nodes,
+    }
+}
+
+/// Applies `r` to the relay's export config and the scheduler params.
+fn apply_reload(relay: &Mutex<Relay>, params: &Mutex<SchedParams>, r: NodeReload) {
+    relay
+        .lock()
+        .expect("relay lock")
+        .set_export_config(ExportConfig {
+            mode: r.mode,
+            linger_ms: r.linger_ms,
+            max_bases: r.max_bases.max(1),
+            max_base_nodes: r.max_base_nodes.max(1),
+        });
+    let mut p = params.lock().expect("params lock");
+    p.retention_ms = r.retention_ms;
+    p.drain_every_ms = r.drain_every_ms.max(1);
+}
+
+impl NodeReload {
+    /// Applies `key=value` items ([`parse_reload`]) to a copy of these
+    /// knobs: keys `mode` (`full` or `delta`), `linger-ms`,
+    /// `retention-ms`, `drain-every-ms`, `max-bases` and
+    /// `max-base-nodes`. The one reload grammar of a relay, behind
+    /// `POST /reload`, `relayd`'s stdin `reload` and `flowctl`'s
+    /// `reload`. All-or-nothing: a malformed item, an unknown key or a
+    /// bad value is the error. `Ok` carries the knobs and the reply.
+    pub fn parse<'a>(
+        self,
+        items: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(NodeReload, String), String> {
+        let mut r = self;
+        let reply = parse_reload(items, |k, v| {
+            match k {
+                "mode" => {
+                    r.mode = match v {
+                        "full" => ExportMode::Full,
+                        "delta" => ExportMode::Delta,
+                        _ => return Err(format!("mode must be full or delta, got {v}")),
+                    }
+                }
+                "linger-ms" => r.linger_ms = reload_u64(k, v)?,
+                "retention-ms" => r.retention_ms = reload_u64(k, v)?,
+                "drain-every-ms" => r.drain_every_ms = reload_u64(k, v)?,
+                "max-bases" => r.max_bases = reload_u64(k, v)? as usize,
+                "max-base-nodes" => r.max_base_nodes = reload_u64(k, v)? as usize,
+                _ => return Err(format!("unknown reload key: {k}")),
+            }
+            Ok(())
+        })?;
+        Ok((r, reply))
+    }
 }
 
 #[cfg(test)]
@@ -1315,6 +1345,41 @@ mod tests {
         // due at once, ahead of any export or eviction.
         ship.enqueue(r.flush_exports()[0].encode()).unwrap();
         assert_eq!(next_pass_due(&r, Some(&ship), 0, 0), Some(0));
+    }
+
+    /// The one reload grammar of a relay: every key applies,
+    /// `max-base-nodes` included, from words or from a `POST /reload`
+    /// body; an unknown key or a bad `mode` applies nothing.
+    #[test]
+    fn reload_grammar_is_all_or_nothing() {
+        let relay = Arc::new(Mutex::new(relay(200)));
+        let params = Arc::new(Mutex::new(SchedParams {
+            retention_ms: 7,
+            drain_every_ms: 9,
+        }));
+        let before = reloadable(&relay, &params);
+        let items = "mode=full linger-ms=10 retention-ms=20 drain-every-ms=30 \
+                     max-bases=40 max-base-nodes=50";
+        let (r, reply) = before.parse(items.split_whitespace()).unwrap();
+        let want = NodeReload {
+            mode: ExportMode::Full,
+            linger_ms: 10,
+            retention_ms: 20,
+            drain_every_ms: 30,
+            max_bases: 40,
+            max_base_nodes: 50,
+        };
+        assert_eq!(r, want);
+        assert_eq!(reply.split_whitespace().count(), 7, "{reply}");
+        for bad in ["mode=fast", "bogus=1", "linger-ms=soon", "linger-ms"] {
+            let body = format!("linger-ms=10\nmax-base-nodes=50\n{bad}\n");
+            assert!(before.parse(["max-bases=40", bad]).is_err(), "{bad}");
+            assert!(relay_reload(&body, &relay, &params).is_err(), "{bad}");
+            assert_eq!(reloadable(&relay, &params), before, "{bad} applied");
+        }
+        let body = items.split_whitespace().collect::<Vec<_>>().join("\n");
+        assert_eq!(relay_reload(&body, &relay, &params), Ok(reply));
+        assert_eq!(reloadable(&relay, &params), want);
     }
 
     /// The scheduler's retention step used to journal an `Evict` record

@@ -314,7 +314,7 @@ fn shipper_rejects_lying_acks_from_a_scripted_upstream() {
     assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
     let clock = SteadyClock::new();
     for _ in 0..200 {
-        shipper.pump(&relay, clock.now_ms());
+        shipper.pump(clock.now_ms(), |ev| relay.lock().unwrap().on_ship_event(ev));
         if shipper.pending_len() == 0 {
             break;
         }
@@ -362,7 +362,9 @@ fn silent_upstream_is_a_failed_connect_and_releases_nothing() {
         3,
     );
     assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
-    shipper.pump(&relay, SteadyClock::new().now_ms());
+    shipper.pump(SteadyClock::new().now_ms(), |ev| {
+        relay.lock().unwrap().on_ship_event(ev)
+    });
     let ledger = *relay.lock().unwrap().ledger();
     assert_eq!(
         (ledger.reconnect_attempts, ledger.reconnect_failures),
@@ -436,7 +438,7 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
             assert!(shipper.enqueue(frame).unwrap().is_empty());
         }
         for _ in 0..1_200 {
-            shipper.pump(&relay, clock.now_ms());
+            shipper.pump(clock.now_ms(), |ev| relay.lock().unwrap().on_ship_event(ev));
             if shipper.pending_len() == 0 {
                 break;
             }

@@ -235,3 +235,121 @@ fn site_drain_is_prompt_and_frees_its_ports() {
     }
     relay.shutdown();
 }
+
+/// A v3 export frame of `bytes` bytes: a real header, then padding the
+/// shipper never looks at (it tracks frames by header alone).
+fn padded_export(bytes: usize) -> Vec<u8> {
+    use flowdist::{EpochHeader, Lineage, Summary, SummaryKind, WindowId};
+    let tree = flowtree_core::FlowTree::new(
+        flowkey::Schema::five_feature(),
+        flowtree_core::Config::with_budget(64),
+    );
+    let lineage = Lineage {
+        provenance: vec![0],
+        epoch: EpochHeader {
+            epoch: 1,
+            base: None,
+        },
+    };
+    let summary = Summary {
+        site: 1_000,
+        window: WindowId {
+            start_ms: 0,
+            span_ms: 1_000,
+        },
+        seq: 1,
+        kind: SummaryKind::Full,
+        lineage: Some(lineage),
+        tree,
+    };
+    let mut frame = summary.encode();
+    frame.resize(bytes, 0);
+    frame
+}
+
+/// An upstream that answers each hello and then never reads: once the
+/// loopback buffers fill, the relay's shipper is stuck in a write.
+/// `/stats` still answers at once, and a drain returns within its
+/// deadline plus the ack stall.
+#[test]
+fn a_wedged_upstream_blocks_neither_stats_nor_drain() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let upstream = listener.local_addr().expect("addr");
+    let (hello_tx, hello_rx) = mpsc::channel();
+    let done = Arc::new(AtomicBool::new(false));
+    let wedged = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for conn in listener.incoming() {
+                if done.load(Ordering::SeqCst) {
+                    return;
+                }
+                let mut conn = conn.expect("accept");
+                let _ = flowdist::framing::read_frame(&mut conn);
+                let hello = flowdist::ControlFrame::Hello {
+                    features: flowdist::FEATURE_ACKS,
+                };
+                let _ = flowdist::framing::write_frame(&mut conn, &hello.encode());
+                held.push(conn);
+                let _ = hello_tx.send(());
+            }
+        })
+    };
+
+    // 48 MiB of pending exports: more than the loopback send and
+    // receive buffers hold.
+    let dir = std::env::temp_dir().join(format!("flowrelay-wedged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spill_cfg = flowdist::SpillConfig {
+        max_bytes: 0,
+        ..flowdist::SpillConfig::default()
+    };
+    let mut spill = flowdist::SpillQueue::open(&dir.join("spill"), spill_cfg).expect("spill");
+    let frame = padded_export(1 << 20);
+    for _ in 0..48 {
+        spill.push(frame.clone());
+    }
+    drop(spill);
+
+    let mut cfg = NodeConfig::new("wedged");
+    cfg.stats = Some("127.0.0.1:0".into());
+    cfg.upstream = Some(upstream.to_string());
+    cfg.state_dir = Some(dir.clone());
+    cfg.drain_every_ms = 10;
+    cfg.ack_stall_ms = 3_000;
+    let node = NodeRuntime::start(cfg).expect("node boots");
+    let stats = node.stats_addr().expect("stats").to_string();
+    hello_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the shipper connects");
+    // Let the shipper fill the buffers and block.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let (tx, rx) = mpsc::channel();
+    let scrape = std::thread::spawn(move || {
+        let _ = tx.send(stat(&stats, "export_pending"));
+    });
+    let scraped = rx.recv_timeout(Duration::from_secs(1));
+    let (tx, rx) = mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        let _ = tx.send(node.drain(Duration::from_secs(1)).pending_at_exit);
+    });
+    let drained = rx.recv_timeout(Duration::from_millis(4_500));
+    // Release the upstream before judging, so a failure cannot hang.
+    done.store(true, Ordering::SeqCst);
+    let _ = std::net::TcpStream::connect(upstream);
+    wedged.join().expect("wedged upstream");
+    let scrape = scrape.join();
+    drainer.join().expect("drain");
+    assert_eq!(scraped, Ok(48), "/stats waited on the stuck shipper");
+    assert!(scrape.is_ok(), "the scrape failed");
+    assert_eq!(
+        drained,
+        Ok(48),
+        "drain(1 s) with a 3 s stall took over 4.5 s"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
