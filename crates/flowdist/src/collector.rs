@@ -75,13 +75,6 @@ pub struct TransferLedger {
     pub rejected: u64,
 }
 
-impl TransferLedger {
-    /// All summary bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.full_bytes + self.delta_bytes
-    }
-}
-
 /// Default bound on the **total tree nodes** held by cached merged
 /// views across all entries (≈ 100 B per node ⇒ on the order of
 /// 100 MiB of cached views).
@@ -831,11 +824,6 @@ fn tree_window_span(_tree: &FlowTree, c: &Collector) -> u64 {
         .find(|((a, _), (b, _))| a != b)
         .map(|((a, _), (b, _))| b - a)
         .unwrap_or(300_000)
-}
-
-/// Convenience: the window id for a timestamp under a span.
-pub fn window_of(ts_ms: u64, span_ms: u64) -> WindowId {
-    WindowId::containing(ts_ms, span_ms)
 }
 
 /// Sorts and deduplicates a site filter so scope keys normalize and

@@ -26,8 +26,11 @@
 //! rung, else sleeps until [`ShipperCore::next_deadline`]. A pump hands
 //! the events to the owner after its socket calls, each bounded: a dial
 //! per address and the hello reply by [`ShipperConfig::handshake_ms`],
-//! a write by [`ShipperConfig::stall_ms`] (no progress for that long
-//! ends the connection as an ack stall does).
+//! a 64 KiB write by [`ShipperConfig::stall_ms`] (no progress for that
+//! long ends the connection as an ack stall does). A link that is slow
+//! but moving never stalls, so the owner's halt, asked between writes,
+//! bounds the pump: a drain returns within its deadline plus the
+//! longer of the two settings.
 
 use crate::control::{is_control, ControlFrame, SlotPos, FEATURE_ACKS};
 use crate::framing::{read_frame, write_frame};
@@ -221,7 +224,7 @@ pub enum ShipEvent {
 /// Shipper counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShipperStats {
-    /// Frames handed to [`ExportShipper::enqueue`].
+    /// Frames handed to [`ShipperCore::enqueue`].
     pub enqueued: u64,
     /// Frames written to the wire (including resends).
     pub sent_frames: u64,
@@ -368,8 +371,8 @@ impl ShipperCore {
             return if ready { Step::Connect } else { Step::Wait };
         };
         if link.send_from < self.spill.next_seq() {
-            let mut unsent = self.spill.pending().filter(|r| r.seq >= link.send_from);
-            let rec = unsent.next().expect("the pending suffix ends at next_seq");
+            let rec = self.spill.first_from(link.send_from);
+            let rec = rec.expect("the pending suffix ends at next_seq");
             return Step::Send(rec.seq, &rec.bytes);
         }
         if now_ms.saturating_sub(link.last_progress_ms) <= self.stall_ms {
@@ -440,11 +443,8 @@ impl ShipperCore {
     /// The host's answer to a [`ShipEvent::Rebase`]: whether it
     /// rewound the window.
     pub fn on_rebase_answer(&mut self, honored: bool) {
-        if honored {
-            self.stats.rebase_honored += 1;
-        } else {
-            self.stats.rebase_unknown += 1;
-        }
+        self.stats.rebase_honored += u64::from(honored);
+        self.stats.rebase_unknown += u64::from(!honored);
     }
 
     /// The events for the host since the last call, oldest first.
@@ -562,30 +562,23 @@ impl Drop for Conn {
 }
 
 /// The durable acknowledged export pipeline of one node: the TCP
-/// driver over a [`ShipperCore`], which every read goes straight to.
+/// driver over a [`ShipperCore`].
 pub struct ExportShipper {
-    core: ShipperCore,
+    /// The contract: every read and [`ShipperCore::enqueue`] go
+    /// straight to it.
+    pub core: ShipperCore,
     cfg: ShipperConfig,
     conn: Option<Conn>,
     /// Rung by each connection's reader thread (see the module docs).
     waker: Option<Wake>,
 }
 
-impl std::ops::Deref for ExportShipper {
-    type Target = ShipperCore;
-
-    fn deref(&self) -> &ShipperCore {
-        &self.core
-    }
-}
-
 impl ExportShipper {
     /// A shipper to `cfg.upstream` over a spill queue (fresh or
     /// recovered; see [`ShipperCore::new`]).
     pub fn new(cfg: ShipperConfig, spill: SpillQueue, seed: u64) -> ExportShipper {
-        let core = ShipperCore::new(&cfg, spill, seed);
         ExportShipper {
-            core,
+            core: ShipperCore::new(&cfg, spill, seed),
             cfg,
             conn: None,
             waker: None,
@@ -600,25 +593,22 @@ impl ExportShipper {
         self.waker = Some(wake);
     }
 
-    /// See [`ShipperCore::set_rtt_histogram`].
-    pub fn set_rtt_histogram(&mut self, hist: flowmetrics::Histogram) {
-        self.core.set_rtt_histogram(hist);
-    }
-
-    /// See [`ShipperCore::enqueue`].
-    pub fn enqueue(&mut self, frame: Vec<u8>) -> Result<Vec<u64>, DistError> {
-        self.core.enqueue(frame)
-    }
-
     /// One delivery round: feed the arrived control frames to the core,
     /// carry out its steps — (re)connect, send the unacked suffix —
-    /// until it waits, then hand each [`ShipEvent`] to `host`, whose
-    /// answer counts only for a [`ShipEvent::Rebase`] (honored or not).
-    /// Every socket call is bounded (see the module docs), and `host`
-    /// runs after them all.
-    pub fn pump(&mut self, now_ms: u64, mut host: impl FnMut(ShipEvent) -> bool) {
+    /// until it waits or `halt` says stop, then hand each [`ShipEvent`]
+    /// to `host`, whose answer counts only for a [`ShipEvent::Rebase`]
+    /// (honored or not). Every socket call is bounded (see the module
+    /// docs); `halt` is asked before each step and between a frame's
+    /// 64 KiB writes, where it drops the connection. `host` runs after
+    /// every socket call.
+    pub fn pump(
+        &mut self,
+        now_ms: u64,
+        halt: impl Fn() -> bool,
+        mut host: impl FnMut(ShipEvent) -> bool,
+    ) {
         self.read_control(now_ms);
-        loop {
+        while !halt() {
             match self.core.step(now_ms) {
                 Step::Wait => break,
                 Step::Recycle => self.conn = None,
@@ -629,8 +619,9 @@ impl ExportShipper {
                 Step::Send(seq, frame) => {
                     let conn = self.conn.as_ref().expect("the core sends only on a link");
                     let len = frame.len() as u64;
-                    match write_frame(Stalling(&conn.stream), frame) {
+                    match write_frame(Chunked(&conn.stream, &halt), frame) {
                         Ok(()) => self.core.on_sent(seq, len, now_ms),
+                        Err(_) if halt() => self.close(),
                         Err(e) => {
                             let stalled =
                                 matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
@@ -646,10 +637,12 @@ impl ExportShipper {
     }
 
     /// Pumps until nothing is pending or `deadline` passes — a node's
-    /// graceful drain. Between pumps it sleeps on the connection's ack
-    /// channel (or, disconnected, until the backoff allows a retry),
-    /// never past [`ShipperCore::next_deadline`] or the drain
-    /// deadline. Returns the frames still pending.
+    /// graceful drain, which returns within `deadline` plus the longest
+    /// socket call (see the module docs). Between pumps it sleeps on
+    /// the connection's ack channel (or, disconnected, until the
+    /// backoff allows a retry), never past
+    /// [`ShipperCore::next_deadline`] or the drain deadline. Returns the
+    /// frames still pending.
     pub fn flush(
         &mut self,
         clock: &SteadyClock,
@@ -657,8 +650,9 @@ impl ExportShipper {
         mut host: impl FnMut(ShipEvent) -> bool,
     ) -> usize {
         let limit = Instant::now() + deadline;
-        while self.pending_len() > 0 && Instant::now() < limit {
-            self.pump(clock.now_ms(), &mut host);
+        let halt = || Instant::now() >= limit;
+        while self.core.pending_len() > 0 && !halt() {
+            self.pump(clock.now_ms(), halt, &mut host);
             let Some(due) = self.core.next_deadline(clock.now_ms()) else {
                 break;
             };
@@ -674,7 +668,7 @@ impl ExportShipper {
             }
         }
         self.settle(&mut host);
-        self.pending_len()
+        self.core.pending_len()
     }
 
     /// Feeds the arrived control frames to the core; a reader thread
@@ -735,10 +729,15 @@ fn connect(cfg: &ShipperConfig, waker: Option<Wake>) -> std::io::Result<Conn> {
 /// returns short only after waiting that long for buffer space, so a
 /// short chunk made no progress for the stall and fails as
 /// [`ErrorKind::TimedOut`] rather than waiting the timeout out again.
-struct Stalling<'a>(&'a TcpStream);
+/// The halt is asked before every chunk, so a slow link that still
+/// moves data cannot hold a pump past it.
+struct Chunked<'a, H>(&'a TcpStream, &'a H);
 
-impl Write for Stalling<'_> {
+impl<H: Fn() -> bool> Write for Chunked<'_, H> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if (self.1)() {
+            return Err(std::io::Error::other("the pump was halted"));
+        }
         let chunk = &buf[..buf.len().min(64 << 10)];
         let mut stream = self.0;
         match stream.write(chunk)? {
@@ -872,11 +871,7 @@ pub fn shipper_stats(s: &mut Stats, view: Option<&ShipperView>) {
 }
 
 fn reader_loop(stream: TcpStream, tx: Sender<ControlFrame>, waker: Option<Wake>) {
-    let ring = || {
-        if let Some(w) = &waker {
-            w.notify();
-        }
-    };
+    let ring = || waker.iter().for_each(Wake::notify);
     let mut reader = BufReader::new(stream);
     while let Ok(Some(frame)) = read_frame(&mut reader) {
         if is_control(&frame) {
@@ -1149,11 +1144,11 @@ mod tests {
         let mut frame = export(0, 1);
         frame.resize(1 << 20, 0);
         for _ in 0..48 {
-            s.enqueue(frame.clone()).unwrap();
+            s.core.enqueue(frame.clone()).unwrap();
         }
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let pump = std::thread::spawn(move || {
-            s.pump(1_000, |_| false);
+            s.pump(1_000, || false, |_| false);
             done_tx.send(()).unwrap();
             s
         });
@@ -1163,10 +1158,61 @@ mod tests {
         assert!(finished.is_ok(), "the pump blocked past stall_ms + 1 s");
         let s = pump.join().unwrap();
         wedged.join().unwrap();
-        assert!(s.stats().stall_recycles >= 1, "{:?}", s.stats());
-        assert_eq!(s.stats().acked_frames, 0);
-        assert_eq!(s.pending_len(), 48, "nothing released");
-        assert!(!s.view().connected);
+        assert!(s.core.stats().stall_recycles >= 1, "{:?}", s.core.stats());
+        assert_eq!(s.core.stats().acked_frames, 0);
+        assert_eq!(s.core.pending_len(), 48, "nothing released");
+        assert!(!s.core.view().connected);
+    }
+
+    /// An upstream that keeps reading, slowly: no 64 KiB write waits
+    /// the ack stall, but the backlog would take a minute to send. A
+    /// flush still returns within its deadline plus the stall.
+    #[test]
+    fn a_trickling_upstream_cannot_hold_a_flush_past_its_deadline() {
+        use std::io::Read;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap().to_string();
+        let done = std::sync::Arc::new(AtomicBool::new(false));
+        let reading = std::sync::Arc::clone(&done);
+        let trickle = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn).unwrap();
+            let hello = ControlFrame::Hello {
+                features: FEATURE_ACKS,
+            };
+            write_frame(&mut conn, &hello.encode()).unwrap();
+            let mut buf = vec![0u8; 16 << 10];
+            while !reading.load(Ordering::SeqCst) && conn.read(&mut buf).is_ok_and(|n| n > 0) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let cfg = ShipperConfig {
+            handshake_ms: 2_000,
+            stall_ms: 2_000,
+            ..ShipperConfig::new(upstream)
+        };
+        let spill = SpillQueue::in_memory(SpillConfig {
+            max_bytes: 0,
+            ..SpillConfig::default()
+        });
+        let mut s = ExportShipper::new(cfg, spill, 1);
+        // 48 MiB at 800 KiB/s.
+        let mut frame = export(0, 1);
+        frame.resize(4 << 20, 0);
+        for _ in 0..12 {
+            s.core.enqueue(frame.clone()).unwrap();
+        }
+        let started = Instant::now();
+        let left = s.flush(&SteadyClock::new(), Duration::from_millis(300), |_| false);
+        let took = started.elapsed();
+        done.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        assert!(took < Duration::from_millis(300 + 2_000), "{took:?}");
+        assert_eq!(left, 12, "nothing released");
+        let stats = s.core.stats();
+        assert_eq!(stats.stall_recycles, 0, "no write waited the stall");
+        assert!(stats.sent_bytes < 48 << 20, "{stats:?}");
     }
 
     #[test]

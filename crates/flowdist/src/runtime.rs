@@ -38,8 +38,10 @@
 //! the UDP lanes (which themselves drain the socket buffers and flush
 //! every open window), lets the shipper thread queue the final frames,
 //! pumps until every frame is acked or the deadline passes, then frees
-//! the stats port. Once the lanes have stopped, it returns within the
-//! deadline plus the ack stall, which bounds every shipper write.
+//! the stats port. Stopping the shipper thread's [`Wake`] halts its
+//! pump between two bounded socket calls, so once the lanes have
+//! stopped, a drain returns within the deadline plus the ack stall (or
+//! the hello timeout, if longer), however slowly the upstream reads.
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
 use crate::export::{
@@ -178,6 +180,8 @@ pub struct SiteRuntime {
     gauges: MultiGaugeView,
     uplink: Arc<Mutex<Uplink>>,
     clock: SteadyClock,
+    /// The shipper thread's doorbell; stopping it halts a pump.
+    wake: Wake,
     knobs: Arc<AdmissionKnobs>,
     ops: Option<OpsHandle>,
 }
@@ -242,7 +246,7 @@ impl SiteRuntime {
         );
         shipper.set_waker(wake.clone());
         let uplink = Arc::new(Mutex::new(Uplink {
-            ship: shipper.view(),
+            ship: shipper.core.view(),
             attempts: 0,
             failures: 0,
             backoff_ms: 0,
@@ -252,6 +256,7 @@ impl SiteRuntime {
         let ship = {
             let uplink = Arc::clone(&uplink);
             let clock = clock.clone();
+            let wake = wake.clone();
             std::thread::Builder::new()
                 .name(format!("site{}-ship", cfg.site))
                 .spawn(move || ship_loop(&rx, shipper, &uplink, &clock, &wake))
@@ -282,6 +287,7 @@ impl SiteRuntime {
             gauges,
             uplink,
             clock,
+            wake,
             knobs,
             ops,
         })
@@ -323,7 +329,9 @@ impl SiteRuntime {
         let ingest = self.ingest.stop();
         let stopped = Instant::now();
         // The ingest engine owned the channel sender; with it gone the
-        // shipper thread queues what is left and hands the shipper back.
+        // shipper thread halts its pump, queues what is left and hands
+        // the shipper back.
+        self.wake.stop();
         let mut shipper = self.ship.join().expect("site shipper thread");
         let left = deadline.saturating_sub(stopped.elapsed());
         let pending_at_exit = shipper.flush(&self.clock, left, |ev| site_host(&self.uplink, ev));
@@ -332,7 +340,7 @@ impl SiteRuntime {
         }
         SiteDrainReport {
             ingest,
-            shipper: shipper.stats(),
+            shipper: shipper.core.stats(),
             pending_at_exit,
         }
     }
@@ -354,19 +362,20 @@ fn ship_loop(
         let open = loop {
             match rx.try_recv() {
                 Ok(frame) => {
-                    let queued = shipper.enqueue(frame);
+                    let queued = shipper.core.enqueue(frame);
                     debug_assert!(queued.is_ok(), "the lane merger emits valid frames");
                 }
                 Err(TryRecvError::Empty) => break true,
                 Err(TryRecvError::Disconnected) => break false,
             }
         };
-        shipper.pump(clock.now_ms(), |ev| site_host(uplink, ev));
-        let due = shipper.next_deadline(clock.now_ms());
+        let halt = || wake.is_stopped();
+        shipper.pump(clock.now_ms(), halt, |ev| site_host(uplink, ev));
+        let due = shipper.core.next_deadline(clock.now_ms());
         {
             let mut up = uplink.lock().expect("uplink lock");
             up.pumps += 1;
-            up.ship = shipper.view();
+            up.ship = shipper.core.view();
         }
         if !open {
             return shipper;

@@ -32,20 +32,6 @@ pub struct SimConfig {
     pub cache: FlowCacheConfig,
 }
 
-impl SimConfig {
-    /// Five sites, 5-minute windows — the Fig. 1 illustration.
-    pub fn fig1() -> SimConfig {
-        SimConfig {
-            sites: 5,
-            window_ms: 300_000,
-            schema: Schema::five_feature(),
-            tree: Config::paper(),
-            transfer: TransferMode::Full,
-            cache: FlowCacheConfig::default(),
-        }
-    }
-}
-
 /// What a finished simulation hands back.
 #[derive(Debug)]
 pub struct SimReport {

@@ -398,6 +398,13 @@ impl SpillQueue {
         self.pending.iter()
     }
 
+    /// The first unacked frame at or after `seq`, by binary search
+    /// (seqs ascend: pushed at the back, released at the front).
+    pub fn first_from(&self, seq: u64) -> Option<&SpillRecord> {
+        self.pending
+            .get(self.pending.partition_point(|r| r.seq < seq))
+    }
+
     /// Number of unacked frames.
     pub fn len(&self) -> usize {
         self.pending.len()

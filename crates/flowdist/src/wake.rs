@@ -51,6 +51,11 @@ impl Wake {
         cv.notify_all();
     }
 
+    /// Whether [`Wake::stop`] was called (long work asks, to end early).
+    pub fn is_stopped(&self) -> bool {
+        self.inner.0.lock().expect("wake lock").stopped
+    }
+
     /// Sleeps until news, stop, or `deadline` (`None`: no deadline),
     /// and consumes the news. Returns `false` once stopped.
     pub fn wait(&self, deadline: Option<Instant>) -> bool {

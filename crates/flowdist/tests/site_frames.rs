@@ -100,10 +100,13 @@ fn shipper_refuses_frames_without_an_epoch() {
         ..v3.clone()
     };
     assert!(matches!(
-        shipper.enqueue(v1.encode()),
+        shipper.core.enqueue(v1.encode()),
         Err(DistError::BadFrame("summary without epoch"))
     ));
-    assert_eq!((shipper.pending_len(), shipper.stats().enqueued), (0, 0));
-    assert!(shipper.enqueue(v3.encode()).unwrap().is_empty());
-    assert_eq!(shipper.pending_len(), 1);
+    assert_eq!(
+        (shipper.core.pending_len(), shipper.core.stats().enqueued),
+        (0, 0)
+    );
+    assert!(shipper.core.enqueue(v3.encode()).unwrap().is_empty());
+    assert_eq!(shipper.core.pending_len(), 1);
 }

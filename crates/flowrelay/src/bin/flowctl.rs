@@ -33,7 +33,8 @@
 
 use flowdist::ops::ops_request;
 use flowdist::runtime::{SiteNodeConfig, SiteRuntime};
-use flowrelay::spec::FleetSpec;
+use flowrelay::cli::{log, Args};
+use flowrelay::spec::{FleetSpec, SiteSpec};
 use flowrelay::{ExportMode, NodeRuntime};
 use std::collections::HashMap;
 use std::io::{BufRead, Write as _};
@@ -72,62 +73,13 @@ fn fail(msg: impl core::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Closed-stderr-safe logging (same contract as relayd's).
-fn log(msg: core::fmt::Arguments<'_>) {
-    let _ = writeln!(std::io::stderr(), "{msg}");
-}
-
-/// Tiny `--key value` scanner (no clap offline). A repeated flag's
-/// last value wins.
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, name: &str) -> Option<&str> {
-        let flag = format!("--{name}");
-        self.0
-            .iter()
-            .rposition(|a| *a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| *a == format!("--{name}"))
-    }
-
-    /// Positional (non-flag) arguments, in order.
-    fn positional(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &self.0 {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if let Some(flag) = a.strip_prefix("--") {
-                // Flags that take a value consume the next arg.
-                skip = matches!(flag, "relayd" | "drain-deadline-ms" | "records");
-                continue;
-            }
-            out.push(a.as_str());
-        }
-        out
-    }
-}
-
 fn main() {
     let args = Args(std::env::args().skip(1).collect());
     if args.has("help") {
         print!("{HELP}");
         return;
     }
-    let pos = args.positional();
+    let pos = args.positional(&["relayd", "drain-deadline-ms", "records"]);
     let (cmd, spec_path) = match pos.as_slice() {
         [cmd, path, ..] => (*cmd, *path),
         _ => fail(format_args!("usage error\n{HELP}")),
@@ -275,19 +227,7 @@ impl ThreadFleet {
         }
         let mut sites = Vec::new();
         for s in &spec.sites {
-            let mut cfg = SiteNodeConfig::new(s.site, ingest_addrs[&s.upstream].to_string());
-            cfg.listen = s.listen.clone();
-            cfg.stats = s.stats.clone();
-            cfg.window_ms = s.window_ms;
-            cfg.budget = s.budget;
-            cfg.batch = s.batch;
-            cfg.receive_buffer_bytes = s.receive_buffer_bytes;
-            cfg.admission = s.admission;
-            cfg.max_open_windows = s.max_open_windows;
-            cfg.lanes = s.lanes;
-            cfg.recv_batch = s.recv_batch;
-            cfg.reuseport = s.reuseport;
-            cfg.pin_cores = s.pin_cores;
+            let cfg = site_config(s, ingest_addrs[&s.upstream]);
             let rt = SiteRuntime::start(cfg).map_err(|e| format!("site {}: {e}", s.site))?;
             println!(
                 "flowctl: site {} listen={} stats={}",
@@ -304,28 +244,25 @@ impl ThreadFleet {
         self.relays.iter().find(|r| r.name() == name)
     }
 
-    /// Scrapes `/metrics` on every live node over its *resolved* stats
-    /// address (works with `:0` binds, unlike the spec-driven `flowctl
-    /// top`). First unreachable or non-conformant node is the error.
+    /// Every live node's *resolved* stats address (works with `:0`
+    /// binds, unlike the spec's), labelled: relays, then sites.
+    fn stats_addrs(&self) -> Vec<(String, String)> {
+        let relays = (self.relays.iter())
+            .filter_map(|rt| Some((format!("relay {}", rt.name()), rt.stats_addr()?)));
+        let sites = (self.sites.iter())
+            .filter_map(|s| Some((format!("site {}", s.site()), s.stats_addr()?)));
+        let label = |(l, a): (String, SocketAddr)| (l, a.to_string());
+        relays.chain(sites).map(label).collect()
+    }
+
+    /// Scrapes `/metrics` on every live node ([`ThreadFleet::stats_addrs`]).
+    /// First unreachable or non-conformant node is the error.
     fn scrape(&self) -> Result<Vec<flowrelay::fleetview::NodeMetrics>, String> {
-        let mut nodes = Vec::new();
-        for rt in &self.relays {
-            if let Some(addr) = rt.stats_addr() {
-                nodes.push(
-                    flowrelay::fleetview::scrape(&addr.to_string())
-                        .map_err(|e| format!("relay {}: {e}", rt.name()))?,
-                );
-            }
-        }
-        for site in &self.sites {
-            if let Some(addr) = site.stats_addr() {
-                nodes.push(
-                    flowrelay::fleetview::scrape(&addr.to_string())
-                        .map_err(|e| format!("site {}: {e}", site.site()))?,
-                );
-            }
-        }
-        Ok(nodes)
+        (self.stats_addrs().into_iter())
+            .map(|(label, addr)| {
+                flowrelay::fleetview::scrape(&addr).map_err(|e| format!("{label}: {e}"))
+            })
+            .collect()
     }
 
     /// Leaves-first drain: sites flush to leaf relays, every relay
@@ -344,6 +281,25 @@ impl ThreadFleet {
         }
         site_acked
     }
+}
+
+/// A spec site as a node config, shipping to its relay's resolved
+/// ingest address.
+fn site_config(s: &SiteSpec, upstream: SocketAddr) -> SiteNodeConfig {
+    let mut cfg = SiteNodeConfig::new(s.site, upstream.to_string());
+    cfg.listen = s.listen.clone();
+    cfg.stats = s.stats.clone();
+    cfg.window_ms = s.window_ms;
+    cfg.budget = s.budget;
+    cfg.batch = s.batch;
+    cfg.receive_buffer_bytes = s.receive_buffer_bytes;
+    cfg.admission = s.admission;
+    cfg.max_open_windows = s.max_open_windows;
+    cfg.lanes = s.lanes;
+    cfg.recv_batch = s.recv_batch;
+    cfg.reuseport = s.reuseport;
+    cfg.pin_cores = s.pin_cores;
+    cfg
 }
 
 /// Drains every site, logging each one's delivery; returns the sum of
@@ -733,19 +689,7 @@ fn run_spawned(spec: &FleetSpec, args: &Args, deadline: Duration) {
     }
     let mut sites = Vec::new();
     for s in &spec.sites {
-        let mut cfg = SiteNodeConfig::new(s.site, ingest_addrs[&s.upstream].to_string());
-        cfg.listen = s.listen.clone();
-        cfg.stats = s.stats.clone();
-        cfg.window_ms = s.window_ms;
-        cfg.budget = s.budget;
-        cfg.batch = s.batch;
-        cfg.receive_buffer_bytes = s.receive_buffer_bytes;
-        cfg.admission = s.admission;
-        cfg.max_open_windows = s.max_open_windows;
-        cfg.lanes = s.lanes;
-        cfg.recv_batch = s.recv_batch;
-        cfg.reuseport = s.reuseport;
-        cfg.pin_cores = s.pin_cores;
+        let cfg = site_config(s, ingest_addrs[&s.upstream]);
         let rt =
             SiteRuntime::start(cfg).unwrap_or_else(|e| fail(format_args!("site {}: {e}", s.site)));
         println!("flowctl: site {} listen={}", s.site, rt.ingest_addr());
@@ -941,11 +885,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     let root_stats_addr = root_stats.to_string();
     let wait_until = Instant::now() + Duration::from_secs(60);
     let root_frames = loop {
-        let (status, body) = ops_request(&root_stats_addr, "GET", "/stats", "")
-            .unwrap_or_else(|e| fail(format_args!("root stats: {e}")));
-        if status != 200 {
-            fail(format_args!("root stats returned {status}"));
-        }
+        let body = ops_ok(&root_stats_addr, "GET", "/stats", "");
         let frames = stat_field(&body, "frames").unwrap_or(0);
         if frames > 0 {
             break frames;
@@ -975,42 +915,18 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     }
 
     // Every stats endpoint must be healthy.
-    let mut endpoints = 0usize;
-    for rt in &fleet.relays {
-        if let Some(addr) = rt.stats_addr() {
-            let (status, body) = ops_request(&addr.to_string(), "GET", "/health", "")
-                .unwrap_or_else(|e| fail(format_args!("health of {}: {e}", rt.name())));
-            if status != 200 || !body.contains("ok true") {
-                fail(format_args!(
-                    "relay {} unhealthy: {status} {body}",
-                    rt.name()
-                ));
-            }
-            endpoints += 1;
+    let stats_addrs = fleet.stats_addrs();
+    for (label, addr) in &stats_addrs {
+        let body = ops_ok(addr, "GET", "/health", "");
+        if !body.contains("ok true") {
+            fail(format_args!("{label} unhealthy: {body}"));
         }
     }
-    for site in &fleet.sites {
-        if let Some(addr) = site.stats_addr() {
-            let (status, body) = ops_request(&addr.to_string(), "GET", "/health", "")
-                .unwrap_or_else(|e| fail(format_args!("health of site {}: {e}", site.site())));
-            if status != 200 || !body.contains("ok true") {
-                fail(format_args!(
-                    "site {} unhealthy: {status} {body}",
-                    site.site()
-                ));
-            }
-            endpoints += 1;
-        }
-    }
+    let endpoints = stats_addrs.len();
 
     // Live reload: tighten the root's linger and verify it stuck.
-    let (status, body) = ops_request(&root_stats_addr, "POST", "/reload", "linger-ms=50\n")
-        .unwrap_or_else(|e| fail(format_args!("reload: {e}")));
-    if status != 200 {
-        fail(format_args!("reload returned {status}: {body}"));
-    }
-    let (_, body) = ops_request(&root_stats_addr, "GET", "/stats", "")
-        .unwrap_or_else(|e| fail(format_args!("stats after reload: {e}")));
+    ops_ok(&root_stats_addr, "POST", "/reload", "linger-ms=50\n");
+    let body = ops_ok(&root_stats_addr, "GET", "/stats", "");
     if stat_field(&body, "linger_ms") != Some(50) {
         fail(format_args!("reload did not apply: {body}"));
     }
@@ -1024,9 +940,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
         .stats_addr()
         .unwrap_or_else(|| fail("smoke needs a stats endpoint on site 0"))
         .to_string();
-    let before = ops_request(&site_stats_addr, "GET", "/stats", "")
-        .unwrap_or_else(|e| fail(format_args!("site stats: {e}")))
-        .1;
+    let before = ops_ok(&site_stats_addr, "GET", "/stats", "");
     let decode_errors_before = stat_field(&before, "decode_errors").unwrap_or(0);
     let no_template_before = stat_field(&before, "records_no_template").unwrap_or(0);
     // (a) Pure garbage — a decode error.
@@ -1054,8 +968,7 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
         .unwrap_or_else(|e| fail(format_args!("hostile send: {e}")));
     let wait_until = Instant::now() + Duration::from_secs(30);
     let site_body = loop {
-        let (_, body) = ops_request(&site_stats_addr, "GET", "/stats", "")
-            .unwrap_or_else(|e| fail(format_args!("site stats: {e}")));
+        let body = ops_ok(&site_stats_addr, "GET", "/stats", "");
         if stat_field(&body, "decode_errors").unwrap_or(0) > decode_errors_before
             && stat_field(&body, "records_no_template").unwrap_or(0) > no_template_before
         {
@@ -1070,9 +983,8 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     };
     // The site must still be healthy, and every datagram it received
     // must sit in exactly one counter.
-    let (status, body) = ops_request(&site_stats_addr, "GET", "/health", "")
-        .unwrap_or_else(|e| fail(format_args!("site health after hostility: {e}")));
-    if status != 200 || !body.contains("ok true") {
+    let body = ops_ok(&site_stats_addr, "GET", "/health", "");
+    if !body.contains("ok true") {
         fail(format_args!("site unhealthy after hostile traffic: {body}"));
     }
     let datagrams = stat_field(&site_body, "datagrams").unwrap_or(0);
@@ -1085,13 +997,8 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
         ));
     }
     // Site knobs reload live (all-or-nothing grammar, like relays).
-    let (status, body) = ops_request(&site_stats_addr, "POST", "/reload", "packet-rate=5000\n")
-        .unwrap_or_else(|e| fail(format_args!("site reload: {e}")));
-    if status != 200 {
-        fail(format_args!("site reload returned {status}: {body}"));
-    }
-    let (_, body) = ops_request(&site_stats_addr, "GET", "/stats", "")
-        .unwrap_or_else(|e| fail(format_args!("site stats after reload: {e}")));
+    ops_ok(&site_stats_addr, "POST", "/reload", "packet-rate=5000\n");
+    let body = ops_ok(&site_stats_addr, "GET", "/stats", "");
     if stat_field(&body, "knob_packet_rate") != Some(5_000) {
         fail(format_args!("site reload did not apply: {body}"));
     }
@@ -1131,13 +1038,8 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
     };
     let metrics_nodes = nodes.len();
     let check_roundtrip = |addr: &str, keys: &[&str]| {
-        let (s1, text) = ops_request(addr, "GET", "/stats", "")
-            .unwrap_or_else(|e| fail(format_args!("stats of {addr}: {e}")));
-        let (s2, json) = ops_request(addr, "GET", "/stats.json", "")
-            .unwrap_or_else(|e| fail(format_args!("stats.json of {addr}: {e}")));
-        if s1 != 200 || s2 != 200 {
-            fail(format_args!("stats endpoints of {addr} returned {s1}/{s2}"));
-        }
+        let text = ops_ok(addr, "GET", "/stats", "");
+        let json = ops_ok(addr, "GET", "/stats.json", "");
         for key in keys {
             let plain = stat_field(&text, key);
             let js = json_field(&json, key);
@@ -1197,6 +1099,16 @@ fn smoke(spec: &FleetSpec, records_per_site: usize, deadline: Duration) {
          {route} elapsed_ms={}",
         t0.elapsed().as_millis()
     );
+}
+
+/// One ops request that must answer 200: its body; anything else ends
+/// the smoke.
+fn ops_ok(addr: &str, method: &str, path: &str, body: &str) -> String {
+    match ops_request(addr, method, path, body) {
+        Ok((200, body)) => body,
+        Ok((status, body)) => fail(format_args!("{method} {path} at {addr}: {status} {body}")),
+        Err(e) => fail(format_args!("{method} {path} at {addr}: {e}")),
+    }
 }
 
 /// Reads `key value` out of a plaintext stats body.

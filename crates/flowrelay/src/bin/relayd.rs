@@ -21,6 +21,7 @@
 //! ```
 
 use flowdist::FsyncPolicy;
+use flowrelay::cli::{log, Args};
 use flowrelay::{ExportMode, NodeConfig, NodeRuntime};
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -68,39 +69,6 @@ FLAGS:
     --oneshot             drain once, print counters, exit (smoke testing)
     --help                print this help
 ";
-
-/// Tiny `--key value` scanner (no clap offline). A repeated flag's
-/// last value wins, so wrappers can append overrides.
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, name: &str) -> Option<&str> {
-        let flag = format!("--{name}");
-        self.0
-            .iter()
-            .rposition(|a| *a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| *a == format!("--{name}"))
-    }
-}
-
-/// Runtime logging that survives a closed stderr: a supervisor (or a
-/// test harness) dropping the pipe must degrade logging, never kill
-/// the daemon mid-export (`eprintln!` panics on a broken pipe).
-fn log(msg: core::fmt::Arguments<'_>) {
-    use std::io::Write as _;
-    let _ = writeln!(std::io::stderr(), "{msg}");
-}
 
 fn main() {
     let args = Args(std::env::args().skip(1).collect());

@@ -25,9 +25,10 @@
 //!   retention eviction ([`Relay::next_eviction_due`]). It then runs one
 //!   pass on the `drain-every-ms` grid (the first multiple at or after
 //!   the wake), so exports coalesce exactly as they would on a fixed
-//!   tick while an idle node never wakes. A pass takes the shipper out of
-//!   the shared scheduler state for its socket calls and locks the
-//!   relay once per shipper event after them, so neither `/stats` nor
+//!   tick while an idle node never wakes. The shipper has its own
+//!   lock, taken only by a pass, [`NodeRuntime::tick_now`] and drain;
+//!   a pass locks the relay once per shipper event after its socket
+//!   calls and publishes the shipper's view, so neither `/stats` nor
 //!   ingest waits on the upstream.
 //! * **`reload`** applies a [`NodeReload`] — export mode, linger,
 //!   retention, scheduler grid, base bounds — live, without dropping a
@@ -37,9 +38,10 @@
 //! * **`drain`** is the graceful exit: stop accepting downstreams,
 //!   run the scheduler down, flush every window with unshipped
 //!   content, and push the pending queue through the acknowledged
-//!   shipper until it is empty or the deadline passes. It returns
-//!   within the deadline plus the ack stall, which bounds every
-//!   shipper write. A `kill -9` anywhere in that sequence recovers
+//!   shipper until it is empty or the deadline passes. Stop halts a
+//!   pass between two bounded socket calls, so drain returns within
+//!   the deadline plus the ack stall (or the hello timeout, if
+//!   longer), however slowly the upstream reads. A `kill -9` anywhere in that sequence recovers
 //!   byte-identical through the journal — drain uses only the
 //!   journaled paths.
 //! * **`shutdown`** exits without flushing (the journal still makes
@@ -51,6 +53,7 @@
 //!   config), each counter declared once: `GET /stats` (plaintext
 //!   `key value` lines), `/stats.json` and `/metrics`.
 
+use crate::cli::log;
 use crate::journal::{JournalConfig, RecoveryReport};
 use crate::plan::QueryRouter;
 use crate::relay::{ExportConfig, ExportMode, Relay, RelayConfig, RelayLedger};
@@ -61,11 +64,11 @@ use flowdist::ops::{
     OpsRequest, OpsResponse,
 };
 use flowdist::{
-    epoch_ms, shipper_stats, BackoffConfig, ExportShipper, FsyncPolicy, ShipperConfig, ShipperView,
-    SpillConfig, SpillQueue, SteadyClock, Summary, ViewCacheStats, Wake,
+    epoch_ms, shipper_stats, BackoffConfig, ExportShipper, FsyncPolicy, ShipperConfig, ShipperCore,
+    ShipperView, SpillConfig, SpillQueue, SteadyClock, Summary, ViewCacheStats, Wake,
 };
 use flowmetrics::{EventRing, Stats, Stopwatch};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -223,14 +226,6 @@ pub struct DrainReport {
     pub ledger: RelayLedger,
 }
 
-/// Runtime logging that survives a closed stderr: a supervisor (or a
-/// test harness) dropping the pipe must degrade logging, never kill
-/// the node mid-export (`eprintln!` panics on a broken pipe).
-fn log(msg: core::fmt::Arguments<'_>) {
-    use std::io::Write as _;
-    let _ = writeln!(std::io::stderr(), "{msg}");
-}
-
 /// Parameters the scheduler re-reads every pass (reload targets that
 /// do not live inside [`Relay`]'s own export config).
 #[derive(Debug, Clone, Copy)]
@@ -242,9 +237,6 @@ struct SchedParams {
 /// State owned by the scheduler pass, shared with drain and the stats
 /// endpoint.
 struct SchedState {
-    /// Out of here while a pass ships with it, so no lock is held
-    /// across a socket call; a pass that finds it out ships nothing.
-    shipper: Option<ExportShipper>,
     /// The shipper as of the last pass (`None` on a root): what `/stats`
     /// and [`NodeRuntime::pending_len`] read.
     ship_view: Option<ShipperView>,
@@ -253,39 +245,19 @@ struct SchedState {
     journal_fault_logged: bool,
     /// Where scheduler-detected operational events land (`/events`).
     events: EventRing,
-    /// Ledger counters as of the last event sweep — the deltas become
-    /// events.
-    seen: LedgerSeen,
-}
-
-/// The ledger counters the event detector watches. Only *changes*
-/// matter; the absolute values already live in the ledger itself.
-#[derive(Debug, Clone, Copy, Default)]
-struct LedgerSeen {
-    delta_fallbacks: u64,
-    base_losses: u64,
-    rebase_rewinds: u64,
-    spill_sheds: u64,
-}
-
-impl LedgerSeen {
-    fn of(l: &RelayLedger) -> LedgerSeen {
-        LedgerSeen {
-            delta_fallbacks: l.delta_fallbacks,
-            base_losses: l.base_losses,
-            rebase_rewinds: l.rebase_rewinds,
-            spill_sheds: l.spill_sheds,
-        }
-    }
+    /// The ledger as of the last event sweep: the deltas of the
+    /// counters it watches become events.
+    seen: RelayLedger,
 }
 
 /// One running relay node (see the module docs).
 pub struct NodeRuntime {
     name: String,
     tag: String,
-    ingest_addr: SocketAddr,
-    query_addr: SocketAddr,
     relay: Arc<Mutex<Relay>>,
+    /// Locked only by a scheduler pass, [`NodeRuntime::tick_now`] and
+    /// drain, which make its socket calls (`None` on a root).
+    shipper: Arc<Mutex<Option<ExportShipper>>>,
     sched: Arc<Mutex<SchedState>>,
     params: Arc<Mutex<SchedParams>>,
     clock: SteadyClock,
@@ -432,7 +404,7 @@ impl NodeRuntime {
                     spill,
                     u64::from(cfg.agg_site) ^ (u64::from(std::process::id()) << 17),
                 );
-                shipper.set_rtt_histogram(telemetry.registry.histogram(
+                shipper.core.set_rtt_histogram(telemetry.registry.histogram(
                     "flowtree_export_rtt_seconds",
                     "Ship-to-ack round trip of one export frame (first wire write to releasing ack).",
                 ));
@@ -444,36 +416,26 @@ impl NodeRuntime {
         // Seed the event detector with the recovered ledger so a
         // journaled restart does not replay pre-crash counts as fresh
         // events.
-        let seen = LedgerSeen::of(relay.lock().expect("relay lock").ledger());
+        let seen = *relay.lock().expect("relay lock").ledger();
         let sched = Arc::new(Mutex::new(SchedState {
-            ship_view: shipper.as_ref().map(|s| s.view()),
-            shipper,
+            ship_view: shipper.as_ref().map(|s| s.core.view()),
             passes: 0,
             journal_fault_logged: false,
             events: telemetry.events.clone(),
             seen,
         }));
+        let shipper = Arc::new(Mutex::new(shipper));
         let params = Arc::new(Mutex::new(SchedParams {
             retention_ms: cfg.retention_ms,
             drain_every_ms: cfg.drain_every_ms.max(1),
         }));
 
         // --- ingest listener ----------------------------------------
-        let ingest = TcpListener::bind(&cfg.ingest).map_err(|err| RuntimeError::Bind {
-            what: "ingest",
-            addr: cfg.ingest.clone(),
-            err,
-        })?;
-        let ingest_addr = ingest.local_addr().map_err(|err| RuntimeError::Bind {
-            what: "ingest",
-            addr: cfg.ingest.clone(),
-            err,
-        })?;
         let ingest_listener = {
             let relay = Arc::clone(&relay);
             let update_hist = update_hist.clone();
             let run = run.clone();
-            spawn_accept_loop("relay-ingest", ingest, move |mut conn| {
+            listen("ingest", &cfg.ingest, move |mut conn| {
                 let relay = Arc::clone(&relay);
                 let update_hist = update_hist.clone();
                 let run = run.clone();
@@ -493,30 +455,15 @@ impl NodeRuntime {
                             Some(&run),
                         );
                     });
-            })
-            .map_err(|err| RuntimeError::Bind {
-                what: "ingest",
-                addr: cfg.ingest.clone(),
-                err,
             })?
         };
 
         // --- query listener ------------------------------------------
-        let queries = TcpListener::bind(&cfg.query).map_err(|err| RuntimeError::Bind {
-            what: "query",
-            addr: cfg.query.clone(),
-            err,
-        })?;
-        let query_addr = queries.local_addr().map_err(|err| RuntimeError::Bind {
-            what: "query",
-            addr: cfg.query.clone(),
-            err,
-        })?;
         let query_listener = {
             let relay = Arc::clone(&relay);
             let topo = topo.clone();
             let query_hist = query_hist.clone();
-            spawn_accept_loop("relay-query", queries, move |conn| {
+            listen("query", &cfg.query, move |conn| {
                 let relay = Arc::clone(&relay);
                 let topo = topo.clone();
                 let query_hist = query_hist.clone();
@@ -540,11 +487,6 @@ impl NodeRuntime {
                             Some(out)
                         });
                     });
-            })
-            .map_err(|err| RuntimeError::Bind {
-                what: "query",
-                addr: cfg.query.clone(),
-                err,
             })?
         };
 
@@ -552,6 +494,7 @@ impl NodeRuntime {
         let clock = SteadyClock::new();
         let sched_join = {
             let relay = Arc::clone(&relay);
+            let shipper = Arc::clone(&shipper);
             let sched = Arc::clone(&sched);
             let params = Arc::clone(&params);
             let run = run.clone();
@@ -562,14 +505,10 @@ impl NodeRuntime {
                 .spawn(move || loop {
                     let p = *params.lock().expect("params lock");
                     let due = {
-                        let sched = sched.lock().expect("sched lock");
+                        let shipper = shipper.lock().expect("shipper lock");
                         let relay = relay.lock().expect("relay lock");
-                        next_pass_due(
-                            &relay,
-                            sched.shipper.as_ref(),
-                            p.retention_ms,
-                            clock.now_ms(),
-                        )
+                        let core = shipper.as_ref().map(|s| &s.core);
+                        next_pass_due(&relay, core, p.retention_ms, clock.now_ms())
                     };
                     if !run.wait(due.map(|ms| clock.instant_at(ms))) {
                         return;
@@ -580,7 +519,7 @@ impl NodeRuntime {
                         return;
                     }
                     let p = *params.lock().expect("params lock");
-                    scheduler_pass(&relay, &sched, &p, &clock, &tag);
+                    scheduler_pass(&relay, &shipper, &sched, &p, &clock, &tag, &run);
                 })
                 .map_err(RuntimeError::Spawn)?
         };
@@ -630,9 +569,8 @@ impl NodeRuntime {
         Ok(NodeRuntime {
             name: cfg.name,
             tag,
-            ingest_addr,
-            query_addr,
             relay,
+            shipper,
             sched,
             params,
             clock,
@@ -654,12 +592,12 @@ impl NodeRuntime {
 
     /// The bound ingest address.
     pub fn ingest_addr(&self) -> SocketAddr {
-        self.ingest_addr
+        self.ingest_listener.local_addr()
     }
 
     /// The bound query address.
     pub fn query_addr(&self) -> SocketAddr {
-        self.query_addr
+        self.query_listener.local_addr()
     }
 
     /// The bound stats address, if a stats endpoint was configured.
@@ -711,13 +649,10 @@ impl NodeRuntime {
 
     /// Runs one scheduler pass synchronously (what `--oneshot` and
     /// tests use instead of waiting for the scheduler).
-    /// A scheduler pass that is shipping at the same time keeps the
-    /// shipper, and this one ships nothing.
     pub fn tick_now(&self) {
         let p = *self.params.lock().expect("params lock");
-        scheduler_pass(&self.relay, &self.sched, &p, &self.clock, &self.tag);
-        // The scheduler may have slept without the shipper's deadline.
-        self.run.notify();
+        let (relay, shipper, sched) = (&self.relay, &self.shipper, &self.sched);
+        scheduler_pass(relay, shipper, sched, &p, &self.clock, &self.tag, &self.run);
     }
 
     /// Gracefully drains and stops the node (see the module docs).
@@ -730,13 +665,13 @@ impl NodeRuntime {
         // 1. Stop intake: no new downstream (or query) connections.
         self.stop_accepting();
         // 2. Stop the scheduler so this drain is the only export path;
-        //    a pass stuck on a wedged upstream ends within the stall.
+        //    a pass that is shipping halts within one bounded socket call.
         self.stop_scheduler();
         // 3. Flush every window with unshipped content through the
         //    normal shipper path (spill-before-send, ack-to-release) —
         //    the same journaled code a crash recovers through. A root
         //    has nobody to flush to and builds no frames.
-        let shipper = self.sched.lock().expect("sched lock").shipper.take();
+        let shipper = self.shipper.lock().expect("shipper lock").take();
         let (flushed, pending_at_exit) = match shipper {
             Some(mut shipper) => {
                 let due = self.relay.lock().expect("relay lock").flush_exports();
@@ -805,13 +740,29 @@ impl Drop for NodeRuntime {
     }
 }
 
+/// Binds `addr` and serves each accepted connection with `on_conn` on
+/// the accept loop `relay-<what>`.
+fn listen(
+    what: &'static str,
+    addr: &str,
+    on_conn: impl FnMut(TcpStream) + Send + 'static,
+) -> Result<AcceptLoop, RuntimeError> {
+    let bind = |err| RuntimeError::Bind {
+        what,
+        addr: addr.to_string(),
+        err,
+    };
+    let listener = TcpListener::bind(addr).map_err(bind)?;
+    spawn_accept_loop(&format!("relay-{what}"), listener, on_conn).map_err(bind)
+}
+
 /// When the scheduler next has work, from state alone: the earliest of
 /// the next window export (only on a node that ships — a root exports
 /// nothing), the shipper's own deadline (reconnect backoff, ack stall)
 /// and the next retention eviction. `None`: nothing until an event.
 fn next_pass_due(
     relay: &Relay,
-    shipper: Option<&ExportShipper>,
+    shipper: Option<&ShipperCore>,
     retention_ms: u64,
     now_ms: u64,
 ) -> Option<u64> {
@@ -832,31 +783,29 @@ fn pass_at(wake_ms: u64, grid_ms: u64) -> u64 {
 
 /// One scheduler pass: drain due windows and ship them (a root has no
 /// upstream and drains nothing), apply retention, surface a degraded
-/// journal once.
+/// journal once. The shipping halts once `run` is stopped.
 fn scheduler_pass(
     relay: &Arc<Mutex<Relay>>,
+    shipper: &Mutex<Option<ExportShipper>>,
     sched: &Mutex<SchedState>,
     params: &SchedParams,
     clock: &SteadyClock,
     tag: &str,
+    run: &Wake,
 ) {
-    let shipper = {
-        let mut st = sched.lock().expect("sched lock");
-        st.passes += 1;
-        st.shipper.take()
-    };
+    sched.lock().expect("sched lock").passes += 1;
     let now = clock.now_ms();
     // A root exports to nobody: no merge, no diff, no encode and no
     // pinned delta base per window.
-    if let Some(mut shipper) = shipper {
+    if let Some(shipper) = shipper.lock().expect("shipper lock").as_mut() {
         let due = relay.lock().expect("relay lock").drain_exports_at(now);
-        enqueue_exports(relay, &mut shipper, due, tag);
-        shipper.pump(now, |ev| {
-            relay.lock().expect("relay lock").on_ship_event(ev)
-        });
-        let mut st = sched.lock().expect("sched lock");
-        st.ship_view = Some(shipper.view());
-        st.shipper = Some(shipper);
+        enqueue_exports(relay, shipper, due, tag);
+        shipper.pump(
+            now,
+            || run.is_stopped(),
+            |ev| relay.lock().expect("relay lock").on_ship_event(ev),
+        );
+        sched.lock().expect("sched lock").ship_view = Some(shipper.core.view());
     }
     if params.retention_ms > 0 {
         let cutoff = now.saturating_sub(params.retention_ms);
@@ -904,7 +853,7 @@ fn note_ledger_events(relay: &Arc<Mutex<Relay>>, sched: &mut SchedState, ts_ms: 
         l.rebase_rewinds.saturating_sub(seen.rebase_rewinds),
     );
     emit("spill_shed", l.spill_sheds.saturating_sub(seen.spill_sheds));
-    sched.seen = LedgerSeen::of(&l);
+    sched.seen = l;
 }
 
 /// Queues drained exports with the shipper, each encoded once. A frame
@@ -917,17 +866,17 @@ fn enqueue_exports(
     due: Vec<Summary>,
     tag: &str,
 ) {
-    let before = shipper.spill_stats();
+    let before = shipper.core.spill_stats();
     let mut shed: Vec<u64> = Vec::new();
     for e in due {
-        match shipper.enqueue(e.encode()) {
+        match shipper.core.enqueue(e.encode()) {
             Ok(windows) => shed.extend(windows),
             Err(err) => log(format_args!(
                 "{tag}: export frame refused by the shipper: {err}"
             )),
         }
     }
-    let after = shipper.spill_stats();
+    let after = shipper.core.spill_stats();
     let frames = after.shed_frames.saturating_sub(before.shed_frames);
     let bytes = after.shed_bytes.saturating_sub(before.shed_bytes);
     if shed.is_empty() && frames == 0 && bytes == 0 {
@@ -1299,9 +1248,9 @@ mod tests {
         })
     }
 
-    fn shipper() -> ExportShipper {
-        ExportShipper::new(
-            ShipperConfig::new("127.0.0.1:1"),
+    fn shipper() -> ShipperCore {
+        ShipperCore::new(
+            &ShipperConfig::new("127.0.0.1:1"),
             SpillQueue::in_memory(SpillConfig::default()),
             1,
         )

@@ -311,18 +311,30 @@ fn shipper_rejects_lying_acks_from_a_scripted_upstream() {
         flowdist::SpillQueue::in_memory(flowdist::SpillConfig::default()),
         7,
     );
-    assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
+    assert!(shipper
+        .core
+        .enqueue(exports[0].encode())
+        .unwrap()
+        .is_empty());
     let clock = SteadyClock::new();
     for _ in 0..200 {
-        shipper.pump(clock.now_ms(), |ev| relay.lock().unwrap().on_ship_event(ev));
-        if shipper.pending_len() == 0 {
+        shipper.pump(
+            clock.now_ms(),
+            || false,
+            |ev| relay.lock().unwrap().on_ship_event(ev),
+        );
+        if shipper.core.pending_len() == 0 {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     script.join().unwrap();
-    assert_eq!(shipper.pending_len(), 0, "the true ack drained the frame");
-    let stats = shipper.stats();
+    assert_eq!(
+        shipper.core.pending_len(),
+        0,
+        "the true ack drained the frame"
+    );
+    let stats = shipper.core.stats();
     assert_eq!(stats.acked_frames, 1);
     assert!(stats.stale_acks >= 1, "unknown-window ack was not believed");
     assert!(
@@ -361,22 +373,28 @@ fn silent_upstream_is_a_failed_connect_and_releases_nothing() {
         flowdist::SpillQueue::in_memory(flowdist::SpillConfig::default()),
         3,
     );
-    assert!(shipper.enqueue(exports[0].encode()).unwrap().is_empty());
-    shipper.pump(SteadyClock::new().now_ms(), |ev| {
-        relay.lock().unwrap().on_ship_event(ev)
-    });
+    assert!(shipper
+        .core
+        .enqueue(exports[0].encode())
+        .unwrap()
+        .is_empty());
+    shipper.pump(
+        SteadyClock::new().now_ms(),
+        || false,
+        |ev| relay.lock().unwrap().on_ship_event(ev),
+    );
     let ledger = *relay.lock().unwrap().ledger();
     assert_eq!(
         (ledger.reconnect_attempts, ledger.reconnect_failures),
         (1, 1)
     );
-    let stats = shipper.stats();
+    let stats = shipper.core.stats();
     assert_eq!(
         (stats.handshakes, stats.sent_frames, stats.acked_frames),
         (0, 0, 0)
     );
-    assert_eq!(shipper.pending_len(), 1, "no ack, no release");
-    assert!(!shipper.view().connected);
+    assert_eq!(shipper.core.pending_len(), 1, "no ack, no release");
+    assert!(!shipper.core.view().connected);
     silent.join().unwrap();
 }
 
@@ -435,25 +453,29 @@ fn export_chain_converges_through_lossy_duplicating_proxy() {
             // The reference upstream is fed directly, no network.
             let frame = e.encode();
             reference.ingest_classified(&frame);
-            assert!(shipper.enqueue(frame).unwrap().is_empty());
+            assert!(shipper.core.enqueue(frame).unwrap().is_empty());
         }
         for _ in 0..1_200 {
-            shipper.pump(clock.now_ms(), |ev| relay.lock().unwrap().on_ship_event(ev));
-            if shipper.pending_len() == 0 {
+            shipper.pump(
+                clock.now_ms(),
+                || false,
+                |ev| relay.lock().unwrap().on_ship_event(ev),
+            );
+            if shipper.core.pending_len() == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(
-            shipper.pending_len(),
+            shipper.core.pending_len(),
             0,
             "round {round} drained through the weather (stats: {:?})",
-            shipper.stats()
+            shipper.core.stats()
         );
     }
 
     assert!(
-        shipper.view().connected && shipper.stats().handshakes > 0,
+        shipper.core.view().connected && shipper.core.stats().handshakes > 0,
         "hellos get through the weather, sessions negotiate acks"
     );
     let up = upstream.lock().unwrap();

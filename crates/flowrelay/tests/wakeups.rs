@@ -273,6 +273,21 @@ fn padded_export(bytes: usize) -> Vec<u8> {
 /// deadline plus the ack stall.
 #[test]
 fn a_wedged_upstream_blocks_neither_stats_nor_drain() {
+    stuck_upstream_blocks_neither_stats_nor_drain(false);
+}
+
+/// An upstream that keeps reading, but slowly: no write ever waits an
+/// ack stall, yet the backlog would take a minute to send. A drain
+/// still returns within its deadline plus the ack stall.
+#[test]
+fn a_trickling_upstream_blocks_neither_stats_nor_drain() {
+    stuck_upstream_blocks_neither_stats_nor_drain(true);
+}
+
+/// The upstream of the two tests above: it answers each hello, then
+/// reads nothing, or (`trickle`) 16 KiB every 20 ms.
+fn stuck_upstream_blocks_neither_stats_nor_drain(trickle: bool) {
+    use std::io::Read;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc};
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -285,7 +300,7 @@ fn a_wedged_upstream_blocks_neither_stats_nor_drain() {
             let mut held = Vec::new();
             for conn in listener.incoming() {
                 if done.load(Ordering::SeqCst) {
-                    return;
+                    break;
                 }
                 let mut conn = conn.expect("accept");
                 let _ = flowdist::framing::read_frame(&mut conn);
@@ -293,15 +308,28 @@ fn a_wedged_upstream_blocks_neither_stats_nor_drain() {
                     features: flowdist::FEATURE_ACKS,
                 };
                 let _ = flowdist::framing::write_frame(&mut conn, &hello.encode());
-                held.push(conn);
                 let _ = hello_tx.send(());
+                let done = Arc::clone(&done);
+                held.push(std::thread::spawn(move || {
+                    let mut buf = vec![0u8; 16 << 10];
+                    while !done.load(Ordering::SeqCst) {
+                        if trickle && matches!(conn.read(&mut buf), Ok(0) | Err(_)) {
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                }));
+            }
+            for reader in held {
+                reader.join().expect("upstream reader");
             }
         })
     };
 
     // 48 MiB of pending exports: more than the loopback send and
     // receive buffers hold.
-    let dir = std::env::temp_dir().join(format!("flowrelay-wedged-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("flowrelay-stuck-{trickle}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spill_cfg = flowdist::SpillConfig {
         max_bytes: 0,
@@ -349,7 +377,7 @@ fn a_wedged_upstream_blocks_neither_stats_nor_drain() {
     assert_eq!(
         drained,
         Ok(48),
-        "drain(1 s) with a 3 s stall took over 4.5 s"
+        "drain(1 s) with a 3 s stall took over 4.5 s (trickle: {trickle})"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -311,17 +311,6 @@ impl Stats {
             self.chain_steps as f64 / self.inserts as f64
         }
     }
-
-    /// Mean total parent-search work per update: index probes plus
-    /// retained-child descent hops. The honest apples-to-apples number
-    /// to compare against the seed path, whose work is all probes.
-    pub fn mean_search_work(&self) -> f64 {
-        if self.inserts == 0 {
-            0.0
-        } else {
-            (self.chain_steps + self.descent_hops) as f64 / self.inserts as f64
-        }
-    }
 }
 
 /// A read-only view of one tree node.
@@ -953,16 +942,6 @@ impl FlowTree {
             self.insert_below(anchor, key, hash, &profile, pop, Some(finger));
             prev = Some((key, profile));
         }
-    }
-
-    /// Convenience: record one packet of `bytes` bytes for `key`.
-    pub fn record_packet(&mut self, key: &FlowKey, bytes: u32) {
-        self.insert(key, Popularity::packet(bytes));
-    }
-
-    /// Convenience: record one flow record for `key`.
-    pub fn record_flow(&mut self, key: &FlowKey, packets: u64, bytes: u64) {
-        self.insert(key, Popularity::flow(packets, bytes));
     }
 
     /// Inserts mass without triggering compaction (used by merge/diff
