@@ -118,11 +118,6 @@ impl FramedConn {
         })
     }
 
-    /// Connects to `addr` and wraps the stream.
-    pub fn connect(addr: &str) -> std::io::Result<FramedConn> {
-        FramedConn::new(TcpStream::connect(addr)?)
-    }
-
     /// Receives the next frame; `Ok(None)` on clean EOF.
     pub fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
         read_frame(&mut self.reader)
@@ -232,8 +227,6 @@ mod tests {
         assert!(dialled.nodelay().unwrap(), "framing::connect");
         let conn = FramedConn::new(accepted).unwrap();
         assert!(conn.stream().nodelay().unwrap(), "FramedConn::new");
-        let client = FramedConn::connect(&addr.to_string()).unwrap();
-        assert!(client.stream().nodelay().unwrap(), "FramedConn::connect");
     }
 
     #[test]
@@ -263,7 +256,7 @@ mod tests {
             })
             .unwrap()
         });
-        let mut conn = FramedConn::connect(&addr.to_string()).unwrap();
+        let mut conn = FramedConn::new(connect(addr, Duration::from_secs(5)).unwrap()).unwrap();
         // Pipeline two requests before reading a single response: the
         // persistent reader must not lose the second frame.
         conn.send(b"abc").unwrap();
